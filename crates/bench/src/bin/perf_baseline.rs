@@ -3,20 +3,18 @@
 //! Run with: `cargo run --release -p fsm-fusion-bench --bin perf_baseline`
 //!
 //! Times the partition operations, the fault-graph build, the incremental
-//! fault-graph trackers, the Algorithm-2 search (sequential and parallel
-//! engines) at several `⊤` state counts and the reachable-product
-//! construction (packed sequential, packed parallel, reference) with small
-//! fixed iteration counts, and emits `BENCH_fusion.json` (see README.md for
-//! the format).  Every optimized kernel is measured next to its
-//! pre-refactor twin (`*_scan`, from `fsm_fusion_core::reference` or the
-//! tuple-keyed `ReachableProduct::new_reference`), every `_par` op next to
-//! its sequential twin, the persistent-pool engine
-//! (`alg2_search_pooled_*`) next to its per-search-spawn twin
-//! (`alg2_search_spawn_*`), the session's warm closure cache
+//! fault-graph trackers, the Algorithm-2 search at several `⊤` state counts
+//! and the reachable-product construction (packed sequential, packed
+//! parallel, reference) with small fixed iteration counts, and emits
+//! `BENCH_fusion.json` (see README.md for the format).  Every optimized
+//! kernel is measured next to its pre-refactor twin (`*_scan`, from
+//! `fsm_fusion_core::reference` or the tuple-keyed
+//! `ReachableProduct::new_reference`), every `_par` op next to its
+//! sequential twin, the session's warm closure cache
 //! (`alg2_sweep_cached_*`) next to the cold free-function sweep
 //! (`alg2_sweep_cold_*`), and the delta-aware update paths
 //! (`alg2_update_add_machine_*`, `product_extend_factor_*`) next to cold
-//! rebuilds of the evolved context; the JSON records all five speedup
+//! rebuilds of the evolved context; the JSON records all four speedup
 //! ratio sets.
 //! The crash-recovery pipeline is covered by `wal_append_frame`,
 //! `recover_replay_n512` and `recover_decode_f1`, and the `sim_sweep`
@@ -57,8 +55,8 @@ use fsm_fusion_bench::{
 };
 use fsm_fusion_core::reference;
 use fsm_fusion_core::{
-    generate_fusion_par, generate_fusion_par_spawn, generate_fusion_seq, projection_partitions,
-    Engine, FaultGraph, FaultModel, FusionConfig, MachineReport, Partition, TopDelta,
+    generate_fusion, projection_partitions, FaultGraph, FaultModel, FusionConfig, MachineReport,
+    Partition, TopDelta,
 };
 
 /// Regression threshold for `--check`: calibration-normalized ns/op may grow
@@ -73,7 +71,7 @@ const MIN_ITERS: u64 = 3;
 /// Timed rounds per op; the reported figure is the median round.
 const ROUNDS: usize = 5;
 
-/// Worker threads for the `alg2_search_par_*` ops.  Fixed (not
+/// Worker threads for the `product_build_par_*` op.  Fixed (not
 /// `available_parallelism`) so the committed numbers mean the same thing on
 /// every machine; the calibration normalization cannot cancel out a varying
 /// thread count.
@@ -314,27 +312,8 @@ fn measure_all() -> Vec<Measurement> {
             729 => "alg2_search_n729_f2",
             _ => unreachable!("unexpected product size {size}"),
         };
-        // The sequential engine explicitly — not the env-dispatching
-        // `generate_fusion` — so an exported FSM_FUSION_WORKERS cannot
-        // silently record parallel numbers under the sequential op names
-        // (which would corrupt the baseline and trip the CI gate later).
-        let ns = bench(iters, || generate_fusion_seq(top, &originals, 2).unwrap());
+        let ns = bench(iters, || generate_fusion(top, &originals, 2).unwrap());
         push(name, iters, ns);
-        // The parallel engine's fixed cost (spawning PAR_WORKERS threads
-        // per search) dominates below |⊤| ≈ 81, so n27 is not tracked — it
-        // would gate thread start-up latency, not search work.
-        let par_name: Option<&'static str> = match size {
-            81 => Some("alg2_search_par_n81_f2"),
-            243 => Some("alg2_search_par_n243_f2"),
-            729 => Some("alg2_search_par_n729_f2"),
-            _ => None,
-        };
-        if let Some(par_name) = par_name {
-            let ns = bench(iters, || {
-                generate_fusion_par(top, &originals, 2, PAR_WORKERS).unwrap()
-            });
-            push(par_name, iters, ns);
-        }
         let scan_name: &'static str = match size {
             27 => "alg2_search_scan_n27_f2",
             81 => "alg2_search_scan_n81_f2",
@@ -386,9 +365,7 @@ fn measure_all() -> Vec<Measurement> {
         let product = ReachableProduct::with_workers(&machines, 1).unwrap();
         let originals = projection_partitions(&product);
         let top = product.top();
-        let ns = bench(MIN_ITERS, || {
-            generate_fusion_seq(top, &originals, 1).unwrap()
-        });
+        let ns = bench(MIN_ITERS, || generate_fusion(top, &originals, 1).unwrap());
         push("alg2_search_n6561", MIN_ITERS, ns);
     }
 
@@ -413,41 +390,19 @@ fn measure_all() -> Vec<Measurement> {
         push("product_build_stream_n59049", iters, ns);
     }
 
-    // Pool amortization at |⊤| = 81 — the size where thread start-up used
-    // to cancel the parallel engine's win: the persistent-pool engine (warm
-    // after the bench harness's warm-up call) against the same engine
-    // forced to spawn and join a fresh pool per search.  The `_spawn` op is
-    // a documentation twin like the `_scan` ops (thread start-up latency is
-    // too scheduler-dependent to gate).
-    {
-        let machines = counter_family(4, 3);
-        let product = ReachableProduct::with_workers(&machines, 1).unwrap();
-        let originals = projection_partitions(&product);
-        let top = product.top();
-        let iters = 50;
-        let ns = bench(iters, || {
-            generate_fusion_par(top, &originals, 2, PAR_WORKERS).unwrap()
-        });
-        push("alg2_search_pooled_n81_f2", iters, ns);
-        let ns = bench(iters, || {
-            generate_fusion_par_spawn(top, &originals, 2, PAR_WORKERS).unwrap()
-        });
-        push("alg2_search_spawn_n81_f2", iters, ns);
-    }
-
     // Closure-cache amortization at |⊤| = 729: a FusionSession sweeping
     // f = 1..=3 with a warm cross-call closure cache against the same sweep
     // on the cold free-function path.  The session lives outside the timing
     // loop (warm after the harness's warm-up call), so the cached op
     // measures steady-state reuse — the multi-scenario / parameter-sweep
     // workload the session API exists for.  The `_cold` op is a
-    // documentation twin like `_scan` / `_spawn` and never gates.
+    // documentation twin like `_scan` and never gates.
     {
         let machines = counter_family(6, 3);
         let product = ReachableProduct::with_workers(&machines, 1).unwrap();
         let originals = projection_partitions(&product);
         let top = product.top();
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         let iters = 10;
         let ns = bench(iters, || {
             (1..=3)
@@ -457,7 +412,7 @@ fn measure_all() -> Vec<Measurement> {
         push("alg2_sweep_cached_n729", iters, ns);
         let ns = bench(iters, || {
             (1..=3)
-                .map(|f| generate_fusion_seq(top, &originals, f).unwrap().len())
+                .map(|f| generate_fusion(top, &originals, f).unwrap().len())
                 .sum::<usize>()
         });
         push("alg2_sweep_cold_n729", iters, ns);
@@ -476,8 +431,8 @@ fn measure_all() -> Vec<Measurement> {
     // the cycled machine is the last replica.  The generation walk itself
     // is excluded from both sides: `tests/delta_properties.rs` pins it
     // bit-identical, so it would only add the same constant to both
-    // figures.  The `_cold` op is a documentation twin like `_scan` /
-    // `_spawn` and never gates.
+    // figures.  The `_cold` op is a documentation twin like `_scan` and
+    // never gates.
     {
         let mut family = counter_family(6, 3);
         let primaries = family.clone();
@@ -485,7 +440,7 @@ fn measure_all() -> Vec<Measurement> {
             family.extend(primaries.iter().cloned());
         }
         let last = family.len() - 1;
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         session.install_top(&family[..last]).unwrap();
         // Prime the session's graph slot: the very first add has nothing to
         // remap and cold-builds; every cycle after it stays warm.
@@ -645,9 +600,9 @@ fn measure_all() -> Vec<Measurement> {
 }
 
 /// Pairs every op whose name contains `marker` with the op named by
-/// substituting `twin_marker` for `marker` (e.g. `_pooled` → `_spawn`,
+/// substituting `twin_marker` for `marker` (e.g. `_cached` → `_cold`,
 /// `_par` → ``), returning `(marked op, twin op)` — the shared walk behind
-/// all four speedup sections below.
+/// the speedup sections below.
 fn paired<'a>(
     ops: &'a [Measurement],
     marker: &str,
@@ -681,15 +636,6 @@ fn par_speedups(ops: &[Measurement]) -> Vec<(String, f64)> {
     paired(ops, "_par", "")
         .into_iter()
         .map(|(par, seq)| (par.name.to_string(), seq.ns_per_op / par.ns_per_op))
-        .collect()
-}
-
-/// Speedup ratios of each `_pooled` op against its `_spawn` twin — how much
-/// the persistent worker pool saves over per-search thread start-up.
-fn pooled_speedups(ops: &[Measurement]) -> Vec<(String, f64)> {
-    paired(ops, "_pooled", "_spawn")
-        .into_iter()
-        .map(|(pooled, spawn)| (pooled.name.to_string(), spawn.ns_per_op / pooled.ns_per_op))
         .collect()
 }
 
@@ -772,13 +718,6 @@ fn render_json(ops: &[Measurement], comparison: &(BackendCost, BackendCost)) -> 
     s.push_str("  },\n");
     s.push_str("  \"speedup_par_vs_seq\": {\n");
     let ratios = par_speedups(ops);
-    for (i, (name, ratio)) in ratios.iter().enumerate() {
-        let comma = if i + 1 == ratios.len() { "" } else { "," };
-        let _ = writeln!(s, "    \"{name}\": {ratio:.2}{comma}");
-    }
-    s.push_str("  },\n");
-    s.push_str("  \"speedup_pooled_vs_spawn\": {\n");
-    let ratios = pooled_speedups(ops);
     for (i, (name, ratio)) in ratios.iter().enumerate() {
         let comma = if i + 1 == ratios.len() { "" } else { "," };
         let _ = writeln!(s, "    \"{name}\": {ratio:.2}{comma}");
@@ -868,15 +807,10 @@ fn check_raw(
 ) -> Vec<String> {
     let mut regressed = Vec::new();
     for m in fresh {
-        // The calibration op is the normalizer, and the `_scan` / `_spawn`
-        // / `_cold` reference ops exist only to document speedups (thread
-        // start-up in particular is too scheduler-dependent to gate) —
-        // none of them gate the build.
-        if m.name == CALIBRATION_OP
-            || m.name.contains("_scan")
-            || m.name.contains("_spawn")
-            || m.name.contains("_cold")
-        {
+        // The calibration op is the normalizer, and the `_scan` / `_cold`
+        // reference ops exist only to document speedups — none of them
+        // gate the build.
+        if m.name == CALIBRATION_OP || m.name.contains("_scan") || m.name.contains("_cold") {
             continue;
         }
         let Some((_, base)) = baseline.iter().find(|(n, _)| n == m.name) else {
@@ -907,11 +841,7 @@ fn check_raw(
     // Tracked ops must keep being measured: a baseline op that silently
     // vanishes from the fresh run would otherwise bypass the gate forever.
     for (name, _) in baseline {
-        if name == CALIBRATION_OP
-            || name.contains("_scan")
-            || name.contains("_spawn")
-            || name.contains("_cold")
-        {
+        if name == CALIBRATION_OP || name.contains("_scan") || name.contains("_cold") {
             continue;
         }
         if !fresh.iter().any(|m| m.name == *name) {
@@ -954,10 +884,7 @@ fn main() -> ExitCode {
         println!("speedup {name:<34} {ratio:>6.2}x vs element scan");
     }
     for (name, ratio) in par_speedups(&ops) {
-        println!("speedup {name:<34} {ratio:>6.2}x vs sequential engine");
-    }
-    for (name, ratio) in pooled_speedups(&ops) {
-        println!("speedup {name:<34} {ratio:>6.2}x vs per-search pool spawn");
+        println!("speedup {name:<34} {ratio:>6.2}x vs sequential twin");
     }
     for (name, ratio) in cached_speedups(&ops) {
         println!("speedup {name:<34} {ratio:>6.2}x vs cold free-function sweep");

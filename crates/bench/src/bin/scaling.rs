@@ -22,7 +22,7 @@ use fsm_fusion_core::{
 fn main() {
     // One environment-configured session drives every sweep; within a
     // sweep, successive machine sets reset the cache (different tops) but
-    // share scratch, engine and pool handle.
+    // share scratch buffers.
     let mut session = FusionConfig::from_env().build();
     generation_scaling(&mut session);
     recovery_scaling(&mut session);

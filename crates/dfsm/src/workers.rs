@@ -1,11 +1,11 @@
 //! The `FSM_FUSION_*` environment knobs shared across the workspace.
 //!
-//! One process-wide convention selects the parallel engines everywhere: the
+//! One process-wide convention selects the parallel product builder: the
 //! reachable-product builder in this crate
-//! ([`crate::ReachableProduct::new`]) and the Algorithm-2 / lattice engines
-//! in `fsm-fusion-core` (which re-exports [`configured_workers`]) all
-//! consult the same variables, so a test suite or deployment opts a whole
-//! pipeline into parallelism with a single `export`.  The same module hosts
+//! ([`crate::ReachableProduct::new`]) and the sessions of `fsm-fusion-core`
+//! (`FusionConfig::from_env`) consult the same variables, so a test suite
+//! or deployment opts a whole pipeline into parallelism with a single
+//! `export`.  The same module hosts
 //! the sizing knobs of the product builder: `FSM_FUSION_DENSE_LIMIT` (the
 //! dense-interner crossover) and `FSM_FUSION_MEM_BUDGET` (the streaming
 //! build's resident-memory budget).  Every knob follows the established

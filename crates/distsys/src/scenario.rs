@@ -457,11 +457,11 @@ mod tests {
 
     #[test]
     fn session_built_networks_match_the_legacy_constructor() {
-        use fsm_fusion_core::{Engine, FusionConfig};
+        use fsm_fusion_core::FusionConfig;
         // One session serves several exact-mode networks back to back; each
         // must carry exactly the backup the legacy constructor generates,
         // and recovery must agree.
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         for n in [2usize, 3, 4] {
             let mut legacy = SensorNetwork::new(n, SensorBackupMode::Exact).unwrap();
             let mut sessioned =

@@ -519,33 +519,31 @@ mod tests {
 
     #[test]
     fn with_session_builds_the_identical_system() {
-        use fsm_fusion_core::{Engine, FusionConfig};
+        use fsm_fusion_core::FusionConfig;
         let machines = vec![mesi(), zero_counter_mod3()];
         let w = Workload::uniform_over_machines(&machines, 97, 5);
-        for engine in [Engine::Sequential, Engine::Pooled] {
-            let mut session = FusionConfig::new().engine(engine).workers(2).build();
-            // Two systems from one session (crash + Byzantine) share the
-            // closure cache; both must equal the free-function build.
-            for model in [FaultModel::Crash, FaultModel::Byzantine] {
-                let mut legacy = FusedSystem::new(&machines, 1, model).unwrap();
-                let mut sessioned =
-                    FusedSystem::with_session(&machines, 1, model, &mut session).unwrap();
-                assert_eq!(legacy.fusion().partitions, sessioned.fusion().partitions);
-                assert_eq!(legacy.num_servers(), sessioned.num_servers());
-                legacy.apply_workload(&w);
-                sessioned.apply_workload(&w);
-                legacy.crash(0).unwrap();
-                sessioned.crash(0).unwrap();
-                let a = legacy.recover().unwrap();
-                let b = sessioned.recover().unwrap();
-                assert!(a.matches_oracle && b.matches_oracle);
-                assert_eq!(a.repaired, b.repaired);
-                for i in 0..legacy.num_servers() {
-                    assert_eq!(
-                        legacy.server(i).current_state(),
-                        sessioned.server(i).current_state()
-                    );
-                }
+        let mut session = FusionConfig::new().workers(2).build();
+        // Two systems from one session (crash + Byzantine) share the
+        // closure cache; both must equal the free-function build.
+        for model in [FaultModel::Crash, FaultModel::Byzantine] {
+            let mut legacy = FusedSystem::new(&machines, 1, model).unwrap();
+            let mut sessioned =
+                FusedSystem::with_session(&machines, 1, model, &mut session).unwrap();
+            assert_eq!(legacy.fusion().partitions, sessioned.fusion().partitions);
+            assert_eq!(legacy.num_servers(), sessioned.num_servers());
+            legacy.apply_workload(&w);
+            sessioned.apply_workload(&w);
+            legacy.crash(0).unwrap();
+            sessioned.crash(0).unwrap();
+            let a = legacy.recover().unwrap();
+            let b = sessioned.recover().unwrap();
+            assert!(a.matches_oracle && b.matches_oracle);
+            assert_eq!(a.repaired, b.repaired);
+            for i in 0..legacy.num_servers() {
+                assert_eq!(
+                    legacy.server(i).current_state(),
+                    sessioned.server(i).current_state()
+                );
             }
         }
     }

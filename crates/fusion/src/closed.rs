@@ -46,10 +46,9 @@ pub(crate) fn check_partition_size(machine: &Dfsm, partition: &Partition) -> Res
 /// allocator (pinned by the counting-allocator test `tests/alloc_free.rs`).
 ///
 /// **Ownership / lifecycle.**  The scratch is plain data with no ties to a
-/// particular kernel: each search loop (or each worker thread of the
-/// [`crate::par`] merge pool) owns one and reuses it for its whole
-/// lifetime.  It is `Send`, but not meant to be shared — hand each worker
-/// its own.
+/// particular kernel: each search loop (or each [`crate::FusionSession`])
+/// owns one and reuses it for its whole lifetime.  It is `Send`, but not
+/// meant to be shared — hand each thread its own.
 #[derive(Debug, Clone, Default)]
 pub struct CloseScratch {
     uf: UnionFind,
@@ -122,8 +121,7 @@ impl ClosureKernel {
     /// against the machine itself, with no table allocation.
     ///
     /// This is the test [`crate::FusionSession`] runs on **every** call to
-    /// decide whether its per-machine context (kernel, pool handle, closure
-    /// cache) is still valid, so it must be cheaper than building a kernel:
+    /// decide whether its kernel and closure cache are still valid, so it must be cheaper than building a kernel:
     /// it early-exits on the first differing successor.
     pub fn matches_machine(&self, machine: &Dfsm) -> bool {
         if self.n != machine.size() || self.k != machine.alphabet().len() {

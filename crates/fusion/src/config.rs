@@ -1,15 +1,10 @@
-//! Explicit configuration for the fusion engines: [`FusionConfig`] and the
-//! knobs it bundles.
+//! Explicit configuration for a [`FusionSession`]: [`FusionConfig`] and
+//! the knobs it bundles.
 //!
-//! Before the session API, engine selection lived in the
-//! `FSM_FUSION_WORKERS` environment variable and was re-read on **every**
-//! call to [`crate::generate_fusion`] / [`crate::enumerate_lattice`].  A
-//! [`FusionConfig`] makes every choice explicit and resolves the
+//! A [`FusionConfig`] makes every choice explicit and resolves the
 //! environment **once**, at [`FusionConfig::from_env`]:
 //!
-//! * [`Engine`] — which Algorithm-2 / lattice engine runs the descent,
-//! * the worker count for the pooled engines and the parallel product
-//!   builder,
+//! * the worker count for the parallel product builder,
 //! * [`ProductStrategy`] (re-exported from [`fsm_dfsm`]) — how the
 //!   reachable cross product is constructed, together with its sizing
 //!   knobs: the dense-interner limit ([`FusionConfig::dense_limit`],
@@ -21,7 +16,7 @@
 //! **Precedence.**  Explicit builder calls beat the environment snapshot,
 //! which beats the defaults: a worker count set through
 //! [`FusionConfig::workers`] wins even on a config created by
-//! [`FusionConfig::from_env`], and likewise for [`FusionConfig::engine`].
+//! [`FusionConfig::from_env`], and likewise for the sizing knobs.
 //! The pure resolution rules are pinned by unit tests here (no environment
 //! mutation needed) and by `tests/session_properties.rs`.
 //!
@@ -32,48 +27,23 @@ use fsm_dfsm::{parse_byte_size, parse_workers, DEFAULT_DENSE_LIMIT, DEFAULT_MEM_
 
 use crate::session::FusionSession;
 
-/// Which Algorithm-2 / lattice engine a [`FusionSession`] runs.
+/// The Algorithm-2 / lattice engine a [`FusionSession`] runs.
+///
+/// There is only one engine, the sequential descent, so this type no
+/// longer selects anything; it stays so that code written against
+/// [`FusionConfig::engine`] keeps compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Pick from the resolved worker count: [`Engine::Pooled`] when more
-    /// than one worker is configured, [`Engine::Sequential`] otherwise —
-    /// the pre-session dispatch rule of [`crate::generate_fusion`].
+    /// The single-threaded greedy descent ([`crate::generate_fusion`]).
     #[default]
-    Auto,
-    /// The canonical single-threaded descent
-    /// ([`crate::generate_fusion_seq`]).
     Sequential,
-    /// The batched engine over the **persistent process-wide** worker pool
-    /// ([`crate::generate_fusion_par`]); the session holds one pool handle
-    /// for its lifetime.
-    Pooled,
-    /// The batched engine over a **freshly spawned private pool** whose
-    /// threads are joined when the session's machine context is dropped —
-    /// the cold-start behavior kept for benchmarking
-    /// ([`crate::generate_fusion_par_spawn`]).
-    Spawn,
-}
-
-impl Engine {
-    /// Parses the `FSM_FUSION_ENGINE` environment convention:
-    /// `seq`/`sequential`, `pooled`, `spawn`, or `auto`.  Unknown values
-    /// fall back to [`Engine::Auto`] (matching how unparseable
-    /// `FSM_FUSION_WORKERS` values fall back to sequential).
-    pub fn parse(value: &str) -> Engine {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "seq" | "sequential" => Engine::Sequential,
-            "pooled" => Engine::Pooled,
-            "spawn" => Engine::Spawn,
-            _ => Engine::Auto,
-        }
-    }
 }
 
 /// How a [`FusionSession`]'s cross-call closure cache behaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachePolicy {
     /// No cache: every candidate closure is recomputed, exactly like the
-    /// free-function engines.
+    /// free functions.
     Disabled,
     /// Keep closures across calls, bounded to this many cached **elements**
     /// (entries × `|⊤|`, i.e. roughly `8 × bound` bytes).  When an
@@ -96,24 +66,21 @@ impl Default for CachePolicy {
     }
 }
 
-/// Builder for a [`FusionSession`]: engine, worker count, product-builder
-/// strategy and cache policy, with the environment consulted only when (and
-/// once, at the moment) [`FusionConfig::from_env`] is used.
+/// Builder for a [`FusionSession`]: worker count, product-builder strategy
+/// and cache policy, with the environment consulted only when (and once,
+/// at the moment) [`FusionConfig::from_env`] is used.
 ///
 /// ```
-/// use fsm_fusion_core::{CachePolicy, Engine, FusionConfig};
+/// use fsm_fusion_core::{CachePolicy, FusionConfig, ProductStrategy};
 ///
-/// let mut session = FusionConfig::new()
-///     .engine(Engine::Sequential)
+/// let session = FusionConfig::new()
+///     .workers(2)
 ///     .cache(CachePolicy::Bounded(1 << 20))
 ///     .build();
-/// assert_eq!(session.engine(), Engine::Sequential);
-/// # let _ = &mut session;
+/// assert_eq!(session.product_strategy(), ProductStrategy::Parallel);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FusionConfig {
-    engine: Option<Engine>,
-    env_engine: Option<Engine>,
     workers: Option<usize>,
     env_workers: Option<usize>,
     dense_limit: Option<u64>,
@@ -125,7 +92,7 @@ pub struct FusionConfig {
 }
 
 impl FusionConfig {
-    /// A config with the explicit defaults: [`Engine::Auto`], one worker,
+    /// A config with the explicit defaults: one worker,
     /// [`ProductStrategy::Auto`], the default bounded cache — and **no**
     /// environment consultation, ever.
     pub fn new() -> Self {
@@ -134,15 +101,13 @@ impl FusionConfig {
 
     /// A config whose `Auto` fallbacks are snapshotted from the environment
     /// **now**: `FSM_FUSION_WORKERS` (worker count, the same convention as
-    /// [`fsm_dfsm::configured_workers`]), `FSM_FUSION_ENGINE` (engine, see
-    /// [`Engine::parse`]), and the product-builder sizing knobs
+    /// [`fsm_dfsm::configured_workers`]) and the product-builder sizing knobs
     /// `FSM_FUSION_DENSE_LIMIT` / `FSM_FUSION_MEM_BUDGET` (the
     /// [`fsm_dfsm::parse_byte_size`] convention).  Later changes to the
     /// environment do not affect the config, and explicit builder calls
     /// still take precedence.
     pub fn from_env() -> Self {
         Self::from_env_values(
-            std::env::var("FSM_FUSION_ENGINE").ok().as_deref(),
             std::env::var("FSM_FUSION_WORKERS").ok().as_deref(),
             std::env::var("FSM_FUSION_DENSE_LIMIT").ok().as_deref(),
             std::env::var("FSM_FUSION_MEM_BUDGET").ok().as_deref(),
@@ -153,13 +118,11 @@ impl FusionConfig {
     /// explicit variable values, so the precedence rules are testable
     /// without mutating the process environment.
     pub fn from_env_values(
-        engine: Option<&str>,
         workers: Option<&str>,
         dense_limit: Option<&str>,
         mem_budget: Option<&str>,
     ) -> Self {
         FusionConfig {
-            env_engine: engine.map(Engine::parse),
             env_workers: workers.map(parse_workers),
             env_dense_limit: dense_limit.and_then(parse_byte_size),
             env_mem_budget: mem_budget.and_then(parse_byte_size),
@@ -167,9 +130,9 @@ impl FusionConfig {
         }
     }
 
-    /// Sets the engine explicitly, overriding any environment snapshot.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = Some(engine);
+    /// Accepts an [`Engine`] and returns the config unchanged: with one
+    /// engine there is nothing left to select.
+    pub fn engine(self, _engine: Engine) -> Self {
         self
     }
 
@@ -213,23 +176,11 @@ impl FusionConfig {
     /// The worker count this config resolves to:
     /// **explicit > environment snapshot > 1**.
     ///
-    /// `Engine::Auto` with an `auto` environment value resolves through
+    /// An `auto` environment value resolves through
     /// [`fsm_dfsm::configured_workers`]'s convention at snapshot time, so the count
     /// is already concrete here.
     pub fn resolved_workers(&self) -> usize {
         self.workers.or(self.env_workers).unwrap_or(1).max(1)
-    }
-
-    /// The engine this config resolves to (never [`Engine::Auto`]):
-    /// **explicit > environment snapshot > auto-detect**, where auto-detect
-    /// picks [`Engine::Pooled`] iff [`FusionConfig::resolved_workers`] is
-    /// more than one.
-    pub fn resolved_engine(&self) -> Engine {
-        match self.engine.or(self.env_engine).unwrap_or(Engine::Auto) {
-            Engine::Auto if self.resolved_workers() > 1 => Engine::Pooled,
-            Engine::Auto => Engine::Sequential,
-            explicit => explicit,
-        }
     }
 
     /// The product strategy this config resolves to (never
@@ -278,44 +229,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn engine_parse_convention() {
-        assert_eq!(Engine::parse("seq"), Engine::Sequential);
-        assert_eq!(Engine::parse(" Sequential "), Engine::Sequential);
-        assert_eq!(Engine::parse("pooled"), Engine::Pooled);
-        assert_eq!(Engine::parse("spawn"), Engine::Spawn);
-        assert_eq!(Engine::parse("auto"), Engine::Auto);
-        assert_eq!(Engine::parse("garbage"), Engine::Auto);
-    }
-
-    #[test]
     fn precedence_explicit_beats_env_beats_default() {
         // Workers: explicit > env > auto-detect (1).
         assert_eq!(FusionConfig::new().resolved_workers(), 1);
-        let env = FusionConfig::from_env_values(None, Some("4"), None, None);
+        let env = FusionConfig::from_env_values(Some("4"), None, None);
         assert_eq!(env.resolved_workers(), 4);
         assert_eq!(env.clone().workers(2).resolved_workers(), 2);
-        assert_eq!(env.workers(1).resolved_workers(), 1);
-
-        // Engine: explicit > env > auto-detect from the resolved workers.
-        assert_eq!(FusionConfig::new().resolved_engine(), Engine::Sequential);
-        assert_eq!(
-            FusionConfig::new().workers(4).resolved_engine(),
-            Engine::Pooled
-        );
-        let env = FusionConfig::from_env_values(Some("spawn"), Some("4"), None, None);
-        assert_eq!(env.resolved_engine(), Engine::Spawn);
-        assert_eq!(
-            env.engine(Engine::Sequential).resolved_engine(),
-            Engine::Sequential
-        );
-        // An explicitly sequential engine wins even when the env asks for
-        // workers — the regression the session API exists to fix.
-        let env = FusionConfig::from_env_values(None, Some("8"), None, None);
-        assert_eq!(env.resolved_engine(), Engine::Pooled);
-        assert_eq!(
-            env.engine(Engine::Sequential).resolved_engine(),
-            Engine::Sequential
-        );
+        assert_eq!(env.clone().workers(1).resolved_workers(), 1);
+        // The engine setter selects nothing: the config is unchanged.
+        let pinned = env.clone().engine(Engine::Sequential);
+        assert_eq!(pinned.resolved_workers(), env.resolved_workers());
+        assert_eq!(pinned.resolved_product(), env.resolved_product());
     }
 
     #[test]
@@ -338,9 +262,9 @@ mod tests {
 
     #[test]
     fn unparseable_env_values_fall_back() {
-        let c = FusionConfig::from_env_values(Some("bogus"), Some("bogus"), None, None);
+        let c = FusionConfig::from_env_values(Some("bogus"), None, None);
         assert_eq!(c.resolved_workers(), 1);
-        assert_eq!(c.resolved_engine(), Engine::Sequential);
+        assert_eq!(c.resolved_product(), ProductStrategy::Packed);
     }
 
     #[test]
@@ -353,7 +277,7 @@ mod tests {
         assert_eq!(c.resolved_mem_budget(), DEFAULT_MEM_BUDGET);
 
         // Environment snapshots use the byte-size grammar...
-        let env = FusionConfig::from_env_values(None, None, Some("4k"), Some("64m"));
+        let env = FusionConfig::from_env_values(None, Some("4k"), Some("64m"));
         assert_eq!(env.resolved_dense_limit(), 4 << 10);
         assert_eq!(env.resolved_mem_budget(), 64 << 20);
 
@@ -363,7 +287,7 @@ mod tests {
         assert_eq!(explicit.resolved_mem_budget(), 1 << 16);
 
         // ...and unparseable env values fall through to the defaults.
-        let bad = FusionConfig::from_env_values(None, None, Some("bogus"), Some("-3"));
+        let bad = FusionConfig::from_env_values(None, Some("bogus"), Some("-3"));
         assert_eq!(bad.resolved_dense_limit(), DEFAULT_DENSE_LIMIT);
         assert_eq!(bad.resolved_mem_budget(), DEFAULT_MEM_BUDGET);
     }

@@ -32,12 +32,6 @@ pub enum FusionError {
     InvalidDelta(String),
     /// An underlying DFSM error.
     Dfsm(fsm_dfsm::DfsmError),
-    /// A parallel-engine worker thread panicked while evaluating a
-    /// candidate merge; the panic was contained and the worker keeps
-    /// serving (see [`crate::par`]).  `worker` identifies the panicking
-    /// thread (its index in the pool), so a deployment can correlate the
-    /// error with thread logs.
-    WorkerPanicked { worker: usize },
 }
 
 impl fmt::Display for FusionError {
@@ -71,12 +65,6 @@ impl fmt::Display for FusionError {
             FusionError::InvalidReport(msg) => write!(f, "invalid recovery report: {msg}"),
             FusionError::InvalidDelta(msg) => write!(f, "invalid top delta: {msg}"),
             FusionError::Dfsm(e) => write!(f, "dfsm error: {e}"),
-            FusionError::WorkerPanicked { worker } => {
-                write!(
-                    f,
-                    "merge-pool worker {worker} panicked evaluating a candidate"
-                )
-            }
         }
     }
 }
@@ -116,8 +104,6 @@ mod tests {
             candidates: vec![0, 3],
         };
         assert!(e.to_string().contains("2 candidate"));
-        let e = FusionError::WorkerPanicked { worker: 3 };
-        assert!(e.to_string().contains("worker 3"));
     }
 
     #[test]

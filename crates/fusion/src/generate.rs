@@ -16,38 +16,24 @@
 //! The same fusion tolerates `f` crash faults or `⌊f/2⌋` Byzantine faults
 //! (Theorem 2).
 //!
-//! ## Sequential and parallel engines
+//! ## One engine
 //!
-//! Two implementations produce bit-identical fusions:
-//!
-//! * [`generate_fusion_seq`] — the canonical single-threaded descent,
-//! * [`generate_fusion_par`] — the batched engine: candidate merges at each
-//!   descent level fan out over a `par::MergePool`
-//!   (crossbeam-channel worker threads), after a block-level pre-filter
-//!   drops merges that provably cannot cover the weakest edges (merging two
-//!   blocks that are joined by a weakest edge leaves that edge unseparated,
-//!   whatever the closure adds).  Batches are evaluated in sequential
-//!   enumeration order and the engine commits to the lowest-indexed
-//!   covering candidate, so the descent path — and therefore the generated
-//!   fusion and every statistic except wall-clock time — matches the
-//!   sequential engine exactly (`tests/parallel_properties.rs`).
-//!
-//! [`generate_fusion`] picks the engine from the `FSM_FUSION_WORKERS`
-//! environment variable ([`crate::par::configured_workers`]).
+//! There is a single implementation of the descent: a sequential loop that
+//! scores candidate merges through a [`ClosureKernel`], skipping those a
+//! block-level pre-filter proves cannot cover the weakest edges (merging
+//! two blocks joined by a weakest edge leaves that edge unseparated,
+//! whatever the closure adds).
 //!
 //! ## Sessions
 //!
-//! The free functions here are thin shims kept for compatibility: each call
-//! builds a throwaway [`crate::FusionSession`] (environment snapshot,
-//! closure cache disabled), so they pay kernel construction and scratch
-//! warm-up every time.  Callers that generate more than one fusion — `f`
-//! sweeps, table rows, evolving machine sets — should hold a
-//! [`crate::FusionSession`] built from a [`crate::FusionConfig`] instead:
-//! it owns the scratch, the pool handle and a cross-call closure cache, and
-//! is pinned bit-identical to these shims by
-//! `tests/session_properties.rs`.
+//! [`generate_fusion`] runs the descent once with fresh buffers and no
+//! closure cache, so it pays kernel construction and scratch warm-up every
+//! time.  Callers that generate more than one fusion — `f` sweeps, table
+//! rows, evolving machine sets — should hold a [`crate::FusionSession`]
+//! built from a [`crate::FusionConfig`] instead: it owns the kernel, the
+//! scratch and a cross-call closure cache, and is pinned bit-identical to
+//! [`generate_fusion`] by `tests/session_properties.rs`.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use fsm_dfsm::{Dfsm, ReachableProduct};
@@ -55,10 +41,8 @@ use fsm_dfsm::{Dfsm, ReachableProduct};
 use crate::bitset::BitsetPartition;
 use crate::closed::quotient_machine;
 use crate::closed::{CloseScratch, ClosureKernel};
-use crate::config::{CachePolicy, FusionConfig};
 use crate::error::Result;
 use crate::fault_graph::FaultGraph;
-use crate::par::MergePool;
 use crate::partition::Partition;
 use crate::session::{cached_close, ClosureCache};
 use crate::set_repr::projection_partitions;
@@ -122,21 +106,6 @@ impl FusionGeneration {
 /// Algorithm 2 over partitions: generates the smallest set of closed
 /// partitions `F` of `top` such that `dmin(originals ∪ F) > f`.
 ///
-/// A thin shim over a throwaway [`crate::FusionSession`] with the
-/// environment-snapshot config ([`crate::FusionConfig::from_env`]) and the
-/// closure cache disabled: `FSM_FUSION_WORKERS` > 1 still selects the
-/// pooled engine and `FSM_FUSION_ENGINE` can pin one explicitly.  Every
-/// engine produces identical fusions; repeated callers should hold a
-/// session instead (see the [module docs](self)).
-pub fn generate_fusion(top: &Dfsm, originals: &[Partition], f: usize) -> Result<FusionGeneration> {
-    FusionConfig::from_env()
-        .cache(CachePolicy::Disabled)
-        .build()
-        .generate_fusion(top, originals, f)
-}
-
-/// The sequential Algorithm 2 engine.
-///
 /// The candidate-scoring loop runs through a [`ClosureKernel`] built once
 /// per call (flat transition tables, map-free closure fixpoints) and the
 /// fault graph updates word-at-a-time through the bitset kernel; the
@@ -146,16 +115,15 @@ pub fn generate_fusion(top: &Dfsm, originals: &[Partition], f: usize) -> Result<
 /// The descent inner loop is **allocation-free**: one [`CloseScratch`], one
 /// reusable candidate `Partition` and one `PairBits` pre-filter bitmap are
 /// threaded through every candidate merge of the whole search
-/// (`tests/alloc_free.rs` pins this with a counting allocator).  The same
-/// block-level pre-filter the parallel engine uses — a merge of the two
-/// blocks joined by a weakest edge can never cover that edge — skips
-/// provably failing candidates before their closure fixpoint runs, with
-/// [`GenerationStats`] counters kept identical to the unfiltered loop.
-pub fn generate_fusion_seq(
-    top: &Dfsm,
-    originals: &[Partition],
-    f: usize,
-) -> Result<FusionGeneration> {
+/// (`tests/alloc_free.rs` pins this with a counting allocator).  A
+/// block-level pre-filter — a merge of the two blocks joined by a weakest
+/// edge can never cover that edge — skips provably failing candidates
+/// before their closure fixpoint runs, with [`GenerationStats`] counters
+/// kept identical to the unfiltered loop.
+///
+/// Repeated callers should hold a session instead (see the
+/// [module docs](self)).
+pub fn generate_fusion(top: &Dfsm, originals: &[Partition], f: usize) -> Result<FusionGeneration> {
     seq_engine(
         top,
         &ClosureKernel::new(top),
@@ -166,9 +134,9 @@ pub fn generate_fusion_seq(
     )
 }
 
-/// The sequential engine body: the greedy descent against a caller-owned
-/// kernel, scratch and (optionally) closure cache.  [`generate_fusion_seq`]
-/// passes fresh buffers and no cache; [`crate::FusionSession`] threads its
+/// The engine body: the greedy descent against a caller-owned kernel,
+/// scratch and (optionally) closure cache.  [`generate_fusion`] passes
+/// fresh buffers and no cache; [`crate::FusionSession`] threads its
 /// own through, so repeated searches reuse warm buffers and cached
 /// closures.  A cache hit replaces the closure fixpoint with one buffer
 /// copy and never changes the result or the statistics.
@@ -325,225 +293,6 @@ impl PairBits {
         let idx = self.index(b1, b2);
         self.words[idx / 64] & (1u64 << (idx % 64)) != 0
     }
-}
-
-/// The parallel Algorithm 2 engine: the same greedy lattice descent as
-/// [`generate_fusion_seq`], with the candidate-merge evaluations at each
-/// level fanned out over `workers` crossbeam-channel worker threads.
-///
-/// Three properties shape the batched engine:
-///
-/// * **Block-level pre-filter.**  A merge of blocks `b1`, `b2` whose union
-///   contains both endpoints of a weakest edge can never cover that edge —
-///   closure only merges further — so those pairs are dropped before any
-///   closure runs.  On the counter-family scaling workload this eliminates
-///   over 90% of the closure fixpoints.  (The sequential engine shares this
-///   filter.)
-/// * **Inline probe.**  Up to one batch of candidates is closed on the
-///   calling thread through the search's own [`CloseScratch`] before any
-///   job crosses a channel; a level that commits early (the overwhelmingly
-///   common case) or runs dry costs exactly what the sequential engine
-///   pays.
-/// * **Batched minimum-index commit.**  Only when a whole inline batch
-///   fails do the surviving pairs fan out to the workers, in sequential
-///   enumeration order; the engine commits to the lowest-indexed covering
-///   candidate, which is exactly the candidate the sequential loop would
-///   have taken.  Output partitions and all [`GenerationStats`] counters
-///   (everything except `elapsed_micros`) therefore match
-///   [`generate_fusion_seq`] bit for bit.
-///
-/// With `workers == 1` the inline probe handles most levels on the calling
-/// thread and only batch fan-outs route through the single pool thread;
-/// for a guaranteed zero-thread run call [`generate_fusion_seq`].
-///
-/// The worker threads come from the **persistent process-wide pool** (see
-/// [`crate::par`]): the first call spawns them, every later call reuses
-/// them, so repeated searches pay no thread start-up cost.
-pub fn generate_fusion_par(
-    top: &Dfsm,
-    originals: &[Partition],
-    f: usize,
-    workers: usize,
-) -> Result<FusionGeneration> {
-    let kernel = Arc::new(ClosureKernel::new(top));
-    let mut pool = MergePool::attach(Arc::clone(&kernel), workers);
-    pooled_engine(
-        top,
-        &kernel,
-        &mut pool,
-        originals,
-        f,
-        &mut CloseScratch::new(),
-        None,
-    )
-}
-
-/// [`generate_fusion_par`] with a **freshly spawned standalone pool** whose
-/// threads are joined before returning — the pre-persistent-pool cold-start
-/// behavior.  Exists so `perf_baseline` can keep measuring the spawn cost
-/// the persistent pool amortizes away (`speedup_pooled_vs_spawn` in
-/// `BENCH_fusion.json`); production callers should use
-/// [`generate_fusion_par`].
-#[doc(hidden)]
-pub fn generate_fusion_par_spawn(
-    top: &Dfsm,
-    originals: &[Partition],
-    f: usize,
-    workers: usize,
-) -> Result<FusionGeneration> {
-    let kernel = Arc::new(ClosureKernel::new(top));
-    let mut pool = MergePool::spawn_standalone(Arc::clone(&kernel), workers);
-    pooled_engine(
-        top,
-        &kernel,
-        &mut pool,
-        originals,
-        f,
-        &mut CloseScratch::new(),
-        None,
-    )
-}
-
-/// Shared body of the pooled engines: the batched greedy descent against an
-/// already-attached pool, with caller-owned scratch and (optionally) the
-/// session's closure cache serving the inline probe.  Fanned-out batches
-/// are evaluated on the workers and bypass the cache — only the inline
-/// fast path (the overwhelmingly common case) consults it.
-pub(crate) fn pooled_engine(
-    top: &Dfsm,
-    kernel: &ClosureKernel,
-    pool: &mut MergePool,
-    originals: &[Partition],
-    f: usize,
-    scratch: &mut CloseScratch,
-    mut cache: Option<&mut ClosureCache>,
-) -> Result<FusionGeneration> {
-    let start = Instant::now();
-    let n = top.size();
-    // Same initial-graph reuse as the sequential engine.
-    let mut graph = match cache.as_mut() {
-        Some(c) => c.initial_graph(n, originals),
-        None => FaultGraph::from_partitions(n, originals),
-    };
-    let mut stats = GenerationStats {
-        initial_dmin: graph.dmin(),
-        ..Default::default()
-    };
-    let mut partitions: Vec<Partition> = Vec::new();
-    let mut forbidden = PairBits::default();
-    let mut candidate = Partition::singletons(n);
-    let mut current_bits = BitsetPartition::singletons(0);
-
-    while !graph.tolerates_crash_faults(f) {
-        let weakest = Arc::new(graph.weakest_edges());
-        debug_assert!(!weakest.is_empty());
-        let mut current = Partition::singletons(n);
-        'descend: loop {
-            stats.descent_steps += 1;
-            let k = current.num_blocks();
-            let total_pairs = k * k.saturating_sub(1) / 2;
-            // Pre-filter: merging the two blocks joined by a weakest edge
-            // leaves that edge unseparated no matter what the closure adds,
-            // so the pair can be skipped without running the fixpoint.
-            forbidden.reset(k);
-            for &(i, j) in weakest.iter() {
-                let (a, b) = (current.block_of(i), current.block_of(j));
-                forbidden.set(a.min(b), a.max(b));
-            }
-            // One cache key per level, shared by every inline probe below.
-            let level = cache.as_mut().and_then(|c| c.level_key(&current));
-            // Lazy enumeration in the sequential order, so an early covering
-            // candidate stops the level after the inline probe — materializing
-            // all k(k-1)/2 pairs up front would dominate the fast levels.
-            let forbidden = &forbidden;
-            let mut pair_iter = (0..k)
-                .flat_map(|b1| ((b1 + 1)..k).map(move |b2| (b1, b2)))
-                .enumerate()
-                .filter(|&(_, (b1, b2))| !forbidden.get(b1, b2))
-                .map(|(idx, (b1, b2))| (idx, b1, b2));
-            // Inline fast path: most levels accept their very first
-            // unfiltered merge (the descent re-starts from ⊤'s singletons,
-            // which cover everything), and a level that fails has usually
-            // run out of pairs within a batch's worth of candidates.  Both
-            // cases are handled right on this thread — the same
-            // allocation-free work the sequential engine does — so a
-            // channel round-trip is only paid when at least one full batch
-            // of contiguous candidates failed, i.e. when there is enough
-            // independent work for the workers to win.
-            let mut inline_left = pool.batch_size();
-            let mut probe_exhausted = true;
-            for (idx, b1, b2) in pair_iter.by_ref() {
-                cached_close(
-                    kernel,
-                    scratch,
-                    &mut cache,
-                    level,
-                    &current,
-                    b1,
-                    b2,
-                    &mut candidate,
-                )?;
-                if FaultGraph::covers_all(&candidate, &weakest) {
-                    stats.candidates_examined += idx + 1;
-                    std::mem::swap(&mut current, &mut candidate);
-                    continue 'descend;
-                }
-                inline_left -= 1;
-                if inline_left == 0 {
-                    probe_exhausted = false;
-                    break;
-                }
-            }
-            if probe_exhausted {
-                // Every unfiltered pair was evaluated inline and none
-                // covers: the descent ends, having (conceptually) examined
-                // every pair.
-                stats.candidates_examined += total_pairs;
-                break 'descend;
-            }
-            // A whole inline batch failed: fan the rest of the level out
-            // over the worker pool in batches, in sequential enumeration
-            // order, committing to the lowest-indexed covering candidate.
-            let cur = Arc::new(current.clone());
-            let mut batch_size = pool.batch_size();
-            loop {
-                let batch: Vec<(usize, usize, usize)> =
-                    pair_iter.by_ref().take(batch_size).collect();
-                batch_size = (batch_size * 2).min(pool.batch_size() * 8);
-                if batch.is_empty() {
-                    // No candidate covers the weakest edges: the descent
-                    // ends here, having (conceptually) examined every pair.
-                    stats.candidates_examined += total_pairs;
-                    break 'descend;
-                }
-                if let Some((idx, candidate)) = pool.eval_batch(&cur, &weakest, &batch)? {
-                    // `idx` is the pair's position in the *unfiltered*
-                    // sequential enumeration, so the counter matches the
-                    // sequential engine, which examines pairs one by one.
-                    stats.candidates_examined += idx + 1;
-                    current = candidate;
-                    continue 'descend;
-                }
-            }
-        }
-        current_bits.refresh_from_partition(&current);
-        graph.add_machine_bitset(&current_bits);
-        partitions.push(current);
-        stats.outer_iterations += 1;
-    }
-
-    stats.final_dmin = graph.dmin();
-    stats.elapsed_micros = start.elapsed().as_micros();
-    let machines: Result<Vec<Dfsm>> = partitions
-        .iter()
-        .enumerate()
-        .map(|(i, p)| quotient_machine(top, p, &format!("F{}", i + 1)))
-        .collect();
-    Ok(FusionGeneration {
-        partitions,
-        machines: machines?,
-        stats,
-    })
 }
 
 /// Convenience wrapper: builds the reachable cross product of `machines`,

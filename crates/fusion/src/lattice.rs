@@ -9,24 +9,17 @@
 //! reproduce the paper's Figure 3 and in tests).
 //!
 //! Lower-cover computation closes every pairwise block merge of `p` — the
-//! same independent candidate evaluations Algorithm 2's descent performs —
-//! so it can fan out over the crossbeam-channel worker pool too:
-//! [`lower_cover_par`] / [`enumerate_lattice_par`] take an explicit worker
-//! count, and [`enumerate_lattice`] consults `FSM_FUSION_WORKERS`
-//! ([`crate::par::configured_workers`]) like [`crate::generate_fusion`]
-//! does.  Pooled and sequential paths return identical, canonically sorted
-//! results.
+//! same candidate evaluations Algorithm 2's descent performs — through one
+//! [`ClosureKernel`] and [`CloseScratch`]; a [`crate::FusionSession`]
+//! additionally answers repeated closures from its closure cache.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use fsm_dfsm::Dfsm;
 
 use crate::bitset::BitsetPartition;
 use crate::closed::{is_closed, CloseScratch, ClosureKernel};
-use crate::config::{CachePolicy, FusionConfig};
 use crate::error::Result;
-use crate::par::MergePool;
 use crate::partition::Partition;
 use crate::session::{cached_close, ClosureCache};
 
@@ -48,66 +41,28 @@ pub fn lower_cover(top: &Dfsm, p: &Partition) -> Result<Vec<Partition>> {
 /// and duplicate candidates are removed.  The maximality filter converts
 /// each candidate to bitset form once and compares word-at-a-time.
 pub fn lower_cover_with(kernel: &ClosureKernel, p: &Partition) -> Result<Vec<Partition>> {
-    lower_cover_impl(kernel, p, None, &mut CloseScratch::new(), None)
+    lower_cover_impl(kernel, p, &mut CloseScratch::new(), None)
 }
 
-/// [`lower_cover`] with the pairwise merges closed in parallel over
-/// `workers` threads.  Returns exactly the sequential result (the candidate
-/// set is deduplicated and sorted canonically either way).
-pub fn lower_cover_par(top: &Dfsm, p: &Partition, workers: usize) -> Result<Vec<Partition>> {
-    debug_assert!(is_closed(top, p));
-    let kernel = Arc::new(ClosureKernel::new(top));
-    let mut pool = MergePool::attach(Arc::clone(&kernel), workers);
-    lower_cover_impl(&kernel, p, Some(&mut pool), &mut CloseScratch::new(), None)
-}
-
-/// The session entry point: lower cover against the session's kernel,
-/// optional pool handle, scratch and closure cache.
-pub(crate) fn lower_cover_session(
+/// Shared lower-cover body: closes every pairwise merge through the
+/// caller's [`CloseScratch`] — and, for a session, its closure cache — then
+/// filters to the maximal candidates.  Only candidates actually entering
+/// the output set are cloned out of the scratch buffer.
+pub(crate) fn lower_cover_impl(
     kernel: &ClosureKernel,
     p: &Partition,
-    pool: Option<&mut MergePool>,
-    scratch: &mut CloseScratch,
-    cache: Option<&mut ClosureCache>,
-) -> Result<Vec<Partition>> {
-    lower_cover_impl(kernel, p, pool, scratch, cache)
-}
-
-/// Shared lower-cover body: closes every pairwise merge (through the pool
-/// when one is given; through the caller's [`CloseScratch`] — and, for a
-/// session, its closure cache — otherwise), then filters to the maximal
-/// candidates.  Only candidates actually entering the output set are cloned
-/// out of the scratch buffer.
-fn lower_cover_impl(
-    kernel: &ClosureKernel,
-    p: &Partition,
-    pool: Option<&mut MergePool>,
     scratch: &mut CloseScratch,
     mut cache: Option<&mut ClosureCache>,
 ) -> Result<Vec<Partition>> {
     let k = p.num_blocks();
     let mut candidates: BTreeSet<Partition> = BTreeSet::new();
-    match pool {
-        Some(pool) => {
-            let pairs: Vec<(usize, usize)> = (0..k)
-                .flat_map(|b1| ((b1 + 1)..k).map(move |b2| (b1, b2)))
-                .collect();
-            for closed in pool.close_merges(p, &pairs)? {
-                if &closed != p {
-                    candidates.insert(closed);
-                }
-            }
-        }
-        None => {
-            let level = cache.as_mut().and_then(|c| c.level_key(p));
-            let mut closed = Partition::singletons(0);
-            for b1 in 0..k {
-                for b2 in (b1 + 1)..k {
-                    cached_close(kernel, scratch, &mut cache, level, p, b1, b2, &mut closed)?;
-                    if &closed != p && !candidates.contains(&closed) {
-                        candidates.insert(closed.clone());
-                    }
-                }
+    let level = cache.as_mut().and_then(|c| c.level_key(p));
+    let mut closed = Partition::singletons(0);
+    for b1 in 0..k {
+        for b2 in (b1 + 1)..k {
+            cached_close(kernel, scratch, &mut cache, level, p, b1, b2, &mut closed)?;
+            if &closed != p && !candidates.contains(&closed) {
+                candidates.insert(closed.clone());
             }
         }
     }
@@ -202,56 +157,24 @@ impl ClosedPartitionLattice {
 /// Enumerates every closed partition of `top` by breadth-first descent from
 /// the singleton partition, stopping after `limit` elements.
 ///
-/// A thin shim over a throwaway [`crate::FusionSession`] with the
-/// environment-snapshot config ([`crate::FusionConfig::from_env`]) and the
-/// closure cache disabled: `FSM_FUSION_WORKERS` > 1 still closes the lower
-/// covers through the shared `par::MergePool`, producing the identical
-/// lattice.  Repeated enumerations should hold a session.
+/// Builds a fresh kernel and scratch per call and uses no closure cache;
+/// repeated enumerations should hold a [`crate::FusionSession`].
 pub fn enumerate_lattice(top: &Dfsm, limit: usize) -> Result<ClosedPartitionLattice> {
-    FusionConfig::from_env()
-        .cache(CachePolicy::Disabled)
-        .build()
-        .enumerate_lattice(top, limit)
-}
-
-/// [`enumerate_lattice`] with every lower cover's pairwise merges closed in
-/// parallel over `workers` threads (one pool shared across the whole
-/// enumeration).
-pub fn enumerate_lattice_par(
-    top: &Dfsm,
-    limit: usize,
-    workers: usize,
-) -> Result<ClosedPartitionLattice> {
-    let kernel = Arc::new(ClosureKernel::new(top));
-    let mut pool = MergePool::attach(Arc::clone(&kernel), workers);
     enumerate_lattice_impl(
         top,
-        &kernel,
+        &ClosureKernel::new(top),
         limit,
-        Some(&mut pool),
         &mut CloseScratch::new(),
         None,
     )
 }
 
-/// The session entry point: lattice enumeration against the session's
-/// kernel, optional pool handle, scratch and closure cache.
-pub(crate) fn enumerate_lattice_session(
+/// Shared enumeration body, against a caller-owned kernel, scratch and
+/// (optionally) closure cache.
+pub(crate) fn enumerate_lattice_impl(
     top: &Dfsm,
     kernel: &ClosureKernel,
     limit: usize,
-    pool: Option<&mut MergePool>,
-    scratch: &mut CloseScratch,
-    cache: Option<&mut ClosureCache>,
-) -> Result<ClosedPartitionLattice> {
-    enumerate_lattice_impl(top, kernel, limit, pool, scratch, cache)
-}
-
-fn enumerate_lattice_impl(
-    top: &Dfsm,
-    kernel: &ClosureKernel,
-    limit: usize,
-    mut pool: Option<&mut MergePool>,
     scratch: &mut CloseScratch,
     mut cache: Option<&mut ClosureCache>,
 ) -> Result<ClosedPartitionLattice> {
@@ -260,13 +183,7 @@ fn enumerate_lattice_impl(
     seen.insert(frontier[0].clone());
     let mut truncated = false;
     'explore: while let Some(p) = frontier.pop() {
-        for q in lower_cover_impl(
-            kernel,
-            &p,
-            pool.as_deref_mut(),
-            scratch,
-            cache.as_deref_mut(),
-        )? {
+        for q in lower_cover_impl(kernel, &p, scratch, cache.as_deref_mut())? {
             if seen.len() >= limit {
                 truncated = true;
                 break 'explore;

@@ -23,18 +23,16 @@
 //! * [`set_repr`] — Algorithm 1: the set representation of machine states
 //!   (§5, Fig. 5).
 //! * [`FusionSession`] / [`FusionConfig`] — the **recommended entry
-//!   point**: a config-driven session (engine, worker count, product
-//!   strategy, cache policy resolved once) that owns scratch buffers, the
-//!   pool handle and a cross-call closure cache (module [`mod@session`]).
+//!   point**: a config-driven session (worker count, product strategy,
+//!   cache policy resolved once) that owns the closure kernel, scratch
+//!   buffers and a cross-call closure cache (module [`mod@session`]).
 //! * [`TopDelta`] / [`FusionSession::update_top`] — **delta-aware
 //!   re-fusion** for evolving machine sets: add, remove or extend one
 //!   machine and have the product, fault graph and closure cache updated
 //!   incrementally instead of rebuilt (module [`mod@delta`]).
 //! * [`generate_fusion`] — Algorithm 2: minimal fusion generation (§5.1,
-//!   Theorem 5), with a sequential engine ([`generate_fusion_seq`]) and a
-//!   crossbeam-backed parallel engine ([`generate_fusion_par`], module
-//!   [`mod@par`]) pinned to produce identical fusions; the free functions
-//!   are thin shims over one-shot sessions.
+//!   Theorem 5), one sequential greedy descent shared by the free function
+//!   and the session.
 //! * [`RecoveryEngine`] — Algorithm 3: vote-based recovery from crash and
 //!   Byzantine faults (§5.2, Theorem 6).
 //! * [`theory`] — executable forms of Definitions 5–6 and Theorems 3–5.
@@ -94,7 +92,6 @@ mod error;
 pub mod fault_graph;
 pub mod generate;
 pub mod lattice;
-pub mod par;
 pub mod partition;
 pub mod recovery;
 pub mod reference;
@@ -111,17 +108,12 @@ pub use config::{CachePolicy, Engine, FusionConfig, ProductStrategy};
 pub use delta::{TopDelta, UpdateStats};
 pub use error::{FusionError, Result};
 pub use fault_graph::{FaultGraph, GraphDelta, WeightRepr};
-#[doc(hidden)]
-pub use generate::generate_fusion_par_spawn;
 pub use generate::{
-    generate_fusion, generate_fusion_for_machines, generate_fusion_par, generate_fusion_seq,
-    FusionGeneration, GenerationStats,
+    generate_fusion, generate_fusion_for_machines, FusionGeneration, GenerationStats,
 };
 pub use lattice::{
-    basis, enumerate_lattice, enumerate_lattice_par, lower_cover, lower_cover_par,
-    lower_cover_with, ClosedPartitionLattice,
+    basis, enumerate_lattice, lower_cover, lower_cover_with, ClosedPartitionLattice,
 };
-pub use par::configured_workers;
 pub use partition::{BlockGroups, Partition};
 pub use recovery::{recover_top_state, MachineReport, Recovery, RecoveryEngine};
 pub use replication::{

@@ -57,7 +57,7 @@ impl FusionReport {
 
     /// [`FusionReport::measure`] through a caller-owned
     /// [`crate::FusionSession`]: the product is built with the session's
-    /// strategy and the generation reuses its scratch, pool handle and
+    /// strategy and the generation reuses its kernel, scratch and
     /// closure cache (repeated rows or `f` sweeps over the same machine set
     /// hit the cache).
     pub fn measure_with(

@@ -1,20 +1,17 @@
 //! [`FusionSession`] — the stateful, explicitly configured entry point to
-//! the fusion engines.
+//! fusion generation.
 //!
 //! The free functions ([`crate::generate_fusion`],
 //! [`crate::enumerate_lattice`], …) re-derive everything on every call:
-//! they re-read `FSM_FUSION_WORKERS`, rebuild scratch buffers, re-attach
-//! pool handles and recompute every candidate closure from nothing.  A
-//! `FusionSession` — built once from a [`FusionConfig`] — owns all of that
-//! across calls:
+//! they rebuild the closure kernel and scratch buffers and recompute every
+//! candidate closure from nothing.  A `FusionSession` — built once from a
+//! [`FusionConfig`] — owns all of that across calls:
 //!
-//! * the resolved engine and worker count (environment resolved **once**,
-//!   at config build, and only as the `Auto` fallback),
-//! * one [`CloseScratch`] serving every sequential/inline closure of the
-//!   session's lifetime,
-//! * a per-machine context: the [`ClosureKernel`] and (for the pooled
-//!   engines) the `MergePool` handle, rebuilt only when the top machine
-//!   actually changes,
+//! * the resolved worker count and product strategy (environment resolved
+//!   **once**, at config build, and only as the `Auto` fallback),
+//! * one [`CloseScratch`] serving every closure of the session's lifetime,
+//! * the [`ClosureKernel`] of the current top machine, rebuilt only when
+//!   the top machine actually changes,
 //! * a [`fsm_dfsm::ProductBuilder`] configuration for
 //!   [`FusionSession::build_product`],
 //! * and — the new capability — a **cross-call closure cache** keyed by
@@ -31,7 +28,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use fsm_fusion_core::{Engine, FusionConfig};
+//! use fsm_fusion_core::FusionConfig;
 //! # use fsm_dfsm::DfsmBuilder;
 //! # let mut machines = Vec::new();
 //! # for (name, event) in [("A", "0"), ("B", "1")] {
@@ -46,7 +43,7 @@
 //! # }
 //!
 //! // `machines` are the paper's Figure-1 mod-3 counters.
-//! let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+//! let mut session = FusionConfig::new().build();
 //! let (product, fusion) = session.generate_fusion_for_machines(&machines, 1).unwrap();
 //! assert_eq!(product.size(), 9);
 //! assert_eq!(fusion.machine_sizes(), vec![3]);
@@ -61,18 +58,16 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use fsm_dfsm::{Dfsm, ProductBuilder, ReachableProduct, StateId};
 
 use crate::closed::{CloseScratch, ClosureKernel};
-use crate::config::{CachePolicy, Engine, FusionConfig, ProductStrategy};
+use crate::config::{CachePolicy, FusionConfig, ProductStrategy};
 use crate::delta::{TopDelta, UpdateStats};
 use crate::error::{FusionError, Result};
 use crate::fault_graph::{FaultGraph, WeightRepr};
-use crate::generate::{pooled_engine, seq_engine, FusionGeneration};
-use crate::lattice::{enumerate_lattice_session, lower_cover_session, ClosedPartitionLattice};
-use crate::par::MergePool;
+use crate::generate::{seq_engine, FusionGeneration};
+use crate::lattice::{enumerate_lattice_impl, lower_cover_impl, ClosedPartitionLattice};
 use crate::partition::Partition;
 use crate::set_repr::projection_partitions;
 
@@ -499,9 +494,9 @@ fn push_assignment(
 
 /// Closes blocks `b1`/`b2` of `current` into `out`, answering from the
 /// session cache when one is threaded through: lookup → closure fixpoint →
-/// insert.  This is the **single** cache probe shared by both descent
-/// engines and the lattice lower cover, so the cache protocol cannot
-/// silently diverge between the paths the test suite pins as identical.
+/// insert.  This is the **single** cache probe shared by the descent and
+/// the lattice lower cover, so the cache protocol cannot silently diverge
+/// between the paths the test suite pins as identical.
 #[allow(clippy::too_many_arguments)] // one slot per engine-loop buffer, same as product::finish
 pub(crate) fn cached_close(
     kernel: &ClosureKernel,
@@ -525,16 +520,6 @@ pub(crate) fn cached_close(
     Ok(())
 }
 
-/// The session's per-machine context: rebuilt only when the top machine's
-/// transition table actually changes.
-struct TopContext {
-    kernel: Arc<ClosureKernel>,
-    /// The pool handle for [`Engine::Pooled`] (persistent global workers)
-    /// and [`Engine::Spawn`] (private threads, joined when this context is
-    /// replaced or the session drops); `None` for [`Engine::Sequential`].
-    pool: Option<MergePool>,
-}
-
 /// The session's installed `⊤`: the machine set, its reachable cross
 /// product and the projection partitions — the state
 /// [`FusionSession::update_top`] evolves in place.
@@ -544,20 +529,20 @@ struct TopState {
     originals: Vec<Partition>,
 }
 
-/// A configured, stateful handle onto the fusion engines — see the
+/// A configured, stateful handle onto fusion generation — see the
 /// [module docs](self) for what it owns and caches.
 ///
 /// Build one with [`FusionConfig::build`].  The session is `Send` but not
-/// `Sync`: hand each thread its own (they may still share the global
-/// worker pool underneath).
+/// `Sync`: hand each thread its own.
 pub struct FusionSession {
     config: FusionConfig,
-    engine: Engine,
     workers: usize,
     product: ProductStrategy,
     scratch: CloseScratch,
     cache: Option<ClosureCache>,
-    ctx: Option<TopContext>,
+    /// The closure kernel of the current top machine, rebuilt only when
+    /// the machine's transition table actually changes.
+    kernel: Option<ClosureKernel>,
     /// The installed evolving top ([`FusionSession::install_top`]), absent
     /// until one is installed.
     top: Option<TopState>,
@@ -566,7 +551,6 @@ pub struct FusionSession {
 impl std::fmt::Debug for FusionSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FusionSession")
-            .field("engine", &self.engine)
             .field("workers", &self.workers)
             .field("product", &self.product)
             .field("cache_stats", &self.cache_stats())
@@ -578,7 +562,6 @@ impl FusionSession {
     /// Builds a session from a config (equivalent to
     /// [`FusionConfig::build`]).
     pub fn new(config: FusionConfig) -> Self {
-        let engine = config.resolved_engine();
         let workers = config.resolved_workers();
         let product = config.resolved_product();
         let cache = match config.cache_policy() {
@@ -587,12 +570,11 @@ impl FusionSession {
         };
         FusionSession {
             config,
-            engine,
             workers,
             product,
             scratch: CloseScratch::new(),
             cache,
-            ctx: None,
+            kernel: None,
             top: None,
         }
     }
@@ -605,14 +587,9 @@ impl FusionSession {
     }
 
     /// The config this session was built from (useful to rebuild an
-    /// equivalent session, e.g. after a worker panic).
+    /// equivalent session).
     pub fn config(&self) -> &FusionConfig {
         &self.config
-    }
-
-    /// The resolved engine (never [`Engine::Auto`]).
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// The resolved worker count.
@@ -660,8 +637,7 @@ impl FusionSession {
 
     /// Algorithm 2 through the session: generates the smallest set of
     /// closed partitions `F` of `top` such that `dmin(originals ∪ F) > f`,
-    /// on the session's engine, reusing its scratch, pool handle and
-    /// closure cache.
+    /// reusing the session's kernel, scratch and closure cache.
     ///
     /// Produces exactly the free functions' fusions and statistics
     /// (`tests/session_properties.rs`); only wall-clock time differs.
@@ -671,30 +647,8 @@ impl FusionSession {
         originals: &[Partition],
         f: usize,
     ) -> Result<FusionGeneration> {
-        self.refresh_context(top);
-        let ctx = self
-            .ctx
-            .as_mut()
-            .expect("refresh_context installs a context");
-        match ctx.pool.as_mut() {
-            None => seq_engine(
-                top,
-                &ctx.kernel,
-                originals,
-                f,
-                &mut self.scratch,
-                self.cache.as_mut(),
-            ),
-            Some(pool) => pooled_engine(
-                top,
-                &ctx.kernel,
-                pool,
-                originals,
-                f,
-                &mut self.scratch,
-                self.cache.as_mut(),
-            ),
-        }
+        let (kernel, scratch, cache) = self.parts(top);
+        seq_engine(top, kernel, originals, f, scratch, cache)
     }
 
     /// The whole pipeline: builds the reachable cross product with the
@@ -713,20 +667,10 @@ impl FusionSession {
     }
 
     /// The lower cover of a closed partition `p` of `top` through the
-    /// session (closures come from the cache / pool like the descent's).
+    /// session (closures come from the cache like the descent's).
     pub fn lower_cover(&mut self, top: &Dfsm, p: &Partition) -> Result<Vec<Partition>> {
-        self.refresh_context(top);
-        let ctx = self
-            .ctx
-            .as_mut()
-            .expect("refresh_context installs a context");
-        lower_cover_session(
-            &ctx.kernel,
-            p,
-            ctx.pool.as_mut(),
-            &mut self.scratch,
-            self.cache.as_mut(),
-        )
+        let (kernel, scratch, cache) = self.parts(top);
+        lower_cover_impl(kernel, p, scratch, cache)
     }
 
     /// Enumerates the closed partition lattice of `top` through the
@@ -736,30 +680,19 @@ impl FusionSession {
         top: &Dfsm,
         limit: usize,
     ) -> Result<ClosedPartitionLattice> {
-        self.refresh_context(top);
-        let ctx = self
-            .ctx
-            .as_mut()
-            .expect("refresh_context installs a context");
-        enumerate_lattice_session(
-            top,
-            &ctx.kernel,
-            limit,
-            ctx.pool.as_mut(),
-            &mut self.scratch,
-            self.cache.as_mut(),
-        )
+        let (kernel, scratch, cache) = self.parts(top);
+        enumerate_lattice_impl(top, kernel, limit, scratch, cache)
     }
 
     /// Installs `machines` as the session's evolving `⊤`: builds the
     /// reachable cross product and projection partitions, installs the
-    /// per-machine context, and stores everything for
+    /// closure kernel, and stores everything for
     /// [`FusionSession::update_top`] / [`FusionSession::generate_top_fusion`]
     /// to evolve in place.  Returns the size of the installed product.
     pub fn install_top(&mut self, machines: &[Dfsm]) -> Result<usize> {
         let product = self.build_product(machines)?;
         let originals = projection_partitions(&product);
-        self.refresh_context(product.top());
+        self.refresh_kernel(product.top());
         let size = product.size();
         self.top = Some(TopState {
             machines: machines.to_vec(),
@@ -783,7 +716,7 @@ impl FusionSession {
     /// Algorithm 2 over the *installed* `⊤`
     /// ([`FusionSession::install_top`] / [`FusionSession::update_top`]) —
     /// the delta-aware form of [`FusionSession::generate_fusion`], sharing
-    /// its cache, kernel and pool.
+    /// its cache and kernel.
     pub fn generate_top_fusion(&mut self, f: usize) -> Result<FusionGeneration> {
         let top = self.top.take().ok_or_else(|| {
             FusionError::InvalidDelta("no top installed (call install_top first)".into())
@@ -805,8 +738,7 @@ impl FusionSession {
     ///   ([`crate::FaultGraph::apply_delta`]),
     /// * cached closures are re-indexed and rehashed
     ///   (collision-verified) rather than cleared,
-    /// * the kernel and pool handle are replaced in place without a
-    ///   cache reset.
+    /// * the kernel is replaced in place without a cache reset.
     ///
     /// The post-delta session is pinned **bit-identical** — fusion
     /// partitions, generation statistics, product numbering — to a cold
@@ -926,7 +858,9 @@ impl FusionSession {
         } else {
             stats.graph_rebuilt = true;
         }
-        self.install_context(product.top());
+        // The cache was remapped above: replace the kernel without the
+        // machine-change reset `refresh_kernel` would apply.
+        self.kernel = Some(ClosureKernel::new(product.top()));
         self.top = Some(TopState {
             machines,
             product,
@@ -1018,7 +952,9 @@ impl FusionSession {
         } else {
             stats.graph_rebuilt = true;
         }
-        self.install_context(product.top());
+        // The cache was remapped above: replace the kernel without the
+        // machine-change reset `refresh_kernel` would apply.
+        self.kernel = Some(ClosureKernel::new(product.top()));
         self.top = Some(TopState {
             machines,
             product,
@@ -1040,10 +976,10 @@ impl FusionSession {
             }
         };
         let originals = projection_partitions(&product);
-        // `refresh_context` clears the cache iff the top machine actually
+        // `refresh_kernel` clears the cache iff the top machine actually
         // changed (an extension that leaves the product identical keeps
         // everything — nothing was invalidated).
-        self.refresh_context(product.top());
+        self.refresh_kernel(product.top());
         let size = product.size();
         self.top = Some(TopState {
             machines,
@@ -1058,47 +994,40 @@ impl FusionSession {
         })
     }
 
-    /// Installs (or keeps) the per-machine context for `top`.  The closure
+    /// Refreshes the kernel for `top` and splits the session into the
+    /// kernel, scratch and cache every engine call threads through.
+    fn parts(
+        &mut self,
+        top: &Dfsm,
+    ) -> (&ClosureKernel, &mut CloseScratch, Option<&mut ClosureCache>) {
+        self.refresh_kernel(top);
+        (
+            self.kernel
+                .as_ref()
+                .expect("refresh_kernel installs a kernel"),
+            &mut self.scratch,
+            self.cache.as_mut(),
+        )
+    }
+
+    /// Installs (or keeps) the closure kernel for `top`.  The closure
     /// cache is only valid for one transition table, so it is cleared when
-    /// the machine changes; an unchanged machine keeps kernel, pool handle
-    /// and cache (verified by streaming `top`'s transitions against the
-    /// stored kernel — no per-call kernel rebuild).
-    fn refresh_context(&mut self, top: &Dfsm) {
-        let replacing = match self.ctx.as_ref() {
-            Some(ctx) => {
-                if ctx.kernel.matches_machine(top) {
-                    return;
-                }
-                true
+    /// the machine changes; an unchanged machine keeps kernel and cache
+    /// (verified by streaming `top`'s transitions against the stored
+    /// kernel — no per-call kernel rebuild).
+    fn refresh_kernel(&mut self, top: &Dfsm) {
+        if let Some(kernel) = &self.kernel {
+            if kernel.matches_machine(top) {
+                return;
             }
-            None => false,
-        };
-        // Only an actual machine *change* invalidates cached closures; the
-        // very first install finds the cache empty and leaves the counters
-        // alone.
-        if replacing {
+            // Only an actual machine *change* invalidates cached closures;
+            // the very first install finds the cache empty and leaves the
+            // counters alone.
             if let Some(cache) = self.cache.as_mut() {
                 cache.clear();
             }
         }
-        self.install_context(top);
-    }
-
-    /// Rebuilds kernel and pool handle for `top` **without** touching the
-    /// cache — the delta paths remap cached state themselves and must not
-    /// lose it to a machine-change reset.
-    fn install_context(&mut self, top: &Dfsm) {
-        let kernel = Arc::new(ClosureKernel::new(top));
-        let pool = match self.engine {
-            Engine::Sequential => None,
-            Engine::Pooled => Some(MergePool::attach(Arc::clone(&kernel), self.workers)),
-            Engine::Spawn => Some(MergePool::spawn_standalone(
-                Arc::clone(&kernel),
-                self.workers,
-            )),
-            Engine::Auto => unreachable!("FusionSession::new resolves Auto"),
-        };
-        self.ctx = Some(TopContext { kernel, pool });
+        self.kernel = Some(ClosureKernel::new(top));
     }
 }
 
@@ -1106,7 +1035,7 @@ impl FusionSession {
 mod tests {
     use super::*;
     use crate::error::FusionError;
-    use crate::generate::{generate_fusion_par, generate_fusion_seq};
+    use crate::generate::generate_fusion;
     use fsm_dfsm::DfsmBuilder;
 
     fn counter(name: &str, event: &str, k: usize) -> Dfsm {
@@ -1133,13 +1062,13 @@ mod tests {
 
     #[test]
     fn sequential_session_matches_free_function_and_caches_across_f_sweep() {
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         let (product, _) = session
             .generate_fusion_for_machines(&fig1_pair(), 1)
             .unwrap();
         let originals = projection_partitions(&product);
         for f in 1..=3 {
-            let cold = generate_fusion_seq(product.top(), &originals, f).unwrap();
+            let cold = generate_fusion(product.top(), &originals, f).unwrap();
             let warm = session
                 .generate_fusion(product.top(), &originals, f)
                 .unwrap();
@@ -1164,7 +1093,7 @@ mod tests {
 
     #[test]
     fn changing_the_top_machine_clears_the_cache() {
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         let (p1, _) = session
             .generate_fusion_for_machines(&fig1_pair(), 1)
             .unwrap();
@@ -1180,32 +1109,26 @@ mod tests {
         assert_eq!(session.cache_stats().clears, 1);
         let cold = {
             let originals = projection_partitions(&p2);
-            generate_fusion_seq(p2.top(), &originals, 1).unwrap()
+            generate_fusion(p2.top(), &originals, 1).unwrap()
         };
         assert_eq!(fusion.partitions, cold.partitions);
     }
 
     #[test]
     fn disabled_cache_counts_nothing_and_still_matches() {
-        let mut session = FusionConfig::new()
-            .engine(Engine::Sequential)
-            .cache(CachePolicy::Disabled)
-            .build();
+        let mut session = FusionConfig::new().cache(CachePolicy::Disabled).build();
         let (product, fusion) = session
             .generate_fusion_for_machines(&fig1_pair(), 2)
             .unwrap();
         let originals = projection_partitions(&product);
-        let cold = generate_fusion_seq(product.top(), &originals, 2).unwrap();
+        let cold = generate_fusion(product.top(), &originals, 2).unwrap();
         assert_eq!(fusion.partitions, cold.partitions);
         assert_eq!(session.cache_stats(), CacheStats::default());
     }
 
     #[test]
     fn tiny_cache_bound_evicts_instead_of_growing() {
-        let mut session = FusionConfig::new()
-            .engine(Engine::Sequential)
-            .cache(CachePolicy::Bounded(32))
-            .build();
+        let mut session = FusionConfig::new().cache(CachePolicy::Bounded(32)).build();
         let (product, _) = session
             .generate_fusion_for_machines(&fig1_pair(), 2)
             .unwrap();
@@ -1213,7 +1136,7 @@ mod tests {
         let warm = session
             .generate_fusion(product.top(), &originals, 2)
             .unwrap();
-        let cold = generate_fusion_seq(product.top(), &originals, 2).unwrap();
+        let cold = generate_fusion(product.top(), &originals, 2).unwrap();
         assert_eq!(warm.partitions, cold.partitions);
         // |⊤| = 9 and a 32-element bound: the descent overflows the cache,
         // which must shed *oldest levels* — never reset wholesale (the top
@@ -1264,91 +1187,49 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_spawn_sessions_match_the_sequential_engine() {
-        let machines = fig1_pair();
-        for engine in [Engine::Pooled, Engine::Spawn] {
-            let mut session = FusionConfig::new().engine(engine).workers(2).build();
-            let (product, fusion) = session.generate_fusion_for_machines(&machines, 2).unwrap();
-            let originals = projection_partitions(&product);
-            let seq = generate_fusion_seq(product.top(), &originals, 2).unwrap();
-            assert_eq!(fusion.partitions, seq.partitions, "{engine:?}");
-            assert_eq!(
-                fusion.stats.candidates_examined, seq.stats.candidates_examined,
-                "{engine:?}"
-            );
-            // Back-to-back call on the retained pool handle.
-            let again = session
-                .generate_fusion(product.top(), &originals, 2)
-                .unwrap();
-            assert_eq!(again.partitions, seq.partitions, "{engine:?}");
+    fn multi_worker_session_matches_single_worker_session() {
+        // More workers only reach the parallel product builder; the
+        // descent, and so every fusion and statistic, must not change.
+        let machines = vec![
+            counter("a", "0", 3),
+            counter("b", "1", 3),
+            counter("c", "0", 4),
+        ];
+        let mut one = FusionConfig::new().workers(1).build();
+        let mut four = FusionConfig::new().workers(4).build();
+        assert_eq!(four.product_strategy(), ProductStrategy::Parallel);
+        for f in 1..=2 {
+            let (p1, g1) = one.generate_fusion_for_machines(&machines, f).unwrap();
+            let (p4, g4) = four.generate_fusion_for_machines(&machines, f).unwrap();
+            assert_eq!(p1.size(), p4.size(), "f={f}");
+            assert_eq!(g4.partitions, g1.partitions, "f={f}");
+            let untimed = |g: &FusionGeneration| crate::GenerationStats {
+                elapsed_micros: 0,
+                ..g.stats.clone()
+            };
+            assert_eq!(untimed(&g4), untimed(&g1), "f={f}");
         }
     }
 
     #[test]
     fn session_lattice_and_lower_cover_match_free_functions() {
-        let machines = fig1_pair();
-        for engine in [Engine::Sequential, Engine::Pooled] {
-            let mut session = FusionConfig::new().engine(engine).workers(2).build();
-            let product = session.build_product(&machines).unwrap();
-            let top = product.top();
-            let lattice = session.enumerate_lattice(top, 500).unwrap();
-            let free = crate::lattice::enumerate_lattice(top, 500).unwrap();
-            assert_eq!(lattice.elements, free.elements, "{engine:?}");
-            assert_eq!(lattice.truncated, free.truncated, "{engine:?}");
-            let top_p = Partition::singletons(top.size());
-            assert_eq!(
-                session.lower_cover(top, &top_p).unwrap(),
-                crate::lattice::lower_cover(top, &top_p).unwrap(),
-                "{engine:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn poisoned_pooled_session_surfaces_the_worker_id_and_rebuilds() {
-        let machines = fig1_pair();
-        let config = FusionConfig::new().engine(Engine::Pooled).workers(2);
-        let mut session = config.clone().build();
-        let (product, first) = session.generate_fusion_for_machines(&machines, 1).unwrap();
-        let originals = projection_partitions(&product);
-
-        // Poison the session's own pool handle with a candidate whose block
-        // indices are out of range — the worker contains the panic and
-        // reports which thread it was.
-        let pool = session
-            .ctx
-            .as_mut()
-            .and_then(|c| c.pool.as_mut())
-            .expect("pooled session holds a pool handle");
-        let current = Arc::new(Partition::singletons(product.size()));
-        let weakest = Arc::new(Vec::new());
-        let err = pool.eval_batch(&current, &weakest, &[(0, 999, 1000)]);
-        let worker = match err {
-            Err(FusionError::WorkerPanicked { worker }) => worker,
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        };
-        assert!(worker < 2);
-
-        // The same session keeps working (the pool survives a contained
-        // panic)...
-        let after = session
-            .generate_fusion(product.top(), &originals, 1)
-            .unwrap();
-        assert_eq!(after.partitions, first.partitions);
-
-        // ...and a session rebuilt from the same config is fully usable.
-        let mut rebuilt = config.build();
-        let again = rebuilt
-            .generate_fusion(product.top(), &originals, 1)
-            .unwrap();
-        assert_eq!(again.partitions, first.partitions);
-        let par = generate_fusion_par(product.top(), &originals, 1, 2).unwrap();
-        assert_eq!(again.partitions, par.partitions);
+        let mut session = FusionConfig::new().workers(2).build();
+        let product = session.build_product(&fig1_pair()).unwrap();
+        let top = product.top();
+        let lattice = session.enumerate_lattice(top, 500).unwrap();
+        let free = crate::lattice::enumerate_lattice(top, 500).unwrap();
+        assert_eq!(lattice.elements, free.elements);
+        assert_eq!(lattice.truncated, free.truncated);
+        let top_p = Partition::singletons(top.size());
+        assert_eq!(
+            session.lower_cover(top, &top_p).unwrap(),
+            crate::lattice::lower_cover(top, &top_p).unwrap()
+        );
     }
 
     #[test]
     fn update_top_add_matches_cold_session_and_reuses_layers() {
-        let mut warm = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut warm = FusionConfig::new().build();
         warm.install_top(&fig1_pair()).unwrap();
         let before = warm.generate_top_fusion(1).unwrap();
         assert_eq!(before.machine_sizes(), vec![3]);
@@ -1365,7 +1246,7 @@ mod tests {
 
         let mut machines = fig1_pair();
         machines.push(counter("c", "0", 3));
-        let mut cold = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut cold = FusionConfig::new().build();
         cold.install_top(&machines).unwrap();
         for f in 1..=2 {
             let w = warm.generate_top_fusion(f).unwrap();
@@ -1393,7 +1274,7 @@ mod tests {
     fn update_top_remove_matches_cold_session() {
         let mut machines = fig1_pair();
         machines.push(counter("c", "0", 4));
-        let mut warm = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut warm = FusionConfig::new().build();
         warm.install_top(&machines).unwrap();
         warm.generate_top_fusion(1).unwrap();
 
@@ -1403,7 +1284,7 @@ mod tests {
         assert_eq!(warm.top_machines().unwrap().len(), 2);
         assert_eq!(warm.top_product().unwrap().size(), 9);
 
-        let mut cold = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut cold = FusionConfig::new().build();
         cold.install_top(&fig1_pair()).unwrap();
         let w = warm.generate_top_fusion(2).unwrap();
         let c = cold.generate_top_fusion(2).unwrap();
@@ -1417,7 +1298,7 @@ mod tests {
 
     #[test]
     fn update_top_extend_is_a_documented_cold_rebuild() {
-        let mut warm = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut warm = FusionConfig::new().build();
         warm.install_top(&fig1_pair()).unwrap();
         warm.generate_top_fusion(1).unwrap();
         let stats = warm
@@ -1430,7 +1311,7 @@ mod tests {
         assert!(stats.graph_rebuilt, "{stats}");
         assert_eq!(warm.top_product().unwrap().size(), 12);
 
-        let mut cold = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut cold = FusionConfig::new().build();
         cold.install_top(&[counter("a", "0", 4), counter("b", "1", 3)])
             .unwrap();
         let w = warm.generate_top_fusion(1).unwrap();
@@ -1440,7 +1321,7 @@ mod tests {
 
     #[test]
     fn update_top_rejects_bad_deltas_and_leaves_the_top_installed() {
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         assert!(matches!(
             session.update_top(TopDelta::RemoveMachine(0)),
             Err(FusionError::InvalidDelta(_))

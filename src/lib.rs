@@ -27,11 +27,11 @@
 //! ## Quickstart
 //!
 //! The recommended entry point is a [`fusion::FusionSession`] built from a
-//! [`fusion::FusionConfig`]: engine, worker count, product strategy and
-//! cache policy are resolved once (the environment is only the `Auto`
-//! fallback, via [`fusion::FusionConfig::from_env`]), and the session
-//! reuses scratch buffers, its worker-pool handle and a cross-call closure
-//! cache over every generation.
+//! [`fusion::FusionConfig`]: worker count, product strategy and cache
+//! policy are resolved once (the environment is only the `Auto` fallback,
+//! via [`fusion::FusionConfig::from_env`]), and the session reuses its
+//! closure kernel, scratch buffers and a cross-call closure cache over
+//! every generation.
 //!
 //! ```
 //! use fsm_fusion::prelude::*;
@@ -40,7 +40,7 @@
 //! // backup, tolerate one crash fault.  One session serves the whole
 //! // pipeline (and any number of systems after this one).
 //! let machines = fig1_machines();
-//! let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+//! let mut session = FusionConfig::new().build();
 //! let mut system =
 //!     FusedSystem::with_session(&machines, 1, FaultModel::Crash, &mut session).unwrap();
 //! system.apply_workload(&Workload::from_bits("0110100101"));
@@ -50,10 +50,10 @@
 //! assert!(outcome.matches_oracle);
 //! ```
 //!
-//! The pre-session free functions ([`fusion::generate_fusion`],
-//! [`fusion::enumerate_lattice`], `FusedSystem::new`, …) remain as thin
-//! shims over one-shot environment-configured sessions, pinned
-//! bit-identical to the session path by `tests/session_properties.rs`.
+//! The free functions ([`fusion::generate_fusion`],
+//! [`fusion::enumerate_lattice`], `FusedSystem::new`, …) run the same
+//! engine once, without a cache, and are pinned bit-identical to the
+//! session path by `tests/session_properties.rs`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -83,7 +83,7 @@ pub mod prelude {
     };
     pub use fsm_fusion_core::{
         generate_fusion, generate_fusion_for_machines, BitsetPartition, CachePolicy, CacheStats,
-        Engine, FaultGraph, FaultModel, FusionConfig, FusionReport, FusionSession, MachineReport,
+        FaultGraph, FaultModel, FusionConfig, FusionReport, FusionSession, MachineReport,
         Partition, RecoveryEngine, TopDelta, UpdateStats, WeightRepr,
     };
     pub use fsm_machines::{fig1_machines, table1_rows, MachineSet};
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn facade_session_surface_composes() {
         let machines = crate::machines::fig1_machines();
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         let (product, fusion) = session.generate_fusion_for_machines(&machines, 1).unwrap();
         assert_eq!(product.size(), 9);
         assert_eq!(fusion.machine_sizes(), vec![3]);

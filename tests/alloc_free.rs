@@ -12,7 +12,7 @@
 //! `BENCH_fusion.json`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use fsm_fusion::fusion::{CloseScratch, ClosureKernel, FaultGraph, Partition};
 use fsm_fusion::prelude::*;
@@ -22,13 +22,23 @@ use fsm_fusion::prelude::*;
 /// is "no new memory is requested").
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread.  Per-thread, so the test
+    /// harness starting the next test's thread mid-measurement cannot leak
+    /// its own allocations into the count.  A `const` initializer without a
+    /// destructor never allocates, so the allocator may touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: defers entirely to `System`; the counter update has no other
 // side effect.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -37,12 +47,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -50,12 +60,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// The counter is process-global, so tests in this binary must not run
-/// concurrently — each takes this lock for its whole body.
+/// Tests in this binary still run one at a time — each takes this lock for
+/// its whole body — so neither measures while the other warms up.
 static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A pair of interacting counters giving a 27-state `⊤` whose descent

@@ -7,7 +7,7 @@
 //! through the incremental paths: product stride-extension, fault-graph
 //! pullback/contraction, closure lift/push-forward.  A cold session is
 //! built directly on the final machine set.  Everything observable must
-//! match exactly, on every engine and cache policy:
+//! match exactly, under every cache policy:
 //!
 //! * the fusion partitions, machine sizes and state space,
 //! * every `GenerationStats` field (dmin before/after, outer iterations,
@@ -15,7 +15,7 @@
 //!   wall-clock time, never the walk,
 //! * the product numbering itself (tuples and state names per `StateId`).
 
-use fsm_fusion::fusion::{CachePolicy, Engine, FusionConfig, TopDelta};
+use fsm_fusion::fusion::{CachePolicy, FusionConfig, TopDelta};
 use fsm_fusion::machines::{random_dfsm, RandomDfsmConfig};
 use fsm_fusion::prelude::*;
 use proptest::prelude::*;
@@ -115,15 +115,14 @@ fn apply_spec(
     true
 }
 
-/// Warm-after-deltas versus cold-on-final, on one engine/policy pair.
+/// Warm-after-deltas versus cold-on-final, under one cache policy.
 fn assert_delta_sequence_matches_cold(
-    engine: Engine,
     policy: CachePolicy,
     initial: &[Dfsm],
     specs: &[DeltaSpec],
     max_f: usize,
 ) {
-    let config = FusionConfig::new().engine(engine).workers(2).cache(policy);
+    let config = FusionConfig::new().workers(2).cache(policy);
     let mut warm = config.clone().build();
     let mut machines = initial.to_vec();
     warm.install_top(&machines).unwrap();
@@ -135,7 +134,7 @@ fn assert_delta_sequence_matches_cold(
 
     let mut cold = config.build();
     cold.install_top(&machines).unwrap();
-    let label = format!("{engine:?} {policy:?} {specs:?}");
+    let label = format!("{policy:?} {specs:?}");
 
     // Identical product numbering: size, tuples, state names.
     let (wp, cp) = (warm.top_product().unwrap(), cold.top_product().unwrap());
@@ -174,9 +173,8 @@ fn assert_delta_sequence_matches_cold(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random delta sequences on the sequential engine, across every cache
-    /// policy (disabled, default bound, and a tiny bound that forces
-    /// evictions mid-remap).
+    /// Random delta sequences across every cache policy (disabled, default
+    /// bound, and a tiny bound that forces evictions mid-remap).
     #[test]
     fn sequential_delta_sequences_match_cold_sessions(
         seed in 0u64..50_000,
@@ -193,51 +191,7 @@ proptest! {
             CachePolicy::default(),
             CachePolicy::Bounded(64),
         ] {
-            assert_delta_sequence_matches_cold(Engine::Sequential, policy, &initial, &specs, 2);
+            assert_delta_sequence_matches_cold(policy, &initial, &specs, 2);
         }
     }
-
-    /// The pooled engine agrees too (fewer f values — the walk is pinned
-    /// identical across engines elsewhere; this guards the delta plumbing
-    /// around the pool handle).
-    #[test]
-    fn pooled_delta_sequences_match_cold_sessions(
-        seed in 0u64..50_000,
-        spec_seed in 0u64..1_000_000,
-        nspecs in 1usize..=2,
-    ) {
-        let specs = random_specs(spec_seed, nspecs);
-        let initial = vec![
-            rand_machine("A", 2, seed),
-            rand_machine("B", 3, seed.wrapping_add(104_729)),
-        ];
-        assert_delta_sequence_matches_cold(
-            Engine::Pooled,
-            CachePolicy::default(),
-            &initial,
-            &specs,
-            1,
-        );
-    }
-}
-
-/// The spawn engine (private threads, joined on context replacement) takes
-/// the same delta paths; one deterministic sequence suffices to guard the
-/// pool-handle lifecycle across `install_context`.
-#[test]
-fn spawn_engine_delta_sequence_matches_cold_session() {
-    let initial = vec![rand_machine("A", 3, 11), rand_machine("B", 2, 13)];
-    let specs = [
-        DeltaSpec::Add {
-            states: 2,
-            seed: 17,
-        },
-        DeltaSpec::Remove { pick: 0 },
-        DeltaSpec::Extend {
-            pick: 1,
-            extra: 1,
-            seed: 19,
-        },
-    ];
-    assert_delta_sequence_matches_cold(Engine::Spawn, CachePolicy::default(), &initial, &specs, 2);
 }

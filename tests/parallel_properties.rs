@@ -1,25 +1,12 @@
-//! Property tests pinning the incremental fault-graph trackers and the
-//! parallel Algorithm-2 engine to their reference implementations.
+//! Property tests pinning the incremental fault-graph trackers to their
+//! full-rescan reference implementations.
 //!
-//! PR 2 established the pattern for the bitset kernels
-//! (`tests/bitset_properties.rs`: optimized path vs. preserved element
-//! scan); this suite extends it to the two new fast paths:
-//!
-//! * the incrementally maintained `dmin` / weakest-edge / speculation
-//!   queries of `FaultGraph` against the full-rescan `*_scan` twins, under
-//!   arbitrary interleavings of machine additions and queries,
-//! * the crossbeam-backed parallel descent (`generate_fusion_par`) against
-//!   the sequential engine (`generate_fusion_seq`), which must produce the
-//!   same fusion machines *and* the same search statistics (everything but
-//!   wall-clock time), and the pooled lattice enumeration against the
-//!   sequential one.
+//! The incrementally maintained `dmin` / weakest-edge / speculation
+//! queries of `FaultGraph` must agree with the `*_scan` twins under
+//! arbitrary interleavings of machine additions and queries (the pattern
+//! `tests/bitset_properties.rs` set for the bitset kernels).
 
-use fsm_fusion::fusion::{
-    enumerate_lattice, enumerate_lattice_par, generate_fusion_par, generate_fusion_seq,
-    lower_cover, lower_cover_par, FaultGraph, Partition,
-};
-use fsm_fusion::machines::{random_dfsm, RandomDfsmConfig};
-use fsm_fusion::prelude::*;
+use fsm_fusion::fusion::{FaultGraph, Partition};
 use proptest::prelude::*;
 
 /// Deterministic SplitMix64, so failures reproduce from the case inputs.
@@ -39,23 +26,6 @@ fn random_partition(seed: u64, n: usize, max_blocks: usize) -> Partition {
         .map(|_| (splitmix(&mut state) as usize) % max_blocks)
         .collect();
     Partition::from_assignment(&assignment)
-}
-
-/// A small random machine pair over the shared binary alphabet, as used by
-/// the bitset property tests.
-fn machine_family(seed: u64) -> Vec<Dfsm> {
-    (0..2)
-        .map(|i| {
-            random_dfsm(
-                &format!("M{i}"),
-                &RandomDfsmConfig {
-                    states: 2 + ((seed as usize + 3 * i) % 3),
-                    alphabet: vec!["0".into(), "1".into()],
-                    seed: seed.wrapping_add(i as u64 * 7919),
-                },
-            )
-        })
-        .collect()
 }
 
 proptest! {
@@ -92,80 +62,5 @@ proptest! {
         prop_assert_eq!(bulk.dmin(), g.dmin());
         prop_assert_eq!(bulk.weakest_edges(), g.weakest_edges());
         prop_assert_eq!(bulk.weight_histogram(), g.weight_histogram());
-    }
-
-    /// The parallel descent returns exactly the sequential engine's fusion:
-    /// same partitions, same machines, same statistics (except wall-clock
-    /// time), for every worker count.
-    #[test]
-    fn parallel_descent_matches_sequential(
-        seed in 0u64..50_000,
-        f in 1usize..3,
-        workers in 1usize..5,
-    ) {
-        let machines = machine_family(seed);
-        let product = ReachableProduct::new(&machines).unwrap();
-        let originals = fsm_fusion::fusion::projection_partitions(&product);
-        let seq = generate_fusion_seq(product.top(), &originals, f).unwrap();
-        let par = generate_fusion_par(product.top(), &originals, f, workers).unwrap();
-        prop_assert_eq!(&par.partitions, &seq.partitions);
-        prop_assert_eq!(par.machine_sizes(), seq.machine_sizes());
-        prop_assert_eq!(par.state_space(), seq.state_space());
-        prop_assert_eq!(par.stats.initial_dmin, seq.stats.initial_dmin);
-        prop_assert_eq!(par.stats.final_dmin, seq.stats.final_dmin);
-        prop_assert_eq!(par.stats.outer_iterations, seq.stats.outer_iterations);
-        prop_assert_eq!(par.stats.descent_steps, seq.stats.descent_steps);
-        prop_assert_eq!(par.stats.candidates_examined, seq.stats.candidates_examined);
-    }
-
-    /// Pool reuse: the worker threads now persist across searches
-    /// (`par::MergePool` attaches to a process-wide pool), so two
-    /// back-to-back parallel searches on the warm pool must equal two fresh
-    /// sequential searches — results and statistics — including when the
-    /// second search runs at a different fault budget and worker count.
-    #[test]
-    fn back_to_back_pooled_searches_match_fresh_sequential_searches(
-        seed in 0u64..50_000,
-        workers in 2usize..5,
-    ) {
-        let machines = machine_family(seed);
-        let product = ReachableProduct::new(&machines).unwrap();
-        let originals = fsm_fusion::fusion::projection_partitions(&product);
-        // First search warms the shared pool (it may already be warm from
-        // other tests — that is the point), the second reuses it.
-        let par1 = generate_fusion_par(product.top(), &originals, 1, workers).unwrap();
-        let par2 = generate_fusion_par(product.top(), &originals, 2, workers + 1).unwrap();
-        let seq1 = generate_fusion_seq(product.top(), &originals, 1).unwrap();
-        let seq2 = generate_fusion_seq(product.top(), &originals, 2).unwrap();
-        for (par, seq) in [(&par1, &seq1), (&par2, &seq2)] {
-            prop_assert_eq!(&par.partitions, &seq.partitions);
-            prop_assert_eq!(par.stats.initial_dmin, seq.stats.initial_dmin);
-            prop_assert_eq!(par.stats.final_dmin, seq.stats.final_dmin);
-            prop_assert_eq!(par.stats.outer_iterations, seq.stats.outer_iterations);
-            prop_assert_eq!(par.stats.descent_steps, seq.stats.descent_steps);
-            prop_assert_eq!(par.stats.candidates_examined, seq.stats.candidates_examined);
-        }
-        // Re-running the *same* search on the warm pool is also stable.
-        let par1_again = generate_fusion_par(product.top(), &originals, 1, workers).unwrap();
-        prop_assert_eq!(&par1_again.partitions, &par1.partitions);
-        prop_assert_eq!(par1_again.stats.candidates_examined, par1.stats.candidates_examined);
-    }
-
-    /// Pooled lower covers and lattice enumeration return exactly the
-    /// sequential results.
-    #[test]
-    fn parallel_lattice_matches_sequential(seed in 0u64..50_000, workers in 2usize..4) {
-        let machines = machine_family(seed);
-        let product = ReachableProduct::new(&machines).unwrap();
-        let top = product.top();
-        let top_partition = Partition::singletons(top.size());
-        prop_assert_eq!(
-            lower_cover_par(top, &top_partition, workers).unwrap(),
-            lower_cover(top, &top_partition).unwrap()
-        );
-        let seq = enumerate_lattice(top, 500).unwrap();
-        let par = enumerate_lattice_par(top, 500, workers).unwrap();
-        prop_assert_eq!(par.elements, seq.elements);
-        prop_assert_eq!(par.truncated, seq.truncated);
     }
 }

@@ -150,7 +150,7 @@ fn prelude_exposes_delta_surface() {
 
     // The evolving-top workflow, reachable without naming a sub-crate.
     let mut machines = fig1_machines();
-    let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+    let mut session = FusionConfig::new().build();
     session.install_top(&machines[..1]).unwrap();
     let added = machines.remove(1);
     let stats = session.update_top(TopDelta::AddMachine(added)).unwrap();

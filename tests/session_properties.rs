@@ -2,14 +2,13 @@
 //! functions, and the closure cache to bit-identical cached/cold runs.
 //!
 //! The session path owns state the free functions re-derive per call
-//! (kernel, scratch, pool handle, closure + fault-graph cache), so the
-//! properties here are the contract that lets the old entry points become
-//! thin shims:
+//! (kernel, scratch, closure + fault-graph cache), so the properties here
+//! are the contract that keeps the two paths interchangeable:
 //!
-//! * session `generate_fusion` — on every engine, with the cache warm or
-//!   cold — returns exactly `generate_fusion_seq`'s partitions, machines
-//!   and statistics (everything but wall-clock time), across repeated `f`
-//!   sweeps on one session;
+//! * session `generate_fusion` — at any worker count, with the cache warm
+//!   or cold — returns exactly the free `generate_fusion`'s partitions,
+//!   machines and statistics (everything but wall-clock time), across
+//!   repeated `f` sweeps on one session;
 //! * session lattice walks equal the free-function lattice walks;
 //! * every `ProductBuilder` strategy builds the identical product;
 //! * the cache-hit counters behave deterministically: a repeated sweep is
@@ -17,10 +16,7 @@
 //!   steady-state assertion), and the config precedence rules pin
 //!   explicit > environment > auto-detect.
 
-use fsm_fusion::fusion::{
-    enumerate_lattice, generate_fusion_seq, projection_partitions, Engine, FusionConfig,
-    FusionSession,
-};
+use fsm_fusion::fusion::{enumerate_lattice, projection_partitions, FusionConfig, FusionSession};
 use fsm_fusion::machines::{random_dfsm, RandomDfsmConfig};
 use fsm_fusion::prelude::*;
 use proptest::prelude::*;
@@ -71,8 +67,8 @@ fn assert_same_generation(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every engine's session path, swept over `f` twice on one session
-    /// (cold cache, then warm cache), is bit-identical to the cold
+    /// The session path, swept over `f` twice on one session (cold cache,
+    /// then warm cache) at any worker count, is bit-identical to the cold
     /// free-function path — reports, stats and partitions.
     #[test]
     fn session_sweeps_are_bit_identical_to_cold_runs(
@@ -82,14 +78,12 @@ proptest! {
         let machines = machine_family(seed);
         let product = ReachableProduct::new(&machines).unwrap();
         let originals = projection_partitions(&product);
-        for engine in [Engine::Sequential, Engine::Pooled] {
-            let mut session = FusionConfig::new().engine(engine).workers(workers).build();
-            for sweep in 0..2 {
-                for f in 1..=3usize {
-                    let cold = generate_fusion_seq(product.top(), &originals, f).unwrap();
-                    let warm = session.generate_fusion(product.top(), &originals, f).unwrap();
-                    assert_same_generation(&warm, &cold, &format!("{engine:?} sweep {sweep} f {f}"));
-                }
+        let mut session = FusionConfig::new().workers(workers).build();
+        for sweep in 0..2 {
+            for f in 1..=3usize {
+                let cold = generate_fusion(product.top(), &originals, f).unwrap();
+                let warm = session.generate_fusion(product.top(), &originals, f).unwrap();
+                assert_same_generation(&warm, &cold, &format!("sweep {sweep} f {f}"));
             }
         }
     }
@@ -136,7 +130,7 @@ proptest! {
         let machines = machine_family(seed);
         let product = ReachableProduct::new(&machines).unwrap();
         let originals = projection_partitions(&product);
-        let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+        let mut session = FusionConfig::new().build();
         // Warm the cache with a generation first — lattice closures must
         // coexist with descent closures in the same cache.
         session.generate_fusion(product.top(), &originals, 1).unwrap();
@@ -154,7 +148,7 @@ proptest! {
 #[test]
 fn repeated_sweep_is_answered_entirely_from_the_cache() {
     let machines = fig1_machines();
-    let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+    let mut session = FusionConfig::new().build();
     let (product, _) = session.generate_fusion_for_machines(&machines, 1).unwrap();
     let originals = projection_partitions(&product);
 
@@ -203,7 +197,7 @@ fn repeated_sweep_is_answered_entirely_from_the_cache() {
 #[test]
 fn update_top_remaps_instead_of_clearing() {
     let machines = fig1_machines();
-    let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+    let mut session = FusionConfig::new().build();
     session.install_top(&machines).unwrap();
     for f in 1..=2 {
         session.generate_top_fusion(f).unwrap();
@@ -242,35 +236,28 @@ fn update_top_remaps_instead_of_clearing() {
     );
 }
 
-/// Engine-config precedence regression: explicit > environment snapshot >
-/// auto-detect, for both the worker count and the engine, via the pure
-/// `from_env_values` resolution (no process-environment mutation).
+/// Config precedence regression: explicit > environment snapshot >
+/// auto-detect, for the worker count and the product strategy it drives,
+/// via the pure `from_env_values` resolution (no process-environment
+/// mutation).
 #[test]
 fn config_precedence_is_explicit_then_env_then_auto() {
-    // Auto-detect floor: nothing configured → 1 worker, sequential.
+    // Auto-detect floor: nothing configured → 1 worker, packed product.
     let auto = FusionConfig::new();
     assert_eq!(auto.resolved_workers(), 1);
-    assert_eq!(auto.resolved_engine(), Engine::Sequential);
+    assert_eq!(auto.resolved_product(), ProductStrategy::Packed);
 
     // Environment beats auto-detect.
-    let env = FusionConfig::from_env_values(None, Some("4"), None, None);
+    let env = FusionConfig::from_env_values(Some("4"), None, None);
     assert_eq!(env.resolved_workers(), 4);
-    assert_eq!(env.resolved_engine(), Engine::Pooled);
+    assert_eq!(env.resolved_product(), ProductStrategy::Parallel);
 
-    // Explicit beats environment — for workers...
-    let explicit = FusionConfig::from_env_values(None, Some("4"), None, None).workers(2);
-    assert_eq!(explicit.resolved_workers(), 2);
-    // ...and for the engine, even when the env variables disagree.
-    let explicit = FusionConfig::from_env_values(Some("pooled"), Some("8"), None, None)
-        .engine(Engine::Sequential);
-    assert_eq!(explicit.resolved_engine(), Engine::Sequential);
+    // Explicit beats environment, and the session carries the result.
+    let explicit = FusionConfig::from_env_values(Some("8"), None, None).workers(1);
+    assert_eq!(explicit.resolved_workers(), 1);
     let session = explicit.build();
-    assert_eq!(session.engine(), Engine::Sequential);
-
-    // The env engine variable beats the worker-count auto-detection.
-    let env = FusionConfig::from_env_values(Some("sequential"), Some("8"), None, None);
-    assert_eq!(env.resolved_engine(), Engine::Sequential);
-    assert_eq!(env.resolved_workers(), 8);
+    assert_eq!(session.workers(), 1);
+    assert_eq!(session.product_strategy(), ProductStrategy::Packed);
 }
 
 /// The legacy free functions and system constructors remain available and
@@ -279,7 +266,7 @@ fn config_precedence_is_explicit_then_env_then_auto() {
 #[test]
 fn facade_shims_agree_with_sessions_end_to_end() {
     let machines = fig1_machines();
-    let mut session = FusionConfig::new().engine(Engine::Sequential).build();
+    let mut session = FusionConfig::new().build();
 
     let (product, via_session) = session.generate_fusion_for_machines(&machines, 1).unwrap();
     let (product_legacy, via_legacy) = generate_fusion_for_machines(&machines, 1).unwrap();
