@@ -10,8 +10,8 @@
 //! kernel is measured next to its pre-refactor twin (`*_scan`, from
 //! `fsm_fusion_core::reference` or the tuple-keyed
 //! `ReachableProduct::new_reference`), every `_par` op next to its
-//! sequential twin, the session's warm closure cache
-//! (`alg2_sweep_cached_*`) next to the cold free-function sweep
+//! sequential twin, the session's `f` sweep with its cached initial fault
+//! graph (`alg2_sweep_cached_*`) next to the cold free-function sweep
 //! (`alg2_sweep_cold_*`), and the delta-aware update paths
 //! (`alg2_update_add_machine_*`, `product_extend_factor_*`) next to cold
 //! rebuilds of the evolved context; the JSON records all four speedup
@@ -22,7 +22,9 @@
 //! seeds (`backend_comparison`).  The scaling workloads past the old
 //! `10⁴` wall are `alg2_search_n6561`, `product_build_n6561` and
 //! `product_build_stream_n59049` (the last one asserts the memory-budgeted
-//! streaming builder actually spills), and every op records the peak
+//! streaming builder actually spills).  `alg2_search_table1_mesi_tcp_f1`
+//! times a Table 1 row whose descent examines 15,400 candidates and keeps
+//! none — the failing-candidate path.  Every op records the peak
 //! resident set observed during its section as a documentation-only
 //! `peak_rss_kb` field.
 //! Each figure is the median of five rounds of at least [`MIN_ITERS`]
@@ -58,6 +60,7 @@ use fsm_fusion_core::{
     generate_fusion, projection_partitions, FaultGraph, FaultModel, FusionConfig, MachineReport,
     Partition, TopDelta,
 };
+use fsm_machines::table1_rows;
 
 /// Regression threshold for `--check`: calibration-normalized ns/op may grow
 /// by at most this factor before the run fails.
@@ -390,13 +393,14 @@ fn measure_all() -> Vec<Measurement> {
         push("product_build_stream_n59049", iters, ns);
     }
 
-    // Closure-cache amortization at |⊤| = 729: a FusionSession sweeping
-    // f = 1..=3 with a warm cross-call closure cache against the same sweep
-    // on the cold free-function path.  The session lives outside the timing
-    // loop (warm after the harness's warm-up call), so the cached op
-    // measures steady-state reuse — the multi-scenario / parameter-sweep
-    // workload the session API exists for.  The `_cold` op is a
-    // documentation twin like `_scan` and never gates.
+    // Session amortization at |⊤| = 729: a FusionSession sweeping
+    // f = 1..=3 against the same sweep on the cold free-function path.  The
+    // descent scores its candidates on the quotient machine and never
+    // consults the closure cache, so the pair now measures only what the
+    // session keeps across calls for generation: the initial-fault-graph
+    // slot, plus a warm kernel and scratch.  The session lives outside the
+    // timing loop (warm after the harness's warm-up call).  The `_cold` op
+    // is a documentation twin like `_scan` and never gates.
     {
         let machines = counter_family(6, 3);
         let product = ReachableProduct::with_workers(&machines, 1).unwrap();
@@ -596,6 +600,26 @@ fn measure_all() -> Vec<Measurement> {
         push("recover_decode_f1", iters, ns);
     }
 
+    // Algorithm 2 on the Table 1 row "MESI, TCP, A, B" (f = 1): its one
+    // backup is ⊤ itself, so the single descent level scores all 15,400
+    // block pairs of the 176-state ⊤ and keeps none.  Nearly every
+    // candidate the Table 1 runs examine is such a failing one.
+    {
+        let row = table1_rows()
+            .into_iter()
+            .find(|r| r.label == "MESI, TCP, A, B")
+            .expect("Table 1 has the MESI/TCP row");
+        let product = ReachableProduct::with_workers(&row.machines, 1).unwrap();
+        let originals = projection_partitions(&product);
+        let iters = 20;
+        let ns = bench(iters, || {
+            let fusion = generate_fusion(product.top(), &originals, row.f).unwrap();
+            assert_eq!(fusion.stats.candidates_examined, 15_400);
+            fusion.len()
+        });
+        push("alg2_search_table1_mesi_tcp_f1", iters, ns);
+    }
+
     out
 }
 
@@ -640,8 +664,8 @@ fn par_speedups(ops: &[Measurement]) -> Vec<(String, f64)> {
 }
 
 /// Speedup ratios of each `_cached` op against its `_cold` twin — how much
-/// the session's cross-call closure cache saves over re-deriving every
-/// closure through the free-function path.
+/// a warm session (kernel, scratch, cached initial fault graph) saves over
+/// the free-function path.
 fn cached_speedups(ops: &[Measurement]) -> Vec<(String, f64)> {
     paired(ops, "_cached", "_cold")
         .into_iter()

@@ -16,8 +16,8 @@ fn main() {
 
     let rows = table_rows();
     // One environment-configured session measures every row (the machine
-    // sets differ, so the closure cache resets per row; engine and scratch
-    // are still shared).
+    // sets differ, so the kernel and cached fault graph reset per row; the
+    // scratch is still shared).
     let mut session = FusionConfig::from_env().build();
     let mut reports = Vec::new();
     let mut total_time = std::time::Duration::ZERO;

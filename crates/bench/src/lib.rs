@@ -117,7 +117,7 @@ pub fn measure_row(row: &MachineSet) -> FusionReport {
 }
 
 /// [`measure_row`] through a caller-owned [`FusionSession`], so a whole
-/// table shares one session (kernel, scratch, closure cache).
+/// table shares one session (kernel, scratch, cached fault graph).
 pub fn measure_row_with(session: &mut FusionSession, row: &MachineSet) -> FusionReport {
     FusionReport::measure_with(session, row.label.clone(), &row.machines, row.f)
         .expect("fusion generation succeeds for every table row")

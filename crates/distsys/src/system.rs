@@ -111,10 +111,10 @@ impl FusedSystem {
 
     /// [`FusedSystem::new`] through a caller-owned [`FusionSession`]: the
     /// cross product is built with the session's product strategy and
-    /// Algorithm 2 runs on its engine, reusing the session's scratch, pool
-    /// handle and closure cache (building several systems over the same
-    /// machine set — e.g. per fault model, or a crash/Byzantine pair —
-    /// reuses closures across the constructions).
+    /// Algorithm 2 reuses the session's kernel, scratch and cached initial
+    /// fault graph (building several systems over the same machine set —
+    /// e.g. per fault model, or a crash/Byzantine pair — builds that graph
+    /// once).
     ///
     /// Produces exactly the system [`FusedSystem::new`] builds (pinned by
     /// an equivalence test).
@@ -524,7 +524,7 @@ mod tests {
         let w = Workload::uniform_over_machines(&machines, 97, 5);
         let mut session = FusionConfig::new().workers(2).build();
         // Two systems from one session (crash + Byzantine) share the
-        // closure cache; both must equal the free-function build.
+        // cached fault graph; both must equal the free-function build.
         for model in [FaultModel::Crash, FaultModel::Byzantine] {
             let mut legacy = FusedSystem::new(&machines, 1, model).unwrap();
             let mut sessioned =

@@ -13,9 +13,12 @@
 //!   given partition, the basic step Algorithm 2 uses when walking down the
 //!   closed partition lattice,
 //! * [`ClosureKernel`] — a reusable closure engine that caches the machine's
-//!   transition table in flat arrays; Algorithm 2 and lattice enumeration
-//!   score thousands of candidate merges against the same machine, and the
-//!   kernel makes each of those closures a map-free fixpoint pass,
+//!   transition table in flat arrays; lattice enumeration closes thousands
+//!   of candidate merges against the same machine, and the kernel makes
+//!   each of those closures a map-free fixpoint pass,
+//! * [`QuotientLevel`] — Algorithm 2's candidate test: the merges of one
+//!   closed partition scored on its quotient machine, each abandoned as
+//!   soon as it joins a forbidden block pair,
 //! * [`quotient_machine`] — materialize the DFSM corresponding to a closed
 //!   partition of `⊤`.
 
@@ -35,15 +38,17 @@ pub(crate) fn check_partition_size(machine: &Dfsm, partition: &Partition) -> Res
     Ok(())
 }
 
-/// Reusable buffers for the closure fixpoint, owned by the caller.
+/// Reusable buffers for the closure fixpoint and the quotient scorer, owned
+/// by the caller.
 ///
 /// [`ClosureKernel::close_merged`] allocates a fresh union-find, seed table
 /// and class→successor map per call — six `⊤`-sized allocations per
-/// candidate merge, which dominate Algorithm 2's descent at large `|⊤|`.
-/// [`ClosureKernel::close_merged_into`] threads one `CloseScratch` through
-/// every candidate instead: after the first call at a given machine size the
-/// buffers are warm and the whole closure runs without touching the
-/// allocator (pinned by the counting-allocator test `tests/alloc_free.rs`).
+/// candidate merge.  [`ClosureKernel::close_merged_into`] and
+/// [`ClosureKernel::quotient_level`] thread one `CloseScratch` through
+/// every candidate instead: after the first call at a given machine size
+/// (or block count) the buffers are warm and closures run without touching
+/// the allocator (pinned by the counting-allocator test
+/// `tests/alloc_free.rs`).
 ///
 /// **Ownership / lifecycle.**  The scratch is plain data with no ties to a
 /// particular kernel: each search loop (or each [`crate::FusionSession`])
@@ -55,6 +60,206 @@ pub struct CloseScratch {
     first_of_block: Vec<usize>,
     succ_of_class: Vec<usize>,
     label_of_root: Vec<usize>,
+    quotient: QuotientScratch,
+}
+
+/// The buffers behind a [`QuotientLevel`]: everything sized by the block
+/// count `k` of the level's partition, none by the state count.
+#[derive(Debug, Clone, Default)]
+struct QuotientScratch {
+    /// `table[e · k + b]` = the block event `e` maps block `b` into.
+    table: Vec<u32>,
+    /// Union-find over the `k` blocks, reset per candidate.
+    uf: UnionFind,
+    /// Pending block pairs the congruence still has to join.
+    work: Vec<(u32, u32)>,
+    /// Block pairs joined by a forbidden edge, as a bitmap …
+    forbidden: PairBits,
+    /// … and as a deduplicated list for the exact verdict.
+    forbidden_pairs: Vec<(u32, u32)>,
+    /// Canonical label per union-find root, for lifting.
+    label_of_root: Vec<usize>,
+}
+
+/// Flat upper-triangular bit set over block pairs `(b1, b2)`, `b1 < b2 <
+/// k`, reused across descent levels: marking the pairs joined by a weakest
+/// edge costs two array reads and a bit-set per edge, far cheaper than the
+/// hash set the same filter would otherwise need at `|⊤|`-sized weakest
+/// sets.
+#[derive(Debug, Clone, Default)]
+struct PairBits {
+    words: Vec<u64>,
+    k: usize,
+}
+
+impl PairBits {
+    /// Clears the map and resizes it for `k` blocks.
+    fn reset(&mut self, k: usize) {
+        self.k = k;
+        let pairs = k * k.saturating_sub(1) / 2;
+        self.words.clear();
+        self.words.resize(pairs.div_ceil(64), 0);
+    }
+
+    /// Word and mask of the unordered pair `{a, b}`, `a ≠ b`, in row-major
+    /// upper-triangular order.
+    fn slot(&self, a: usize, b: usize) -> (usize, u64) {
+        let (b1, b2) = (a.min(b), a.max(b));
+        debug_assert!(b1 < b2 && b2 < self.k);
+        let idx = b1 * self.k - b1 * (b1 + 1) / 2 + (b2 - b1 - 1);
+        (idx / 64, 1u64 << (idx % 64))
+    }
+
+    /// Marks `{a, b}`; returns whether it was unmarked before.
+    fn insert(&mut self, a: usize, b: usize) -> bool {
+        let (w, mask) = self.slot(a, b);
+        let fresh = self.words[w] & mask == 0;
+        self.words[w] |= mask;
+        fresh
+    }
+
+    fn contains(&self, a: usize, b: usize) -> bool {
+        let (w, mask) = self.slot(a, b);
+        self.words[w] & mask != 0
+    }
+}
+
+/// How [`QuotientLevel::merge`] scored one candidate merge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QuotientMerge {
+    /// The closure joined a forbidden pair and was abandoned unfinished.
+    Aborted,
+    /// The closure completed and joins at least one forbidden pair.
+    Fails,
+    /// The closure completed and separates every forbidden pair.
+    Covers,
+}
+
+impl QuotientMerge {
+    /// Whether the closed merge separates every forbidden edge — the
+    /// verdict `FaultGraph::covers_all` gives on the lifted closure.
+    pub fn covers(self) -> bool {
+        self == QuotientMerge::Covers
+    }
+
+    /// Whether the closure ran to its fixpoint, so
+    /// [`QuotientLevel::lift_into`] may materialize it.
+    pub fn completed(self) -> bool {
+        self != QuotientMerge::Aborted
+    }
+}
+
+/// One closed partition `current` of `⊤`, prepared for scoring the closed
+/// merges of its block pairs against a set of forbidden edges — the test on
+/// line 6 of Algorithm 2.
+///
+/// Because `current` is closed, the closed partitions coarser than it are
+/// exactly the congruences of the `k`-state quotient machine `⊤/current`,
+/// and the closure of "merge blocks `b1`, `b2`" is the congruence the pair
+/// generates there.  [`QuotientLevel::merge`] therefore runs a worklist
+/// union-find over `k` blocks instead of a fixpoint over all `n` states,
+/// and stops at the first union that joins a forbidden block pair.  Only a
+/// merge that is kept is lifted back to an `n`-state [`Partition`]
+/// ([`QuotientLevel::lift_into`]).
+///
+/// Built by [`ClosureKernel::quotient_level`]; borrows its buffers from a
+/// [`CloseScratch`], so after warm-up at a block count neither building a
+/// level nor scoring its merges allocates (`tests/alloc_free.rs`).
+#[derive(Debug)]
+pub struct QuotientLevel<'a> {
+    current: &'a Partition,
+    k: usize,
+    /// Some forbidden edge lies inside one block of `current`, so every
+    /// merge (which only coarsens) fails.
+    joined: bool,
+    /// Whether the union-find holds a completed closure.
+    completed: bool,
+    buf: &'a mut QuotientScratch,
+}
+
+impl QuotientLevel<'_> {
+    /// Number of blocks of the level's partition (states of the quotient).
+    pub fn num_blocks(&self) -> usize {
+        self.k
+    }
+
+    /// Closes the merge of blocks `b1` and `b2` on the quotient and scores
+    /// it against the forbidden edges.
+    ///
+    /// Every union is checked before it is made: if the pair being joined,
+    /// or the two classes' roots, form a forbidden block pair, the closure
+    /// is certain to join that pair and the call returns
+    /// [`QuotientMerge::Aborted`] at once.  A closure that runs to its
+    /// fixpoint gets the exact verdict from one pass over the deduplicated
+    /// forbidden pairs.  Equal `b1`/`b2` score `current` itself.
+    pub fn merge(&mut self, b1: usize, b2: usize) -> QuotientMerge {
+        self.completed = false;
+        if self.joined {
+            return QuotientMerge::Aborted;
+        }
+        let buf = &mut *self.buf;
+        let k = self.k;
+        buf.uf.reset(k);
+        buf.work.clear();
+        buf.work.push((b1 as u32, b2 as u32));
+        while let Some((x, y)) = buf.work.pop() {
+            let (x, y) = (x as usize, y as usize);
+            let (rx, ry) = (buf.uf.find(x), buf.uf.find(y));
+            if rx == ry {
+                continue;
+            }
+            if buf.forbidden.contains(x, y) || buf.forbidden.contains(rx, ry) {
+                return QuotientMerge::Aborted;
+            }
+            buf.uf.union(rx, ry);
+            for row in buf.table.chunks_exact(k) {
+                let (sx, sy) = (row[x], row[y]);
+                if sx != sy {
+                    buf.work.push((sx, sy));
+                }
+            }
+        }
+        self.completed = true;
+        let uf = &mut buf.uf;
+        if buf
+            .forbidden_pairs
+            .iter()
+            .any(|&(a, b)| uf.find(a as usize) == uf.find(b as usize))
+        {
+            QuotientMerge::Fails
+        } else {
+            QuotientMerge::Covers
+        }
+    }
+
+    /// Writes the last merged closure, lifted to the states of `⊤`, into
+    /// `out` (reusing its buffer).  The result equals
+    /// [`ClosureKernel::close_merged`] of the same blocks.
+    ///
+    /// # Panics
+    ///
+    /// If the last [`QuotientLevel::merge`] did not complete.
+    pub fn lift_into(&mut self, out: &mut Partition) {
+        assert!(self.completed, "lift_into needs a completed merge");
+        let buf = &mut *self.buf;
+        let (uf, label_of_root) = (&mut buf.uf, &mut buf.label_of_root);
+        label_of_root.clear();
+        label_of_root.resize(self.k, usize::MAX);
+        let current = self.current;
+        out.refresh_canonical_with(|assignment| {
+            assignment.clear();
+            let mut next = 0usize;
+            for &b in current.assignment() {
+                let r = uf.find(b);
+                if label_of_root[r] == usize::MAX {
+                    label_of_root[r] = next;
+                    next += 1;
+                }
+                assignment.push(label_of_root[r]);
+            }
+            next
+        });
+    }
 }
 
 impl CloseScratch {
@@ -70,12 +275,12 @@ impl CloseScratch {
 /// (`succ[e · n + x]` is the successor of state `x` on event `e`); every
 /// subsequent [`ClosureKernel::close`] / [`ClosureKernel::close_merged`]
 /// call is then a union-find fixpoint over flat arrays, with no per-call
-/// hash or tree maps.  Algorithm 2's inner loop
-/// ([`crate::generate_fusion`]) and lattice enumeration
-/// ([`crate::lattice`]) build the kernel once and score every candidate
-/// block merge through it — threading a [`CloseScratch`] through
-/// [`ClosureKernel::close_merged_into`] so the per-candidate closures are
-/// allocation-free as well.
+/// hash or tree maps.  Lattice enumeration ([`crate::lattice`]) builds the
+/// kernel once and closes every candidate block merge through it —
+/// threading a [`CloseScratch`] through [`ClosureKernel::close_merged_into`]
+/// so the per-candidate closures are allocation-free as well.  Algorithm
+/// 2's inner loop ([`crate::generate_fusion`]) scores its candidates on the
+/// quotient instead ([`ClosureKernel::quotient_level`]).
 #[derive(Debug, Clone)]
 pub struct ClosureKernel {
     n: usize,
@@ -167,7 +372,7 @@ impl ClosureKernel {
     /// buffer is reused) and taking every working buffer from `scratch`.
     ///
     /// After the first call at this kernel's machine size the call performs
-    /// **no heap allocation** — this is Algorithm 2's inner-loop primitive
+    /// **no heap allocation** — this is the lower-cover inner-loop primitive
     /// (`tests/alloc_free.rs` pins the property with a counting allocator).
     /// `out`'s previous contents are overwritten; equal `b1`/`b2` make the
     /// extra merge a no-op, so the call then computes the plain closure.
@@ -243,28 +448,93 @@ impl ClosureKernel {
         out.refresh_canonical_with(|buf| uf.canonical_assignment_into(label_of_root, buf));
     }
 
-    /// Whether `partition` is closed under the cached transition function.
-    pub fn is_closed(&self, partition: &Partition) -> bool {
-        if partition.len() != self.n {
-            return false;
+    /// Prepares the closed partition `current` for scoring its pairwise
+    /// block merges on the quotient `⊤/current` (see [`QuotientLevel`]).
+    ///
+    /// Builds the quotient transition table in one `O(n·|Σ|)` pass that
+    /// also checks `current` is closed, and the deduplicated block pairs of
+    /// the `forbidden` edges (pairs of states of `⊤`) in `O(|forbidden|)`.
+    /// Returns [`FusionError::PartitionSizeMismatch`] for a partition of
+    /// the wrong size and [`FusionError::NotClosed`] for one that is not
+    /// closed.  The kernel keeps no alphabet, so that error names the
+    /// event by its index, `e{index}`; [`check_closed`] gives its name.
+    pub fn quotient_level<'a>(
+        &self,
+        scratch: &'a mut CloseScratch,
+        current: &'a Partition,
+        forbidden: &[(usize, usize)],
+    ) -> Result<QuotientLevel<'a>> {
+        if current.len() != self.n {
+            return Err(FusionError::PartitionSizeMismatch {
+                expected: self.n,
+                actual: current.len(),
+            });
         }
-        let mut image_block = vec![usize::MAX; partition.num_blocks()];
+        let k = current.num_blocks();
+        let buf = &mut scratch.quotient;
+        if let Err((block, e)) = self.fill_quotient_table(current, &mut buf.table) {
+            return Err(FusionError::NotClosed {
+                block,
+                event: format!("e{e}"),
+            });
+        }
+        buf.forbidden.reset(k);
+        buf.forbidden_pairs.clear();
+        let mut joined = false;
+        for &(i, j) in forbidden {
+            let (a, b) = (current.block_of(i), current.block_of(j));
+            if a == b {
+                joined = true;
+            } else if buf.forbidden.insert(a, b) {
+                buf.forbidden_pairs.push((a as u32, b as u32));
+            }
+        }
+        // A closure makes at most k - 1 unions and pushes |Σ| pairs per
+        // union: reserving that once keeps every merge allocation-free.
+        buf.work.clear();
+        buf.work.reserve(1 + self.k * k);
+        Ok(QuotientLevel {
+            current,
+            k,
+            joined,
+            completed: false,
+            buf,
+        })
+    }
+
+    /// Fills `table[e · k + b]` with the block event `e` maps block `b` of
+    /// the `n`-state `partition` into, for its `k` blocks.  Fails with the
+    /// first `(block, event)` whose image spans two blocks — `partition`
+    /// is then not closed.
+    fn fill_quotient_table(
+        &self,
+        partition: &Partition,
+        table: &mut Vec<u32>,
+    ) -> std::result::Result<(), (usize, usize)> {
+        let k = partition.num_blocks();
+        table.clear();
+        table.resize(self.k * k, u32::MAX);
         for e in 0..self.k {
             let succ = &self.succ[e * self.n..(e + 1) * self.n];
-            for entry in image_block.iter_mut() {
-                *entry = usize::MAX;
-            }
+            let row = &mut table[e * k..(e + 1) * k];
             for (x, &sx) in succ.iter().enumerate() {
-                let b = partition.block_of(x);
-                let sb = partition.block_of(sx as usize);
-                if image_block[b] == usize::MAX {
-                    image_block[b] = sb;
-                } else if image_block[b] != sb {
-                    return false;
+                let (b, sb) = (
+                    partition.block_of(x),
+                    partition.block_of(sx as usize) as u32,
+                );
+                if row[b] == u32::MAX {
+                    row[b] = sb;
+                } else if row[b] != sb {
+                    return Err((b, e));
                 }
             }
         }
-        true
+        Ok(())
+    }
+
+    /// Whether `partition` is closed under the cached transition function.
+    pub fn is_closed(&self, partition: &Partition) -> bool {
+        partition.len() == self.n && self.fill_quotient_table(partition, &mut Vec::new()).is_ok()
     }
 }
 
@@ -470,6 +740,44 @@ mod tests {
             .close_merged(&Partition::singletons(3), 0, 1)
             .is_err());
         assert!(!kernel.is_closed(&Partition::singletons(3)));
+    }
+
+    #[test]
+    fn quotient_level_matches_close_merged_and_rejects_bad_input() {
+        let t = top4();
+        let kernel = ClosureKernel::new(&t);
+        let mut scratch = CloseScratch::new();
+        let a = Partition::from_blocks(4, &[vec![0, 3], vec![1], vec![2]]).unwrap();
+        // Forbid separating t1 from t2: only merges keeping them apart
+        // cover.
+        let edges = [(1usize, 2usize)];
+        let mut level = kernel.quotient_level(&mut scratch, &a, &edges).unwrap();
+        assert_eq!(level.num_blocks(), 3);
+        let mut lifted = Partition::singletons(0);
+        for b1 in 0..3 {
+            for b2 in (b1 + 1)..3 {
+                let closed = kernel.close_merged(&a, b1, b2).unwrap();
+                let outcome = level.merge(b1, b2);
+                assert_eq!(outcome.covers(), closed.separates(1, 2));
+                if outcome.completed() {
+                    level.lift_into(&mut lifted);
+                    assert_eq!(lifted, closed);
+                }
+            }
+        }
+        // {t0,t1} maps into {t1,t2} on event 0: the error names block 0
+        // and the event by its index.
+        let bad = Partition::from_blocks(4, &[vec![0, 1], vec![2], vec![3]]).unwrap();
+        match kernel.quotient_level(&mut scratch, &bad, &edges) {
+            Err(FusionError::NotClosed { block, event }) => {
+                assert_eq!((block, event.as_str()), (0, "e0"));
+            }
+            other => panic!("expected NotClosed, got {other:?}"),
+        }
+        assert!(matches!(
+            kernel.quotient_level(&mut scratch, &Partition::singletons(3), &edges),
+            Err(FusionError::PartitionSizeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -39,15 +39,17 @@ pub enum Engine {
     Sequential,
 }
 
-/// How a [`FusionSession`]'s cross-call closure cache behaves.
+/// How a [`FusionSession`]'s cross-call closure cache behaves.  The cache
+/// holds lower-cover closures of lattice walks and the initial fault graph
+/// of the last generation; Algorithm 2's candidate merges never use it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachePolicy {
-    /// No cache: every candidate closure is recomputed, exactly like the
-    /// free functions.
+    /// No cache: every lower-cover closure and every initial fault graph is
+    /// recomputed, exactly like the free functions.
     Disabled,
     /// Keep closures across calls, bounded to this many cached **elements**
     /// (entries × `|⊤|`, i.e. roughly `8 × bound` bytes).  When an
-    /// insertion would exceed the bound, whole descent levels are evicted
+    /// insertion would exceed the bound, whole lattice levels are evicted
     /// *oldest first* (counted in [`crate::CacheStats::evicted`]) until it
     /// fits; an insertion that cannot fit even then is skipped, so a
     /// single oversized closure never cold-starts subsequent sweeps.

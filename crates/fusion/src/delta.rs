@@ -17,16 +17,16 @@
 //!   ([`fsm_dfsm::ProductBuilder::extend_factor`]); the old fault graph is
 //!   pulled back along the projection and only the new machine's stripes
 //!   are re-scored ([`crate::FaultGraph::remap_states`] +
-//!   [`crate::FaultGraph::apply_delta`]); cached closures are *lifted*
-//!   through the projection (assignment re-indexing + fingerprint rehash,
-//!   collision-verified like every cache probe) instead of dropped.
+//!   [`crate::FaultGraph::apply_delta`]).
 //! * **`RemoveMachine`** — the departing machine's weight contribution is
 //!   subtracted in place and the graph contracted onto representative
-//!   states; cached closures that are constant on the contraction fibers
-//!   are pushed forward, the rest evicted.
+//!   states.
 //! * **`ExtendMachine`** — a grown component changes the transition
 //!   structure itself, so the session falls back to a documented cold
 //!   rebuild ([`UpdateStats::cold_rebuild`]).
+//!
+//! Cached lattice-walk closures do not survive a delta: Algorithm 2 never
+//! reads them, so every path drops them ([`UpdateStats::closures_evicted`]).
 //!
 //! Every path is pinned bit-identical — fusion partitions, generation
 //! statistics, product numbering — to a cold session built on the
@@ -80,12 +80,12 @@ impl fmt::Display for TopDelta {
 /// the delta-side counterpart of [`crate::CacheStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateStats {
-    /// Cached closure-cache entries (level assignments and merge
-    /// closures) carried across the delta by re-indexing instead of being
-    /// recomputed.
+    /// Closure-cache entries carried across the delta.  Always 0: the
+    /// cache holds only lattice-walk closures, which every delta drops
+    /// (see `closures_evicted`); the field stays for existing readers.
     pub closures_remapped: u64,
-    /// Cached entries dropped by the delta (not representable over the
-    /// new `⊤`, or trimmed to fit the cache bound after lifting).
+    /// Closure-cache entries (level assignments and merge closures)
+    /// dropped by the delta.
     pub closures_evicted: u64,
     /// States of the post-delta product that were (re-)expanded while
     /// applying the delta.

@@ -18,21 +18,31 @@
 //!
 //! ## One engine
 //!
-//! There is a single implementation of the descent: a sequential loop that
-//! scores candidate merges through a [`ClosureKernel`], skipping those a
-//! block-level pre-filter proves cannot cover the weakest edges (merging
-//! two blocks joined by a weakest edge leaves that edge unseparated,
-//! whatever the closure adds).
+//! There is a single implementation of the descent: a sequential loop
+//! that, at each level, builds the quotient machine `⊤/current` of the
+//! closed partition it stands on and scores every candidate merge there
+//! ([`crate::closed::QuotientLevel`]).  Because `current` is closed, the
+//! closure of "merge blocks `b1`, `b2`" is the congruence that pair
+//! generates on the `k`-state quotient, so a candidate costs a worklist
+//! union-find over `k` blocks instead of a fixpoint over all `n` states.
+//! The closure stops at its first union across a weakest edge — almost
+//! every candidate examined fails, most of them in the last level of each
+//! descent — and only the candidate the descent keeps is lifted back to
+//! an `n`-state [`Partition`].
 //!
 //! ## Sessions
 //!
-//! [`generate_fusion`] runs the descent once with fresh buffers and no
-//! closure cache, so it pays kernel construction and scratch warm-up every
-//! time.  Callers that generate more than one fusion — `f` sweeps, table
-//! rows, evolving machine sets — should hold a [`crate::FusionSession`]
-//! built from a [`crate::FusionConfig`] instead: it owns the kernel, the
-//! scratch and a cross-call closure cache, and is pinned bit-identical to
-//! [`generate_fusion`] by `tests/session_properties.rs`.
+//! [`generate_fusion`] runs the descent once with fresh buffers, so it
+//! pays kernel construction, scratch warm-up and the initial fault graph
+//! every time.  Callers that generate more than one fusion — `f` sweeps,
+//! table rows, evolving machine sets — should hold a
+//! [`crate::FusionSession`] built from a [`crate::FusionConfig`] instead:
+//! it owns the kernel and the scratch, keeps the initial fault graph of
+//! the last `(⊤, originals)` pair, and is pinned bit-identical to
+//! [`generate_fusion`] by `tests/session_properties.rs`.  The descent does
+//! not use the session's closure cache, which serves
+//! [`crate::FusionSession::lower_cover`] and
+//! [`crate::FusionSession::enumerate_lattice`].
 
 use std::time::Instant;
 
@@ -44,7 +54,7 @@ use crate::closed::{CloseScratch, ClosureKernel};
 use crate::error::Result;
 use crate::fault_graph::FaultGraph;
 use crate::partition::Partition;
-use crate::session::{cached_close, ClosureCache};
+use crate::session::ClosureCache;
 use crate::set_repr::projection_partitions;
 
 /// Statistics about a run of Algorithm 2.
@@ -106,20 +116,20 @@ impl FusionGeneration {
 /// Algorithm 2 over partitions: generates the smallest set of closed
 /// partitions `F` of `top` such that `dmin(originals ∪ F) > f`.
 ///
-/// The candidate-scoring loop runs through a [`ClosureKernel`] built once
-/// per call (flat transition tables, map-free closure fixpoints) and the
-/// fault graph updates word-at-a-time through the bitset kernel; the
+/// Each descent level is scored on its quotient machine through a
+/// [`ClosureKernel`] built once per call (see the [module docs](self)), and
+/// the fault graph updates word-at-a-time through the bitset kernel; the
 /// pre-refactor element-scan version is preserved as
-/// [`crate::reference::generate_fusion_scan`].
+/// [`crate::reference::generate_fusion_scan`] and pinned equal to this one,
+/// statistics included, by `tests/bitset_properties.rs`.
 ///
-/// The descent inner loop is **allocation-free**: one [`CloseScratch`], one
-/// reusable candidate `Partition` and one `PairBits` pre-filter bitmap are
-/// threaded through every candidate merge of the whole search
-/// (`tests/alloc_free.rs` pins this with a counting allocator).  A
-/// block-level pre-filter — a merge of the two blocks joined by a weakest
-/// edge can never cover that edge — skips provably failing candidates
-/// before their closure fixpoint runs, with [`GenerationStats`] counters
-/// kept identical to the unfiltered loop.
+/// The descent inner loop is **allocation-free**: one [`CloseScratch`]
+/// holds the quotient table, the block union-find and the forbidden
+/// block pairs of every level, and one reusable `Partition` receives each
+/// kept candidate (`tests/alloc_free.rs` pins the scoring sweep with a
+/// counting allocator).  A merge of two blocks joined by a weakest edge
+/// fails before any work; [`GenerationStats`] still counts it as examined,
+/// so the counters equal those of the plain loop over every pair.
 ///
 /// Repeated callers should hold a session instead (see the
 /// [module docs](self)).
@@ -134,25 +144,26 @@ pub fn generate_fusion(top: &Dfsm, originals: &[Partition], f: usize) -> Result<
     )
 }
 
-/// The engine body: the greedy descent against a caller-owned kernel,
-/// scratch and (optionally) closure cache.  [`generate_fusion`] passes
-/// fresh buffers and no cache; [`crate::FusionSession`] threads its
-/// own through, so repeated searches reuse warm buffers and cached
-/// closures.  A cache hit replaces the closure fixpoint with one buffer
-/// copy and never changes the result or the statistics.
+/// The engine body: the greedy descent against a caller-owned kernel and
+/// scratch.  [`generate_fusion`] passes fresh buffers and no cache;
+/// [`crate::FusionSession`] threads its own through, and its cache's
+/// initial-fault-graph slot answers an unchanged `(⊤, originals)` pair
+/// with a clone instead of a rebuild.  The candidate merges never touch
+/// the closure cache: scoring one on the quotient costs less than probing
+/// the cache and copying an `n`-element closure out of it.
 pub(crate) fn seq_engine(
     top: &Dfsm,
     kernel: &ClosureKernel,
     originals: &[Partition],
     f: usize,
     scratch: &mut CloseScratch,
-    mut cache: Option<&mut ClosureCache>,
+    cache: Option<&mut ClosureCache>,
 ) -> Result<FusionGeneration> {
     let start = Instant::now();
     let n = top.size();
     // The initial fault graph only depends on (n, originals); a session
     // sweeping f over the same inputs gets a clone of the cached build.
-    let mut graph = match cache.as_mut() {
+    let mut graph = match cache {
         Some(c) => c.initial_graph(n, originals),
         None => FaultGraph::from_partitions(n, originals),
     };
@@ -161,10 +172,9 @@ pub(crate) fn seq_engine(
         ..Default::default()
     };
     let mut partitions: Vec<Partition> = Vec::new();
-    // Search-lifetime buffers: every candidate closure of every descent of
-    // every outer iteration reuses these.
+    // Search-lifetime buffers: every kept candidate of every descent of
+    // every outer iteration is lifted into this one partition.
     let mut candidate = Partition::singletons(n);
-    let mut forbidden = PairBits::default();
     let mut current_bits = BitsetPartition::singletons(0);
 
     // Loop invariant: `graph` is the fault graph of originals ∪ partitions.
@@ -195,47 +205,27 @@ pub(crate) fn seq_engine(
         let mut current = Partition::singletons(n);
         'descend: loop {
             stats.descent_steps += 1;
-            let k = current.num_blocks();
-            let total_pairs = k * k.saturating_sub(1) / 2;
-            // Pre-filter: merging the two blocks joined by a weakest edge
-            // leaves that edge unseparated no matter what the closure adds,
-            // so the pair is skipped without running the fixpoint.  The
-            // examined-candidate counter still counts skipped pairs (they
-            // are "examined" at block level), so the statistics are
-            // bit-identical to the unfiltered descent.
-            forbidden.reset(k);
-            for &(i, j) in &weakest {
-                let (a, b) = (current.block_of(i), current.block_of(j));
-                forbidden.set(a.min(b), a.max(b));
-            }
-            // One cache key per level: the merges below are all merges of
-            // `current`, so the fingerprint is computed once.
-            let level = cache.as_mut().and_then(|c| c.level_key(&current));
+            // Every candidate of this level is a merge of two blocks of
+            // the closed `current`, so it is scored on the k-state quotient
+            // and abandoned at its first union across a weakest edge.  A
+            // pair joined by a weakest edge itself fails before any work;
+            // the examined-candidate counter still counts it, so the
+            // statistics match the plain loop over every pair.
+            let mut level = kernel.quotient_level(scratch, &current, &weakest)?;
+            let k = level.num_blocks();
             let mut idx = 0usize;
             for b1 in 0..k {
                 for b2 in (b1 + 1)..k {
                     idx += 1;
-                    if forbidden.get(b1, b2) {
-                        continue;
-                    }
-                    cached_close(
-                        kernel,
-                        scratch,
-                        &mut cache,
-                        level,
-                        &current,
-                        b1,
-                        b2,
-                        &mut candidate,
-                    )?;
-                    if FaultGraph::covers_all(&candidate, &weakest) {
+                    if level.merge(b1, b2).covers() {
+                        level.lift_into(&mut candidate);
                         stats.candidates_examined += idx;
                         std::mem::swap(&mut current, &mut candidate);
                         continue 'descend;
                     }
                 }
             }
-            stats.candidates_examined += total_pairs;
+            stats.candidates_examined += idx;
             break;
         }
         current_bits.refresh_from_partition(&current);
@@ -256,43 +246,6 @@ pub(crate) fn seq_engine(
         machines: machines?,
         stats,
     })
-}
-
-/// Flat upper-triangular bit set over block pairs `(b1, b2)`, `b1 < b2 <
-/// k`, reused across descent levels: marking the pairs joined by a weakest
-/// edge costs two array reads and a bit-set per edge, far cheaper than the
-/// hash set the same filter would otherwise need at `|⊤|`-sized weakest
-/// sets.
-#[derive(Default)]
-struct PairBits {
-    words: Vec<u64>,
-    k: usize,
-}
-
-impl PairBits {
-    /// Clears the map and resizes it for `k` blocks.
-    fn reset(&mut self, k: usize) {
-        self.k = k;
-        let pairs = k * k.saturating_sub(1) / 2;
-        self.words.clear();
-        self.words.resize(pairs.div_ceil(64), 0);
-    }
-
-    /// Index of `(b1, b2)`, `b1 < b2`, in row-major upper-triangular order.
-    fn index(&self, b1: usize, b2: usize) -> usize {
-        debug_assert!(b1 < b2 && b2 < self.k);
-        b1 * self.k - b1 * (b1 + 1) / 2 + (b2 - b1 - 1)
-    }
-
-    fn set(&mut self, b1: usize, b2: usize) {
-        let idx = self.index(b1, b2);
-        self.words[idx / 64] |= 1u64 << (idx % 64);
-    }
-
-    fn get(&self, b1: usize, b2: usize) -> bool {
-        let idx = self.index(b1, b2);
-        self.words[idx / 64] & (1u64 << (idx % 64)) != 0
-    }
 }
 
 /// Convenience wrapper: builds the reachable cross product of `machines`,

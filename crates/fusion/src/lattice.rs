@@ -21,7 +21,7 @@ use crate::bitset::BitsetPartition;
 use crate::closed::{is_closed, CloseScratch, ClosureKernel};
 use crate::error::Result;
 use crate::partition::Partition;
-use crate::session::{cached_close, ClosureCache};
+use crate::session::ClosureCache;
 
 /// Computes the lower cover of a closed partition `p` of `top`: the maximal
 /// closed partitions strictly less than `p`.
@@ -45,9 +45,10 @@ pub fn lower_cover_with(kernel: &ClosureKernel, p: &Partition) -> Result<Vec<Par
 }
 
 /// Shared lower-cover body: closes every pairwise merge through the
-/// caller's [`CloseScratch`] — and, for a session, its closure cache — then
-/// filters to the maximal candidates.  Only candidates actually entering
-/// the output set are cloned out of the scratch buffer.
+/// caller's [`CloseScratch`] — for a session, answering from its closure
+/// cache first (lookup → closure fixpoint → insert) — then filters to the
+/// maximal candidates.  Only candidates actually entering the output set
+/// are cloned out of the scratch buffer.
 pub(crate) fn lower_cover_impl(
     kernel: &ClosureKernel,
     p: &Partition,
@@ -60,7 +61,16 @@ pub(crate) fn lower_cover_impl(
     let mut closed = Partition::singletons(0);
     for b1 in 0..k {
         for b2 in (b1 + 1)..k {
-            cached_close(kernel, scratch, &mut cache, level, p, b1, b2, &mut closed)?;
+            let hit = match (cache.as_deref_mut(), level) {
+                (Some(c), Some(lv)) => c.lookup(lv, b1, b2, &mut closed),
+                _ => false,
+            };
+            if !hit {
+                kernel.close_merged_into(scratch, p, b1, b2, &mut closed)?;
+                if let (Some(c), Some(lv)) = (cache.as_deref_mut(), level) {
+                    c.insert(lv, b1, b2, &closed);
+                }
+            }
             if &closed != p && !candidates.contains(&closed) {
                 candidates.insert(closed.clone());
             }

@@ -103,7 +103,10 @@ pub mod set_repr;
 pub mod theory;
 
 pub use bitset::{BitsetPartition, BlockMatrix};
-pub use closed::{check_closed, close, is_closed, quotient_machine, CloseScratch, ClosureKernel};
+pub use closed::{
+    check_closed, close, is_closed, quotient_machine, CloseScratch, ClosureKernel, QuotientLevel,
+    QuotientMerge,
+};
 pub use config::{CachePolicy, Engine, FusionConfig, ProductStrategy};
 pub use delta::{TopDelta, UpdateStats};
 pub use error::{FusionError, Result};

@@ -57,9 +57,9 @@ impl FusionReport {
 
     /// [`FusionReport::measure`] through a caller-owned
     /// [`crate::FusionSession`]: the product is built with the session's
-    /// strategy and the generation reuses its kernel, scratch and
-    /// closure cache (repeated rows or `f` sweeps over the same machine set
-    /// hit the cache).
+    /// strategy and the generation reuses its kernel, scratch and cached
+    /// initial fault graph (repeated rows or `f` sweeps over the same
+    /// machine set build that graph once).
     pub fn measure_with(
         session: &mut crate::session::FusionSession,
         label: impl Into<String>,

@@ -14,16 +14,23 @@
 //!   the top machine actually changes,
 //! * a [`fsm_dfsm::ProductBuilder`] configuration for
 //!   [`FusionSession::build_product`],
-//! * and — the new capability — a **cross-call closure cache** keyed by
-//!   packed partition fingerprints: repeated [`FusionSession::generate_fusion`]
-//!   calls over the same `⊤` (sweeping `f = 1..=3`, re-scoring table rows,
-//!   multi-scenario workloads) reuse the lower-cover closures computed by
-//!   earlier descents instead of running the fixpoint again.  Cache hits
-//!   replace a union-find closure fixpoint with one buffer copy; the cache
-//!   never changes results, only speed
+//! * and a **cross-call closure cache** keyed by packed partition
+//!   fingerprints: repeated [`FusionSession::lower_cover`] /
+//!   [`FusionSession::enumerate_lattice`] walks over the same `⊤` reuse the
+//!   lower-cover closures computed by earlier walks instead of running the
+//!   fixpoint again.  Cache hits replace a union-find closure fixpoint with
+//!   one buffer copy; the cache never changes results, only speed
 //!   (`tests/session_properties.rs` pins cached and cold runs
-//!   bit-identical, and `BENCH_fusion.json` tracks the
-//!   `speedup_cached_vs_cold` ratio).
+//!   bit-identical).  [`FusionSession::update_top`] drops the cached
+//!   closures and evolves only the initial fault graph.
+//!
+//! Algorithm 2's descent ([`FusionSession::generate_fusion`]) uses only the
+//! cache's **initial-fault-graph slot**: an `f` sweep over the same
+//! `(⊤, originals)` clones the graph instead of rebuilding it.  Its
+//! candidate merges are scored on the quotient machine
+//! ([`crate::closed::QuotientLevel`]), which costs less than a cache probe
+//! plus an `n`-element copy, so they neither read nor fill the closure
+//! cache.
 //!
 //! ## Quick example
 //!
@@ -48,12 +55,16 @@
 //! assert_eq!(product.size(), 9);
 //! assert_eq!(fusion.machine_sizes(), vec![3]);
 //!
-//! // A second call over the same `⊤` reuses the cached closures.
-//! let again = session
-//!     .generate_fusion(product.top(),
-//!                      &fsm_fusion_core::projection_partitions(&product), 2)
-//!     .unwrap();
+//! // A second call over the same `⊤` reuses the cached initial fault graph.
+//! let originals = fsm_fusion_core::projection_partitions(&product);
+//! let again = session.generate_fusion(product.top(), &originals, 2).unwrap();
 //! assert_eq!(again.len(), 2);
+//! assert_eq!(session.cache_stats().graph_hits, 1);
+//!
+//! // Lattice walks fill the closure cache; repeating one is answered from it.
+//! let top = fsm_fusion_core::Partition::singletons(product.size());
+//! let cover = session.lower_cover(product.top(), &top).unwrap();
+//! assert_eq!(session.lower_cover(product.top(), &top).unwrap(), cover);
 //! assert!(session.cache_stats().hits > 0);
 //! ```
 
@@ -73,28 +84,25 @@ use crate::set_repr::projection_partitions;
 
 /// Running counters of the session's closure cache.
 ///
-/// `hits + misses` is the number of cache consultations (one per candidate
-/// closure while the cache is enabled); `insertions` counts stored
-/// closures; `clears` counts whole-cache resets (top machine changed or an
-/// explicit [`FusionSession::clear_cache`]); `remapped`/`evicted` count
-/// entries carried across or dropped by bound evictions and
-/// [`FusionSession::update_top`] deltas.
+/// `hits + misses` is the number of cache consultations (one per
+/// lower-cover closure while the cache is enabled — Algorithm 2's descent
+/// never consults it); `insertions` counts stored closures; `clears`
+/// counts whole-cache resets (top machine changed or an explicit
+/// [`FusionSession::clear_cache`]); `evicted` counts entries dropped by
+/// bound evictions and [`FusionSession::update_top`] deltas.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Candidate closures answered from the cache.
+    /// Lower-cover closures answered from the cache.
     pub hits: u64,
-    /// Candidate closures that had to run the fixpoint.
+    /// Lower-cover closures that had to run the fixpoint.
     pub misses: u64,
     /// Closures stored into the cache.
     pub insertions: u64,
     /// Whole-cache resets.
     pub clears: u64,
-    /// Entries (level assignments and merge closures) re-indexed across a
-    /// [`crate::TopDelta`] instead of recomputed.
-    pub remapped: u64,
-    /// Entries dropped one level at a time — oldest first to make room
-    /// under the element bound, or because a delta made them
-    /// unrepresentable over the new `⊤`.
+    /// Entries (level assignments and merge closures) dropped one level
+    /// at a time — oldest first to make room under the element bound, or
+    /// all at once by a [`crate::TopDelta`] that changed `⊤`.
     pub evicted: u64,
     /// Initial fault graphs answered from the cached copy (same `⊤` and
     /// same originals as a previous call, e.g. along an `f` sweep).
@@ -107,12 +115,11 @@ impl std::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "closure cache: {} hits / {} misses, {} inserted, {} remapped, \
-             {} evicted, {} clears, graph {} hits / {} misses",
+            "closure cache: {} hits / {} misses, {} inserted, {} evicted, \
+             {} clears, graph {} hits / {} misses",
             self.hits,
             self.misses,
             self.insertions,
-            self.remapped,
             self.evicted,
             self.clears,
             self.graph_hits,
@@ -137,8 +144,8 @@ fn fingerprint(assignment: &[usize]) -> u64 {
     acc
 }
 
-/// Cached merges of one descent level: the closures of pairwise block
-/// merges of one `current` partition.
+/// Cached merges of one lattice level: the closures of pairwise block
+/// merges of one closed partition.
 struct LevelEntry {
     /// Full canonical assignment of the level's partition, verified on
     /// every lookup so a fingerprint collision can only cost performance
@@ -244,9 +251,9 @@ impl ClosureCache {
         self.stats
     }
 
-    /// Resolves the cache key of one descent level (the `current`
-    /// partition whose pairwise merges are being scored), creating the
-    /// entry on first sight.  Returns `None` when a fingerprint collision
+    /// Resolves the cache key of one lattice level (the closed partition
+    /// whose lower cover is being computed), creating the entry on first
+    /// sight.  Returns `None` when a fingerprint collision
     /// makes the cache unusable for this level.
     pub(crate) fn level_key(&mut self, current: &Partition) -> Option<u64> {
         let assignment = current.assignment();
@@ -262,7 +269,7 @@ impl ClosureCache {
         }
         if !self.evict_until(assignment.len(), None) {
             // The level alone exceeds the whole bound: bypass the cache
-            // for this descent level instead of thrashing.
+            // for this lattice level instead of thrashing.
             return None;
         }
         self.elements += assignment.len();
@@ -322,202 +329,21 @@ impl ClosureCache {
         ((b1 as u64) << 32) | b2 as u64
     }
 
-    /// Lifts every cached level through a product extension.  `mapping[i]`
-    /// is the old product state that new state `i` projects onto (a
-    /// surjection — `FactorExtension::mapping`).  Closure commutes with
-    /// this pullback (every fiber starts merged and old propagations
-    /// replay factor-wise), so each lifted merge closure is exactly what
-    /// the new kernel would compute; fingerprints are rehashed from the
-    /// lifted assignments and remain collision-verified on lookup.
-    /// Returns the number of entries carried across.
-    pub(crate) fn remap_lift(&mut self, mapping: &[u32]) -> u64 {
-        let old = std::mem::take(&mut self.levels);
+    /// Drops every cached closure level — [`FusionSession::update_top`]
+    /// changes `⊤`, so no stored closure describes the new machine — and
+    /// keeps the initial-fault-graph slot, which the delta evolves instead
+    /// of rebuilding.  Dropped entries count as evicted, not as a clear.
+    /// Returns the number of entries dropped.
+    fn drop_levels(&mut self) -> u64 {
+        let dropped: u64 = self
+            .levels
+            .drain()
+            .map(|(_, entry)| 1 + entry.merges.len() as u64)
+            .sum();
         self.elements = 0;
-        let mut remapped = 0u64;
-        for (_, entry) in old {
-            let (lifted, relabel) = lift_assignment(&entry.assignment, mapping);
-            let lifted_usize: Vec<usize> = lifted.iter().map(|&b| b as usize).collect();
-            let fp = fingerprint(&lifted_usize);
-            if self.levels.contains_key(&fp) {
-                // Two lifted levels landed on one fingerprint: keep the
-                // first, drop this one — collisions may only cost speed.
-                self.stats.evicted += 1 + entry.merges.len() as u64;
-                continue;
-            }
-            let mut merges = HashMap::with_capacity(entry.merges.len());
-            let mut size = lifted.len();
-            for (key, closed) in entry.merges {
-                let (b1, b2) = ((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize);
-                let (nb1, nb2) = (relabel[b1] as usize, relabel[b2] as usize);
-                let a = closed.assignment();
-                let lifted_closed = Partition::from_assignment(
-                    &mapping.iter().map(|&x| a[x as usize]).collect::<Vec<_>>(),
-                );
-                size += lifted_closed.len();
-                merges.insert(Self::merge_key(nb1.min(nb2), nb1.max(nb2)), lifted_closed);
-                remapped += 1;
-            }
-            remapped += 1;
-            self.elements += size;
-            self.levels.insert(
-                fp,
-                LevelEntry {
-                    assignment: lifted,
-                    merges,
-                    seq: entry.seq,
-                },
-            );
-        }
-        self.stats.remapped += remapped;
-        // Every entry grew by the extension factor; trim the oldest levels
-        // back under the bound.
-        self.evict_until(0, None);
-        remapped
+        self.stats.evicted += dropped;
+        dropped
     }
-
-    /// Pushes every cached level forward through a contraction.
-    /// `sigma[x]` is the new product state that old state `x` collapses
-    /// onto (a surjection).  Only entries *constant on every fiber* of
-    /// `sigma` survive — for those, the pushed-forward closure equals the
-    /// new kernel's (the surviving machines cannot distinguish fiber
-    /// members, and removed-machine-only events only moved within fibers);
-    /// anything else is evicted.  Returns the number of entries carried
-    /// across.
-    pub(crate) fn remap_contract(&mut self, sigma: &[u32], n_new: usize) -> u64 {
-        let old = std::mem::take(&mut self.levels);
-        self.elements = 0;
-        let mut remapped = 0u64;
-        for (_, entry) in old {
-            let Some((pushed, relabel)) = push_assignment(|x| entry.assignment[x], sigma, n_new)
-            else {
-                self.stats.evicted += 1 + entry.merges.len() as u64;
-                continue;
-            };
-            let pushed_usize: Vec<usize> = pushed.iter().map(|&b| b as usize).collect();
-            let fp = fingerprint(&pushed_usize);
-            if self.levels.contains_key(&fp) {
-                self.stats.evicted += 1 + entry.merges.len() as u64;
-                continue;
-            }
-            let mut merges = HashMap::with_capacity(entry.merges.len());
-            let mut size = pushed.len();
-            for (key, closed) in entry.merges {
-                let a = closed.assignment();
-                let Some((pushed_closed, _)) = push_assignment(|x| a[x] as u32, sigma, n_new)
-                else {
-                    self.stats.evicted += 1;
-                    continue;
-                };
-                let (b1, b2) = ((key >> 32) as usize, (key & 0xFFFF_FFFF) as usize);
-                let (nb1, nb2) = (relabel[b1] as usize, relabel[b2] as usize);
-                let p = Partition::from_assignment(
-                    &pushed_closed
-                        .iter()
-                        .map(|&b| b as usize)
-                        .collect::<Vec<_>>(),
-                );
-                size += p.len();
-                merges.insert(Self::merge_key(nb1.min(nb2), nb1.max(nb2)), p);
-                remapped += 1;
-            }
-            remapped += 1;
-            self.elements += size;
-            self.levels.insert(
-                fp,
-                LevelEntry {
-                    assignment: pushed,
-                    merges,
-                    seq: entry.seq,
-                },
-            );
-        }
-        self.stats.remapped += remapped;
-        self.evict_until(0, None);
-        remapped
-    }
-}
-
-/// Lifts a canonical block assignment through `mapping` (new state → old
-/// state), re-canonicalizing labels by first occurrence in the new state
-/// order.  Returns the lifted assignment and the old-label → new-label
-/// map (total, because the mapping is surjective).
-fn lift_assignment(assignment: &[u32], mapping: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let num_blocks = assignment.iter().max().map_or(0, |&b| b as usize + 1);
-    let mut relabel = vec![u32::MAX; num_blocks];
-    let mut next = 0u32;
-    let mut out = Vec::with_capacity(mapping.len());
-    for &x in mapping {
-        let ob = assignment[x as usize] as usize;
-        if relabel[ob] == u32::MAX {
-            relabel[ob] = next;
-            next += 1;
-        }
-        out.push(relabel[ob]);
-    }
-    (out, relabel)
-}
-
-/// Pushes a canonical block assignment forward through `sigma` (old state
-/// → new state).  Returns `None` unless the assignment is constant on
-/// every `sigma` fiber; otherwise the canonical pushed assignment and the
-/// old-label → new-label map.
-fn push_assignment(
-    label: impl Fn(usize) -> u32,
-    sigma: &[u32],
-    n_new: usize,
-) -> Option<(Vec<u32>, Vec<u32>)> {
-    let mut raw = vec![u32::MAX; n_new];
-    let mut num_blocks = 0usize;
-    for (x, &u) in sigma.iter().enumerate() {
-        let b = label(x);
-        let slot = &mut raw[u as usize];
-        if *slot == u32::MAX {
-            *slot = b;
-            num_blocks = num_blocks.max(b as usize + 1);
-        } else if *slot != b {
-            return None;
-        }
-    }
-    let mut relabel = vec![u32::MAX; num_blocks];
-    let mut next = 0u32;
-    let mut out = Vec::with_capacity(n_new);
-    for &b in &raw {
-        debug_assert_ne!(b, u32::MAX, "sigma is not surjective");
-        if relabel[b as usize] == u32::MAX {
-            relabel[b as usize] = next;
-            next += 1;
-        }
-        out.push(relabel[b as usize]);
-    }
-    Some((out, relabel))
-}
-
-/// Closes blocks `b1`/`b2` of `current` into `out`, answering from the
-/// session cache when one is threaded through: lookup → closure fixpoint →
-/// insert.  This is the **single** cache probe shared by the descent and
-/// the lattice lower cover, so the cache protocol cannot silently diverge
-/// between the paths the test suite pins as identical.
-#[allow(clippy::too_many_arguments)] // one slot per engine-loop buffer, same as product::finish
-pub(crate) fn cached_close(
-    kernel: &ClosureKernel,
-    scratch: &mut CloseScratch,
-    cache: &mut Option<&mut ClosureCache>,
-    level: Option<u64>,
-    current: &Partition,
-    b1: usize,
-    b2: usize,
-    out: &mut Partition,
-) -> Result<()> {
-    if let (Some(c), Some(lv)) = (cache.as_mut(), level) {
-        if c.lookup(lv, b1, b2, out) {
-            return Ok(());
-        }
-    }
-    kernel.close_merged_into(scratch, current, b1, b2, out)?;
-    if let (Some(c), Some(lv)) = (cache.as_mut(), level) {
-        c.insert(lv, b1, b2, out);
-    }
-    Ok(())
 }
 
 /// The session's installed `⊤`: the machine set, its reachable cross
@@ -637,7 +463,9 @@ impl FusionSession {
 
     /// Algorithm 2 through the session: generates the smallest set of
     /// closed partitions `F` of `top` such that `dmin(originals ∪ F) > f`,
-    /// reusing the session's kernel, scratch and closure cache.
+    /// reusing the session's kernel, scratch and cached initial fault
+    /// graph (the descent does not consult the closure cache; see the
+    /// [module docs](self)).
     ///
     /// Produces exactly the free functions' fusions and statistics
     /// (`tests/session_properties.rs`); only wall-clock time differs.
@@ -667,7 +495,8 @@ impl FusionSession {
     }
 
     /// The lower cover of a closed partition `p` of `top` through the
-    /// session (closures come from the cache like the descent's).
+    /// session: each pairwise-merge closure is answered from the closure
+    /// cache when an earlier walk stored it.
     pub fn lower_cover(&mut self, top: &Dfsm, p: &Partition) -> Result<Vec<Partition>> {
         let (kernel, scratch, cache) = self.parts(top);
         lower_cover_impl(kernel, p, scratch, cache)
@@ -736,9 +565,9 @@ impl FusionSession {
     /// * the cached fault graph is pulled back / contracted and re-scored
     ///   only on the touched stripes
     ///   ([`crate::FaultGraph::apply_delta`]),
-    /// * cached closures are re-indexed and rehashed
-    ///   (collision-verified) rather than cleared,
-    /// * the kernel is replaced in place without a cache reset.
+    /// * the kernel is replaced in place; the cached closures, which only
+    ///   lattice walks read, are dropped
+    ///   ([`UpdateStats::closures_evicted`]) while the fault graph stays.
     ///
     /// The post-delta session is pinned **bit-identical** — fusion
     /// partitions, generation statistics, product numbering — to a cold
@@ -804,7 +633,7 @@ impl FusionSession {
 
     /// [`TopDelta::AddMachine`]: stride-extend the product, pull the
     /// cached graph back along the projection and score only the new
-    /// machine's stripes, lift cached closures.
+    /// machine's stripes, drop the cached closures.
     fn apply_add(&mut self, top: TopState, machine: Dfsm) -> Result<UpdateStats> {
         let (product, ext) = match self.product_builder().extend_factor(&top.product, &machine) {
             Ok(v) => v,
@@ -851,14 +680,11 @@ impl FusionSession {
                 }
             };
             cache.graph = Some((n_new, originals.clone(), g));
-            let (rm, ev) = (cache.stats.remapped, cache.stats.evicted);
-            cache.remap_lift(&ext.mapping);
-            stats.closures_remapped = cache.stats.remapped - rm;
-            stats.closures_evicted = cache.stats.evicted - ev;
+            stats.closures_evicted = cache.drop_levels();
         } else {
             stats.graph_rebuilt = true;
         }
-        // The cache was remapped above: replace the kernel without the
+        // The cache was updated above: replace the kernel without the
         // machine-change reset `refresh_kernel` would apply.
         self.kernel = Some(ClosureKernel::new(product.top()));
         self.top = Some(TopState {
@@ -871,8 +697,7 @@ impl FusionSession {
 
     /// [`TopDelta::RemoveMachine`]: rebuild the (smaller) product cold,
     /// subtract the departing machine from the cached graph and contract
-    /// it onto representative states, push fiber-constant closures
-    /// forward.
+    /// it onto representative states, drop the cached closures.
     fn apply_remove(&mut self, top: TopState, index: usize) -> Result<UpdateStats> {
         let mut machines = top.machines.clone();
         machines.remove(index);
@@ -886,12 +711,11 @@ impl FusionSession {
         let originals = projection_partitions(&product);
         let n_old = top.product.size();
         let n_new = product.size();
-        // `sigma`: old product state → the new state its surviving
-        // components land on (total — a projection of a reachable state is
-        // reachable, because ignored-event semantics let the reaching run
-        // replay on the survivors).  `rep`: first old preimage of each new
-        // state, the contraction representatives.
-        let mut sigma = Vec::with_capacity(n_old);
+        // `rep`: the first old state whose surviving components land on
+        // each new state — the contraction representatives.  Every new
+        // state has one: a projection of a reachable state is reachable,
+        // because ignored-event semantics let the reaching run replay on
+        // the survivors.
         let mut rep = vec![u32::MAX; n_new];
         let mut tuple = Vec::with_capacity(top.product.arity() - 1);
         for x in 0..n_old {
@@ -907,7 +731,6 @@ impl FusionSession {
             let u = product
                 .find_tuple(&tuple)
                 .expect("projection of a reachable state is reachable");
-            sigma.push(u.0 as u32);
             if rep[u.0] == u32::MAX {
                 rep[u.0] = x as u32;
             }
@@ -945,14 +768,11 @@ impl FusionSession {
                 }
             };
             cache.graph = Some((n_new, originals.clone(), g));
-            let (rm, ev) = (cache.stats.remapped, cache.stats.evicted);
-            cache.remap_contract(&sigma, n_new);
-            stats.closures_remapped = cache.stats.remapped - rm;
-            stats.closures_evicted = cache.stats.evicted - ev;
+            stats.closures_evicted = cache.drop_levels();
         } else {
             stats.graph_rebuilt = true;
         }
-        // The cache was remapped above: replace the kernel without the
+        // The cache was updated above: replace the kernel without the
         // machine-change reset `refresh_kernel` would apply.
         self.kernel = Some(ClosureKernel::new(product.top()));
         self.top = Some(TopState {
@@ -1082,13 +902,21 @@ mod tests {
                 cold.stats.candidates_examined
             );
         }
-        // The sweep re-walks descent prefixes, so the cache must have hit.
+        // The sweep reuses the initial fault graph of the first call, and
+        // the descent never consults the closure cache.
         let stats = session.cache_stats();
-        assert!(
-            stats.hits > 0,
-            "no cache hits across the f sweep: {stats:?}"
-        );
-        assert!(stats.insertions > 0);
+        assert_eq!((stats.graph_misses, stats.graph_hits), (1, 3), "{stats}");
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 0, 0));
+        // Lower-cover walks fill the closure cache and re-walks hit it.
+        let top_p = Partition::singletons(product.size());
+        let cover = session.lower_cover(product.top(), &top_p).unwrap();
+        let filled = session.cache_stats();
+        assert!(filled.insertions > 0, "{filled}");
+        assert_eq!(filled.hits, 0, "{filled}");
+        assert_eq!(session.lower_cover(product.top(), &top_p).unwrap(), cover);
+        let rewalked = session.cache_stats();
+        assert_eq!(rewalked.hits, filled.misses, "{rewalked}");
+        assert_eq!(rewalked.insertions, filled.insertions, "{rewalked}");
     }
 
     #[test]
@@ -1096,6 +924,9 @@ mod tests {
         let mut session = FusionConfig::new().build();
         let (p1, _) = session
             .generate_fusion_for_machines(&fig1_pair(), 1)
+            .unwrap();
+        session
+            .lower_cover(p1.top(), &Partition::singletons(p1.size()))
             .unwrap();
         let inserted = session.cache_stats().insertions;
         assert!(inserted > 0);
@@ -1107,11 +938,20 @@ mod tests {
         let (p2, fusion) = session.generate_fusion_for_machines(&machines, 1).unwrap();
         assert_ne!(p1.size(), p2.size());
         assert_eq!(session.cache_stats().clears, 1);
-        let cold = {
-            let originals = projection_partitions(&p2);
-            generate_fusion(p2.top(), &originals, 1).unwrap()
-        };
+        let originals = projection_partitions(&p2);
+        let cold = generate_fusion(p2.top(), &originals, 1).unwrap();
         assert_eq!(fusion.partitions, cold.partitions);
+        let before = session.cache_stats();
+        let top_p = Partition::singletons(p2.size());
+        assert_eq!(
+            session.lower_cover(p2.top(), &top_p).unwrap(),
+            crate::lattice::lower_cover(p2.top(), &top_p).unwrap()
+        );
+        assert_eq!(
+            session.cache_stats().hits,
+            before.hits,
+            "stale closure served"
+        );
     }
 
     #[test]
@@ -1132,16 +972,18 @@ mod tests {
         let (product, _) = session
             .generate_fusion_for_machines(&fig1_pair(), 2)
             .unwrap();
+        let top = product.top();
         let originals = projection_partitions(&product);
-        let warm = session
-            .generate_fusion(product.top(), &originals, 2)
-            .unwrap();
-        let cold = generate_fusion(product.top(), &originals, 2).unwrap();
+        let warm = session.generate_fusion(top, &originals, 2).unwrap();
+        let cold = generate_fusion(top, &originals, 2).unwrap();
         assert_eq!(warm.partitions, cold.partitions);
-        // |⊤| = 9 and a 32-element bound: the descent overflows the cache,
-        // which must shed *oldest levels* — never reset wholesale (the top
-        // machine never changed, so clears stays 0) and never change
-        // output.
+        let walked = session.enumerate_lattice(top, 500).unwrap();
+        let free = crate::lattice::enumerate_lattice(top, 500).unwrap();
+        assert_eq!(walked.elements, free.elements);
+        // |⊤| = 9 and a 32-element bound: the lattice walk overflows the
+        // cache, which must shed *oldest levels* — never reset wholesale
+        // (the top machine never changed, so clears stays 0) and never
+        // change output.
         let stats = session.cache_stats();
         assert!(stats.evicted > 0, "{stats}");
         assert_eq!(stats.clears, 0, "{stats}");
@@ -1233,6 +1075,12 @@ mod tests {
         warm.install_top(&fig1_pair()).unwrap();
         let before = warm.generate_top_fusion(1).unwrap();
         assert_eq!(before.machine_sizes(), vec![3]);
+        // A lattice walk leaves closures in the cache for the delta to
+        // drop.
+        let top = warm.top_product().unwrap().top().clone();
+        warm.enumerate_lattice(&top, 500).unwrap();
+        let cached = warm.cache_stats().insertions;
+        assert!(cached > 0);
 
         let stats = warm
             .update_top(TopDelta::AddMachine(counter("c", "0", 3)))
@@ -1240,7 +1088,10 @@ mod tests {
         assert!(!stats.cold_rebuild, "{stats}");
         assert!(!stats.graph_rebuilt, "{stats}");
         assert!(stats.graph_stripes_touched > 0, "{stats}");
-        assert!(stats.closures_remapped > 0, "{stats}");
+        // Every stored closure and its level entry are dropped.
+        assert_eq!(stats.closures_remapped, 0, "{stats}");
+        assert!(stats.closures_evicted > cached, "{stats}");
+        assert_eq!(warm.cache_stats().evicted, stats.closures_evicted);
         assert!(stats.product_states_reexpanded > 0, "{stats}");
         assert_eq!(warm.top_machines().unwrap().len(), 3);
 
@@ -1268,6 +1119,22 @@ mod tests {
         }
         // No machine-change clear happened on the warm path.
         assert_eq!(warm.cache_stats().clears, 0);
+        assert_walks_match_free_functions(&mut warm);
+    }
+
+    /// A lattice walk and a lower cover over the session's installed `⊤`
+    /// equal the free functions' — no closure from before a delta leaks
+    /// into a walk after it.
+    fn assert_walks_match_free_functions(session: &mut FusionSession) {
+        let top = session.top_product().unwrap().top().clone();
+        let walked = session.enumerate_lattice(&top, 500).unwrap();
+        let free = crate::lattice::enumerate_lattice(&top, 500).unwrap();
+        assert_eq!(walked.elements, free.elements);
+        let top_p = Partition::singletons(top.size());
+        assert_eq!(
+            session.lower_cover(&top, &top_p).unwrap(),
+            crate::lattice::lower_cover(&top, &top_p).unwrap()
+        );
     }
 
     #[test]
@@ -1277,10 +1144,14 @@ mod tests {
         let mut warm = FusionConfig::new().build();
         warm.install_top(&machines).unwrap();
         warm.generate_top_fusion(1).unwrap();
+        let top = warm.top_product().unwrap().top().clone();
+        warm.enumerate_lattice(&top, 500).unwrap();
 
         let stats = warm.update_top(TopDelta::RemoveMachine(2)).unwrap();
         assert!(!stats.cold_rebuild, "{stats}");
         assert!(!stats.graph_rebuilt, "{stats}");
+        assert_eq!(stats.closures_remapped, 0, "{stats}");
+        assert!(stats.closures_evicted > 0, "{stats}");
         assert_eq!(warm.top_machines().unwrap().len(), 2);
         assert_eq!(warm.top_product().unwrap().size(), 9);
 
@@ -1294,6 +1165,7 @@ mod tests {
         for x in 0..wp.size() {
             assert_eq!(wp.tuple(StateId(x)), cp.tuple(StateId(x)));
         }
+        assert_walks_match_free_functions(&mut warm);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use fsm_fusion::prelude::*;
 fn main() {
     let machines = fsm_fusion::machines::fig1_machines();
     // One session serves both systems built in this example; the second
-    // construction reuses the first one's cached closures.
+    // construction reuses the first one's kernel and initial fault graph.
     let mut session = FusionConfig::new().build();
     let mut system = FusedSystem::with_session(&machines, 1, FaultModel::Byzantine, &mut session)
         .expect("fusion generation succeeds");

@@ -10,8 +10,8 @@ use fsm_fusion::prelude::*;
 
 fn main() {
     // One session for every lattice walk and generation below: the lattice
-    // enumeration seeds the closure cache, and the fusion generation at the
-    // end reuses those closures.
+    // walks share its closure cache, and the fusion generation at the end
+    // reuses its kernel and scratch.
     let mut session = FusionConfig::new().build();
 
     let machines = fig2_machines();

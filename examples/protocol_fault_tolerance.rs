@@ -21,7 +21,7 @@ fn main() {
     }
 
     // Tolerate one crash fault across the whole group.  The session owns
-    // engine selection and the closure cache for the generation.
+    // the kernel, scratch and initial fault graph of the generation.
     let mut session = FusionConfig::new().build();
     let mut fused = FusedSystem::with_session(&machines, 1, FaultModel::Crash, &mut session)
         .expect("fusion generation succeeds");

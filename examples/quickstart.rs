@@ -20,7 +20,7 @@ fn main() {
     // 2. A fusion session: workers and cache policy resolved once
     //    (FusionConfig::from_env() would consult FSM_FUSION_WORKERS
     //    instead).  Repeated generations through the same session reuse
-    //    scratch buffers and cached closures.
+    //    scratch buffers and the cached initial fault graph.
     let mut session = FusionConfig::new().build();
 
     // 3. Build a fusion-backed system tolerating one crash fault.

@@ -30,8 +30,8 @@
 //! [`fusion::FusionConfig`]: worker count, product strategy and cache
 //! policy are resolved once (the environment is only the `Auto` fallback,
 //! via [`fusion::FusionConfig::from_env`]), and the session reuses its
-//! closure kernel, scratch buffers and a cross-call closure cache over
-//! every generation.
+//! closure kernel, scratch buffers and cached initial fault graph over
+//! every generation, and a cross-call closure cache over lattice walks.
 //!
 //! ```
 //! use fsm_fusion::prelude::*;
@@ -115,7 +115,13 @@ mod tests {
             FusedSystem::with_session(&machines, 1, FaultModel::Crash, &mut session).unwrap();
         system.apply_workload(&Workload::from_bits("01"));
         assert!(system.consistent_with_oracle());
+        // Generation reuses the initial fault graph but never touches the
+        // closure cache; lattice walks through the session fill it.
         let stats: CacheStats = session.cache_stats();
-        assert!(stats.insertions > 0);
+        assert!(stats.graph_hits > 0, "{stats}");
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 0, 0));
+        let top = Partition::singletons(product.size());
+        session.lower_cover(product.top(), &top).unwrap();
+        assert!(session.cache_stats().insertions > 0);
     }
 }

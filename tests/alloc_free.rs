@@ -1,20 +1,22 @@
-//! Pins the allocation-free Algorithm-2 inner loop with a counting
-//! allocator.
+//! Pins the allocation-free closure loops with a counting allocator.
 //!
-//! `ClosureKernel::close_merged_into` threads a `CloseScratch` (union-find,
-//! seed table, class→successor map, relabel buffers) and a reusable output
-//! `Partition` through every candidate merge; after one warm-up pass at a
-//! given machine size the whole candidate evaluation — closure fixpoint,
-//! canonical relabel, weakest-edge covering test — must never touch the
-//! global allocator.  This test swaps in an allocation-counting global
-//! allocator and asserts exactly that, which is what keeps the descent hot
-//! loop out of malloc at `|⊤| = 729` (`alg2_search_n729_f2` in
-//! `BENCH_fusion.json`).
+//! Algorithm 2's descent scores each level's candidate merges on the
+//! quotient machine: `ClosureKernel::quotient_level` builds the quotient
+//! table and forbidden block pairs in a `CloseScratch`, and every
+//! `QuotientLevel::merge` / `lift_into` reuses those buffers and one output
+//! `Partition`.  The lower-cover walks close merges through
+//! `ClosureKernel::close_merged_into`, which threads the same scratch
+//! (union-find, seed table, class→successor map, relabel buffers).  After
+//! one warm-up pass at a given machine size (or block count) neither path
+//! may touch the global allocator.  These tests swap in an
+//! allocation-counting global allocator and assert exactly that, which is
+//! what keeps the descent hot loop out of malloc at `|⊤| = 729`
+//! (`alg2_search_n729_f2` in `BENCH_fusion.json`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fsm_fusion::fusion::{CloseScratch, ClosureKernel, FaultGraph, Partition};
+use fsm_fusion::fusion::{CloseScratch, ClosureKernel, FaultGraph, Partition, QuotientMerge};
 use fsm_fusion::prelude::*;
 
 /// Forwards to the system allocator, counting every allocation and
@@ -185,4 +187,60 @@ fn scratch_descent_from_a_coarser_partition_stays_allocation_free() {
         }
     }
     assert_eq!(allocations() - before, 0);
+}
+
+#[test]
+fn quotient_merge_sweep_is_allocation_free_after_warm_up() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (product, originals) = workload();
+    let top = product.top();
+    let n = top.size();
+    let kernel = ClosureKernel::new(top);
+    let weakest = FaultGraph::from_partitions(n, &originals).weakest_edges();
+    // ⊤ itself and a closed coarsening of it, so the sweep sees both the
+    // first level of a descent and a later one with fewer blocks.
+    let coarser = kernel
+        .close_merged(&Partition::singletons(n), 0, 1)
+        .unwrap();
+    let mut scratch = CloseScratch::new();
+    let mut out = Partition::singletons(0);
+    for current in [Partition::singletons(n), coarser] {
+        // The descent's levels always separate the weakest edges.
+        let edges: Vec<(usize, usize)> = weakest
+            .iter()
+            .copied()
+            .filter(|&(i, j)| current.separates(i, j))
+            .collect();
+        // One level build plus a verdict for every block pair, lifting each
+        // completed closure the way the descent lifts the one it keeps.
+        let sweep = |scratch: &mut CloseScratch, out: &mut Partition| {
+            let mut level = kernel.quotient_level(scratch, &current, &edges).unwrap();
+            let k = level.num_blocks();
+            let mut verdicts = [0usize; 3];
+            for b1 in 0..k {
+                for b2 in (b1 + 1)..k {
+                    let outcome = level.merge(b1, b2);
+                    verdicts[outcome as usize] += 1;
+                    if outcome.completed() {
+                        level.lift_into(out);
+                    }
+                }
+            }
+            verdicts
+        };
+        let warm = sweep(&mut scratch, &mut out);
+        assert!(warm[QuotientMerge::Aborted as usize] > 0, "{warm:?}");
+        assert!(warm[QuotientMerge::Covers as usize] > 0, "{warm:?}");
+
+        let before = allocations();
+        let steady = sweep(&mut scratch, &mut out);
+        let after = allocations();
+        assert_eq!(warm, steady);
+        assert_eq!(
+            after - before,
+            0,
+            "quotient scoring allocated in its steady state at k = {}",
+            current.num_blocks()
+        );
+    }
 }

@@ -1,21 +1,23 @@
 //! Property tests pinning `FusionSession::update_top` bit-identical to a
 //! cold session built on the post-delta `⊤`.
 //!
-//! A warm session installs an initial machine set, runs a generation (so
-//! the closure cache and fault graph have state worth remapping), then
+//! A warm session installs an initial machine set, runs a generation and a
+//! lattice walk (so the fault graph and the closure cache hold state), then
 //! applies a random sequence of [`TopDelta`]s — adds, removes, extends —
 //! through the incremental paths: product stride-extension, fault-graph
-//! pullback/contraction, closure lift/push-forward.  A cold session is
-//! built directly on the final machine set.  Everything observable must
-//! match exactly, under every cache policy:
+//! pullback/contraction, closure-cache drop.  A cold session is built
+//! directly on the final machine set.  Everything observable must match
+//! exactly, under every cache policy:
 //!
 //! * the fusion partitions, machine sizes and state space,
 //! * every `GenerationStats` field (dmin before/after, outer iterations,
 //!   descent steps, candidates examined) — the cache may only change
 //!   wall-clock time, never the walk,
-//! * the product numbering itself (tuples and state names per `StateId`).
+//! * the product numbering itself (tuples and state names per `StateId`),
+//! * a lattice walk and the lower cover of `⊤` over the final machine —
+//!   no closure cached before a delta may leak into a walk after it.
 
-use fsm_fusion::fusion::{CachePolicy, FusionConfig, TopDelta};
+use fsm_fusion::fusion::{enumerate_lattice, lower_cover, CachePolicy, FusionConfig, TopDelta};
 use fsm_fusion::machines::{random_dfsm, RandomDfsmConfig};
 use fsm_fusion::prelude::*;
 use proptest::prelude::*;
@@ -126,10 +128,18 @@ fn assert_delta_sequence_matches_cold(
     let mut warm = config.clone().build();
     let mut machines = initial.to_vec();
     warm.install_top(&machines).unwrap();
-    // Populate cache and graph so the deltas have real state to remap.
+    // Populate graph and closure cache so the deltas have real state to
+    // evolve or drop; walk again between deltas.
     warm.generate_top_fusion(1).unwrap();
+    let walk = |s: &mut FusionSession| {
+        let top = s.top_product().unwrap().top().clone();
+        s.enumerate_lattice(&top, LATTICE_LIMIT).unwrap()
+    };
+    walk(&mut warm);
     for (step, spec) in specs.iter().enumerate() {
-        apply_spec(spec, step, &mut machines, &mut warm);
+        if apply_spec(spec, step, &mut machines, &mut warm) {
+            walk(&mut warm);
+        }
     }
 
     let mut cold = config.build();
@@ -168,7 +178,28 @@ fn assert_delta_sequence_matches_cold(
             "{label} f={f}"
         );
     }
+
+    // Lattice walks after the deltas equal the free functions' (run twice,
+    // so the second walk reads closures the first stored).
+    let top = warm.top_product().unwrap().top().clone();
+    let free = enumerate_lattice(&top, LATTICE_LIMIT).unwrap();
+    let top_p = Partition::singletons(top.size());
+    let free_cover = lower_cover(&top, &top_p).unwrap();
+    for _ in 0..2 {
+        let walked = warm.enumerate_lattice(&top, LATTICE_LIMIT).unwrap();
+        assert_eq!(walked.elements, free.elements, "{label}");
+        assert_eq!(walked.truncated, free.truncated, "{label}");
+        assert_eq!(
+            warm.lower_cover(&top, &top_p).unwrap(),
+            free_cover,
+            "{label}"
+        );
+    }
 }
+
+/// Lattice elements a walk visits at most: small enough to keep every case
+/// fast, large enough to walk several levels of the tops drawn here.
+const LATTICE_LIMIT: usize = 64;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

@@ -11,10 +11,11 @@
 //!   repeated `f` sweeps on one session;
 //! * session lattice walks equal the free-function lattice walks;
 //! * every `ProductBuilder` strategy builds the identical product;
-//! * the cache-hit counters behave deterministically: a repeated sweep is
-//!   answered entirely from the cache (the `tests/alloc_free.rs`-style
-//!   steady-state assertion), and the config precedence rules pin
-//!   explicit > environment > auto-detect.
+//! * the cache-hit counters behave deterministically: a repeated lattice
+//!   walk is answered entirely from the cache (the `tests/alloc_free.rs`-
+//!   style steady-state assertion), fusion sweeps touch only the cached
+//!   initial fault graph, and the config precedence rules pin explicit >
+//!   environment > auto-detect.
 
 use fsm_fusion::fusion::{enumerate_lattice, projection_partitions, FusionConfig, FusionSession};
 use fsm_fusion::machines::{random_dfsm, RandomDfsmConfig};
@@ -142,58 +143,65 @@ proptest! {
 }
 
 /// The `tests/alloc_free.rs`-style steady-state assertion, on the cache-hit
-/// counters instead of the allocator: after one full `f` sweep warmed the
-/// cache, an identical sweep must be answered **entirely** from the cache —
-/// zero new misses, zero new insertions, zero new graph builds.
+/// counters instead of the allocator: after one lattice walk warmed the
+/// closure cache, an identical walk must be answered **entirely** from the
+/// cache — zero new misses, zero new insertions.  Fusion sweeps in between
+/// reuse the cached initial fault graph and leave the closure counters
+/// alone: the descent scores its candidates on the quotient machine.
 #[test]
 fn repeated_sweep_is_answered_entirely_from_the_cache() {
     let machines = fig1_machines();
     let mut session = FusionConfig::new().build();
     let (product, _) = session.generate_fusion_for_machines(&machines, 1).unwrap();
     let originals = projection_partitions(&product);
+    let top = product.top();
 
-    // Warm-up sweep (the f = 1 call above already warmed part of it).
-    for f in 1..=3 {
-        session
-            .generate_fusion(product.top(), &originals, f)
-            .unwrap();
-    }
+    // Warm-up walk.
+    let first = session.enumerate_lattice(top, 500).unwrap();
     let warm = session.cache_stats();
     assert!(warm.insertions > 0);
     assert!(warm.misses > 0);
 
-    // Steady state: the identical sweep re-runs the identical descents.
+    // Fusion sweeps hit the graph slot and nothing else.
     for f in 1..=3 {
-        session
-            .generate_fusion(product.top(), &originals, f)
-            .unwrap();
+        session.generate_fusion(top, &originals, f).unwrap();
     }
+    let swept = session.cache_stats();
+    assert_eq!(swept.graph_hits, warm.graph_hits + 3, "{swept}");
+    assert_eq!(swept.graph_misses, warm.graph_misses, "{swept}");
+    assert_eq!(
+        (swept.hits, swept.misses, swept.insertions),
+        (warm.hits, warm.misses, warm.insertions),
+        "generate_fusion consulted the closure cache"
+    );
+
+    // Steady state: the identical walk re-closes the identical merges.
+    let again = session.enumerate_lattice(top, 500).unwrap();
+    assert_eq!(again.elements, first.elements);
     let steady = session.cache_stats();
     assert_eq!(
         steady.misses, warm.misses,
-        "steady-state sweep missed the cache"
+        "steady-state walk missed the cache"
     );
     assert_eq!(steady.insertions, warm.insertions);
     assert_eq!(steady.graph_misses, warm.graph_misses);
     assert!(
         steady.hits > warm.hits,
-        "steady-state sweep did not hit the cache"
+        "steady-state walk did not hit the cache"
     );
-    assert!(steady.graph_hits > warm.graph_hits);
     assert_eq!(steady.clears, warm.clears);
     // The default bound is far above this workload, and no delta ran:
-    // nothing may have been remapped or evicted, in either sweep.
-    assert_eq!(warm.remapped, 0);
+    // nothing may have been evicted, in either walk.
     assert_eq!(warm.evicted, 0);
-    assert_eq!(steady.remapped, 0);
     assert_eq!(steady.evicted, 0);
 }
 
-/// The delta counterpart of the steady-state assertion: after
-/// `update_top(AddMachine)` remaps the cache, a fusion sweep over the
-/// evolved `⊤` must *reuse* the remapped levels — the level lookups hit
-/// without a single clear, and the remapped/evicted counters move only
-/// when the delta runs, not during the sweeps.
+/// The delta counterpart of the steady-state assertion: `update_top`
+/// (`AddMachine`) evolves the cached fault graph instead of clearing the
+/// cache, and drops the lattice-walk closures, which describe the old `⊤`.
+/// Sweeps over the evolved `⊤` hit the evolved graph; a walk over it
+/// equals the free-function walk, and a repeated walk is served from the
+/// closures the first one stored.
 #[test]
 fn update_top_remaps_instead_of_clearing() {
     let machines = fig1_machines();
@@ -202,38 +210,59 @@ fn update_top_remaps_instead_of_clearing() {
     for f in 1..=2 {
         session.generate_top_fusion(f).unwrap();
     }
+    let top = session.top_product().unwrap().top().clone();
+    session.enumerate_lattice(&top, 500).unwrap();
     let before = session.cache_stats();
-    assert_eq!(before.remapped, 0);
+    assert!(before.insertions > 0, "{before}");
+    assert_eq!(before.evicted, 0);
     assert_eq!(before.clears, 0);
 
     let mut third = fig1_machines().remove(0);
     third = third.renamed("C");
     let delta_stats = session.update_top(TopDelta::AddMachine(third)).unwrap();
+    assert!(!delta_stats.graph_rebuilt, "{delta_stats}");
+    assert_eq!(delta_stats.closures_remapped, 0, "{delta_stats}");
     let after_delta = session.cache_stats();
     assert_eq!(
-        after_delta.remapped - before.remapped,
-        delta_stats.closures_remapped,
+        after_delta.evicted - before.evicted,
+        delta_stats.closures_evicted,
         "session counter and UpdateStats disagree"
     );
-    assert_eq!(
-        after_delta.evicted - before.evicted,
-        delta_stats.closures_evicted
+    assert!(
+        delta_stats.closures_evicted > before.insertions,
+        "{delta_stats}"
     );
-    assert!(after_delta.remapped > 0, "{after_delta}");
     assert_eq!(after_delta.clears, 0, "{after_delta}");
 
-    // Sweeps over the evolved top leave the delta counters untouched.
+    // Sweeps over the evolved top hit the evolved graph and leave every
+    // closure counter untouched …
     for f in 1..=2 {
         session.generate_top_fusion(f).unwrap();
     }
+    let swept = session.cache_stats();
+    assert_eq!(
+        (swept.hits, swept.misses, swept.insertions),
+        (after_delta.hits, after_delta.misses, after_delta.insertions),
+        "generate_top_fusion consulted the closure cache"
+    );
+    assert_eq!(swept.graph_hits, after_delta.graph_hits + 2, "{swept}");
+    assert_eq!(swept.graph_misses, after_delta.graph_misses, "{swept}");
+    // … a walk over it equals the free function's and starts cold …
+    let evolved = session.top_product().unwrap().top().clone();
+    let walked = session.enumerate_lattice(&evolved, 500).unwrap();
+    let free = enumerate_lattice(&evolved, 500).unwrap();
+    assert_eq!(walked.elements, free.elements);
+    assert_eq!(walked.truncated, free.truncated);
+    let first_walk = session.cache_stats();
+    assert_eq!(first_walk.hits, swept.hits, "stale closure served");
+    // … and a repeated walk is served from the closures it stored.
+    let again = session.enumerate_lattice(&evolved, 500).unwrap();
+    assert_eq!(again.elements, free.elements);
     let steady = session.cache_stats();
-    assert_eq!(steady.remapped, after_delta.remapped);
+    assert_eq!(steady.misses, first_walk.misses, "{steady}");
+    assert!(steady.hits > first_walk.hits, "{steady}");
     assert_eq!(steady.evicted, after_delta.evicted);
     assert_eq!(steady.clears, 0);
-    assert!(
-        steady.hits > after_delta.hits,
-        "remapped cache was not reused: {steady}"
-    );
 }
 
 /// Config precedence regression: explicit > environment snapshot >
@@ -286,8 +315,14 @@ fn facade_shims_agree_with_sessions_end_to_end() {
     assert!(a.matches_oracle && b.matches_oracle);
     assert_eq!(a.repaired, b.repaired);
 
-    // And the session type is reachable through the prelude.
+    // And the session type is reachable through the prelude.  Generation
+    // went through the graph slot only; a lower cover reaches the closures.
     let _: &FusionSession = &session;
     let stats: CacheStats = session.cache_stats();
-    assert!(stats.hits + stats.misses > 0);
+    assert!(stats.graph_hits + stats.graph_misses > 0, "{stats}");
+    assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 0, 0));
+    let top = Partition::singletons(product.size());
+    session.lower_cover(product.top(), &top).unwrap();
+    let stats = session.cache_stats();
+    assert!(stats.hits + stats.misses > 0, "{stats}");
 }
