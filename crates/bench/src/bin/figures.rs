@@ -17,8 +17,8 @@ fn main() {
     let wants = |name: &str| all || which.iter().any(|w| w == name);
 
     // One environment-configured session drives every figure: fig3's
-    // lattice enumeration and fig4's fusion generation share the cached
-    // closures of the same 4-state top machine.
+    // lattice enumeration and fig4's fusion generation share the kernel of
+    // the same 4-state top machine.
     let mut session = FusionConfig::from_env().build();
 
     if wants("fig1") {

@@ -24,7 +24,9 @@
 //! `product_build_stream_n59049` (the last one asserts the memory-budgeted
 //! streaming builder actually spills).  `alg2_search_table1_mesi_tcp_f1`
 //! times a Table 1 row whose descent examines 15,400 candidates and keeps
-//! none — the failing-candidate path.  Every op records the peak
+//! none — the failing-candidate path.  `lattice_walk_n81` times a full
+//! `enumerate_lattice` (212 closed partitions of four mod-3 counters), the
+//! lattice-walk path.  Every op records the peak
 //! resident set observed during its section as a documentation-only
 //! `peak_rss_kb` field.
 //! Each figure is the median of five rounds of at least [`MIN_ITERS`]
@@ -57,8 +59,8 @@ use fsm_fusion_bench::{
 };
 use fsm_fusion_core::reference;
 use fsm_fusion_core::{
-    generate_fusion, projection_partitions, FaultGraph, FaultModel, FusionConfig, MachineReport,
-    Partition, TopDelta,
+    enumerate_lattice, generate_fusion, projection_partitions, FaultGraph, FaultModel,
+    FusionConfig, MachineReport, Partition, TopDelta,
 };
 use fsm_machines::table1_rows;
 
@@ -395,12 +397,11 @@ fn measure_all() -> Vec<Measurement> {
 
     // Session amortization at |⊤| = 729: a FusionSession sweeping
     // f = 1..=3 against the same sweep on the cold free-function path.  The
-    // descent scores its candidates on the quotient machine and never
-    // consults the closure cache, so the pair now measures only what the
-    // session keeps across calls for generation: the initial-fault-graph
-    // slot, plus a warm kernel and scratch.  The session lives outside the
-    // timing loop (warm after the harness's warm-up call).  The `_cold` op
-    // is a documentation twin like `_scan` and never gates.
+    // pair measures what the session keeps across calls: the
+    // initial-fault-graph slot, plus a warm kernel and scratch.  The
+    // session lives outside the timing loop (warm after the harness's
+    // warm-up call).  The `_cold` op is a documentation twin like `_scan`
+    // and never gates.
     {
         let machines = counter_family(6, 3);
         let product = ReachableProduct::with_workers(&machines, 1).unwrap();
@@ -424,8 +425,7 @@ fn measure_all() -> Vec<Measurement> {
 
     // Delta-aware re-fusion at |⊤| = 729: one add/remove cycle through
     // `FusionSession::update_top` — product stride-extension, the fused
-    // fault-graph pullback-with-delta passes, closure-cache remap and
-    // context reinstall — against materializing the same two fusion
+    // fault-graph pullback-with-delta passes and context reinstall — against materializing the same two fusion
     // contexts (product, projection partitions, fault graph) cold at both
     // endpoints of the cycle.  The machine set is replication-shaped: six
     // mod-3 counters, each deployed as four copies — the replication
@@ -618,6 +618,21 @@ fn measure_all() -> Vec<Measurement> {
             fusion.len()
         });
         push("alg2_search_table1_mesi_tcp_f1", iters, ns);
+    }
+
+    // A full lattice walk: `enumerate_lattice` of four mod-3 counters
+    // (|⊤| = 81, 212 closed partitions), every lower cover closing its
+    // pairwise block merges on the quotient of the level it stands on.
+    {
+        let machines = counter_family(4, 3);
+        let product = ReachableProduct::with_workers(&machines, 1).unwrap();
+        let iters = 10;
+        let ns = bench(iters, || {
+            let lattice = enumerate_lattice(product.top(), 5000).unwrap();
+            assert_eq!(lattice.len(), 212);
+            lattice.len()
+        });
+        push("lattice_walk_n81", iters, ns);
     }
 
     out

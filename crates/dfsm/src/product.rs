@@ -352,7 +352,7 @@ impl ProductBuilder {
     ///
     /// Returns the product together with a [`FactorExtension`] carrying the
     /// new-state → base-state projection used by `fsm-fusion-core`'s
-    /// delta-aware fault-graph and closure-cache remapping.
+    /// delta-aware fault-graph remapping.
     pub fn extend_factor(
         &self,
         base: &ReachableProduct,

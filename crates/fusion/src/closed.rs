@@ -13,12 +13,12 @@
 //!   given partition, the basic step Algorithm 2 uses when walking down the
 //!   closed partition lattice,
 //! * [`ClosureKernel`] — a reusable closure engine that caches the machine's
-//!   transition table in flat arrays; lattice enumeration closes thousands
-//!   of candidate merges against the same machine, and the kernel makes
-//!   each of those closures a map-free fixpoint pass,
-//! * [`QuotientLevel`] — Algorithm 2's candidate test: the merges of one
-//!   closed partition scored on its quotient machine, each abandoned as
-//!   soon as it joins a forbidden block pair,
+//!   transition table in flat arrays, so each closure is a map-free
+//!   fixpoint pass,
+//! * [`QuotientLevel`] — the merges of one closed partition closed on its
+//!   quotient machine: lattice walks' lower covers and Algorithm 2's
+//!   candidate test, which abandons a merge as soon as it joins a
+//!   forbidden block pair,
 //! * [`quotient_machine`] — materialize the DFSM corresponding to a closed
 //!   partition of `⊤`.
 
@@ -275,12 +275,12 @@ impl CloseScratch {
 /// (`succ[e · n + x]` is the successor of state `x` on event `e`); every
 /// subsequent [`ClosureKernel::close`] / [`ClosureKernel::close_merged`]
 /// call is then a union-find fixpoint over flat arrays, with no per-call
-/// hash or tree maps.  Lattice enumeration ([`crate::lattice`]) builds the
-/// kernel once and closes every candidate block merge through it —
-/// threading a [`CloseScratch`] through [`ClosureKernel::close_merged_into`]
-/// so the per-candidate closures are allocation-free as well.  Algorithm
-/// 2's inner loop ([`crate::generate_fusion`]) scores its candidates on the
-/// quotient instead ([`ClosureKernel::quotient_level`]).
+/// hash or tree maps; threading a [`CloseScratch`] through
+/// [`ClosureKernel::close_merged_into`] makes repeated closures
+/// allocation-free as well.  Lattice walks ([`crate::lattice`]) and
+/// Algorithm 2's inner loop ([`crate::generate_fusion`]) build the kernel
+/// once and close every candidate block merge on the quotient of the
+/// closed partition they stand on ([`ClosureKernel::quotient_level`]).
 #[derive(Debug, Clone)]
 pub struct ClosureKernel {
     n: usize,
@@ -326,8 +326,8 @@ impl ClosureKernel {
     /// against the machine itself, with no table allocation.
     ///
     /// This is the test [`crate::FusionSession`] runs on **every** call to
-    /// decide whether its kernel and closure cache are still valid, so it must be cheaper than building a kernel:
-    /// it early-exits on the first differing successor.
+    /// decide whether its kernel is still valid, so it must be cheaper than
+    /// building a kernel: it early-exits on the first differing successor.
     pub fn matches_machine(&self, machine: &Dfsm) -> bool {
         if self.n != machine.size() || self.k != machine.alphabet().len() {
             return false;
@@ -372,8 +372,9 @@ impl ClosureKernel {
     /// buffer is reused) and taking every working buffer from `scratch`.
     ///
     /// After the first call at this kernel's machine size the call performs
-    /// **no heap allocation** — this is the lower-cover inner-loop primitive
-    /// (`tests/alloc_free.rs` pins the property with a counting allocator).
+    /// **no heap allocation** (`tests/alloc_free.rs` pins the property with
+    /// a counting allocator); it is the `n`-state closure the quotient
+    /// scorer is tested against.
     /// `out`'s previous contents are overwritten; equal `b1`/`b2` make the
     /// extra merge a no-op, so the call then computes the plain closure.
     pub fn close_merged_into(
@@ -580,8 +581,9 @@ pub fn check_closed(machine: &Dfsm, partition: &Partition) -> Result<()> {
 /// *maximum* closed partition `≤` the given one) obtained by merging blocks
 /// until the substitution property holds.
 ///
-/// This is the primitive used to compute lower covers: merge two blocks of a
-/// closed partition and re-close the result.
+/// Lower covers are computed from this step: merge two blocks of a closed
+/// partition and re-close the result (on the quotient, see
+/// [`QuotientLevel`]).
 ///
 /// One-shot form of [`ClosureKernel::close`]; callers that close many
 /// partitions against the same machine should build a [`ClosureKernel`]

@@ -9,9 +9,7 @@
 //!   reachable cross product is constructed, together with its sizing
 //!   knobs: the dense-interner limit ([`FusionConfig::dense_limit`],
 //!   `FSM_FUSION_DENSE_LIMIT`) and the streaming build's memory budget
-//!   ([`FusionConfig::mem_budget`], `FSM_FUSION_MEM_BUDGET`),
-//! * [`CachePolicy`] — whether the session keeps a cross-call closure
-//!   cache, and how large it may grow.
+//!   ([`FusionConfig::mem_budget`], `FSM_FUSION_MEM_BUDGET`).
 //!
 //! **Precedence.**  Explicit builder calls beat the environment snapshot,
 //! which beats the defaults: a worker count set through
@@ -39,46 +37,14 @@ pub enum Engine {
     Sequential,
 }
 
-/// How a [`FusionSession`]'s cross-call closure cache behaves.  The cache
-/// holds lower-cover closures of lattice walks and the initial fault graph
-/// of the last generation; Algorithm 2's candidate merges never use it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// No cache: every lower-cover closure and every initial fault graph is
-    /// recomputed, exactly like the free functions.
-    Disabled,
-    /// Keep closures across calls, bounded to this many cached **elements**
-    /// (entries × `|⊤|`, i.e. roughly `8 × bound` bytes).  When an
-    /// insertion would exceed the bound, whole lattice levels are evicted
-    /// *oldest first* (counted in [`crate::CacheStats::evicted`]) until it
-    /// fits; an insertion that cannot fit even then is skipped, so a
-    /// single oversized closure never cold-starts subsequent sweeps.
-    Bounded(usize),
-}
-
-impl CachePolicy {
-    /// The default bound: 4 Mi cached elements (≈ 32 MiB of assignments),
-    /// which holds several thousand cached closures at `|⊤| = 729`.
-    pub const DEFAULT_BOUND: usize = 1 << 22;
-}
-
-impl Default for CachePolicy {
-    fn default() -> Self {
-        CachePolicy::Bounded(Self::DEFAULT_BOUND)
-    }
-}
-
 /// Builder for a [`FusionSession`]: worker count, product-builder strategy
-/// and cache policy, with the environment consulted only when (and once,
-/// at the moment) [`FusionConfig::from_env`] is used.
+/// and its sizing knobs, with the environment consulted only when (and
+/// once, at the moment) [`FusionConfig::from_env`] is used.
 ///
 /// ```
-/// use fsm_fusion_core::{CachePolicy, FusionConfig, ProductStrategy};
+/// use fsm_fusion_core::{FusionConfig, ProductStrategy};
 ///
-/// let session = FusionConfig::new()
-///     .workers(2)
-///     .cache(CachePolicy::Bounded(1 << 20))
-///     .build();
+/// let session = FusionConfig::new().workers(2).build();
 /// assert_eq!(session.product_strategy(), ProductStrategy::Parallel);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -90,13 +56,12 @@ pub struct FusionConfig {
     mem_budget: Option<u64>,
     env_mem_budget: Option<u64>,
     product: ProductStrategy,
-    cache: CachePolicy,
 }
 
 impl FusionConfig {
-    /// A config with the explicit defaults: one worker,
-    /// [`ProductStrategy::Auto`], the default bounded cache — and **no**
-    /// environment consultation, ever.
+    /// A config with the explicit defaults: one worker and
+    /// [`ProductStrategy::Auto`] — and **no** environment consultation,
+    /// ever.
     pub fn new() -> Self {
         Self::default()
     }
@@ -168,13 +133,6 @@ impl FusionConfig {
         self
     }
 
-    /// Sets the closure-cache policy (default
-    /// [`CachePolicy::Bounded`] at [`CachePolicy::DEFAULT_BOUND`]).
-    pub fn cache(mut self, policy: CachePolicy) -> Self {
-        self.cache = policy;
-        self
-    }
-
     /// The worker count this config resolves to:
     /// **explicit > environment snapshot > 1**.
     ///
@@ -213,11 +171,6 @@ impl FusionConfig {
         self.mem_budget
             .or(self.env_mem_budget)
             .unwrap_or(DEFAULT_MEM_BUDGET)
-    }
-
-    /// The configured cache policy.
-    pub fn cache_policy(&self) -> CachePolicy {
-        self.cache
     }
 
     /// Builds the configured [`FusionSession`].
@@ -292,15 +245,5 @@ mod tests {
         let bad = FusionConfig::from_env_values(None, Some("bogus"), Some("-3"));
         assert_eq!(bad.resolved_dense_limit(), DEFAULT_DENSE_LIMIT);
         assert_eq!(bad.resolved_mem_budget(), DEFAULT_MEM_BUDGET);
-    }
-
-    #[test]
-    fn cache_policy_default_is_bounded() {
-        assert_eq!(
-            FusionConfig::new().cache_policy(),
-            CachePolicy::Bounded(CachePolicy::DEFAULT_BOUND)
-        );
-        let c = FusionConfig::new().cache(CachePolicy::Disabled);
-        assert_eq!(c.cache_policy(), CachePolicy::Disabled);
     }
 }

@@ -1,13 +1,11 @@
 //! The `delta` subsystem: incremental re-fusion across *evolving* tops.
 //!
 //! The paper's construction fixes the machine set `M` once and derives
-//! everything — the reachable cross product `⊤`, the fault graph
-//! `G(⊤, M)`, the closure cache — from that snapshot.  Deployed fleets
-//! evolve: a machine joins, one retires, one grows a state or an event.
-//! Before this module, any such change invalidated a
-//! [`crate::FusionSession`] wholesale: the product was rebuilt from
-//! scratch, the fingerprint-keyed closure cache cleared, and Algorithm 2
-//! re-run against a cold fault graph.
+//! everything — the reachable cross product `⊤` and the fault graph
+//! `G(⊤, M)` — from that snapshot.  Deployed fleets evolve: a machine
+//! joins, one retires, one grows a state or an event.  Rebuilding a
+//! [`crate::FusionSession`] for each change would rebuild the product from
+//! scratch and re-run Algorithm 2 against a cold fault graph.
 //!
 //! [`TopDelta`] names the three edits, and
 //! [`crate::FusionSession::update_top`] applies one *incrementally*:
@@ -25,13 +23,10 @@
 //!   structure itself, so the session falls back to a documented cold
 //!   rebuild ([`UpdateStats::cold_rebuild`]).
 //!
-//! Cached lattice-walk closures do not survive a delta: Algorithm 2 never
-//! reads them, so every path drops them ([`UpdateStats::closures_evicted`]).
-//!
 //! Every path is pinned bit-identical — fusion partitions, generation
 //! statistics, product numbering — to a cold session built on the
-//! post-delta `⊤` (`tests/delta_properties.rs`, random delta sequences
-//! over every engine and cache policy).  [`UpdateStats`] reports what was
+//! post-delta `⊤` (`tests/delta_properties.rs`, random delta sequences,
+//! with lattice walks pinned to a test-only oracle after every step).  [`UpdateStats`] reports what was
 //! reused versus recomputed, and `BENCH_fusion.json` tracks the
 //! add-one-machine warm-vs-cold ratio as `speedup_update_vs_cold`.
 
@@ -80,13 +75,11 @@ impl fmt::Display for TopDelta {
 /// the delta-side counterpart of [`crate::CacheStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateStats {
-    /// Closure-cache entries carried across the delta.  Always 0: the
-    /// cache holds only lattice-walk closures, which every delta drops
-    /// (see `closures_evicted`); the field stays for existing readers.
+    /// Cached closures carried across the delta.  Always 0: a session
+    /// keeps no closures between calls (lattice walks and Algorithm 2
+    /// close merges on the quotient); the field stays for existing
+    /// readers.
     pub closures_remapped: u64,
-    /// Closure-cache entries (level assignments and merge closures)
-    /// dropped by the delta.
-    pub closures_evicted: u64,
     /// States of the post-delta product that were (re-)expanded while
     /// applying the delta.
     pub product_states_reexpanded: usize,
@@ -107,7 +100,7 @@ impl fmt::Display for UpdateStats {
         write!(
             f,
             "update: {} product states re-expanded, {} graph stripes touched{}, \
-             {} closures remapped, {} evicted{}",
+             {} closures remapped{}",
             self.product_states_reexpanded,
             self.graph_stripes_touched,
             if self.graph_rebuilt {
@@ -116,7 +109,6 @@ impl fmt::Display for UpdateStats {
                 ""
             },
             self.closures_remapped,
-            self.closures_evicted,
             if self.cold_rebuild {
                 " [cold rebuild]"
             } else {
@@ -135,7 +127,6 @@ mod tests {
     fn display_reads_cleanly() {
         let stats = UpdateStats {
             closures_remapped: 12,
-            closures_evicted: 3,
             product_states_reexpanded: 729,
             graph_stripes_touched: 7,
             graph_rebuilt: false,
@@ -145,7 +136,6 @@ mod tests {
         assert!(s.contains("729 product states"), "{s}");
         assert!(s.contains("7 graph stripes"), "{s}");
         assert!(s.contains("12 closures remapped"), "{s}");
-        assert!(s.contains("3 evicted"), "{s}");
         assert!(!s.contains("cold rebuild"), "{s}");
 
         let cold = UpdateStats {

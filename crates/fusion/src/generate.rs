@@ -39,10 +39,9 @@
 //! [`crate::FusionSession`] built from a [`crate::FusionConfig`] instead:
 //! it owns the kernel and the scratch, keeps the initial fault graph of
 //! the last `(⊤, originals)` pair, and is pinned bit-identical to
-//! [`generate_fusion`] by `tests/session_properties.rs`.  The descent does
-//! not use the session's closure cache, which serves
-//! [`crate::FusionSession::lower_cover`] and
-//! [`crate::FusionSession::enumerate_lattice`].
+//! [`generate_fusion`] by `tests/session_properties.rs`.  Lattice walks
+//! ([`crate::lower_cover`], [`crate::enumerate_lattice`]) close their
+//! merges on the same quotient.
 
 use std::time::Instant;
 
@@ -54,7 +53,7 @@ use crate::closed::{CloseScratch, ClosureKernel};
 use crate::error::Result;
 use crate::fault_graph::FaultGraph;
 use crate::partition::Partition;
-use crate::session::ClosureCache;
+use crate::session::GraphSlot;
 use crate::set_repr::projection_partitions;
 
 /// Statistics about a run of Algorithm 2.
@@ -145,26 +144,24 @@ pub fn generate_fusion(top: &Dfsm, originals: &[Partition], f: usize) -> Result<
 }
 
 /// The engine body: the greedy descent against a caller-owned kernel and
-/// scratch.  [`generate_fusion`] passes fresh buffers and no cache;
-/// [`crate::FusionSession`] threads its own through, and its cache's
+/// scratch.  [`generate_fusion`] passes fresh buffers and no graph slot;
+/// [`crate::FusionSession`] threads its own through, and its
 /// initial-fault-graph slot answers an unchanged `(⊤, originals)` pair
-/// with a clone instead of a rebuild.  The candidate merges never touch
-/// the closure cache: scoring one on the quotient costs less than probing
-/// the cache and copying an `n`-element closure out of it.
+/// with a clone instead of a rebuild.
 pub(crate) fn seq_engine(
     top: &Dfsm,
     kernel: &ClosureKernel,
     originals: &[Partition],
     f: usize,
     scratch: &mut CloseScratch,
-    cache: Option<&mut ClosureCache>,
+    graph_slot: Option<&mut GraphSlot>,
 ) -> Result<FusionGeneration> {
     let start = Instant::now();
     let n = top.size();
     // The initial fault graph only depends on (n, originals); a session
     // sweeping f over the same inputs gets a clone of the cached build.
-    let mut graph = match cache {
-        Some(c) => c.initial_graph(n, originals),
+    let mut graph = match graph_slot {
+        Some(slot) => slot.initial_graph(n, originals),
         None => FaultGraph::from_partitions(n, originals),
     };
     let mut stats = GenerationStats {

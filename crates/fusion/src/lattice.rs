@@ -9,27 +9,34 @@
 //! reproduce the paper's Figure 3 and in tests).
 //!
 //! Lower-cover computation closes every pairwise block merge of `p` — the
-//! same candidate evaluations Algorithm 2's descent performs — through one
-//! [`ClosureKernel`] and [`CloseScratch`]; a [`crate::FusionSession`]
-//! additionally answers repeated closures from its closure cache.
+//! same candidate merges Algorithm 2's descent scores — on the quotient
+//! machine `⊤/p` ([`crate::closed::QuotientLevel`]): because `p` is closed,
+//! each merge closes with a union-find over its `k` blocks instead of a
+//! fixpoint over all `n` states of `⊤`.  The free functions and
+//! [`crate::FusionSession`] run the same body; a session only keeps the
+//! kernel and scratch buffers between calls.
 
 use std::collections::BTreeSet;
 
 use fsm_dfsm::Dfsm;
 
 use crate::bitset::BitsetPartition;
-use crate::closed::{is_closed, CloseScratch, ClosureKernel};
+use crate::closed::{CloseScratch, ClosureKernel};
 use crate::error::Result;
 use crate::partition::Partition;
-use crate::session::ClosureCache;
 
 /// Computes the lower cover of a closed partition `p` of `top`: the maximal
 /// closed partitions strictly less than `p`.
 ///
 /// One-shot form of [`lower_cover_with`]; enumeration loops should build a
 /// [`ClosureKernel`] once and reuse it.
+///
+/// # Errors
+///
+/// [`crate::FusionError::NotClosed`] when `p` is not closed under `top`,
+/// and [`crate::FusionError::PartitionSizeMismatch`] when `p` does not
+/// partition `top`'s states — in every build profile.
 pub fn lower_cover(top: &Dfsm, p: &Partition) -> Result<Vec<Partition>> {
-    debug_assert!(is_closed(top, p));
     lower_cover_with(&ClosureKernel::new(top), p)
 }
 
@@ -40,38 +47,36 @@ pub fn lower_cover(top: &Dfsm, p: &Partition) -> Result<Vec<Partition>> {
 /// candidates that contains the whole lower cover, from which non-maximal
 /// and duplicate candidates are removed.  The maximality filter converts
 /// each candidate to bitset form once and compares word-at-a-time.
+///
+/// # Errors
+///
+/// The same as [`lower_cover`]: a `p` that is not closed under the
+/// kernel's machine is [`crate::FusionError::NotClosed`].
 pub fn lower_cover_with(kernel: &ClosureKernel, p: &Partition) -> Result<Vec<Partition>> {
-    lower_cover_impl(kernel, p, &mut CloseScratch::new(), None)
+    lower_cover_impl(kernel, p, &mut CloseScratch::new())
 }
 
-/// Shared lower-cover body: closes every pairwise merge through the
-/// caller's [`CloseScratch`] — for a session, answering from its closure
-/// cache first (lookup → closure fixpoint → insert) — then filters to the
-/// maximal candidates.  Only candidates actually entering the output set
-/// are cloned out of the scratch buffer.
+/// Shared lower-cover body: builds the quotient `⊤/p` once (rejecting a
+/// non-closed `p`), closes every pairwise block merge on it and lifts the
+/// closure back to the states of `⊤`, then filters to the maximal
+/// candidates.  With no forbidden edges every merge completes, and its
+/// lift is exactly [`ClosureKernel::close_merged`] of the same blocks.
+/// Only candidates actually entering the output set are cloned out of the
+/// reused buffer.
 pub(crate) fn lower_cover_impl(
     kernel: &ClosureKernel,
     p: &Partition,
     scratch: &mut CloseScratch,
-    mut cache: Option<&mut ClosureCache>,
 ) -> Result<Vec<Partition>> {
-    let k = p.num_blocks();
+    let mut level = kernel.quotient_level(scratch, p, &[])?;
+    let k = level.num_blocks();
     let mut candidates: BTreeSet<Partition> = BTreeSet::new();
-    let level = cache.as_mut().and_then(|c| c.level_key(p));
     let mut closed = Partition::singletons(0);
     for b1 in 0..k {
         for b2 in (b1 + 1)..k {
-            let hit = match (cache.as_deref_mut(), level) {
-                (Some(c), Some(lv)) => c.lookup(lv, b1, b2, &mut closed),
-                _ => false,
-            };
-            if !hit {
-                kernel.close_merged_into(scratch, p, b1, b2, &mut closed)?;
-                if let (Some(c), Some(lv)) = (cache.as_deref_mut(), level) {
-                    c.insert(lv, b1, b2, &closed);
-                }
-            }
-            if &closed != p && !candidates.contains(&closed) {
+            level.merge(b1, b2);
+            level.lift_into(&mut closed);
+            if !candidates.contains(&closed) {
                 candidates.insert(closed.clone());
             }
         }
@@ -167,33 +172,30 @@ impl ClosedPartitionLattice {
 /// Enumerates every closed partition of `top` by breadth-first descent from
 /// the singleton partition, stopping after `limit` elements.
 ///
-/// Builds a fresh kernel and scratch per call and uses no closure cache;
-/// repeated enumerations should hold a [`crate::FusionSession`].
+/// Builds a fresh kernel and scratch per call; repeated enumerations
+/// should hold a [`crate::FusionSession`], which keeps both.
 pub fn enumerate_lattice(top: &Dfsm, limit: usize) -> Result<ClosedPartitionLattice> {
     enumerate_lattice_impl(
         top,
         &ClosureKernel::new(top),
         limit,
         &mut CloseScratch::new(),
-        None,
     )
 }
 
-/// Shared enumeration body, against a caller-owned kernel, scratch and
-/// (optionally) closure cache.
+/// Shared enumeration body, against a caller-owned kernel and scratch.
 pub(crate) fn enumerate_lattice_impl(
     top: &Dfsm,
     kernel: &ClosureKernel,
     limit: usize,
     scratch: &mut CloseScratch,
-    mut cache: Option<&mut ClosureCache>,
 ) -> Result<ClosedPartitionLattice> {
     let mut seen: BTreeSet<Partition> = BTreeSet::new();
     let mut frontier: Vec<Partition> = vec![Partition::singletons(top.size())];
     seen.insert(frontier[0].clone());
     let mut truncated = false;
     'explore: while let Some(p) = frontier.pop() {
-        for q in lower_cover_impl(kernel, &p, scratch, cache.as_deref_mut())? {
+        for q in lower_cover_impl(kernel, &p, scratch)? {
             if seen.len() >= limit {
                 truncated = true;
                 break 'explore;
@@ -217,6 +219,7 @@ pub(crate) fn enumerate_lattice_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::closed::is_closed;
     use fsm_dfsm::DfsmBuilder;
 
     /// Reconstruction of the paper's Fig. 2/3 top machine (4 states).
@@ -353,6 +356,33 @@ mod tests {
         // closed partitions).
         let b = basis(&t).unwrap();
         assert!(b.contains(&sum_part) || b.iter().any(|p| sum_part.le(p)));
+    }
+
+    #[test]
+    fn lower_cover_of_a_non_closed_partition_is_a_typed_error() {
+        // {t0,t1 | t2 | t3} is not closed: event 0 maps t0 → t1 and
+        // t1 → t2, which lie in different blocks.
+        let t = top4();
+        let open = Partition::from_blocks(4, &[vec![0, 1], vec![2], vec![3]]).unwrap();
+        assert!(!is_closed(&t, &open));
+        let not_closed = |r: Result<Vec<Partition>>| {
+            matches!(r, Err(crate::error::FusionError::NotClosed { .. }))
+        };
+        assert!(not_closed(lower_cover(&t, &open)));
+        assert!(not_closed(lower_cover_with(&ClosureKernel::new(&t), &open)));
+        let mut session = crate::config::FusionConfig::new().build();
+        assert!(not_closed(session.lower_cover(&t, &open)));
+        // The session stays usable after the error.
+        let top_p = Partition::singletons(4);
+        assert_eq!(
+            session.lower_cover(&t, &top_p).unwrap(),
+            crate::lattice_oracle::lower_cover(&t, &top_p)
+        );
+        // A partition of the wrong size is rejected too.
+        assert!(matches!(
+            lower_cover(&t, &Partition::singletons(3)),
+            Err(crate::error::FusionError::PartitionSizeMismatch { .. })
+        ));
     }
 
     #[test]

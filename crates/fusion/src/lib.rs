@@ -23,13 +23,13 @@
 //! * [`set_repr`] — Algorithm 1: the set representation of machine states
 //!   (§5, Fig. 5).
 //! * [`FusionSession`] / [`FusionConfig`] — the **recommended entry
-//!   point**: a config-driven session (worker count, product strategy,
-//!   cache policy resolved once) that owns the closure kernel, scratch
-//!   buffers and a cross-call closure cache (module [`mod@session`]).
+//!   point**: a config-driven session (worker count, product strategy and
+//!   sizing knobs resolved once) that owns the closure kernel, scratch
+//!   buffers and the last initial fault graph (module [`mod@session`]).
 //! * [`TopDelta`] / [`FusionSession::update_top`] — **delta-aware
 //!   re-fusion** for evolving machine sets: add, remove or extend one
-//!   machine and have the product, fault graph and closure cache updated
-//!   incrementally instead of rebuilt (module [`mod@delta`]).
+//!   machine and have the product and fault graph updated incrementally
+//!   instead of rebuilt (module [`mod@delta`]).
 //! * [`generate_fusion`] — Algorithm 2: minimal fusion generation (§5.1,
 //!   Theorem 5), one sequential greedy descent shared by the free function
 //!   and the session.
@@ -102,12 +102,20 @@ pub mod session;
 pub mod set_repr;
 pub mod theory;
 
+// The test-only `n`-state lattice-walk oracle, shared with the workspace's
+// integration tests; it names this crate `fsm_fusion_core`, as they do.
+#[cfg(test)]
+extern crate self as fsm_fusion_core;
+#[cfg(test)]
+#[path = "../../../tests/support/lattice_oracle.rs"]
+mod lattice_oracle;
+
 pub use bitset::{BitsetPartition, BlockMatrix};
 pub use closed::{
     check_closed, close, is_closed, quotient_machine, CloseScratch, ClosureKernel, QuotientLevel,
     QuotientMerge,
 };
-pub use config::{CachePolicy, Engine, FusionConfig, ProductStrategy};
+pub use config::{Engine, FusionConfig, ProductStrategy};
 pub use delta::{TopDelta, UpdateStats};
 pub use error::{FusionError, Result};
 pub use fault_graph::{FaultGraph, GraphDelta, WeightRepr};

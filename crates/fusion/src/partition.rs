@@ -57,15 +57,6 @@ impl Partition {
         }
     }
 
-    /// Overwrites `self` with the contents of `other`, reusing `self`'s
-    /// buffer — the allocation-free `clone_from` the closure-cache hit path
-    /// uses (the derived `Clone::clone_from` would reallocate).
-    pub(crate) fn copy_from(&mut self, other: &Partition) {
-        self.block_of.clear();
-        self.block_of.extend_from_slice(&other.block_of);
-        self.num_blocks = other.num_blocks;
-    }
-
     /// Builds a partition from an explicit block assignment
     /// (`assignment[x]` = arbitrary label of the block containing `x`).
     ///

@@ -46,9 +46,7 @@ impl FusionReport {
     /// [`FusionReport::measure_with`] so the rows share one session.
     pub fn measure(label: impl Into<String>, machines: &[Dfsm], f: usize) -> Result<Self> {
         Self::measure_with(
-            &mut crate::config::FusionConfig::from_env()
-                .cache(crate::config::CachePolicy::Disabled)
-                .build(),
+            &mut crate::config::FusionConfig::from_env().build(),
             label,
             machines,
             f,

@@ -9,9 +9,8 @@ use fsm_fusion::machines::{fig2_machines, fig3_top};
 use fsm_fusion::prelude::*;
 
 fn main() {
-    // One session for every lattice walk and generation below: the lattice
-    // walks share its closure cache, and the fusion generation at the end
-    // reuses its kernel and scratch.
+    // One session for every lattice walk and generation below: they share
+    // its closure kernel and scratch buffers.
     let mut session = FusionConfig::new().build();
 
     let machines = fig2_machines();
@@ -41,8 +40,7 @@ fn main() {
         lattice.hasse_edges()
     );
 
-    // The basis is the lower cover of ⊤ — through the session it comes
-    // straight out of the closures the enumeration above already cached.
+    // The basis is the lower cover of ⊤.
     let b = session
         .lower_cover(&top, &Partition::singletons(top.size()))
         .expect("basis of a valid machine");

@@ -27,11 +27,11 @@
 //! ## Quickstart
 //!
 //! The recommended entry point is a [`fusion::FusionSession`] built from a
-//! [`fusion::FusionConfig`]: worker count, product strategy and cache
-//! policy are resolved once (the environment is only the `Auto` fallback,
+//! [`fusion::FusionConfig`]: worker count, product strategy and its sizing
+//! knobs are resolved once (the environment is only the `Auto` fallback,
 //! via [`fusion::FusionConfig::from_env`]), and the session reuses its
-//! closure kernel, scratch buffers and cached initial fault graph over
-//! every generation, and a cross-call closure cache over lattice walks.
+//! closure kernel and scratch buffers over every generation and lattice
+//! walk, and its cached initial fault graph over every generation.
 //!
 //! ```
 //! use fsm_fusion::prelude::*;
@@ -82,9 +82,9 @@ pub mod prelude {
         SimEnvironment, Store, TraceEvent, Workload, REPLAY_CUTOVER,
     };
     pub use fsm_fusion_core::{
-        generate_fusion, generate_fusion_for_machines, BitsetPartition, CachePolicy, CacheStats,
-        FaultGraph, FaultModel, FusionConfig, FusionReport, FusionSession, MachineReport,
-        Partition, RecoveryEngine, TopDelta, UpdateStats, WeightRepr,
+        generate_fusion, generate_fusion_for_machines, BitsetPartition, CacheStats, FaultGraph,
+        FaultModel, FusionConfig, FusionReport, FusionSession, MachineReport, Partition,
+        RecoveryEngine, TopDelta, UpdateStats, WeightRepr,
     };
     pub use fsm_machines::{fig1_machines, table1_rows, MachineSet};
 }
@@ -115,13 +115,12 @@ mod tests {
             FusedSystem::with_session(&machines, 1, FaultModel::Crash, &mut session).unwrap();
         system.apply_workload(&Workload::from_bits("01"));
         assert!(system.consistent_with_oracle());
-        // Generation reuses the initial fault graph but never touches the
-        // closure cache; lattice walks through the session fill it.
+        // The system's generation reused the initial fault graph of the
+        // session's first one; a lattice walk leaves the slot alone.
         let stats: CacheStats = session.cache_stats();
-        assert!(stats.graph_hits > 0, "{stats}");
-        assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 0, 0));
+        assert_eq!((stats.hits, stats.misses), (1, 1), "{stats}");
         let top = Partition::singletons(product.size());
         session.lower_cover(product.top(), &top).unwrap();
-        assert!(session.cache_stats().insertions > 0);
+        assert_eq!(session.cache_stats(), stats);
     }
 }

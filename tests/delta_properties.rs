@@ -1,23 +1,27 @@
 //! Property tests pinning `FusionSession::update_top` bit-identical to a
 //! cold session built on the post-delta `⊤`.
 //!
-//! A warm session installs an initial machine set, runs a generation and a
-//! lattice walk (so the fault graph and the closure cache hold state), then
-//! applies a random sequence of [`TopDelta`]s — adds, removes, extends —
-//! through the incremental paths: product stride-extension, fault-graph
-//! pullback/contraction, closure-cache drop.  A cold session is built
-//! directly on the final machine set.  Everything observable must match
-//! exactly, under every cache policy:
+//! A warm session installs an initial machine set and runs a generation
+//! (so its fault-graph slot holds state), then applies a random sequence of
+//! [`TopDelta`]s — adds, removes, extends — through the incremental paths:
+//! product stride-extension and fault-graph pullback/contraction.  A cold
+//! session is built directly on the final machine set.  Everything
+//! observable must match exactly:
 //!
 //! * the fusion partitions, machine sizes and state space,
 //! * every `GenerationStats` field (dmin before/after, outer iterations,
-//!   descent steps, candidates examined) — the cache may only change
+//!   descent steps, candidates examined) — the kept graph may only change
 //!   wall-clock time, never the walk,
 //! * the product numbering itself (tuples and state names per `StateId`),
-//! * a lattice walk and the lower cover of `⊤` over the final machine —
-//!   no closure cached before a delta may leak into a walk after it.
+//! * lattice walks and the lower cover of `⊤`, free and through the
+//!   session, equal the test-only `n`-state oracle
+//!   (`tests/support/lattice_oracle.rs`) before the deltas and after every
+//!   one of them.
 
-use fsm_fusion::fusion::{enumerate_lattice, lower_cover, CachePolicy, FusionConfig, TopDelta};
+#[path = "support/lattice_oracle.rs"]
+mod lattice_oracle;
+
+use fsm_fusion::fusion::{enumerate_lattice, lower_cover, FusionConfig, TopDelta};
 use fsm_fusion::machines::{random_dfsm, RandomDfsmConfig};
 use fsm_fusion::prelude::*;
 use proptest::prelude::*;
@@ -117,34 +121,43 @@ fn apply_spec(
     true
 }
 
-/// Warm-after-deltas versus cold-on-final, under one cache policy.
-fn assert_delta_sequence_matches_cold(
-    policy: CachePolicy,
-    initial: &[Dfsm],
-    specs: &[DeltaSpec],
-    max_f: usize,
-) {
-    let config = FusionConfig::new().workers(2).cache(policy);
+/// Lattice walks over the session's installed `⊤` — `enumerate_lattice`
+/// and the lower cover of `⊤`, free and through the session — equal the
+/// `n`-state oracle.
+fn assert_walks_match_oracle(session: &mut FusionSession, label: &str) {
+    let top = session.top_product().unwrap().top().clone();
+    let oracle = lattice_oracle::enumerate_lattice(&top, LATTICE_LIMIT);
+    let free = enumerate_lattice(&top, LATTICE_LIMIT).unwrap();
+    let walked = session.enumerate_lattice(&top, LATTICE_LIMIT).unwrap();
+    assert_eq!(free.elements, oracle.elements, "{label}");
+    assert_eq!(free.truncated, oracle.truncated, "{label}");
+    assert_eq!(walked.elements, oracle.elements, "{label}");
+    assert_eq!(walked.truncated, oracle.truncated, "{label}");
+    let top_p = Partition::singletons(top.size());
+    let cover = lattice_oracle::lower_cover(&top, &top_p);
+    assert_eq!(lower_cover(&top, &top_p).unwrap(), cover, "{label}");
+    assert_eq!(session.lower_cover(&top, &top_p).unwrap(), cover, "{label}");
+}
+
+/// Warm-after-deltas versus cold-on-final.
+fn assert_delta_sequence_matches_cold(initial: &[Dfsm], specs: &[DeltaSpec], max_f: usize) {
+    let config = FusionConfig::new().workers(2);
     let mut warm = config.clone().build();
     let mut machines = initial.to_vec();
     warm.install_top(&machines).unwrap();
-    // Populate graph and closure cache so the deltas have real state to
-    // evolve or drop; walk again between deltas.
+    // Populate the graph slot so the deltas have real state to evolve, and
+    // pin the walks before the deltas and after every one of them.
     warm.generate_top_fusion(1).unwrap();
-    let walk = |s: &mut FusionSession| {
-        let top = s.top_product().unwrap().top().clone();
-        s.enumerate_lattice(&top, LATTICE_LIMIT).unwrap()
-    };
-    walk(&mut warm);
+    assert_walks_match_oracle(&mut warm, "installed");
     for (step, spec) in specs.iter().enumerate() {
         if apply_spec(spec, step, &mut machines, &mut warm) {
-            walk(&mut warm);
+            assert_walks_match_oracle(&mut warm, &format!("{specs:?} step {step}"));
         }
     }
 
     let mut cold = config.build();
     cold.install_top(&machines).unwrap();
-    let label = format!("{policy:?} {specs:?}");
+    let label = format!("{specs:?}");
 
     // Identical product numbering: size, tuples, state names.
     let (wp, cp) = (warm.top_product().unwrap(), cold.top_product().unwrap());
@@ -179,22 +192,8 @@ fn assert_delta_sequence_matches_cold(
         );
     }
 
-    // Lattice walks after the deltas equal the free functions' (run twice,
-    // so the second walk reads closures the first stored).
-    let top = warm.top_product().unwrap().top().clone();
-    let free = enumerate_lattice(&top, LATTICE_LIMIT).unwrap();
-    let top_p = Partition::singletons(top.size());
-    let free_cover = lower_cover(&top, &top_p).unwrap();
-    for _ in 0..2 {
-        let walked = warm.enumerate_lattice(&top, LATTICE_LIMIT).unwrap();
-        assert_eq!(walked.elements, free.elements, "{label}");
-        assert_eq!(walked.truncated, free.truncated, "{label}");
-        assert_eq!(
-            warm.lower_cover(&top, &top_p).unwrap(),
-            free_cover,
-            "{label}"
-        );
-    }
+    // Walks after the generations still equal the oracle.
+    assert_walks_match_oracle(&mut warm, &label);
 }
 
 /// Lattice elements a walk visits at most: small enough to keep every case
@@ -204,8 +203,7 @@ const LATTICE_LIMIT: usize = 64;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random delta sequences across every cache policy (disabled, default
-    /// bound, and a tiny bound that forces evictions mid-remap).
+    /// Random delta sequences of one to three adds, removes and extends.
     #[test]
     fn sequential_delta_sequences_match_cold_sessions(
         seed in 0u64..50_000,
@@ -217,12 +215,6 @@ proptest! {
             rand_machine("A", 2 + (seed as usize % 2), seed),
             rand_machine("B", 2 + (seed as usize / 2 % 2), seed.wrapping_add(7919)),
         ];
-        for policy in [
-            CachePolicy::Disabled,
-            CachePolicy::default(),
-            CachePolicy::Bounded(64),
-        ] {
-            assert_delta_sequence_matches_cold(policy, &initial, &specs, 2);
-        }
+        assert_delta_sequence_matches_cold(&initial, &specs, 2);
     }
 }

@@ -1,24 +1,30 @@
 //! Property tests pinning the `FusionSession` API to the legacy free
-//! functions, and the closure cache to bit-identical cached/cold runs.
+//! functions, and its initial-fault-graph slot to bit-identical warm/cold
+//! runs.
 //!
 //! The session path owns state the free functions re-derive per call
-//! (kernel, scratch, closure + fault-graph cache), so the properties here
+//! (kernel, scratch, the last initial fault graph), so the properties here
 //! are the contract that keeps the two paths interchangeable:
 //!
-//! * session `generate_fusion` — at any worker count, with the cache warm
-//!   or cold — returns exactly the free `generate_fusion`'s partitions,
-//!   machines and statistics (everything but wall-clock time), across
-//!   repeated `f` sweeps on one session;
-//! * session lattice walks equal the free-function lattice walks;
+//! * session `generate_fusion` — at any worker count, with the graph slot
+//!   warm or cold — returns exactly the free `generate_fusion`'s
+//!   partitions, machines and statistics (everything but wall-clock time),
+//!   across repeated `f` sweeps on one session;
+//! * session and free lattice walks equal the test-only `n`-state oracle
+//!   (`tests/support/lattice_oracle.rs`);
 //! * every `ProductBuilder` strategy builds the identical product;
-//! * the cache-hit counters behave deterministically: a repeated lattice
-//!   walk is answered entirely from the cache (the `tests/alloc_free.rs`-
-//!   style steady-state assertion), fusion sweeps touch only the cached
-//!   initial fault graph, and the config precedence rules pin explicit >
-//!   environment > auto-detect.
+//! * the graph-slot counters behave deterministically: a repeated `f`
+//!   sweep is answered entirely from the slot, lattice walks never touch
+//!   it, and the config precedence rules pin explicit > environment >
+//!   auto-detect.
 
-use fsm_fusion::fusion::{enumerate_lattice, projection_partitions, FusionConfig, FusionSession};
-use fsm_fusion::machines::{random_dfsm, RandomDfsmConfig};
+#[path = "support/lattice_oracle.rs"]
+mod lattice_oracle;
+
+use fsm_fusion::fusion::{
+    close, enumerate_lattice, lower_cover, projection_partitions, FusionConfig, FusionSession,
+};
+use fsm_fusion::machines::{random_dfsm, table1_rows, RandomDfsmConfig};
 use fsm_fusion::prelude::*;
 use proptest::prelude::*;
 
@@ -37,6 +43,27 @@ fn machine_family(seed: u64) -> Vec<Dfsm> {
             )
         })
         .collect()
+}
+
+/// The lower cover of `p`, free and through `session`, equals the oracle's.
+fn check_lower_cover(session: &mut FusionSession, top: &Dfsm, p: &Partition, label: &str) {
+    let oracle = lattice_oracle::lower_cover(top, p);
+    assert_eq!(lower_cover(top, p).unwrap(), oracle, "{label}: free");
+    let walked = session.lower_cover(top, p).unwrap();
+    assert_eq!(walked, oracle, "{label}: session");
+}
+
+/// The lattice walk of `top` up to `limit` elements, free and through
+/// `session`, equals the oracle's (elements and truncation flag).
+fn check_lattice(session: &mut FusionSession, top: &Dfsm, limit: usize, label: &str) {
+    let oracle = lattice_oracle::enumerate_lattice(top, limit);
+    for (walk, path) in [
+        (enumerate_lattice(top, limit).unwrap(), "free"),
+        (session.enumerate_lattice(top, limit).unwrap(), "session"),
+    ] {
+        assert_eq!(walk.elements, oracle.elements, "{label}: {path}");
+        assert_eq!(walk.truncated, oracle.truncated, "{label}: {path}");
+    }
 }
 
 /// Asserts a session generation equals a cold sequential one in everything
@@ -124,30 +151,60 @@ proptest! {
         }
     }
 
-    /// Session lattice enumeration equals the free-function lattice, with
-    /// the cache warm from a preceding generation over the same machine.
+    /// Session and free lattice walks equal the `n`-state oracle — the
+    /// whole lattice, the lower cover of `⊤` and that of a random closed
+    /// partition (the closure of a few random merges) — with the session
+    /// warm from a preceding generation over the same machine.
     #[test]
-    fn session_lattices_match_free_functions(seed in 0u64..50_000) {
+    fn session_lattices_match_free_functions(seed in 0u64..50_000, merges in 0usize..4) {
         let machines = machine_family(seed);
         let product = ReachableProduct::new(&machines).unwrap();
+        let (top, n) = (product.top(), product.size());
         let originals = projection_partitions(&product);
         let mut session = FusionConfig::new().build();
-        // Warm the cache with a generation first — lattice closures must
-        // coexist with descent closures in the same cache.
-        session.generate_fusion(product.top(), &originals, 1).unwrap();
-        let free = enumerate_lattice(product.top(), 500).unwrap();
-        let warm = session.enumerate_lattice(product.top(), 500).unwrap();
-        assert_eq!(warm.elements, free.elements);
-        assert_eq!(warm.truncated, free.truncated);
+        session.generate_fusion(top, &originals, 1).unwrap();
+        check_lattice(&mut session, top, 500, "lattice");
+        check_lower_cover(&mut session, top, &Partition::singletons(n), "top");
+        let mut p = Partition::singletons(n);
+        for m in 0..merges {
+            p = p.merge_elements((seed as usize + 13 * m) % n, (seed as usize * 31 + 7 * m) % n);
+        }
+        let current = close(top, &p).unwrap();
+        check_lower_cover(&mut session, top, &current, "random closed partition");
     }
 }
 
-/// The `tests/alloc_free.rs`-style steady-state assertion, on the cache-hit
-/// counters instead of the allocator: after one lattice walk warmed the
-/// closure cache, an identical walk must be answered **entirely** from the
-/// cache — zero new misses, zero new insertions.  Fusion sweeps in between
-/// reuse the cached initial fault graph and leave the closure counters
-/// alone: the descent scores its candidates on the quotient machine.
+/// The five Table 1 tops: the lower covers of each row's projections and
+/// generated fusion machines, free and through one session, equal the
+/// oracle's; so do the lower cover of `⊤` and the first elements of the
+/// lattice walk for the tops of at most 176 states.
+#[test]
+fn table1_tops_match_the_lattice_oracle() {
+    let mut session = FusionConfig::new().build();
+    let mut tops_walked = 0;
+    for row in table1_rows() {
+        let product = ReachableProduct::new(&row.machines).unwrap();
+        let (top, n) = (product.top(), product.size());
+        let originals = projection_partitions(&product);
+        let fusion = generate_fusion(top, &originals, row.f).unwrap();
+        for (i, p) in originals.iter().chain(&fusion.partitions).enumerate() {
+            check_lower_cover(&mut session, top, p, &format!("{}: machine {i}", row.label));
+        }
+        if n <= 176 {
+            let label = format!("{}: top", row.label);
+            check_lower_cover(&mut session, top, &Partition::singletons(n), &label);
+            check_lattice(&mut session, top, 40, &label);
+            tops_walked += 1;
+        }
+    }
+    assert!(tops_walked > 0);
+}
+
+/// The `tests/alloc_free.rs`-style steady-state assertion, on the graph
+/// slot's counters instead of the allocator: after one generation built
+/// the initial fault graph, an `f` sweep over the same `(⊤, originals)` is
+/// answered **entirely** from the slot — zero new misses.  Lattice walks in
+/// between leave the slot alone and equal the oracle.
 #[test]
 fn repeated_sweep_is_answered_entirely_from_the_cache() {
     let machines = fig1_machines();
@@ -155,53 +212,33 @@ fn repeated_sweep_is_answered_entirely_from_the_cache() {
     let (product, _) = session.generate_fusion_for_machines(&machines, 1).unwrap();
     let originals = projection_partitions(&product);
     let top = product.top();
-
-    // Warm-up walk.
-    let first = session.enumerate_lattice(top, 500).unwrap();
     let warm = session.cache_stats();
-    assert!(warm.insertions > 0);
-    assert!(warm.misses > 0);
+    assert_eq!((warm.hits, warm.misses), (0, 1), "{warm}");
 
-    // Fusion sweeps hit the graph slot and nothing else.
+    // A walk equals the oracle and leaves the slot alone.
+    let oracle = lattice_oracle::enumerate_lattice(top, 500);
+    let first = session.enumerate_lattice(top, 500).unwrap();
+    assert_eq!(first.elements, oracle.elements);
+    assert_eq!(session.cache_stats(), warm);
+
+    // Fusion sweeps hit the graph slot and never rebuild.
     for f in 1..=3 {
         session.generate_fusion(top, &originals, f).unwrap();
     }
     let swept = session.cache_stats();
-    assert_eq!(swept.graph_hits, warm.graph_hits + 3, "{swept}");
-    assert_eq!(swept.graph_misses, warm.graph_misses, "{swept}");
-    assert_eq!(
-        (swept.hits, swept.misses, swept.insertions),
-        (warm.hits, warm.misses, warm.insertions),
-        "generate_fusion consulted the closure cache"
-    );
+    assert_eq!(swept.hits, warm.hits + 3, "{swept}");
+    assert_eq!(swept.misses, warm.misses, "{swept}");
 
-    // Steady state: the identical walk re-closes the identical merges.
+    // Steady state: the identical walk gives the identical lattice.
     let again = session.enumerate_lattice(top, 500).unwrap();
     assert_eq!(again.elements, first.elements);
-    let steady = session.cache_stats();
-    assert_eq!(
-        steady.misses, warm.misses,
-        "steady-state walk missed the cache"
-    );
-    assert_eq!(steady.insertions, warm.insertions);
-    assert_eq!(steady.graph_misses, warm.graph_misses);
-    assert!(
-        steady.hits > warm.hits,
-        "steady-state walk did not hit the cache"
-    );
-    assert_eq!(steady.clears, warm.clears);
-    // The default bound is far above this workload, and no delta ran:
-    // nothing may have been evicted, in either walk.
-    assert_eq!(warm.evicted, 0);
-    assert_eq!(steady.evicted, 0);
+    assert_eq!(session.cache_stats(), swept);
 }
 
 /// The delta counterpart of the steady-state assertion: `update_top`
-/// (`AddMachine`) evolves the cached fault graph instead of clearing the
-/// cache, and drops the lattice-walk closures, which describe the old `⊤`.
-/// Sweeps over the evolved `⊤` hit the evolved graph; a walk over it
-/// equals the free-function walk, and a repeated walk is served from the
-/// closures the first one stored.
+/// (`AddMachine`) evolves the kept fault graph instead of dropping it, so
+/// sweeps over the evolved `⊤` hit it; walks before and after the delta
+/// equal the oracle on the machine installed at the time.
 #[test]
 fn update_top_remaps_instead_of_clearing() {
     let machines = fig1_machines();
@@ -211,58 +248,39 @@ fn update_top_remaps_instead_of_clearing() {
         session.generate_top_fusion(f).unwrap();
     }
     let top = session.top_product().unwrap().top().clone();
-    session.enumerate_lattice(&top, 500).unwrap();
+    let walked = session.enumerate_lattice(&top, 500).unwrap();
+    assert_eq!(
+        walked.elements,
+        lattice_oracle::enumerate_lattice(&top, 500).elements
+    );
     let before = session.cache_stats();
-    assert!(before.insertions > 0, "{before}");
-    assert_eq!(before.evicted, 0);
-    assert_eq!(before.clears, 0);
+    assert_eq!((before.hits, before.misses), (1, 1), "{before}");
 
     let mut third = fig1_machines().remove(0);
     third = third.renamed("C");
     let delta_stats = session.update_top(TopDelta::AddMachine(third)).unwrap();
     assert!(!delta_stats.graph_rebuilt, "{delta_stats}");
     assert_eq!(delta_stats.closures_remapped, 0, "{delta_stats}");
-    let after_delta = session.cache_stats();
-    assert_eq!(
-        after_delta.evicted - before.evicted,
-        delta_stats.closures_evicted,
-        "session counter and UpdateStats disagree"
-    );
-    assert!(
-        delta_stats.closures_evicted > before.insertions,
-        "{delta_stats}"
-    );
-    assert_eq!(after_delta.clears, 0, "{after_delta}");
+    assert_eq!(session.cache_stats(), before);
 
-    // Sweeps over the evolved top hit the evolved graph and leave every
-    // closure counter untouched …
+    // Sweeps over the evolved top hit the evolved graph …
     for f in 1..=2 {
         session.generate_top_fusion(f).unwrap();
     }
     let swept = session.cache_stats();
-    assert_eq!(
-        (swept.hits, swept.misses, swept.insertions),
-        (after_delta.hits, after_delta.misses, after_delta.insertions),
-        "generate_top_fusion consulted the closure cache"
-    );
-    assert_eq!(swept.graph_hits, after_delta.graph_hits + 2, "{swept}");
-    assert_eq!(swept.graph_misses, after_delta.graph_misses, "{swept}");
-    // … a walk over it equals the free function's and starts cold …
+    assert_eq!(swept.hits, before.hits + 2, "{swept}");
+    assert_eq!(swept.misses, before.misses, "{swept}");
+    // … and walks over it equal the oracle and the free function.
     let evolved = session.top_product().unwrap().top().clone();
-    let walked = session.enumerate_lattice(&evolved, 500).unwrap();
+    let oracle = lattice_oracle::enumerate_lattice(&evolved, 500);
     let free = enumerate_lattice(&evolved, 500).unwrap();
-    assert_eq!(walked.elements, free.elements);
-    assert_eq!(walked.truncated, free.truncated);
-    let first_walk = session.cache_stats();
-    assert_eq!(first_walk.hits, swept.hits, "stale closure served");
-    // … and a repeated walk is served from the closures it stored.
-    let again = session.enumerate_lattice(&evolved, 500).unwrap();
-    assert_eq!(again.elements, free.elements);
-    let steady = session.cache_stats();
-    assert_eq!(steady.misses, first_walk.misses, "{steady}");
-    assert!(steady.hits > first_walk.hits, "{steady}");
-    assert_eq!(steady.evicted, after_delta.evicted);
-    assert_eq!(steady.clears, 0);
+    assert_eq!(free.elements, oracle.elements);
+    for _ in 0..2 {
+        let walked = session.enumerate_lattice(&evolved, 500).unwrap();
+        assert_eq!(walked.elements, oracle.elements);
+        assert_eq!(walked.truncated, oracle.truncated);
+    }
+    assert_eq!(session.cache_stats(), swept);
 }
 
 /// Config precedence regression: explicit > environment snapshot >
@@ -315,14 +333,16 @@ fn facade_shims_agree_with_sessions_end_to_end() {
     assert!(a.matches_oracle && b.matches_oracle);
     assert_eq!(a.repaired, b.repaired);
 
-    // And the session type is reachable through the prelude.  Generation
-    // went through the graph slot only; a lower cover reaches the closures.
+    // And the session type is reachable through the prelude.  Both
+    // generations went through the graph slot; a lower cover equals the
+    // oracle and leaves the slot alone.
     let _: &FusionSession = &session;
     let stats: CacheStats = session.cache_stats();
-    assert!(stats.graph_hits + stats.graph_misses > 0, "{stats}");
-    assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 0, 0));
+    assert_eq!(stats.hits + stats.misses, 2, "{stats}");
     let top = Partition::singletons(product.size());
-    session.lower_cover(product.top(), &top).unwrap();
-    let stats = session.cache_stats();
-    assert!(stats.hits + stats.misses > 0, "{stats}");
+    assert_eq!(
+        session.lower_cover(product.top(), &top).unwrap(),
+        lattice_oracle::lower_cover(product.top(), &top)
+    );
+    assert_eq!(session.cache_stats(), stats);
 }
