@@ -26,7 +26,10 @@
 //! times a Table 1 row whose descent examines 15,400 candidates and keeps
 //! none — the failing-candidate path.  `lattice_walk_n81` times a full
 //! `enumerate_lattice` (212 closed partitions of four mod-3 counters), the
-//! lattice-walk path.  Every op records the peak
+//! lattice-walk path.  `fault_graph_build_n6561` times the dense fault-graph
+//! build at |⊤| = 6561 alone, and `alg2_session_n6561` the same f = 1 job
+//! as `alg2_search_n6561` through a cold `FusionSession` (graph slot
+//! included).  Every op records the peak
 //! resident set observed during its section as a documentation-only
 //! `peak_rss_kb` field.
 //! Each figure is the median of five rounds of at least [`MIN_ITERS`]
@@ -372,6 +375,21 @@ fn measure_all() -> Vec<Measurement> {
         let top = product.top();
         let ns = bench(MIN_ITERS, || generate_fusion(top, &originals, 1).unwrap());
         push("alg2_search_n6561", MIN_ITERS, ns);
+
+        // The fault-graph layer alone: the one-pass dense `u16` build.
+        let n = product.size();
+        let iters = 10;
+        let ns = bench(iters, || FaultGraph::from_partitions(n, &originals));
+        push("fault_graph_build_n6561", iters, ns);
+
+        // A cold session generating f = 1: the path a fresh
+        // `FusionSession` takes, initial-fault-graph slot included.
+        let iters = 5;
+        let ns = bench(iters, || {
+            let mut session = FusionConfig::new().workers(1).build();
+            session.generate_fusion(top, &originals, 1).unwrap()
+        });
+        push("alg2_session_n6561", iters, ns);
     }
 
     // |⊤| = 3¹⁰ = 59049 through the memory-budgeted streaming builder: a

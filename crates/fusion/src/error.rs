@@ -30,6 +30,10 @@ pub enum FusionError {
     /// last machine, or an extension that shrinks a machine's states or
     /// alphabet).
     InvalidDelta(String),
+    /// A fusion would put more machines (originals plus backups) into one
+    /// fault graph than its representation holds
+    /// ([`crate::WeightRepr::machine_limit`]; dense weights are `u16`).
+    TooManyMachines { machines: usize, limit: usize },
     /// An underlying DFSM error.
     Dfsm(fsm_dfsm::DfsmError),
 }
@@ -64,6 +68,10 @@ impl fmt::Display for FusionError {
             }
             FusionError::InvalidReport(msg) => write!(f, "invalid recovery report: {msg}"),
             FusionError::InvalidDelta(msg) => write!(f, "invalid top delta: {msg}"),
+            FusionError::TooManyMachines { machines, limit } => write!(
+                f,
+                "{machines} machines exceed the fault graph's limit of {limit}"
+            ),
             FusionError::Dfsm(e) => write!(f, "dfsm error: {e}"),
         }
     }
@@ -104,6 +112,11 @@ mod tests {
             candidates: vec![0, 3],
         };
         assert!(e.to_string().contains("2 candidate"));
+        let e = FusionError::TooManyMachines {
+            machines: 65_536,
+            limit: 65_535,
+        };
+        assert!(e.to_string().contains("65536 machines"));
     }
 
     #[test]

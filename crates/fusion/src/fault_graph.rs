@@ -47,10 +47,17 @@
 //! (`tests/parallel_properties.rs`, `tests/fault_graph_repr.rs`) and for
 //! the `fault_graph_incremental_*` baselines in `BENCH_fusion.json`.
 //!
+//! The dense cells are `u16`: a weight never exceeds the machine count, so
+//! the representation holds at most [`DENSE_MACHINE_LIMIT`] machines and
+//! in exchange halves the matrix, its first-touch page faults and every
+//! pass over it.  [`FaultGraph::from_partitions`] does not replay the adds:
+//! it writes each weight once, row by row, and fills the stripe histograms
+//! in the same pass (`fault_graph_build_n6561` in `BENCH_fusion.json`).
+//!
 //! ## Sparse representation
 //!
 //! Above ~10⁴ states the dense matrix is the memory wall: `n = 59049`
-//! means 1.74 × 10⁹ edges ≈ 7 GB of `u32` weights.  The sparse
+//! means 1.74 × 10⁹ edges ≈ 3.5 GB of `u16` weights.  The sparse
 //! representation ([`WeightRepr::Sparse`]) stores, per state `i`, only the
 //! pairs `(i, j)` with a non-zero **deficit** — the number of machines
 //! that do *not* separate the pair (`weight = machines − deficit`).  A
@@ -80,15 +87,26 @@ fn edge_index_in(n: usize, i: usize, j: usize) -> usize {
 }
 
 /// How a [`FaultGraph`] stores its edge weights.
+///
+/// An edge weight is at most the machine count, so each representation
+/// caps the machines a graph can hold ([`WeightRepr::machine_limit`]): the
+/// dense matrix stores `u16` cells and holds at most
+/// [`DENSE_MACHINE_LIMIT`] machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WeightRepr {
-    /// Flat upper-triangular `Vec<u32>` with striped histogram trackers —
+    /// Flat upper-triangular `Vec<u16>` with striped histogram trackers —
     /// the right choice whenever the matrix fits comfortably in RAM.
     Dense,
     /// Per-state sorted deficit rows storing only pairs some machine fails
     /// to separate — the right choice for large `n` with fine partitions.
     Sparse,
 }
+
+/// Most machines a dense fault graph holds: its weights are `u16` cells.
+pub const DENSE_MACHINE_LIMIT: usize = u16::MAX as usize;
+
+/// Most machines a sparse fault graph holds: its deficits are `u32`.
+const SPARSE_MACHINE_LIMIT: usize = u32::MAX as usize;
 
 /// Edge count below which [`WeightRepr::auto_for`] always picks
 /// [`WeightRepr::Dense`]: a dense matrix under 4 MiB beats sparse rows on
@@ -97,12 +115,22 @@ pub const SPARSE_MIN_EDGES: usize = 1 << 20;
 
 /// Density denominator for [`WeightRepr::auto_for`]: sparse is chosen when
 /// the estimated stored-entry count is below `edges / SPARSE_DENSITY_DIV`.
-/// Each sparse entry is 8 bytes against the dense 4 bytes per edge, so the
-/// break-even is `edges / 2`; `edges / 8` leaves headroom for per-row
+/// Each sparse entry is 8 bytes against the dense 2 bytes per edge, so the
+/// break-even is `edges / 4`; `edges / 8` leaves headroom for per-row
 /// overhead and for deficits accumulating across machines.
 pub const SPARSE_DENSITY_DIV: usize = 8;
 
 impl WeightRepr {
+    /// The most machines a graph in this representation can hold:
+    /// [`DENSE_MACHINE_LIMIT`] for [`WeightRepr::Dense`], `u32::MAX` for
+    /// [`WeightRepr::Sparse`].
+    pub fn machine_limit(self) -> usize {
+        match self {
+            WeightRepr::Dense => DENSE_MACHINE_LIMIT,
+            WeightRepr::Sparse => SPARSE_MACHINE_LIMIT,
+        }
+    }
+
     /// The representation [`FaultGraph::from_partitions`] picks for `n`
     /// states and the given machine partitions: sparse iff the graph is
     /// past [`SPARSE_MIN_EDGES`] *and* the union-bound estimate of stored
@@ -139,10 +167,10 @@ fn same_block_pairs(p: &Partition) -> usize {
 #[derive(Debug)]
 struct DenseWeights {
     n: usize,
-    /// Upper-triangular weights, indexed by [`edge_index_in`] — the layout
-    /// is unchanged from the pre-stripe refactor, so the word-walk of
-    /// `add_machine_bitset` writes exactly the same cells.
-    weights: Vec<u32>,
+    /// Upper-triangular weights, indexed by [`edge_index_in`].  A weight
+    /// never exceeds the machine count, which the dense representation caps
+    /// at [`DENSE_MACHINE_LIMIT`], so a `u16` cell holds it.
+    weights: Vec<u16>,
     /// `stripe_hist[s][w]` = number of edges `(i, j)` with `j / 64 == s`
     /// and weight exactly `w` (each row has length `machines + 1`).
     stripe_hist: Vec<Vec<usize>>,
@@ -175,23 +203,45 @@ impl Clone for DenseWeights {
     }
 }
 
+/// The smallest weight a stripe histogram counts; `u32::MAX` for an empty
+/// (edge-less) stripe.
+fn hist_min(sh: &[usize]) -> u32 {
+    sh.iter()
+        .position(|&c| c > 0)
+        .map_or(u32::MAX, |w| w as u32)
+}
+
+/// Flat index of edge `(a, a + 1)` for every row `a` of an `n`-state
+/// matrix — two adds per lookup instead of per-edge triangular arithmetic.
+fn row_bases(n: usize) -> Vec<usize> {
+    let mut bases = Vec::with_capacity(n);
+    let mut acc = 0usize;
+    for a in 0..n {
+        bases.push(acc);
+        acc += n - a - 1;
+    }
+    bases
+}
+
 impl DenseWeights {
     fn new(n: usize) -> Self {
-        let edges = edges_in(n);
-        let stripes = if n == 0 { 0 } else { words_for(n) };
-        let mut stripe_hist = Vec::with_capacity(stripes);
-        let mut stripe_min = Vec::with_capacity(stripes);
-        for s in 0..stripes {
-            let count = Self::stripe_edge_count(n, s);
-            stripe_hist.push(vec![count]);
-            stripe_min.push(if count == 0 { u32::MAX } else { 0 });
-        }
+        let stripe_hist = (0..words_for(n))
+            .map(|s| vec![Self::stripe_edge_count(n, s)])
+            .collect();
+        Self::from_hists(n, vec![0; edges_in(n)], stripe_hist)
+    }
+
+    /// Assembles finished weights and stripe histograms, deriving every
+    /// stripe minimum and the global minimum from the histograms.
+    fn from_hists(n: usize, weights: Vec<u16>, stripe_hist: Vec<Vec<usize>>) -> Self {
+        let stripe_min: Vec<u32> = stripe_hist.iter().map(|sh| hist_min(sh)).collect();
+        let min_weight = stripe_min.iter().copied().min().unwrap_or(u32::MAX);
         DenseWeights {
             n,
-            weights: vec![0; edges],
+            weights,
             stripe_hist,
             stripe_min,
-            min_weight: if edges == 0 { u32::MAX } else { 0 },
+            min_weight,
         }
     }
 
@@ -203,19 +253,84 @@ impl DenseWeights {
         (lo..hi).sum()
     }
 
-    /// The word-level add pass.  With `track`, the per-stripe histograms
-    /// are updated inline (the histogram row is resolved once per visited
-    /// word) and the stripe minima advanced afterwards; without, trackers
-    /// are left to a later [`DenseWeights::rebuild_trackers`].  Returns the
-    /// number of stripes whose weights actually moved.
-    fn add_bitset(&mut self, p: &BitsetPartition, track: bool) -> usize {
+    /// The bulk build behind [`FaultGraph::from_partitions`]: one pass per
+    /// row writes each weight once — the number of partitions whose block
+    /// of `j` differs from the block of `i` — and counts the finished row
+    /// into the stripe histograms one 64-column segment at a time.  The
+    /// stripe minima are derived at the end.
+    fn from_partitions(n: usize, partitions: &[Partition]) -> Self {
+        let m = partitions.len();
+        // One contiguous column of block ids per partition, so the row
+        // pass compares two flat slices.
+        let mut cols: Vec<u32> = Vec::with_capacity(m * n);
+        for p in partitions {
+            cols.extend(
+                p.assignment()
+                    .iter()
+                    .map(|&b| u32::try_from(b).expect("an n²-edge graph has n < 2³² states")),
+            );
+        }
+        let mut weights = vec![0u16; edges_in(n)];
+        // Each stripe counts alternate columns into two halves, so
+        // back-to-back equal weights do not serialize on one counter; the
+        // halves are folded at the end.
+        let mut stripe_hist = vec![vec![0usize; 2 * (m + 1)]; words_for(n)];
+        let mut base = 0usize;
+        for i in 0..n.saturating_sub(1) {
+            let row = &mut weights[base..base + (n - i - 1)];
+            // Two partitions per sweep of the row halve its load/store
+            // traffic; an odd partition out gets a sweep of its own.
+            let mut pairs = cols.chunks_exact(2 * n);
+            for pair in pairs.by_ref() {
+                let (c0, c1) = pair.split_at(n);
+                let (a0, a1) = (c0[i], c1[i]);
+                for ((w, &b0), &b1) in row.iter_mut().zip(&c0[i + 1..]).zip(&c1[i + 1..]) {
+                    *w += u16::from(b0 != a0) + u16::from(b1 != a1);
+                }
+            }
+            for col in pairs.remainder().chunks_exact(n) {
+                let own = col[i];
+                for (w, &b) in row.iter_mut().zip(&col[i + 1..]) {
+                    *w += u16::from(b != own);
+                }
+            }
+            let mut j = i + 1;
+            while j < n {
+                let s = j / WORD_BITS;
+                let seg_end = ((s + 1) * WORD_BITS).min(n);
+                let (even, odd) = stripe_hist[s].split_at_mut(m + 1);
+                let mut pairs = row[j - i - 1..seg_end - i - 1].chunks_exact(2);
+                for pair in pairs.by_ref() {
+                    even[usize::from(pair[0])] += 1;
+                    odd[usize::from(pair[1])] += 1;
+                }
+                for &w in pairs.remainder() {
+                    even[usize::from(w)] += 1;
+                }
+                j = seg_end;
+            }
+            base += n - i - 1;
+        }
+        for sh in &mut stripe_hist {
+            let (even, odd) = sh.split_at_mut(m + 1);
+            for (e, o) in even.iter_mut().zip(odd.iter()) {
+                *e += o;
+            }
+            sh.truncate(m + 1);
+        }
+        Self::from_hists(n, weights, stripe_hist)
+    }
+
+    /// The word-level add pass.  The per-stripe histograms are updated
+    /// inline (the histogram row is resolved once per visited word) and the
+    /// stripe minima advanced afterwards.  Returns the number of stripes
+    /// whose weights actually moved.
+    fn add_bitset(&mut self, p: &BitsetPartition) -> usize {
         let n = self.n;
         let words = words_for(n);
-        if track {
-            // One more machine: weights may now reach `machines + 1`.
-            for sh in &mut self.stripe_hist {
-                sh.push(0);
-            }
+        // One more machine: weights may now reach `machines + 1`.
+        for sh in &mut self.stripe_hist {
+            sh.push(0);
         }
         let mut touched = vec![false; words];
         let DenseWeights {
@@ -247,23 +362,19 @@ impl DenseWeights {
                     let idx = base + (j - start);
                     let old = weights[idx];
                     weights[idx] = old + 1;
-                    if track {
-                        sh[old as usize] -= 1;
-                        sh[old as usize + 1] += 1;
-                    }
+                    sh[usize::from(old)] -= 1;
+                    sh[usize::from(old) + 1] += 1;
                     mask &= mask - 1;
                 }
             }
             base += n - i - 1;
         }
-        if track {
-            self.advance_mins();
-        }
+        self.advance_mins();
         touched.iter().filter(|&&t| t).count()
     }
 
-    /// The inverse of the tracked [`DenseWeights::add_bitset`]: every pair
-    /// the partition separates loses one unit of weight.  Weights can
+    /// The inverse of [`DenseWeights::add_bitset`]: every pair the
+    /// partition separates loses one unit of weight.  Weights can
     /// *decrease* here, so the grow-only [`DenseWeights::advance_mins`]
     /// does not apply: the stripe minima of touched stripes are recomputed
     /// from their histograms and the global minimum re-derived over all
@@ -303,8 +414,8 @@ impl DenseWeights {
                     let old = weights[idx];
                     debug_assert!(old > 0, "removing a machine that was never added");
                     weights[idx] = old - 1;
-                    sh[old as usize] -= 1;
-                    sh[old as usize - 1] += 1;
+                    sh[usize::from(old)] -= 1;
+                    sh[usize::from(old) - 1] += 1;
                     mask &= mask - 1;
                 }
             }
@@ -321,10 +432,7 @@ impl DenseWeights {
         let mut global = u32::MAX;
         for (s, sh) in self.stripe_hist.iter().enumerate() {
             if touched[s] {
-                self.stripe_min[s] = match sh.iter().position(|&c| c > 0) {
-                    Some(w) => w as u32,
-                    None => u32::MAX,
-                };
+                self.stripe_min[s] = hist_min(sh);
             }
             global = global.min(self.stripe_min[s]);
         }
@@ -346,17 +454,9 @@ impl DenseWeights {
     /// each histogram row is resolved once per 64 columns.
     fn remap(&self, mapping: &[u32], machines: usize) -> DenseWeights {
         let n_new = mapping.len();
-        // Row base of old row `a`: the flat index of edge (a, a + 1).
-        let mut row_base = Vec::with_capacity(self.n);
-        let mut acc = 0usize;
-        for a in 0..self.n {
-            row_base.push(acc);
-            acc += self.n - a - 1;
-        }
-        let edges = edges_in(n_new);
-        let stripes = if n_new == 0 { 0 } else { words_for(n_new) };
-        let mut weights = vec![0u32; edges];
-        let mut stripe_hist: Vec<Vec<usize>> = vec![vec![0; machines + 1]; stripes];
+        let row_base = row_bases(self.n);
+        let mut weights = vec![0u16; edges_in(n_new)];
+        let mut stripe_hist = vec![vec![0usize; machines + 1]; words_for(n_new)];
         let mut idx = 0usize;
         for (i, &mi) in mapping.iter().enumerate() {
             let a = mi as usize;
@@ -374,29 +474,13 @@ impl DenseWeights {
                         0
                     };
                     weights[idx] = w;
-                    sh[w as usize] += 1;
+                    sh[usize::from(w)] += 1;
                     idx += 1;
                 }
                 j = seg_end;
             }
         }
-        let mut stripe_min = Vec::with_capacity(stripes);
-        let mut global = u32::MAX;
-        for sh in &stripe_hist {
-            let m = match sh.iter().position(|&c| c > 0) {
-                Some(w) => w as u32,
-                None => u32::MAX,
-            };
-            stripe_min.push(m);
-            global = global.min(m);
-        }
-        DenseWeights {
-            n: n_new,
-            weights,
-            stripe_hist,
-            stripe_min,
-            min_weight: global,
-        }
+        DenseWeights::from_hists(n_new, weights, stripe_hist)
     }
 
     /// [`DenseWeights::remap`] fused with one extra partition over the
@@ -414,16 +498,10 @@ impl DenseWeights {
         machines: usize,
     ) -> (DenseWeights, usize) {
         let n_new = mapping.len();
-        let mut row_base = Vec::with_capacity(self.n);
-        let mut acc = 0usize;
-        for a in 0..self.n {
-            row_base.push(acc);
-            acc += self.n - a - 1;
-        }
-        let edges = edges_in(n_new);
-        let stripes = if n_new == 0 { 0 } else { words_for(n_new) };
-        let mut weights = vec![0u32; edges];
-        let mut stripe_hist: Vec<Vec<usize>> = vec![vec![0; machines + 2]; stripes];
+        let row_base = row_bases(self.n);
+        let stripes = words_for(n_new);
+        let mut weights = vec![0u16; edges_in(n_new)];
+        let mut stripe_hist = vec![vec![0usize; machines + 2]; stripes];
         let mut stripe_touched = vec![false; stripes];
         let mut idx = 0usize;
         for (i, &mi) in mapping.iter().enumerate() {
@@ -448,33 +526,17 @@ impl DenseWeights {
                     };
                     let sep = (sep_word >> bit) & 1;
                     seg_sep |= sep != 0;
-                    let w = w + sep as u32;
+                    let w = w + sep as u16;
                     weights[idx] = w;
-                    sh[w as usize] += 1;
+                    sh[usize::from(w)] += 1;
                     idx += 1;
                 }
                 stripe_touched[s] |= seg_sep;
                 j = seg_end;
             }
         }
-        let mut stripe_min = Vec::with_capacity(stripes);
-        let mut global = u32::MAX;
-        for sh in &stripe_hist {
-            let m = match sh.iter().position(|&c| c > 0) {
-                Some(w) => w as u32,
-                None => u32::MAX,
-            };
-            stripe_min.push(m);
-            global = global.min(m);
-        }
         (
-            DenseWeights {
-                n: n_new,
-                weights,
-                stripe_hist,
-                stripe_min,
-                min_weight: global,
-            },
+            DenseWeights::from_hists(n_new, weights, stripe_hist),
             stripe_touched.iter().filter(|&&t| t).count(),
         )
     }
@@ -493,16 +555,10 @@ impl DenseWeights {
         machines_after: usize,
     ) -> (DenseWeights, usize) {
         let n_new = mapping.len();
-        let mut row_base = Vec::with_capacity(self.n);
-        let mut acc = 0usize;
-        for a in 0..self.n {
-            row_base.push(acc);
-            acc += self.n - a - 1;
-        }
-        let edges = edges_in(n_new);
-        let stripes = if n_new == 0 { 0 } else { words_for(n_new) };
-        let mut weights = vec![0u32; edges];
-        let mut stripe_hist: Vec<Vec<usize>> = vec![vec![0; machines_after + 1]; stripes];
+        let row_base = row_bases(self.n);
+        let stripes = words_for(n_new);
+        let mut weights = vec![0u16; edges_in(n_new)];
+        let mut stripe_hist = vec![vec![0usize; machines_after + 1]; stripes];
         let mut stripe_touched = vec![false; stripes];
         let mut idx = 0usize;
         for (i, &mi) in mapping.iter().enumerate() {
@@ -523,37 +579,21 @@ impl DenseWeights {
                         // in the block row of `a`.
                         let sep = !(row[b / WORD_BITS] >> (b % WORD_BITS)) & 1;
                         seg_sep |= sep != 0;
-                        debug_assert!(w as u64 >= sep, "removing a machine never added");
-                        w - sep as u32
+                        debug_assert!(u64::from(w) >= sep, "removing a machine never added");
+                        w - sep as u16
                     } else {
                         0
                     };
                     weights[idx] = w;
-                    sh[w as usize] += 1;
+                    sh[usize::from(w)] += 1;
                     idx += 1;
                 }
                 stripe_touched[s] |= seg_sep;
                 j = seg_end;
             }
         }
-        let mut stripe_min = Vec::with_capacity(stripes);
-        let mut global = u32::MAX;
-        for sh in &stripe_hist {
-            let m = match sh.iter().position(|&c| c > 0) {
-                Some(w) => w as u32,
-                None => u32::MAX,
-            };
-            stripe_min.push(m);
-            global = global.min(m);
-        }
         (
-            DenseWeights {
-                n: n_new,
-                weights,
-                stripe_hist,
-                stripe_min,
-                min_weight: global,
-            },
+            DenseWeights::from_hists(n_new, weights, stripe_hist),
             stripe_touched.iter().filter(|&&t| t).count(),
         )
     }
@@ -576,19 +616,14 @@ impl DenseWeights {
         let mut idx = 0usize;
         for i in 0..n {
             for j in (i + 1)..n {
-                self.stripe_hist[j / WORD_BITS][self.weights[idx] as usize] += 1;
+                self.stripe_hist[j / WORD_BITS][usize::from(self.weights[idx])] += 1;
                 idx += 1;
             }
         }
-        let mut global = u32::MAX;
-        for (s, sh) in self.stripe_hist.iter().enumerate() {
-            self.stripe_min[s] = match sh.iter().position(|&c| c > 0) {
-                Some(w) => w as u32,
-                None => u32::MAX,
-            };
-            global = global.min(self.stripe_min[s]);
+        for (m, sh) in self.stripe_min.iter_mut().zip(&self.stripe_hist) {
+            *m = hist_min(sh);
         }
-        self.min_weight = global;
+        self.min_weight = self.stripe_min.iter().copied().min().unwrap_or(u32::MAX);
     }
 
     /// Advances every stripe minimum past emptied histogram slots (weights
@@ -620,48 +655,61 @@ impl DenseWeights {
             .collect()
     }
 
-    /// Edges of weight exactly `w` confined to the given (ascending)
-    /// stripes, in row-major order.
-    fn edges_with_weight_in_stripes(&self, w: u32, stripes: &[usize]) -> Vec<(usize, usize)> {
+    /// Calls `visit(i, j)` on every edge of weight `w` in the given
+    /// (ascending) stripes, in row-major order, and stops at the first
+    /// `false` it returns; returns whether the walk ran to the end.  Each
+    /// row segment is first tested for a `w` without branching, so the
+    /// segments holding none (most of them) cost one vectorized pass.
+    fn visit_edges_at(
+        &self,
+        w: u16,
+        stripes: &[usize],
+        mut visit: impl FnMut(usize, usize) -> bool,
+    ) -> bool {
         let n = self.n;
-        let mut out = Vec::new();
         for i in 0..n {
+            // `row[j - i - 1]` is the weight of edge (i, j).
             let base = i * n - i * (i + 1) / 2;
+            let row = &self.weights[base..base + (n - i - 1)];
             for &s in stripes {
                 let lo = (s * WORD_BITS).max(i + 1);
                 let hi = ((s + 1) * WORD_BITS).min(n);
-                for j in lo..hi {
-                    if self.weights[base + j - i - 1] == w {
-                        out.push((i, j));
-                    }
+                if lo >= hi {
+                    continue;
                 }
-            }
-        }
-        out
-    }
-
-    /// Single early-exiting pass over the min-weight edges, confined to the
-    /// stripes whose minimum equals the global minimum.
-    fn speculate_with(&self, separates: impl Fn(usize, usize) -> bool) -> bool {
-        if self.min_weight == u32::MAX {
-            return false;
-        }
-        let d = self.min_weight;
-        let stripes = self.stripes_at(d);
-        let n = self.n;
-        for i in 0..n {
-            let base = i * n - i * (i + 1) / 2;
-            for &s in &stripes {
-                let lo = (s * WORD_BITS).max(i + 1);
-                let hi = ((s + 1) * WORD_BITS).min(n);
-                for j in lo..hi {
-                    if self.weights[base + j - i - 1] == d && !separates(i, j) {
+                let seg = &row[lo - i - 1..hi - i - 1];
+                if !seg.iter().fold(false, |hit, &x| hit | (x == w)) {
+                    continue;
+                }
+                for (j, &x) in (lo..).zip(seg) {
+                    if x == w && !visit(i, j) {
                         return false;
                     }
                 }
             }
         }
         true
+    }
+
+    /// Edges of weight exactly `w` confined to the given (ascending)
+    /// stripes, in row-major order.
+    fn edges_with_weight_in_stripes(&self, w: u16, stripes: &[usize]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        self.visit_edges_at(w, stripes, |i, j| {
+            out.push((i, j));
+            true
+        });
+        out
+    }
+
+    /// Single early-exiting pass over the min-weight edges, confined to the
+    /// stripes whose minimum equals the global minimum.
+    fn speculate_with(&self, separates: impl Fn(usize, usize) -> bool) -> bool {
+        // No edges (`min_weight == u32::MAX`): `dmin` is already maximal.
+        let Ok(d) = u16::try_from(self.min_weight) else {
+            return false;
+        };
+        self.visit_edges_at(d, &self.stripes_at(self.min_weight), separates)
     }
 
     fn weight_histogram(&self) -> std::collections::BTreeMap<u32, usize> {
@@ -1060,6 +1108,16 @@ fn bump_hist(hist: &mut Vec<usize>, max_deficit: &mut u32, d: u32) {
     *max_deficit = (*max_deficit).max(d);
 }
 
+/// Panics unless a graph of `machines` machines fits `repr`, instead of
+/// letting a weight wrap around.
+fn assert_within_limit(machines: usize, repr: WeightRepr) {
+    let limit = repr.machine_limit();
+    assert!(
+        machines <= limit,
+        "a {repr:?} fault graph holds at most {limit} machines, not {machines}"
+    );
+}
+
 #[derive(Debug, Clone)]
 enum Weights {
     Dense(DenseWeights),
@@ -1092,6 +1150,12 @@ pub enum GraphDelta<'a> {
 /// [`FaultGraph::dmin`] is `O(1)` and [`FaultGraph::weakest_edges`] /
 /// [`FaultGraph::speculate`] touch only the stripes (dense) or stored
 /// entries (sparse) that can contain a weakest edge.
+///
+/// A graph holds at most [`WeightRepr::machine_limit`] machines of its
+/// representation: the dense one stores `u16` weights and so caps the
+/// count at [`DENSE_MACHINE_LIMIT`].  Adding a machine past the limit panics rather
+/// than wrapping a weight around; the fusion entry points check the count
+/// first and report [`crate::FusionError::TooManyMachines`] instead.
 #[derive(Debug)]
 pub struct FaultGraph {
     n: usize,
@@ -1148,33 +1212,42 @@ impl FaultGraph {
     /// Builds a fault graph from a set of machine partitions, choosing the
     /// representation automatically ([`WeightRepr::auto_for`]).
     ///
-    /// Dense bulk path: the per-add tracker maintenance is skipped and the
-    /// histograms are rebuilt once at the end, so building from `m`
-    /// partitions costs the `m` weight passes plus a single `O(E)` tracker
-    /// pass.  The sparse trackers are cheap enough to maintain inline.
+    /// Dense bulk path: one pass over the rows writes every weight once,
+    /// as the number of partitions that separate the pair, and fills the
+    /// stripe histograms segment by segment in the same pass; the stripe
+    /// minima are derived at the end.  The sparse trackers are cheap enough
+    /// to maintain inline, one partition at a time.
+    ///
+    /// # Panics
+    ///
+    /// If a partition is not over `n` states, or if there are more
+    /// partitions than the representation holds
+    /// ([`WeightRepr::machine_limit`]).
     pub fn from_partitions(n: usize, partitions: &[Partition]) -> Self {
         Self::from_partitions_with(n, partitions, WeightRepr::auto_for(n, partitions))
     }
 
     /// [`FaultGraph::from_partitions`] with an explicit representation.
     pub fn from_partitions_with(n: usize, partitions: &[Partition], repr: WeightRepr) -> Self {
-        let mut g = Self::with_representation(n, repr);
-        match &mut g.weights {
-            Weights::Dense(d) => {
-                for p in partitions {
-                    d.add_bitset(&BitsetPartition::from_partition(p), false);
-                }
-                g.machines = partitions.len();
-                d.rebuild_trackers(g.machines);
-            }
-            Weights::Sparse(s) => {
+        for p in partitions {
+            assert_eq!(p.len(), n, "partition over wrong number of states");
+        }
+        assert_within_limit(partitions.len(), repr);
+        let weights = match repr {
+            WeightRepr::Dense => Weights::Dense(DenseWeights::from_partitions(n, partitions)),
+            WeightRepr::Sparse => {
+                let mut s = SparseWeights::new(n);
                 for p in partitions {
                     s.add_bitset(&BitsetPartition::from_partition(p));
                 }
-                g.machines = partitions.len();
+                Weights::Sparse(s)
             }
+        };
+        FaultGraph {
+            n,
+            machines: partitions.len(),
+            weights,
         }
-        g
     }
 
     /// Which representation this graph stores its weights in.
@@ -1228,8 +1301,9 @@ impl FaultGraph {
     /// unit of deficit via sorted row merges.
     pub fn add_machine_bitset(&mut self, p: &BitsetPartition) {
         assert_eq!(p.len(), self.n, "partition over wrong number of states");
+        assert_within_limit(self.machines + 1, self.representation());
         match &mut self.weights {
-            Weights::Dense(d) => d.add_bitset(p, true),
+            Weights::Dense(d) => d.add_bitset(p),
             Weights::Sparse(s) => s.add_bitset(p),
         };
         self.machines += 1;
@@ -1243,6 +1317,7 @@ impl FaultGraph {
     /// trackers to a full rebuild pass instead of maintaining them inline.
     pub fn add_machine_scan(&mut self, p: &Partition) {
         assert_eq!(p.len(), self.n, "partition over wrong number of states");
+        assert_within_limit(self.machines + 1, self.representation());
         match &mut self.weights {
             Weights::Dense(d) => {
                 for i in 0..self.n {
@@ -1285,8 +1360,9 @@ impl FaultGraph {
         match delta {
             GraphDelta::AddPartition(p) => {
                 assert_eq!(p.len(), self.n, "partition over wrong number of states");
+                assert_within_limit(self.machines + 1, self.representation());
                 let touched = match &mut self.weights {
-                    Weights::Dense(d) => d.add_bitset(&BitsetPartition::from_partition(p), true),
+                    Weights::Dense(d) => d.add_bitset(&BitsetPartition::from_partition(p)),
                     Weights::Sparse(s) => s.add_bitset(&BitsetPartition::from_partition(p)),
                 };
                 self.machines += 1;
@@ -1345,6 +1421,7 @@ impl FaultGraph {
             mapping.len(),
             "partition over wrong number of states"
         );
+        assert_within_limit(self.machines + 1, self.representation());
         match &self.weights {
             Weights::Dense(d) => {
                 let (w, touched) =
@@ -1408,7 +1485,7 @@ impl FaultGraph {
         }
         let (a, b) = if i < j { (i, j) } else { (j, i) };
         match &self.weights {
-            Weights::Dense(d) => d.weights[edge_index_in(self.n, a, b)],
+            Weights::Dense(d) => u32::from(d.weights[edge_index_in(self.n, a, b)]),
             Weights::Sparse(s) => {
                 let deficit = match s.rows[a].binary_search_by_key(&(b as u32), |&(c, _)| c) {
                     Ok(pos) => s.rows[a][pos].1,
@@ -1435,7 +1512,7 @@ impl FaultGraph {
     /// baseline; use [`FaultGraph::dmin`] everywhere else.
     pub fn dmin_scan(&self) -> u32 {
         match &self.weights {
-            Weights::Dense(d) => d.weights.iter().copied().min().unwrap_or(u32::MAX),
+            Weights::Dense(d) => d.weights.iter().copied().min().map_or(u32::MAX, u32::from),
             Weights::Sparse(s) => s.dmin_scan(self.machines),
         }
     }
@@ -1447,12 +1524,11 @@ impl FaultGraph {
     /// order, matching the scan.
     pub fn weakest_edges(&self) -> Vec<(usize, usize)> {
         match &self.weights {
-            Weights::Dense(d) => {
-                if d.min_weight == u32::MAX {
-                    return Vec::new();
-                }
-                d.edges_with_weight_in_stripes(d.min_weight, &d.stripes_at(d.min_weight))
-            }
+            // No edges (`min_weight == u32::MAX`): nothing is weakest.
+            Weights::Dense(d) => match u16::try_from(d.min_weight) {
+                Ok(w) => d.edges_with_weight_in_stripes(w, &d.stripes_at(d.min_weight)),
+                Err(_) => Vec::new(),
+            },
             Weights::Sparse(s) => {
                 if s.edges == 0 {
                     return Vec::new();
@@ -1482,7 +1558,7 @@ impl FaultGraph {
                 let mut idx = 0usize;
                 for i in 0..self.n {
                     for j in (i + 1)..self.n {
-                        if d.weights[idx] == w {
+                        if u32::from(d.weights[idx]) == w {
                             out.push((i, j));
                         }
                         idx += 1;
@@ -1502,7 +1578,7 @@ impl FaultGraph {
                 let mut idx = 0usize;
                 for i in 0..self.n {
                     for j in (i + 1)..self.n {
-                        if d.weights[idx] <= w {
+                        if u32::from(d.weights[idx]) <= w {
                             out.push((i, j));
                         }
                         idx += 1;
@@ -2075,6 +2151,76 @@ mod tests {
                 assert_same_graph(&fused, &two_step);
             }
         }
+    }
+
+    /// The dense half of a graph, for tracker-level comparisons.
+    fn dense_of(g: &FaultGraph) -> &DenseWeights {
+        match &g.weights {
+            Weights::Dense(d) => d,
+            Weights::Sparse(_) => panic!("dense graph expected"),
+        }
+    }
+
+    /// Partition `k` of a mixed family over `n` states: modular blocks of
+    /// several sizes, plus the two extremes (singletons separate every
+    /// pair, one block separates none).
+    fn mixed_partition(n: usize, k: usize) -> Partition {
+        match k % 6 {
+            4 => Partition::from_assignment(&vec![0; n]),
+            5 => Partition::singletons(n),
+            _ => Partition::from_assignment(
+                &(0..n)
+                    .map(|x| (x * (k + 1) + k / 3) % (k % 7 + 2))
+                    .collect::<Vec<_>>(),
+            ),
+        }
+    }
+
+    #[test]
+    fn bulk_dense_build_matches_tracked_adds_tracker_state_included() {
+        // Stripe boundaries (63/64/65, 128/129), a partial tail word, the
+        // edge-less graphs and the empty family.
+        for n in [0, 1, 2, 63, 64, 65, 128, 129, 200] {
+            for m in [0, 1, 5, 24] {
+                let parts: Vec<Partition> = (0..m).map(|k| mixed_partition(n, k)).collect();
+                let bulk = FaultGraph::from_partitions_with(n, &parts, WeightRepr::Dense);
+                let mut tracked = FaultGraph::new(n);
+                for p in &parts {
+                    tracked.add_machine_bitset(&p.to_bitset());
+                }
+                let (b, t) = (dense_of(&bulk), dense_of(&tracked));
+                assert_eq!(bulk.num_machines(), tracked.num_machines(), "n={n} m={m}");
+                assert_eq!(b.weights, t.weights, "n={n} m={m}");
+                assert_eq!(b.stripe_hist, t.stripe_hist, "n={n} m={m}");
+                assert_eq!(b.stripe_min, t.stripe_min, "n={n} m={m}");
+                assert_eq!(b.min_weight, t.min_weight, "n={n} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn dense_graph_fills_to_the_u16_machine_limit() {
+        // One edge whose weight reaches u16::MAX exactly: every add up to
+        // the limit fits, the bulk build agrees, and dmin reads back as a
+        // u32.
+        let singles = Partition::singletons(2);
+        let parts = vec![singles.clone(); DENSE_MACHINE_LIMIT];
+        let bulk = FaultGraph::from_partitions(2, &parts);
+        assert_eq!(bulk.representation(), WeightRepr::Dense);
+        assert_eq!(bulk.dmin(), u32::from(u16::MAX));
+        assert_eq!(bulk.weight(0, 1), u32::from(u16::MAX));
+        assert_eq!(bulk.weakest_edges(), vec![(0, 1)]);
+        let mut g = FaultGraph::from_partitions(2, &parts[1..]);
+        g.add_machine(&singles);
+        assert_same_graph(&g, &bulk);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds at most 65535 machines")]
+    fn adding_past_the_dense_limit_panics_instead_of_wrapping() {
+        let singles = Partition::singletons(2);
+        let mut g = FaultGraph::from_partitions(2, &vec![singles.clone(); DENSE_MACHINE_LIMIT]);
+        g.apply_delta(GraphDelta::AddPartition(&singles));
     }
 
     #[test]

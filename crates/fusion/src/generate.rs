@@ -38,11 +38,22 @@
 //! table rows, evolving machine sets — should hold a
 //! [`crate::FusionSession`] built from a [`crate::FusionConfig`] instead:
 //! it owns the kernel and the scratch, keeps the initial fault graph of
-//! the last `(⊤, originals)` pair, and is pinned bit-identical to
-//! [`generate_fusion`] by `tests/session_properties.rs`.  Lattice walks
-//! ([`crate::lower_cover`], [`crate::enumerate_lattice`]) close their
-//! merges on the same quotient.
+//! the last `(⊤, originals)` pair and lends it to the next generation over
+//! the same pair, and is pinned bit-identical to [`generate_fusion`] by
+//! `tests/session_properties.rs`.  Lattice walks ([`crate::lower_cover`],
+//! [`crate::enumerate_lattice`]) close their merges on the same quotient.
+//!
+//! ## The fault graph
+//!
+//! The descent reads the fault graph only for its weakest edges.  Each
+//! backup covers every weakest edge, so it raises `dmin` by exactly one
+//! (Theorems 4 and 5): the loop counts `dmin` itself and folds a backup
+//! into the graph only when a later iteration will read the result.  A
+//! run that needs one backup — `f = 1` over originals with `dmin = 1` —
+//! never writes the graph, so a session's lent graph is copied only by
+//! runs that add two or more backups.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use fsm_dfsm::{Dfsm, ReachableProduct};
@@ -50,8 +61,8 @@ use fsm_dfsm::{Dfsm, ReachableProduct};
 use crate::bitset::BitsetPartition;
 use crate::closed::quotient_machine;
 use crate::closed::{CloseScratch, ClosureKernel};
-use crate::error::Result;
-use crate::fault_graph::FaultGraph;
+use crate::error::{FusionError, Result};
+use crate::fault_graph::{FaultGraph, WeightRepr};
 use crate::partition::Partition;
 use crate::session::GraphSlot;
 use crate::set_repr::projection_partitions;
@@ -132,6 +143,13 @@ impl FusionGeneration {
 ///
 /// Repeated callers should hold a session instead (see the
 /// [module docs](self)).
+///
+/// # Errors
+///
+/// [`FusionError::TooManyMachines`] when the originals plus the backups
+/// `f` needs exceed the fault graph's machine limit
+/// ([`WeightRepr::machine_limit`]), and [`FusionError::NotClosed`] /
+/// [`FusionError::PartitionSizeMismatch`] from the descent.
 pub fn generate_fusion(top: &Dfsm, originals: &[Partition], f: usize) -> Result<FusionGeneration> {
     seq_engine(
         top,
@@ -143,11 +161,22 @@ pub fn generate_fusion(top: &Dfsm, originals: &[Partition], f: usize) -> Result<
     )
 }
 
+/// [`FusionError::TooManyMachines`] unless `machines` fit under `limit`.
+fn check_machine_count(machines: u128, limit: usize) -> Result<()> {
+    if machines > limit as u128 {
+        return Err(FusionError::TooManyMachines {
+            machines: usize::try_from(machines).unwrap_or(usize::MAX),
+            limit,
+        });
+    }
+    Ok(())
+}
+
 /// The engine body: the greedy descent against a caller-owned kernel and
 /// scratch.  [`generate_fusion`] passes fresh buffers and no graph slot;
 /// [`crate::FusionSession`] threads its own through, and its
-/// initial-fault-graph slot answers an unchanged `(⊤, originals)` pair
-/// with a clone instead of a rebuild.
+/// initial-fault-graph slot lends an unchanged `(⊤, originals)` pair its
+/// kept graph instead of rebuilding it.
 pub(crate) fn seq_engine(
     top: &Dfsm,
     kernel: &ClosureKernel,
@@ -158,14 +187,30 @@ pub(crate) fn seq_engine(
 ) -> Result<FusionGeneration> {
     let start = Instant::now();
     let n = top.size();
-    // The initial fault graph only depends on (n, originals); a session
-    // sweeping f over the same inputs gets a clone of the cached build.
-    let mut graph = match graph_slot {
-        Some(slot) => slot.initial_graph(n, originals),
-        None => FaultGraph::from_partitions(n, originals),
+    check_machine_count(
+        originals.len() as u128,
+        WeightRepr::auto_for(n, originals).machine_limit(),
+    )?;
+    // The initial fault graph only depends on (n, originals): a session
+    // lends the one its slot keeps, the free function owns a fresh build.
+    // Either is written only to add a backup that a later iteration reads,
+    // and a lent graph is copied first.
+    let mut graph: Cow<'_, FaultGraph> = match graph_slot {
+        Some(slot) => Cow::Borrowed(slot.initial_graph(n, originals)),
+        None => Cow::Owned(FaultGraph::from_partitions(n, originals)),
     };
+    let tolerates = |dmin: u32| u128::from(dmin) > f as u128;
+    let mut dmin = graph.dmin();
+    // Every backup raises dmin by one (see the loop invariant below), so
+    // the run adds exactly f + 1 - dmin of them; refuse before the first
+    // if the grown graph would not hold them all.
+    let backups = (f as u128 + 1).saturating_sub(u128::from(dmin));
+    check_machine_count(
+        originals.len() as u128 + backups,
+        graph.representation().machine_limit(),
+    )?;
     let mut stats = GenerationStats {
-        initial_dmin: graph.dmin(),
+        initial_dmin: dmin,
         ..Default::default()
     };
     let mut partitions: Vec<Partition> = Vec::new();
@@ -174,12 +219,13 @@ pub(crate) fn seq_engine(
     let mut candidate = Partition::singletons(n);
     let mut current_bits = BitsetPartition::singletons(0);
 
-    // Loop invariant: `graph` is the fault graph of originals ∪ partitions.
-    // Each iteration adds exactly one machine that covers all current
-    // weakest edges, so dmin increases by exactly one per iteration and the
-    // loop terminates after f + 1 - dmin(originals) iterations (Theorem 4 /
+    // Loop invariant: `dmin` is dmin(originals ∪ partitions), and `graph`
+    // is the fault graph of that set whenever the loop body reads it.  Each
+    // iteration adds exactly one machine that covers all current weakest
+    // edges, so dmin increases by exactly one per iteration and the loop
+    // terminates after f + 1 - dmin(originals) iterations (Theorem 4 /
     // Theorem 5; the count is 0 if the originals are already tolerant).
-    while !graph.tolerates_crash_faults(f) {
+    while !tolerates(dmin) {
         let weakest = graph.weakest_edges();
         debug_assert!(!weakest.is_empty());
         // Start at ⊤ (the singleton partition), which covers every edge, and
@@ -225,13 +271,20 @@ pub(crate) fn seq_engine(
             stats.candidates_examined += idx;
             break;
         }
-        current_bits.refresh_from_partition(&current);
-        graph.add_machine_bitset(&current_bits);
+        dmin += 1;
+        if !tolerates(dmin) {
+            // The next iteration reads the weakest edges of the grown
+            // graph; after the last backup nothing does.
+            current_bits.refresh_from_partition(&current);
+            let grown = graph.to_mut();
+            grown.add_machine_bitset(&current_bits);
+            debug_assert_eq!(grown.dmin(), dmin);
+        }
         partitions.push(current);
         stats.outer_iterations += 1;
     }
 
-    stats.final_dmin = graph.dmin();
+    stats.final_dmin = dmin;
     stats.elapsed_micros = start.elapsed().as_micros();
     let machines: Result<Vec<Dfsm>> = partitions
         .iter()
@@ -409,6 +462,73 @@ mod tests {
             assert!(size >= 2);
         }
         assert!(fusion.stats.elapsed_micros > 0);
+    }
+
+    /// A two-state ⊤: one event toggling between the states.
+    fn toggle(name: &str) -> Dfsm {
+        let mut b = DfsmBuilder::new(name);
+        b.add_states([format!("{name}0"), format!("{name}1")]);
+        b.set_initial(format!("{name}0"));
+        b.add_transition(format!("{name}0"), "t", format!("{name}1"));
+        b.add_transition(format!("{name}1"), "t", format!("{name}0"));
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn too_many_machines_is_a_typed_error_not_a_panic() {
+        // ⊤ has one edge, which the single original separates (dmin = 1),
+        // so tolerating f faults takes f backups, each ⊤ itself.
+        let top = toggle("t");
+        let originals = [Partition::singletons(2)];
+        let limit = WeightRepr::Dense.machine_limit();
+        assert_eq!(
+            generate_fusion(&top, &originals, limit).unwrap_err(),
+            FusionError::TooManyMachines {
+                machines: limit + 1,
+                limit
+            }
+        );
+        // An absurd fault count saturates instead of overflowing.
+        assert!(matches!(
+            generate_fusion(&top, &originals, usize::MAX),
+            Err(FusionError::TooManyMachines { limit: l, .. }) if l == limit
+        ));
+        // Too many originals are refused before any graph is built.
+        let crowd = vec![Partition::singletons(2); limit + 1];
+        assert_eq!(
+            generate_fusion(&top, &crowd, 0).unwrap_err(),
+            FusionError::TooManyMachines {
+                machines: limit + 1,
+                limit
+            }
+        );
+        // Exactly at the limit the fusion still runs: dmin climbs to
+        // u16::MAX without wrapping.
+        let fusion = generate_fusion(&top, &originals, limit - 1).unwrap();
+        assert_eq!(fusion.len(), limit - 1);
+        assert_eq!(fusion.stats.initial_dmin, 1);
+        assert_eq!(fusion.stats.final_dmin, u32::from(u16::MAX));
+    }
+
+    #[test]
+    fn final_dmin_counts_backups_without_the_last_graph_update() {
+        // The engine skips folding its last backup into the graph; the
+        // reported final dmin must still equal a full rebuild's.
+        let a = counter("a", "0", 3);
+        let b = counter("b", "1", 3);
+        for f in 0..=3 {
+            let (product, fusion) =
+                generate_fusion_for_machines(&[a.clone(), b.clone()], f).unwrap();
+            let mut all = projection_partitions(&product);
+            all.extend(fusion.partitions.iter().cloned());
+            let rebuilt = FaultGraph::from_partitions(product.size(), &all).dmin();
+            assert_eq!(fusion.stats.final_dmin, rebuilt, "f = {f}");
+            assert_eq!(
+                fusion.stats.final_dmin,
+                fusion.stats.initial_dmin + fusion.stats.outer_iterations as u32,
+                "f = {f}"
+            );
+        }
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! * a [`fsm_dfsm::ProductBuilder`] configuration for
 //!   [`FusionSession::build_product`],
 //! * and the **initial fault graph** of the last generation: an `f` sweep
-//!   over the same `(⊤, originals)` clones the graph instead of rebuilding
-//!   it, and [`FusionSession::update_top`] evolves it in place.
+//!   over the same `(⊤, originals)` borrows the kept graph instead of
+//!   rebuilding it (a generation copies it only to add a backup a later
+//!   iteration reads), and [`FusionSession::update_top`] evolves it in
+//!   place.
 //!
 //! Algorithm 2's descent ([`FusionSession::generate_fusion`]) and the
 //! lattice walks ([`FusionSession::lower_cover`],
@@ -76,7 +78,7 @@ use crate::partition::Partition;
 use crate::set_repr::projection_partitions;
 
 /// Counters of the session's initial-fault-graph slot: generations whose
-/// initial fault graph was a clone of the kept one (`hits`) or had to be
+/// initial fault graph was lent from the kept one (`hits`) or had to be
 /// built from the originals (`misses`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -97,10 +99,10 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// The session's initial-fault-graph slot.  Every generation starts by
-/// folding the originals into a fresh graph — `O(m · n²)` word work that
-/// is identical across an `f` sweep — so the session keeps the last one
-/// and clones it out on an exact originals match.
+/// The session's initial-fault-graph slot.  Every generation starts from
+/// the fault graph of the originals — an `O(m · n²)` build that is
+/// identical across an `f` sweep — so the session keeps the last one and
+/// lends it out on an exact originals match.
 #[derive(Default)]
 pub(crate) struct GraphSlot {
     /// `(n, originals, graph)` of the last generation or delta.
@@ -109,21 +111,25 @@ pub(crate) struct GraphSlot {
 }
 
 impl GraphSlot {
-    /// The fault graph of `originals` over an `n`-state `⊤`: a clone of
-    /// the kept copy when `originals` matches it **exactly** (full
+    /// The fault graph of `originals` over an `n`-state `⊤`: the kept
+    /// graph when `originals` matches it **exactly** (full
     /// `Vec<Partition>` equality, so a hit is bit-identical to a rebuild by
-    /// construction), a fresh build otherwise.
-    pub(crate) fn initial_graph(&mut self, n: usize, originals: &[Partition]) -> FaultGraph {
-        if let Some((gn, key, g)) = &self.graph {
-            if *gn == n && key.as_slice() == originals {
-                self.stats.hits += 1;
-                return g.clone();
-            }
+    /// construction), otherwise a fresh build that replaces it.
+    pub(crate) fn initial_graph(&mut self, n: usize, originals: &[Partition]) -> &FaultGraph {
+        let hit = matches!(
+            &self.graph,
+            Some((gn, key, _)) if *gn == n && key.as_slice() == originals
+        );
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+            // Drop the old graph first so two never coexist.
+            self.graph = None;
+            let g = FaultGraph::from_partitions(n, originals);
+            self.graph = Some((n, originals.to_vec(), g));
         }
-        let g = FaultGraph::from_partitions(n, originals);
-        self.graph = Some((n, originals.to_vec(), g.clone()));
-        self.stats.misses += 1;
-        g
+        &self.graph.as_ref().expect("kept or just built").2
     }
 
     /// Takes the kept graph if it was built for exactly `(n, originals)`
@@ -361,6 +367,13 @@ impl FusionSession {
     /// session built on the post-delta machine set
     /// (`tests/delta_properties.rs`).  On error the installed `⊤` is left
     /// unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`FusionError::InvalidDelta`] for a delta the installed `⊤` cannot
+    /// take, [`FusionError::TooManyMachines`] when an added machine would
+    /// push the fault graph past its machine limit
+    /// ([`WeightRepr::machine_limit`]), and product-build errors.
     pub fn update_top(&mut self, delta: TopDelta) -> Result<UpdateStats> {
         let top = self.top.as_ref().ok_or_else(|| {
             FusionError::InvalidDelta("no top installed (call install_top first)".into())
@@ -429,15 +442,22 @@ impl FusionSession {
                 return Err(e.into());
             }
         };
-        let mut machines = top.machines;
-        machines.push(machine);
         let originals = projection_partitions(&product);
         let n_new = product.size();
+        let want = WeightRepr::auto_for(n_new, &originals);
+        if originals.len() > want.machine_limit() {
+            self.top = Some(top);
+            return Err(FusionError::TooManyMachines {
+                machines: originals.len(),
+                limit: want.machine_limit(),
+            });
+        }
+        let mut machines = top.machines;
+        machines.push(machine);
         let mut stats = UpdateStats {
             product_states_reexpanded: ext.reexpanded,
             ..Default::default()
         };
-        let want = WeightRepr::auto_for(n_new, &originals);
         let g = match self
             .graph
             .take_matching(top.product.size(), &top.originals, want)
@@ -848,6 +868,63 @@ mod tests {
         let w = warm.generate_top_fusion(1).unwrap();
         let c = cold.generate_top_fusion(1).unwrap();
         assert_eq!(w.partitions, c.partitions);
+    }
+
+    /// A two-state machine: one event `t` toggling between the states.
+    fn toggle(name: &str) -> Dfsm {
+        let mut b = DfsmBuilder::new(name);
+        b.add_states([format!("{name}0"), format!("{name}1")]);
+        b.set_initial(format!("{name}0"));
+        b.add_transition(format!("{name}0"), "t", format!("{name}1"));
+        b.add_transition(format!("{name}1"), "t", format!("{name}0"));
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn too_many_machines_surface_as_typed_errors() {
+        let limit = WeightRepr::Dense.machine_limit();
+        let mut session = FusionConfig::new().build();
+        // Two-state ⊤ whose one original separates its only edge: f
+        // faults take f backups.
+        let top = toggle("t");
+        let originals = [Partition::singletons(2)];
+        assert_eq!(
+            session
+                .generate_fusion(&top, &originals, limit)
+                .unwrap_err(),
+            FusionError::TooManyMachines {
+                machines: limit + 1,
+                limit
+            }
+        );
+        // The session is unharmed: the same inputs still fuse.
+        assert_eq!(
+            session.generate_fusion(&top, &originals, 1).unwrap().len(),
+            1
+        );
+
+        // Installed ⊤ of `limit` lock-step toggles: still two states, and
+        // the graph of its originals is exactly full.
+        let copies: Vec<Dfsm> = (0..limit).map(|_| toggle("t")).collect();
+        assert_eq!(session.install_top(&copies).unwrap(), 2);
+        assert_eq!(
+            session
+                .update_top(TopDelta::AddMachine(toggle("t")))
+                .unwrap_err(),
+            FusionError::TooManyMachines {
+                machines: limit + 1,
+                limit
+            }
+        );
+        assert!(matches!(
+            session.generate_top_fusion(limit),
+            Err(FusionError::TooManyMachines { .. })
+        ));
+        // The rejected delta left the top installed and usable.
+        assert_eq!(session.top_machines().unwrap().len(), limit);
+        let fusion = session.generate_top_fusion(0).unwrap();
+        assert!(fusion.is_empty());
+        assert_eq!(fusion.stats.initial_dmin, u32::from(u16::MAX));
     }
 
     #[test]

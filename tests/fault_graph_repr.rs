@@ -112,13 +112,14 @@ proptest! {
     /// Bulk construction (`from_partitions_with`) equals the incremental
     /// path for both representations, and the auto-selected graph — on
     /// whichever side of the density crossover the family lands — matches
-    /// both.
+    /// both.  `n` spans several 64-state stripes with a partial tail word,
+    /// and the family may be empty.
     #[test]
     fn bulk_auto_and_incremental_construction_agree(
         seed in 0u64..100_000,
-        n in 1usize..80,
+        n in 1usize..200,
         blocks in 1usize..8,
-        machines in 1usize..6,
+        machines in 0usize..6,
     ) {
         let parts: Vec<Partition> = (0..machines)
             .map(|m| random_partition(seed.wrapping_add(m as u64 * 101), n, blocks))
