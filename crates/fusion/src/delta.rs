@@ -13,12 +13,11 @@
 //! * **`AddMachine`** — the packed mixed-radix product interner makes one
 //!   more factor a stride extension, not a rebuild
 //!   ([`fsm_dfsm::ProductBuilder::extend_factor`]); the old fault graph is
-//!   pulled back along the projection and only the new machine's stripes
-//!   are re-scored ([`crate::FaultGraph::remap_states`] +
-//!   [`crate::FaultGraph::apply_delta`]).
+//!   pulled back along the projection with the new machine's separations
+//!   added in the same pass ([`crate::FaultGraph::remap_states_adding`]).
 //! * **`RemoveMachine`** — the departing machine's weight contribution is
-//!   subtracted in place and the graph contracted onto representative
-//!   states.
+//!   subtracted while the graph is contracted onto representative states
+//!   ([`crate::FaultGraph::remap_states_removing`]).
 //! * **`ExtendMachine`** — a grown component changes the transition
 //!   structure itself, so the session falls back to a documented cold
 //!   rebuild ([`UpdateStats::cold_rebuild`]).
@@ -83,12 +82,12 @@ pub struct UpdateStats {
     /// States of the post-delta product that were (re-)expanded while
     /// applying the delta.
     pub product_states_reexpanded: usize,
-    /// Fault-graph stripes (dense) or rows (sparse) whose trackers the
-    /// delta actually touched; zero when the graph was rebuilt cold.
+    /// Fault-graph stripes (64-column groups of edges) whose weights the
+    /// delta actually moved; zero when the graph was rebuilt cold.
     pub graph_stripes_touched: usize,
-    /// The fault graph was rebuilt from the post-delta partitions instead
-    /// of updated in place (no cached graph, or the delta moved the
-    /// auto-selected weight representation).
+    /// The fault graph was not carried over from the session's kept one:
+    /// the slot held no graph of the pre-delta `⊤`, so it was rebuilt from
+    /// the post-delta partitions, or the whole update was a cold rebuild.
     pub graph_rebuilt: bool,
     /// The whole update fell back to a cold rebuild (`ExtendMachine`, or
     /// a delta the warm paths cannot express).

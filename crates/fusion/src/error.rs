@@ -31,8 +31,8 @@ pub enum FusionError {
     /// alphabet).
     InvalidDelta(String),
     /// A fusion would put more machines (originals plus backups) into one
-    /// fault graph than its representation holds
-    /// ([`crate::WeightRepr::machine_limit`]; dense weights are `u16`).
+    /// fault graph than it holds
+    /// ([`crate::fault_graph::DENSE_MACHINE_LIMIT`]; its weights are `u16`).
     TooManyMachines { machines: usize, limit: usize },
     /// An underlying DFSM error.
     Dfsm(fsm_dfsm::DfsmError),

@@ -62,7 +62,7 @@ use crate::bitset::BitsetPartition;
 use crate::closed::quotient_machine;
 use crate::closed::{CloseScratch, ClosureKernel};
 use crate::error::{FusionError, Result};
-use crate::fault_graph::{FaultGraph, WeightRepr};
+use crate::fault_graph::{FaultGraph, DENSE_MACHINE_LIMIT};
 use crate::partition::Partition;
 use crate::session::GraphSlot;
 use crate::set_repr::projection_partitions;
@@ -148,7 +148,7 @@ impl FusionGeneration {
 ///
 /// [`FusionError::TooManyMachines`] when the originals plus the backups
 /// `f` needs exceed the fault graph's machine limit
-/// ([`WeightRepr::machine_limit`]), and [`FusionError::NotClosed`] /
+/// ([`DENSE_MACHINE_LIMIT`]), and [`FusionError::NotClosed`] /
 /// [`FusionError::PartitionSizeMismatch`] from the descent.
 pub fn generate_fusion(top: &Dfsm, originals: &[Partition], f: usize) -> Result<FusionGeneration> {
     seq_engine(
@@ -161,12 +161,13 @@ pub fn generate_fusion(top: &Dfsm, originals: &[Partition], f: usize) -> Result<
     )
 }
 
-/// [`FusionError::TooManyMachines`] unless `machines` fit under `limit`.
-fn check_machine_count(machines: u128, limit: usize) -> Result<()> {
-    if machines > limit as u128 {
+/// [`FusionError::TooManyMachines`] unless `machines` fit in one fault
+/// graph ([`DENSE_MACHINE_LIMIT`]).
+pub(crate) fn check_machine_count(machines: u128) -> Result<()> {
+    if machines > DENSE_MACHINE_LIMIT as u128 {
         return Err(FusionError::TooManyMachines {
             machines: usize::try_from(machines).unwrap_or(usize::MAX),
-            limit,
+            limit: DENSE_MACHINE_LIMIT,
         });
     }
     Ok(())
@@ -187,10 +188,7 @@ pub(crate) fn seq_engine(
 ) -> Result<FusionGeneration> {
     let start = Instant::now();
     let n = top.size();
-    check_machine_count(
-        originals.len() as u128,
-        WeightRepr::auto_for(n, originals).machine_limit(),
-    )?;
+    check_machine_count(originals.len() as u128)?;
     // The initial fault graph only depends on (n, originals): a session
     // lends the one its slot keeps, the free function owns a fresh build.
     // Either is written only to add a backup that a later iteration reads,
@@ -205,10 +203,7 @@ pub(crate) fn seq_engine(
     // the run adds exactly f + 1 - dmin of them; refuse before the first
     // if the grown graph would not hold them all.
     let backups = (f as u128 + 1).saturating_sub(u128::from(dmin));
-    check_machine_count(
-        originals.len() as u128 + backups,
-        graph.representation().machine_limit(),
-    )?;
+    check_machine_count(originals.len() as u128 + backups)?;
     let mut stats = GenerationStats {
         initial_dmin: dmin,
         ..Default::default()
@@ -480,7 +475,7 @@ mod tests {
         // so tolerating f faults takes f backups, each ⊤ itself.
         let top = toggle("t");
         let originals = [Partition::singletons(2)];
-        let limit = WeightRepr::Dense.machine_limit();
+        let limit = DENSE_MACHINE_LIMIT;
         assert_eq!(
             generate_fusion(&top, &originals, limit).unwrap_err(),
             FusionError::TooManyMachines {

@@ -118,7 +118,7 @@ pub use closed::{
 pub use config::{Engine, FusionConfig, ProductStrategy};
 pub use delta::{TopDelta, UpdateStats};
 pub use error::{FusionError, Result};
-pub use fault_graph::{FaultGraph, GraphDelta, WeightRepr};
+pub use fault_graph::FaultGraph;
 pub use generate::{
     generate_fusion, generate_fusion_for_machines, FusionGeneration, GenerationStats,
 };

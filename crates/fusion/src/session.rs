@@ -17,8 +17,8 @@
 //! * and the **initial fault graph** of the last generation: an `f` sweep
 //!   over the same `(⊤, originals)` borrows the kept graph instead of
 //!   rebuilding it (a generation copies it only to add a backup a later
-//!   iteration reads), and [`FusionSession::update_top`] evolves it in
-//!   place.
+//!   iteration reads), and [`FusionSession::update_top`] carries it over
+//!   to the new `⊤` instead of rebuilding it.
 //!
 //! Algorithm 2's descent ([`FusionSession::generate_fusion`]) and the
 //! lattice walks ([`FusionSession::lower_cover`],
@@ -71,8 +71,8 @@ use crate::closed::{CloseScratch, ClosureKernel};
 use crate::config::{FusionConfig, ProductStrategy};
 use crate::delta::{TopDelta, UpdateStats};
 use crate::error::{FusionError, Result};
-use crate::fault_graph::{FaultGraph, WeightRepr};
-use crate::generate::{seq_engine, FusionGeneration};
+use crate::fault_graph::FaultGraph;
+use crate::generate::{check_machine_count, seq_engine, FusionGeneration};
 use crate::lattice::{enumerate_lattice_impl, lower_cover_impl, ClosedPartitionLattice};
 use crate::partition::Partition;
 use crate::set_repr::projection_partitions;
@@ -132,20 +132,11 @@ impl GraphSlot {
         &self.graph.as_ref().expect("kept or just built").2
     }
 
-    /// Takes the kept graph if it was built for exactly `(n, originals)`
-    /// in representation `want` — the graph a [`TopDelta`] can evolve.
-    fn take_matching(
-        &mut self,
-        n: usize,
-        originals: &[Partition],
-        want: WeightRepr,
-    ) -> Option<FaultGraph> {
+    /// Takes the kept graph if it was built for exactly `(n, originals)` —
+    /// the graph a [`TopDelta`] can evolve.
+    fn take_matching(&mut self, n: usize, originals: &[Partition]) -> Option<FaultGraph> {
         match self.graph.take() {
-            Some((gn, key, g))
-                if gn == n && key.as_slice() == originals && g.representation() == want =>
-            {
-                Some(g)
-            }
+            Some((gn, key, g)) if gn == n && key.as_slice() == originals => Some(g),
             _ => None,
         }
     }
@@ -357,9 +348,10 @@ impl FusionSession {
     /// * the product interner is stride-extended
     ///   ([`fsm_dfsm::ProductBuilder::extend_factor`]) for
     ///   [`TopDelta::AddMachine`],
-    /// * the cached fault graph is pulled back / contracted and re-scored
-    ///   only on the touched stripes
-    ///   ([`crate::FaultGraph::apply_delta`]),
+    /// * the cached fault graph is pulled back or contracted in one pass
+    ///   that also adds or subtracts the changed machine
+    ///   ([`crate::FaultGraph::remap_states_adding`] /
+    ///   [`crate::FaultGraph::remap_states_removing`]),
     /// * the kernel is replaced in place.
     ///
     /// The post-delta session is pinned **bit-identical** — fusion
@@ -373,7 +365,7 @@ impl FusionSession {
     /// [`FusionError::InvalidDelta`] for a delta the installed `⊤` cannot
     /// take, [`FusionError::TooManyMachines`] when an added machine would
     /// push the fault graph past its machine limit
-    /// ([`WeightRepr::machine_limit`]), and product-build errors.
+    /// ([`crate::fault_graph::DENSE_MACHINE_LIMIT`]), and product-build errors.
     pub fn update_top(&mut self, delta: TopDelta) -> Result<UpdateStats> {
         let top = self.top.as_ref().ok_or_else(|| {
             FusionError::InvalidDelta("no top installed (call install_top first)".into())
@@ -444,13 +436,9 @@ impl FusionSession {
         };
         let originals = projection_partitions(&product);
         let n_new = product.size();
-        let want = WeightRepr::auto_for(n_new, &originals);
-        if originals.len() > want.machine_limit() {
+        if let Err(e) = check_machine_count(originals.len() as u128) {
             self.top = Some(top);
-            return Err(FusionError::TooManyMachines {
-                machines: originals.len(),
-                limit: want.machine_limit(),
-            });
+            return Err(e);
         }
         let mut machines = top.machines;
         machines.push(machine);
@@ -458,10 +446,7 @@ impl FusionSession {
             product_states_reexpanded: ext.reexpanded,
             ..Default::default()
         };
-        let g = match self
-            .graph
-            .take_matching(top.product.size(), &top.originals, want)
-        {
+        let g = match self.graph.take_matching(top.product.size(), &top.originals) {
             Some(g) => {
                 // Pull the old graph back along the projection (the old
                 // originals lift to exactly the new ones), then fold in
@@ -532,8 +517,7 @@ impl FusionSession {
             product_states_reexpanded: n_new,
             ..Default::default()
         };
-        let want = WeightRepr::auto_for(n_new, &originals);
-        let g = match self.graph.take_matching(n_old, &top.originals, want) {
+        let g = match self.graph.take_matching(n_old, &top.originals) {
             Some(g) => {
                 // Subtract the departing machine while contracting onto
                 // representatives: the remaining weights are
@@ -882,7 +866,7 @@ mod tests {
 
     #[test]
     fn too_many_machines_surface_as_typed_errors() {
-        let limit = WeightRepr::Dense.machine_limit();
+        let limit = crate::fault_graph::DENSE_MACHINE_LIMIT;
         let mut session = FusionConfig::new().build();
         // Two-state ⊤ whose one original separates its only edge: f
         // faults take f backups.

@@ -84,7 +84,7 @@ pub mod prelude {
     pub use fsm_fusion_core::{
         generate_fusion, generate_fusion_for_machines, BitsetPartition, CacheStats, FaultGraph,
         FaultModel, FusionConfig, FusionReport, FusionSession, MachineReport, Partition,
-        RecoveryEngine, TopDelta, UpdateStats, WeightRepr,
+        RecoveryEngine, TopDelta, UpdateStats,
     };
     pub use fsm_machines::{fig1_machines, table1_rows, MachineSet};
 }

@@ -1,20 +1,21 @@
-//! Property tests pinning the sparse fault-graph representation to the
-//! dense striped one.
+//! Property tests pinning the fault graph's tracked paths to its
+//! element-scan reference.
 //!
-//! `FaultGraph` now carries its edge weights in one of two representations
-//! (`WeightRepr`): the dense flat upper-triangular matrix with per-stripe
-//! histograms, or the sparse deficit rows that store only the pairs some
-//! machine still separates incompletely.  `FaultGraph::from_partitions`
-//! picks between them from a density estimate.  These properties assert,
-//! on random machine families over random tops, that every observable the
-//! fusion layer consumes — `dmin`, the weakest-edge set, weight queries,
-//! histograms, tolerance bounds, and `speculate` — is bit-identical across
-//! both representations and equal to the preserved element-scan reference,
-//! including across the automatic density crossover.
+//! `FaultGraph` keeps its edge weights in a flat upper-triangular `u16`
+//! matrix with per-stripe (64-column) histograms and cached minima, and
+//! builds it three ways: the bulk row pass of `from_partitions`, the
+//! word-level `add_machine`, and the preserved per-pair `add_machine_scan`.
+//! These properties assert, on random machine families, that every
+//! observable the fusion layer consumes — `dmin`, the weakest-edge set,
+//! weight queries, histograms, tolerance bounds, and `speculate` — is
+//! bit-identical across the three builds and equal to the full-scan
+//! queries, with state counts on both sides of the stripe boundaries.
 
-use fsm_fusion::fusion::fault_graph::{SPARSE_DENSITY_DIV, SPARSE_MIN_EDGES};
-use fsm_fusion::fusion::{FaultGraph, Partition, WeightRepr};
+use fsm_fusion::fusion::{FaultGraph, Partition};
 use proptest::prelude::*;
+
+/// State counts on both sides of the 64- and 128-state stripe boundaries.
+const BOUNDARY_N: [usize; 5] = [63, 64, 65, 127, 129];
 
 /// Deterministic SplitMix64, so failures reproduce from the case inputs.
 fn splitmix(state: &mut u64) -> u64 {
@@ -35,7 +36,8 @@ fn random_partition(seed: u64, n: usize, max_blocks: usize) -> Partition {
     Partition::from_assignment(&assignment)
 }
 
-/// Every observable of two fault graphs must agree.
+/// Every observable of two fault graphs must agree, and `a`'s tracked
+/// queries must equal its full scans.
 fn assert_graphs_identical(
     a: &FaultGraph,
     b: &FaultGraph,
@@ -65,10 +67,6 @@ fn assert_graphs_identical(
     }
     for w in 0..=(a.num_machines() as u32) {
         prop_assert_eq!(a.edges_with_weight(w), b.edges_with_weight(w));
-        prop_assert_eq!(
-            a.edges_with_weight_at_most(w),
-            b.edges_with_weight_at_most(w)
-        );
     }
     Ok(())
 }
@@ -76,46 +74,46 @@ fn assert_graphs_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Incrementally grown graphs agree across representations after every
-    /// single `add_machine`, and candidate probes (`speculate`,
-    /// `addition_increases_dmin`) answer identically throughout.
+    /// A graph grown by `add_machine` agrees with one grown by the
+    /// element scan and with a bulk build of the same prefix after every
+    /// single add, and `speculate` answers like the clone-add-rescan
+    /// reference throughout.
     #[test]
-    fn sparse_and_dense_graphs_agree_while_growing(
+    fn incremental_graph_agrees_with_scans_while_growing(
         seed in 0u64..100_000,
-        n in 1usize..80,
+        pick in 0usize..5,
         blocks in 1usize..8,
         machines in 1usize..6,
     ) {
-        let mut dense = FaultGraph::with_representation(n, WeightRepr::Dense);
-        let mut sparse = FaultGraph::with_representation(n, WeightRepr::Sparse);
-        prop_assert_eq!(dense.representation(), WeightRepr::Dense);
-        prop_assert_eq!(sparse.representation(), WeightRepr::Sparse);
+        let n = BOUNDARY_N[pick];
+        let mut word = FaultGraph::new(n);
+        let mut scan = FaultGraph::new(n);
+        let mut parts = Vec::new();
         for m in 0..machines {
             let p = random_partition(seed.wrapping_add(m as u64 * 101), n, blocks);
-            dense.add_machine(&p);
-            sparse.add_machine(&p);
-            assert_graphs_identical(&dense, &sparse)?;
+            word.add_machine(&p);
+            scan.add_machine_scan(&p);
+            parts.push(p);
+            assert_graphs_identical(&word, &scan)?;
+            assert_graphs_identical(&word, &FaultGraph::from_partitions(n, &parts))?;
 
             let candidate = random_partition(seed ^ ((m as u64) << 9), n, blocks);
-            prop_assert_eq!(dense.speculate(&candidate), sparse.speculate(&candidate));
             prop_assert_eq!(
-                dense.addition_increases_dmin(&candidate),
-                sparse.addition_increases_dmin(&candidate)
+                word.speculate(&candidate),
+                word.addition_increases_dmin_scan(&candidate)
             );
             prop_assert_eq!(
-                dense.addition_increases_dmin(&candidate),
-                dense.addition_increases_dmin_scan(&candidate)
+                word.speculate_bitset(&candidate.to_bitset()),
+                word.speculate(&candidate)
             );
         }
     }
 
-    /// Bulk construction (`from_partitions_with`) equals the incremental
-    /// path for both representations, and the auto-selected graph — on
-    /// whichever side of the density crossover the family lands — matches
-    /// both.  `n` spans several 64-state stripes with a partial tail word,
-    /// and the family may be empty.
+    /// Bulk construction (`from_partitions`) equals the incremental and the
+    /// element-scan paths.  `n` spans several 64-state stripes with a
+    /// partial tail word, and the family may be empty.
     #[test]
-    fn bulk_auto_and_incremental_construction_agree(
+    fn bulk_and_incremental_construction_agree(
         seed in 0u64..100_000,
         n in 1usize..200,
         blocks in 1usize..8,
@@ -125,37 +123,13 @@ proptest! {
             .map(|m| random_partition(seed.wrapping_add(m as u64 * 101), n, blocks))
             .collect();
         let mut incremental = FaultGraph::new(n);
+        let mut scan = FaultGraph::new(n);
         for p in &parts {
             incremental.add_machine(p);
+            scan.add_machine_scan(p);
         }
-        let auto = FaultGraph::from_partitions(n, &parts);
-        assert_graphs_identical(&incremental, &auto)?;
-        for repr in [WeightRepr::Dense, WeightRepr::Sparse] {
-            let bulk = FaultGraph::from_partitions_with(n, &parts, repr);
-            prop_assert_eq!(bulk.representation(), repr);
-            assert_graphs_identical(&incremental, &bulk)?;
-        }
-    }
-
-    /// The density-estimate selection rule: sparse is chosen exactly when
-    /// the graph is big enough to matter and the estimated stored entries
-    /// are at most a `1/SPARSE_DENSITY_DIV` fraction of the edges.
-    #[test]
-    fn auto_selection_follows_the_density_estimate(
-        edges in 1usize..1_000_000,
-        est in 0u64..1_000_000,
-    ) {
-        let est = est as u128;
-        // With the size gate disabled, the rule is purely the density test.
-        let repr = WeightRepr::auto_for_estimate(edges, est, 0);
-        let expect_sparse = est * SPARSE_DENSITY_DIV as u128 <= edges as u128;
-        prop_assert_eq!(repr == WeightRepr::Sparse, expect_sparse);
-        // Below the size gate, dense always wins.
-        if edges < SPARSE_MIN_EDGES {
-            prop_assert_eq!(
-                WeightRepr::auto_for_estimate(edges, est, SPARSE_MIN_EDGES),
-                WeightRepr::Dense
-            );
-        }
+        let bulk = FaultGraph::from_partitions(n, &parts);
+        assert_graphs_identical(&bulk, &incremental)?;
+        assert_graphs_identical(&bulk, &scan)?;
     }
 }
