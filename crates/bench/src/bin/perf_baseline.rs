@@ -2,8 +2,8 @@
 //!
 //! Run with: `cargo run --release -p fsm-fusion-bench --bin perf_baseline`
 //!
-//! Times the partition operations, the fault-graph build, the incremental
-//! fault-graph trackers, the Algorithm-2 search at several `⊤` state counts
+//! Times the partition operations, the fault-graph build, the kept
+//! fault-graph queries, the Algorithm-2 search at several `⊤` state counts
 //! and the reachable-product construction (packed sequential, packed
 //! parallel, reference) with small fixed iteration counts, and emits
 //! `BENCH_fusion.json` (see README.md for the format).  Every optimized
@@ -20,13 +20,13 @@
 //! `recover_replay_n512` and `recover_decode_f1`, and the `sim_sweep`
 //! section records a fusion-vs-replication cost comparison over identical
 //! seeds (`backend_comparison`).  The scaling workloads past the old
-//! `10⁴` wall are `alg2_search_n6561`, `product_build_n6561` and
-//! `product_build_stream_n59049` (the last one asserts the memory-budgeted
-//! streaming builder actually spills).  `alg2_search_table1_mesi_tcp_f1`
-//! times a Table 1 row whose descent examines 15,400 candidates and keeps
-//! none — the failing-candidate path.  `lattice_walk_n81` times a full
+//! `10⁴` wall are `alg2_search_n6561`, `alg2_search_n59049`,
+//! `product_build_n6561` and `product_build_stream_n59049` (the last one
+//! asserts the memory-budgeted streaming builder actually spills).
+//! `alg2_search_table1_mesi_tcp_f1` times a Table 1 row whose descent
+//! examines 15,400 candidates and keeps none — the failing-candidate path.  `lattice_walk_n81` times a full
 //! `enumerate_lattice` (212 closed partitions of four mod-3 counters), the
-//! lattice-walk path.  `fault_graph_build_n6561` times the dense fault-graph
+//! lattice-walk path.  `fault_graph_build_n6561` times the fault-graph
 //! build at |⊤| = 6561 alone, and `alg2_session_n6561` the same f = 1 job
 //! as `alg2_search_n6561` through a cold `FusionSession` (graph slot
 //! included).  Every op records the peak
@@ -62,7 +62,7 @@ use fsm_fusion_bench::{
 };
 use fsm_fusion_core::reference;
 use fsm_fusion_core::{
-    enumerate_lattice, generate_fusion, projection_partitions, FaultGraph, FaultModel,
+    enumerate_lattice, generate_fusion, is_fusion, projection_partitions, FaultGraph, FaultModel,
     FusionConfig, MachineReport, Partition, TopDelta,
 };
 use fsm_machines::table1_rows;
@@ -247,8 +247,8 @@ fn measure_all() -> Vec<Measurement> {
         push("partition_join_scan_n81", iters, ns);
     }
 
-    // Fault-graph build: 24 machines over 81 states, word-at-a-time vs. the
-    // per-pair element scan.
+    // Fault-graph build: 24 random machines over 81 states (dmin 14, so the
+    // build sweeps its rows) vs. the per-pair scan.
     {
         let machines: Vec<Partition> = pool.iter().take(24).cloned().collect();
         let iters = 200;
@@ -264,8 +264,8 @@ fn measure_all() -> Vec<Measurement> {
         push("fault_graph_build_scan_n81_m24", iters, ns);
     }
 
-    // Incremental fault-graph trackers (dmin / weakest edges / speculation)
-    // against the full edge rescans they subsume.  n = 243 keeps ~29k edges
+    // The kept fault-graph queries (dmin / weakest edges / speculation)
+    // against the per-pair rescans they subsume.  n = 243 keeps ~29k edges
     // in play so the O(E) scan side is clearly visible.
     {
         let n2 = 243;
@@ -357,10 +357,10 @@ fn measure_all() -> Vec<Measurement> {
         push("product_build_scan_n729", iters, ns);
     }
 
-    // Past the 10⁴ wall: the scaling workloads this PR's sharded fault
-    // graph and streaming product builder exist for.  |⊤| = 3⁸ = 6561 runs
+    // Past the 10⁴ wall: the scaling workloads the weakest-edge fault graph
+    // and the streaming product builder exist for.  |⊤| = 3⁸ = 6561 runs
     // the full pipeline (packed product build, then the Algorithm-2 descent
-    // over a ~21.5M-edge fault graph with per-stripe trackers); the
+    // over a fault graph of ~21.5M edges, 52,488 of them weakest); the
     // `peak_rss_kb` field recorded with every op documents the memory side.
     {
         let machines = counter_family(8, 3);
@@ -376,7 +376,7 @@ fn measure_all() -> Vec<Measurement> {
         let ns = bench(MIN_ITERS, || generate_fusion(top, &originals, 1).unwrap());
         push("alg2_search_n6561", MIN_ITERS, ns);
 
-        // The fault-graph layer alone: the one-pass dense `u16` build.
+        // The fault-graph layer alone: the weakest-edge level search.
         let n = product.size();
         let iters = 10;
         let ns = bench(iters, || FaultGraph::from_partitions(n, &originals));
@@ -442,19 +442,19 @@ fn measure_all() -> Vec<Measurement> {
     }
 
     // Delta-aware re-fusion at |⊤| = 729: one add/remove cycle through
-    // `FusionSession::update_top` — product stride-extension, the fused
-    // fault-graph pullback-with-delta passes and context reinstall — against materializing the same two fusion
-    // contexts (product, projection partitions, fault graph) cold at both
-    // endpoints of the cycle.  The machine set is replication-shaped: six
-    // mod-3 counters, each deployed as four copies — the replication
-    // baseline the paper compares fusion against at three crash faults.
-    // `⊤` stays at 729 states while the cold side pays one bitset pass
-    // *per machine* (24 of them, twice) and the warm side a constant few;
-    // the cycled machine is the last replica.  The generation walk itself
-    // is excluded from both sides: `tests/delta_properties.rs` pins it
-    // bit-identical, so it would only add the same constant to both
-    // figures.  The `_cold` op is a documentation twin like `_scan` and
-    // never gates.
+    // `FusionSession::update_top` — product stride-extension, the
+    // fault-graph remaps and context reinstall — against materializing the
+    // same two fusion contexts (product, projection partitions, fault
+    // graph) cold at both endpoints of the cycle.  The machine set is
+    // replication-shaped: six mod-3 counters, each deployed as four copies
+    // — the replication baseline the paper compares fusion against at
+    // three crash faults.  `⊤` stays at 729 states; the cold side builds
+    // both products and searches both graphs from level 0, the warm side
+    // extends the product and remaps the kept graph; the cycled machine is
+    // the last replica.  The generation walk itself is excluded from both
+    // sides: `tests/delta_properties.rs` pins it bit-identical, so it would
+    // only add the same constant to both figures.  The `_cold` op is a
+    // documentation twin like `_scan` and never gates.
     {
         let mut family = counter_family(6, 3);
         let primaries = family.clone();
@@ -651,6 +651,27 @@ fn measure_all() -> Vec<Measurement> {
             lattice.len()
         });
         push("lattice_walk_n81", iters, ns);
+    }
+
+    // Algorithm 2 at |⊤| = 3¹⁰ = 59049, f = 1: the fault graph of the ten
+    // counters has ~1.7·10⁹ edges, dmin = 1 and 590,490 weakest edges,
+    // which the level search finds without storing a weight.  The packed
+    // resident product build stays outside the timing.  It runs last, so
+    // the memory it leaves with the allocator does not show in the other
+    // ops' `peak_rss_kb`.
+    {
+        let machines = counter_family(10, 3);
+        let product = ReachableProduct::with_workers(&machines, 1).unwrap();
+        let originals = projection_partitions(&product);
+        let n = product.size();
+        let graph = FaultGraph::from_partitions(n, &originals);
+        assert_eq!((graph.dmin(), graph.weakest_edges().len()), (1, 590_490));
+        drop(graph);
+        let top = product.top();
+        let fusion = generate_fusion(top, &originals, 1).unwrap();
+        assert!(is_fusion(n, &originals, &fusion.partitions, 1));
+        let ns = bench(MIN_ITERS, || generate_fusion(top, &originals, 1).unwrap());
+        push("alg2_search_n59049", MIN_ITERS, ns);
     }
 
     out

@@ -1,16 +1,12 @@
 //! `u64`-word bitset kernel for partitions (the hot-path representation).
 //!
-//! Algorithm 2 spends its time comparing partitions and updating fault-graph
-//! edge weights; both operations reduce to set algebra over blocks of `⊤`
-//! states.  This module stores each block as a row of `u64` words
-//! ([`BlockMatrix`]) so that containment, disjointness and complement
-//! enumeration run word-at-a-time instead of element-at-a-time:
+//! Comparing partitions reduces to set algebra over blocks of `⊤` states.
+//! This module stores each block as a row of `u64` words ([`BlockMatrix`])
+//! so that containment, disjointness and complement enumeration run
+//! word-at-a-time instead of element-at-a-time:
 //!
 //! * `P1 ≤ P2` becomes one subset test (`row & !row' == 0`) per block of
 //!   `P2` — `O(B · ⌈n/64⌉)` word operations,
-//! * [`crate::FaultGraph::add_machine`] walks, for every state `i`, the
-//!   *complement* of `i`'s block word-at-a-time to find exactly the edges
-//!   whose weight increases,
 //! * the candidate-scoring loops in [`crate::search`] and [`crate::lattice`]
 //!   convert each candidate partition once and then compare it against many
 //!   others at word granularity.
@@ -59,8 +55,7 @@ impl BlockMatrix {
     }
 
     /// Re-shapes to `rows × cols` and zeroes every bit, reusing the existing
-    /// word buffer.  After warm-up at a given shape this allocates nothing;
-    /// see [`BitsetPartition::refresh_from_partition`].
+    /// word buffer.  After warm-up at a given shape this allocates nothing.
     pub fn reset(&mut self, rows: usize, cols: usize) {
         self.cols = cols;
         self.words = words_for(cols);
@@ -222,31 +217,6 @@ impl BitsetPartition {
             block_of,
             blocks,
             first,
-        }
-    }
-
-    /// Refreshes `self` in place from a canonical [`Partition`], reusing the
-    /// existing row matrix and per-block buffers — the scratch-reusing twin
-    /// of [`BitsetPartition::from_partition`] for loops that convert a fresh
-    /// candidate partition every iteration (e.g. Algorithm 2's outer loop
-    /// handing its descent result to [`crate::FaultGraph::add_machine_bitset`]).
-    /// After warm-up at a stable element count this allocates nothing.
-    pub fn refresh_from_partition(&mut self, p: &Partition) {
-        let n = p.len();
-        let num_blocks = p.num_blocks();
-        self.n = n;
-        self.blocks.reset(num_blocks, n);
-        self.block_of.clear();
-        self.block_of.reserve(n);
-        self.first.clear();
-        self.first.resize(num_blocks, u32::MAX);
-        for (x, &b) in p.assignment().iter().enumerate() {
-            debug_assert!(b < num_blocks);
-            self.blocks.set(b, x);
-            self.block_of.push(b as u32);
-            if self.first[b] == u32::MAX {
-                self.first[b] = x as u32;
-            }
         }
     }
 

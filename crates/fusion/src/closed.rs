@@ -73,54 +73,98 @@ struct QuotientScratch {
     uf: UnionFind,
     /// Pending block pairs the congruence still has to join.
     work: Vec<(u32, u32)>,
-    /// Block pairs joined by a forbidden edge, as a bitmap …
-    forbidden: PairBits,
+    /// Block pairs joined by a forbidden edge, as a set …
+    forbidden: PairSet,
     /// … and as a deduplicated list for the exact verdict.
     forbidden_pairs: Vec<(u32, u32)>,
     /// Canonical label per union-find root, for lifting.
     label_of_root: Vec<usize>,
 }
 
-/// Flat upper-triangular bit set over block pairs `(b1, b2)`, `b1 < b2 <
-/// k`, reused across descent levels: marking the pairs joined by a weakest
-/// edge costs two array reads and a bit-set per edge, far cheaper than the
-/// hash set the same filter would otherwise need at `|⊤|`-sized weakest
-/// sets.
+/// Most words a level's pair bitmap may take: 8 MiB, a level of up to
+/// ≈ 11,600 blocks.
+const PAIR_BITMAP_WORDS: usize = 1 << 20;
+
+/// A set of unordered block pairs `(b1, b2)`, `b1 < b2 < k`, reused across
+/// descent levels.  Up to [`PAIR_BITMAP_WORDS`] it is a flat
+/// upper-triangular bitmap: marking the pairs joined by a weakest edge
+/// costs two array reads and a bit-set per edge, and a lookup one load.
+/// A larger level — the first level of a descent over a bigger `⊤`, where
+/// `k = |⊤|` and the bitmap would take 218 MB at `|⊤| = 59049` — uses an
+/// open-addressing table of packed `(min, max)` keys sized by the
+/// forbidden edges instead.
 #[derive(Debug, Clone, Default)]
-struct PairBits {
+struct PairSet {
+    /// The bitmap; empty while `slots` is in use.
     words: Vec<u64>,
     k: usize,
+    /// The table; empty while `words` is in use.
+    slots: Vec<u64>,
+    shift: u32,
 }
 
-impl PairBits {
-    /// Clears the map and resizes it for `k` blocks.
-    fn reset(&mut self, k: usize) {
+/// An unused table slot: no pair of `u32` blocks packs to it.
+const NO_PAIR: u64 = u64::MAX;
+
+impl PairSet {
+    /// Clears the set and sizes it for `k` blocks and up to `pairs` pairs.
+    fn reset(&mut self, k: usize, pairs: usize) {
         self.k = k;
-        let pairs = k * k.saturating_sub(1) / 2;
         self.words.clear();
-        self.words.resize(pairs.div_ceil(64), 0);
+        self.slots.clear();
+        let words = (k * k.saturating_sub(1) / 2).div_ceil(64);
+        if words <= PAIR_BITMAP_WORDS {
+            self.words.resize(words, 0);
+        } else {
+            // At least two slots, so the shift stays below 64.
+            let slots = (2 * pairs).next_power_of_two().max(2);
+            self.shift = 64 - slots.trailing_zeros();
+            self.slots.resize(slots, NO_PAIR);
+        }
     }
 
-    /// Word and mask of the unordered pair `{a, b}`, `a ≠ b`, in row-major
-    /// upper-triangular order.
-    fn slot(&self, a: usize, b: usize) -> (usize, u64) {
+    /// Word and mask of the pair `{a, b}`, `a ≠ b`, in the bitmap.
+    fn bit(&self, a: usize, b: usize) -> (usize, u64) {
         let (b1, b2) = (a.min(b), a.max(b));
         debug_assert!(b1 < b2 && b2 < self.k);
         let idx = b1 * self.k - b1 * (b1 + 1) / 2 + (b2 - b1 - 1);
         (idx / 64, 1u64 << (idx % 64))
     }
 
-    /// Marks `{a, b}`; returns whether it was unmarked before.
+    /// The table slot where the probe for `{a, b}` ends: the pair's own,
+    /// or the empty one it would take.
+    fn probe(&self, a: usize, b: usize) -> (usize, u64) {
+        let key = ((a.min(b) as u64) << 32) | a.max(b) as u64;
+        let mask = self.slots.len() - 1;
+        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        while self.slots[slot] != key && self.slots[slot] != NO_PAIR {
+            slot = (slot + 1) & mask;
+        }
+        (slot, key)
+    }
+
+    /// Adds `{a, b}`; returns whether it was absent before.
     fn insert(&mut self, a: usize, b: usize) -> bool {
-        let (w, mask) = self.slot(a, b);
-        let fresh = self.words[w] & mask == 0;
-        self.words[w] |= mask;
-        fresh
+        if self.slots.is_empty() {
+            let (w, mask) = self.bit(a, b);
+            let fresh = self.words[w] & mask == 0;
+            self.words[w] |= mask;
+            fresh
+        } else {
+            let (slot, key) = self.probe(a, b);
+            let fresh = self.slots[slot] == NO_PAIR;
+            self.slots[slot] = key;
+            fresh
+        }
     }
 
     fn contains(&self, a: usize, b: usize) -> bool {
-        let (w, mask) = self.slot(a, b);
-        self.words[w] & mask != 0
+        if self.slots.is_empty() {
+            let (w, mask) = self.bit(a, b);
+            self.words[w] & mask != 0
+        } else {
+            self.slots[self.probe(a, b).0] != NO_PAIR
+        }
     }
 }
 
@@ -479,7 +523,7 @@ impl ClosureKernel {
                 event: format!("e{e}"),
             });
         }
-        buf.forbidden.reset(k);
+        buf.forbidden.reset(k, forbidden.len());
         buf.forbidden_pairs.clear();
         let mut joined = false;
         for &(i, j) in forbidden {
@@ -823,5 +867,46 @@ mod tests {
             check_closed(&t, &p),
             Err(FusionError::PartitionSizeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn pair_set_answers_alike_as_bitmap_and_as_table() {
+        // 50 blocks take the bitmap; 20,000 blocks (3.1M bitmap words)
+        // the table.  Both must answer like a plain set, in either order
+        // of a pair, and reuse across resets.
+        for k in [50usize, 20_000] {
+            let mut set = PairSet::default();
+            set.reset(k, 0);
+            assert!(!set.contains(1, 0), "k={k}");
+            for round in 0..2u64 {
+                let mut seed = round;
+                let mut step = || {
+                    seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (seed >> 33) as usize % k
+                };
+                let pairs: Vec<(usize, usize)> = (0..300)
+                    .map(|_| (step(), step()))
+                    .filter(|(a, b)| a != b)
+                    .collect();
+                set.reset(k, pairs.len());
+                assert_eq!(set.slots.is_empty(), k == 50, "k={k}");
+                let mut reference = std::collections::HashSet::new();
+                for &(a, b) in &pairs {
+                    assert_eq!(set.insert(a, b), reference.insert((a.min(b), a.max(b))));
+                }
+                for a in 0..50 {
+                    for b in (0..50).filter(|&b| b != a) {
+                        let (x, y) = (a * k / 50, b * k / 50);
+                        assert_eq!(
+                            set.contains(x, y),
+                            reference.contains(&(x.min(y), x.max(y)))
+                        );
+                    }
+                }
+                for &(a, b) in &pairs {
+                    assert!(set.contains(b, a));
+                }
+            }
+        }
     }
 }

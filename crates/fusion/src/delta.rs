@@ -12,12 +12,15 @@
 //!
 //! * **`AddMachine`** — the packed mixed-radix product interner makes one
 //!   more factor a stride extension, not a rebuild
-//!   ([`fsm_dfsm::ProductBuilder::extend_factor`]); the old fault graph is
-//!   pulled back along the projection with the new machine's separations
-//!   added in the same pass ([`crate::FaultGraph::remap_states_adding`]).
-//! * **`RemoveMachine`** — the departing machine's weight contribution is
-//!   subtracted while the graph is contracted onto representative states
-//!   ([`crate::FaultGraph::remap_states_removing`]).
+//!   ([`fsm_dfsm::ProductBuilder::extend_factor`]); the old fault graph's
+//!   partitions are lifted along the projection, the new machine's is
+//!   added, and the new weakest edges are read off the lifted old ones
+//!   unless the new machine covers them all
+//!   ([`crate::FaultGraph::remap_states_adding`]).
+//! * **`RemoveMachine`** — the graph drops the departing machine's
+//!   partition while contracting onto representative states, and the
+//!   kept weakest edges it separated become the new weakest edges when
+//!   there are any ([`crate::FaultGraph::remap_states_removing`]).
 //! * **`ExtendMachine`** — a grown component changes the transition
 //!   structure itself, so the session falls back to a documented cold
 //!   rebuild ([`UpdateStats::cold_rebuild`]).
@@ -39,8 +42,7 @@ use fsm_dfsm::Dfsm;
 pub enum TopDelta {
     /// Append a machine to the set.  The product gains one factor (a
     /// stride extension of the packed interner) and the fault graph is
-    /// pulled back and re-scored only where the new machine's partition
-    /// touches it.
+    /// pulled back, its weakest edges re-derived from the kept ones.
     AddMachine(Dfsm),
     /// Remove the machine at this index (the remaining machines keep
     /// their order).  Removing the last machine is an error — a session
@@ -82,8 +84,9 @@ pub struct UpdateStats {
     /// States of the post-delta product that were (re-)expanded while
     /// applying the delta.
     pub product_states_reexpanded: usize,
-    /// Fault-graph stripes (64-column groups of edges) whose weights the
-    /// delta actually moved; zero when the graph was rebuilt cold.
+    /// Weakest-edge levels the delta had to search: 0 when the kept
+    /// weakest edges showed the new ones, and when the graph was rebuilt
+    /// cold.
     pub graph_stripes_touched: usize,
     /// The fault graph was not carried over from the session's kept one:
     /// the slot held no graph of the pre-delta `⊤`, so it was rebuilt from
@@ -98,7 +101,7 @@ impl fmt::Display for UpdateStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "update: {} product states re-expanded, {} graph stripes touched{}, \
+            "update: {} product states re-expanded, {} graph levels searched{}, \
              {} closures remapped{}",
             self.product_states_reexpanded,
             self.graph_stripes_touched,
@@ -133,7 +136,7 @@ mod tests {
         };
         let s = stats.to_string();
         assert!(s.contains("729 product states"), "{s}");
-        assert!(s.contains("7 graph stripes"), "{s}");
+        assert!(s.contains("7 graph levels searched"), "{s}");
         assert!(s.contains("12 closures remapped"), "{s}");
         assert!(!s.contains("cold rebuild"), "{s}");
 

@@ -10,100 +10,49 @@
 //! * `f` crash faults can be tolerated iff `dmin > f` (Theorem 1),
 //! * `f` Byzantine faults can be tolerated iff `dmin > 2f` (Theorem 2).
 //!
-//! ## Striped incremental `dmin` maintenance
+//! ## A weakest-edge index, not a weight matrix
 //!
-//! Algorithm 2 interleaves machine additions with `dmin` /
-//! weakest-edge queries, and the exhaustive search
-//! ([`crate::exhaustive_minimum_fusion`]) queries `dmin` at every node of
-//! its combination tree.  Rescanning all `n(n-1)/2` edges per query is the
-//! dominant query cost at scale, so the graph keeps the flat
-//! upper-triangular weight matrix and shards its trackers into **column
-//! stripes aligned with the u64 bitset block layout** of
-//! [`crate::bitset::BlockMatrix`]: stripe `s` owns the edges whose larger
-//! endpoint `j` lies in bitset word `s` (`j / 64 == s`).  In the same
-//! word-level pass that updates the weights the graph maintains,
-//! *per stripe*:
+//! Algorithm 2 and Theorems 1–2 read three things from the graph: `dmin`,
+//! the weakest edges, and whether a candidate separates all of them.  So
+//! [`FaultGraph`] stores no weights: it keeps the machines' *distinct*
+//! partitions with their multiplicities, `dmin` and the weakest edges in
+//! row-major order — `O(k·n + |weakest|)` memory for `k` distinct
+//! partitions over `n` states, where the weights would take 43 MB at
+//! `n = 6561`.
 //!
-//! * a weight histogram (`hist[s][w]` = number of stripe-`s` edges of
-//!   weight `w`), two in-cache array updates per incremented edge — the
-//!   histogram row is resolved once per visited word, and words whose
-//!   complement mask is zero (clean stripes of the candidate partition) are
-//!   skipped entirely,
-//! * a cached per-stripe minimum, advanced over emptied histogram slots
-//!   (weights only grow); the global `dmin` is the min over the ~`n/64`
-//!   stripe minima, so `dmin` stays `O(1)` per query and `O(n/64)` per add.
+//! **Finding a level.**  A pair's weight is `μ(S)`, the total multiplicity
+//! of the set `S` of partitions that separate it.  When no pair weighs
+//! less than `d`, the pairs of weight `d` are exactly the pairs of states
+//! that agree on every partition outside some `S` with `μ(S) = d`, each
+//! found once, under its own `S`.  A level search hashes every state's
+//! block-id signature over the partitions outside each such `S` and
+//! collects the collisions — the multi-index Hamming-space search the
+//! journal version of the paper uses for decoding (arXiv:1303.5891),
+//! applied to the fault graph.  When the subsets of the levels to search
+//! would cost more than a row sweep (random partitions reach `dmin ≈ 14`
+//! over 24 machines), the level comes from the sweep instead: one reused
+//! `u16` row of weights per state, `O(n²·k)` time and `O(n)` memory.  The
+//! choice follows from the inputs; both paths yield the same list.
 //!
-//! The stripe minima are what make the queries sub-linear in the edge
-//! count: [`FaultGraph::weakest_edges`] and [`FaultGraph::speculate`] visit
-//! only the stripes whose cached minimum equals `dmin` — typically a
-//! handful out of `n/64` — instead of scanning all `E` edges.  Per-weight
-//! *edge buckets* (append an edge to `bucket[w]` when its weight reaches
-//! `w`) would make those queries `O(|weakest|)`, but the bucket pushes cost
-//! more in the add path than the queries save — Algorithm 2 adds machines
-//! `E` edge increments at a time — so the histogram-stripe design wins end
-//! to end.  The pre-refactor full scans are preserved as
-//! [`FaultGraph::dmin_scan`] / [`FaultGraph::weakest_edges_scan`] /
-//! [`FaultGraph::addition_increases_dmin_scan`] for cross-validation
-//! (`tests/parallel_properties.rs`, `tests/fault_graph_repr.rs`) and for
-//! the `fault_graph_incremental_*` baselines in `BENCH_fusion.json`.
-//!
-//! The cells are `u16`: a weight never exceeds the machine count, so a
-//! graph holds at most [`DENSE_MACHINE_LIMIT`] machines and in exchange
-//! halves the matrix, its first-touch page faults and every pass over it.
-//! [`FaultGraph::from_partitions`] does not replay the adds: it writes each
-//! weight once, row by row, and fills the stripe histograms in the same
-//! pass (`fault_graph_build_n6561` in `BENCH_fusion.json`).
-//!
-//! ## Scale
-//!
-//! The matrix is `O(n²)`: 43 MB of weights at `n = 6561` and ≈ 3.5 GB at
-//! `n = 59049`.  Algorithm 2 reads only `dmin`, the weakest edges and
-//! [`FaultGraph::speculate`], so an index that answers those three without
-//! storing every weight can replace the matrix behind the same methods.
+//! Adding a machine and the state remaps keep the index without a full
+//! search (see their docs).  Single weights, the histogram and the `*_scan`
+//! oracles are per-pair [`Partition::separates`] sweeps, independent of
+//! both search paths (`tests/fault_graph_repr.rs`).
 
-use crate::bitset::{words_for, BitsetPartition, WORD_BITS};
+use crate::bitset::BitsetPartition;
 use crate::partition::Partition;
 
-/// Most machines a fault graph holds: its weights are `u16` cells.
+/// Most machines a fault graph holds: the row sweep sums weights in `u16`
+/// cells.
 pub const DENSE_MACHINE_LIMIT: usize = u16::MAX as usize;
+
+/// Row-sweep cells one level-search probe is worth, as measured on the
+/// Table 1 tops and the counter families of `BENCH_fusion.json`.
+const PROBE_CELLS: usize = 32;
 
 /// Number of edges in the complete graph over `n` states.
 fn edges_in(n: usize) -> usize {
     n.saturating_sub(1) * n / 2
-}
-
-/// Index of edge `(i, j)`, `i < j`, in row-major upper-triangular order.
-fn edge_index_in(n: usize, i: usize, j: usize) -> usize {
-    debug_assert!(i < j && j < n);
-    i * n - i * (i + 1) / 2 + (j - i - 1)
-}
-
-/// Edges owned by stripe `s` of an `n`-state graph: column `j`
-/// contributes its `j` incident rows `i < j`.
-fn stripe_edge_count(n: usize, s: usize) -> usize {
-    let lo = s * WORD_BITS;
-    let hi = ((s + 1) * WORD_BITS).min(n);
-    (lo..hi).sum()
-}
-
-/// The smallest weight a stripe histogram counts; `u32::MAX` for an empty
-/// (edge-less) stripe.
-fn hist_min(sh: &[usize]) -> u32 {
-    sh.iter()
-        .position(|&c| c > 0)
-        .map_or(u32::MAX, |w| w as u32)
-}
-
-/// Flat index of edge `(a, a + 1)` for every row `a` of an `n`-state
-/// matrix — two adds per lookup instead of per-edge triangular arithmetic.
-fn row_bases(n: usize) -> Vec<usize> {
-    let mut bases = Vec::with_capacity(n);
-    let mut acc = 0usize;
-    for a in 0..n {
-        bases.push(acc);
-        acc += n - a - 1;
-    }
-    bases
 }
 
 /// Panics unless a graph of `machines` machines fits
@@ -116,64 +65,52 @@ fn assert_within_limit(machines: usize) {
 }
 
 /// The fault graph `G(⊤, M)` for machines represented as closed partitions
-/// of a `⊤` with `n` states: the flat upper-triangular weight matrix plus
-/// its per-stripe histogram trackers (see the module docs).
+/// of a `⊤` with `n` states, kept as a weakest-edge index (see the module
+/// docs): [`FaultGraph::dmin`] is `O(1)` and [`FaultGraph::speculate`] one
+/// early-exiting pass over the weakest edges.
 ///
 /// Machines can be added incrementally, which is what Algorithm 2 does as
-/// it grows the fusion set; the trackers are maintained alongside the
-/// weights so [`FaultGraph::dmin`] is `O(1)` and
-/// [`FaultGraph::weakest_edges`] / [`FaultGraph::speculate`] touch only the
-/// stripes that can contain a weakest edge.
-///
-/// A graph holds at most [`DENSE_MACHINE_LIMIT`] machines.  Adding a
-/// machine past the limit panics rather than wrapping a weight around; the
-/// fusion entry points check the count first and report
-/// [`crate::FusionError::TooManyMachines`] instead.
+/// it grows the fusion set.  A graph holds at most [`DENSE_MACHINE_LIMIT`]
+/// machines: adding one past the limit panics rather than wrapping a
+/// weight around; the fusion entry points check the count first and
+/// report [`crate::FusionError::TooManyMachines`] instead.
 #[derive(Debug)]
 pub struct FaultGraph {
     n: usize,
-    /// Number of machines accumulated so far.
+    /// Number of machines (`Σ mult`).
     machines: usize,
-    /// Upper-triangular weights, indexed by [`edge_index_in`].  A weight
-    /// never exceeds the machine count, which is capped at
-    /// [`DENSE_MACHINE_LIMIT`], so a `u16` cell holds it.
-    weights: Vec<u16>,
-    /// `stripe_hist[s][w]` = number of edges `(i, j)` with `j / 64 == s`
-    /// and weight exactly `w` (each row has length `machines + 1`).
-    stripe_hist: Vec<Vec<usize>>,
-    /// Cached per-stripe minimum weight; `u32::MAX` for edge-less stripes.
-    stripe_min: Vec<u32>,
-    /// Cached global minimum (min over `stripe_min`); `u32::MAX` when the
-    /// graph has no edges.
-    min_weight: u32,
+    /// The machines' distinct partitions; `mult[c]` machines have
+    /// partition `parts[c]`.
+    parts: Vec<Partition>,
+    mult: Vec<u32>,
+    /// The minimum edge weight; `u32::MAX` when the graph has no edges.
+    dmin: u32,
+    /// Every edge of weight `dmin`, `i < j`, row-major (`n` fits `u32`).
+    weakest: Vec<(u32, u32)>,
 }
 
 /// Hand-written so that [`Clone::clone_from`] reuses the destination's
-/// weight and histogram buffers: the exhaustive search
-/// ([`crate::exhaustive_minimum_fusion`]) refreshes one pre-allocated graph
-/// per DFS depth from its parent at every tree node, and the derive's
-/// default `clone_from` would reallocate every vector each time.
+/// buffers: the exhaustive search ([`crate::exhaustive_minimum_fusion`])
+/// refreshes one graph per DFS depth from its parent at every tree node.
 impl Clone for FaultGraph {
     fn clone(&self) -> Self {
         FaultGraph {
             n: self.n,
             machines: self.machines,
-            weights: self.weights.clone(),
-            stripe_hist: self.stripe_hist.clone(),
-            stripe_min: self.stripe_min.clone(),
-            min_weight: self.min_weight,
+            parts: self.parts.clone(),
+            mult: self.mult.clone(),
+            dmin: self.dmin,
+            weakest: self.weakest.clone(),
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
         self.n = source.n;
         self.machines = source.machines;
-        self.weights.clone_from(&source.weights);
-        // Vec<Vec<_>>::clone_from reuses both the outer buffer and each
-        // overlapping inner buffer.
-        self.stripe_hist.clone_from(&source.stripe_hist);
-        self.stripe_min.clone_from(&source.stripe_min);
-        self.min_weight = source.min_weight;
+        self.parts.clone_from(&source.parts);
+        self.mult.clone_from(&source.mult);
+        self.dmin = source.dmin;
+        self.weakest.clone_from(&source.weakest);
     }
 }
 
@@ -181,38 +118,28 @@ impl FaultGraph {
     /// Creates the fault graph over `n` states with no machines (all edge
     /// weights zero).
     pub fn new(n: usize) -> Self {
-        let stripe_hist = (0..words_for(n))
-            .map(|s| vec![stripe_edge_count(n, s)])
-            .collect();
-        Self::from_hists(n, 0, vec![0; edges_in(n)], stripe_hist)
+        Self::from_partitions(n, &[])
     }
 
-    /// Assembles finished weights and stripe histograms, deriving every
-    /// stripe minimum and the global minimum from the histograms.
-    fn from_hists(
-        n: usize,
-        machines: usize,
-        weights: Vec<u16>,
-        stripe_hist: Vec<Vec<usize>>,
-    ) -> Self {
-        let stripe_min: Vec<u32> = stripe_hist.iter().map(|sh| hist_min(sh)).collect();
-        let min_weight = stripe_min.iter().copied().min().unwrap_or(u32::MAX);
+    /// A graph over `n` states with no machines and no weakest edges yet.
+    fn empty(n: usize) -> Self {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "{n} states do not fit a fault graph"
+        );
         FaultGraph {
             n,
-            machines,
-            weights,
-            stripe_hist,
-            stripe_min,
-            min_weight,
+            machines: 0,
+            parts: Vec::new(),
+            mult: Vec::new(),
+            dmin: u32::MAX,
+            weakest: Vec::new(),
         }
     }
 
-    /// Builds a fault graph from a set of machine partitions.
-    ///
-    /// One pass per row writes each weight once — the number of partitions
-    /// whose block of `j` differs from the block of `i` — and counts the
-    /// finished row into the stripe histograms one 64-column segment at a
-    /// time.  The stripe minima are derived at the end.
+    /// Builds a fault graph from a set of machine partitions: merges equal
+    /// partitions into one with a multiplicity, then searches levels
+    /// `0, 1, …` until one is non-empty (see the module docs).
     ///
     /// # Panics
     ///
@@ -223,66 +150,24 @@ impl FaultGraph {
             assert_eq!(p.len(), n, "partition over wrong number of states");
         }
         assert_within_limit(partitions.len());
-        let m = partitions.len();
-        // One contiguous column of block ids per partition, so the row
-        // pass compares two flat slices.
-        let mut cols: Vec<u32> = Vec::with_capacity(m * n);
+        let mut g = Self::empty(n);
         for p in partitions {
-            cols.extend(
-                p.assignment()
-                    .iter()
-                    .map(|&b| u32::try_from(b).expect("an n²-edge graph has n < 2³² states")),
-            );
+            g.insert(p, 1);
         }
-        let mut weights = vec![0u16; edges_in(n)];
-        // Each stripe counts alternate columns into two halves, so
-        // back-to-back equal weights do not serialize on one counter; the
-        // halves are folded at the end.
-        let mut stripe_hist = vec![vec![0usize; 2 * (m + 1)]; words_for(n)];
-        let mut base = 0usize;
-        for i in 0..n.saturating_sub(1) {
-            let row = &mut weights[base..base + (n - i - 1)];
-            // Two partitions per sweep of the row halve its load/store
-            // traffic; an odd partition out gets a sweep of its own.
-            let mut pairs = cols.chunks_exact(2 * n);
-            for pair in pairs.by_ref() {
-                let (c0, c1) = pair.split_at(n);
-                let (a0, a1) = (c0[i], c1[i]);
-                for ((w, &b0), &b1) in row.iter_mut().zip(&c0[i + 1..]).zip(&c1[i + 1..]) {
-                    *w += u16::from(b0 != a0) + u16::from(b1 != a1);
-                }
+        g.search_from(0);
+        g
+    }
+
+    /// Counts `copies` more machines with partition `p`.
+    fn insert(&mut self, p: &Partition, copies: u32) {
+        match self.parts.iter().position(|q| q == p) {
+            Some(c) => self.mult[c] += copies,
+            None => {
+                self.parts.push(p.clone());
+                self.mult.push(copies);
             }
-            for col in pairs.remainder().chunks_exact(n) {
-                let own = col[i];
-                for (w, &b) in row.iter_mut().zip(&col[i + 1..]) {
-                    *w += u16::from(b != own);
-                }
-            }
-            let mut j = i + 1;
-            while j < n {
-                let s = j / WORD_BITS;
-                let seg_end = ((s + 1) * WORD_BITS).min(n);
-                let (even, odd) = stripe_hist[s].split_at_mut(m + 1);
-                let mut pairs = row[j - i - 1..seg_end - i - 1].chunks_exact(2);
-                for pair in pairs.by_ref() {
-                    even[usize::from(pair[0])] += 1;
-                    odd[usize::from(pair[1])] += 1;
-                }
-                for &w in pairs.remainder() {
-                    even[usize::from(w)] += 1;
-                }
-                j = seg_end;
-            }
-            base += n - i - 1;
         }
-        for sh in &mut stripe_hist {
-            let (even, odd) = sh.split_at_mut(m + 1);
-            for (e, o) in even.iter_mut().zip(odd.iter()) {
-                *e += o;
-            }
-            sh.truncate(m + 1);
-        }
-        Self::from_hists(n, m, weights, stripe_hist)
+        self.machines += copies as usize;
     }
 
     /// Number of `⊤` states (nodes).
@@ -292,7 +177,7 @@ impl FaultGraph {
 
     /// Number of edges in the complete graph.
     pub fn num_edges(&self) -> usize {
-        self.weights.len()
+        edges_in(self.n)
     }
 
     /// Number of machines accumulated.
@@ -301,227 +186,280 @@ impl FaultGraph {
     }
 
     /// Adds a machine: every pair of states the partition separates gains
-    /// one unit of weight.
-    ///
-    /// Converts the partition to its bitset-block form and updates weights
-    /// word-at-a-time; see [`FaultGraph::add_machine_bitset`].  The original
-    /// per-pair element scan is preserved as
+    /// one unit of weight.  The weakest edges it leaves alone stay weakest;
+    /// when it separates all of them, `dmin` rises by exactly one and one
+    /// level is searched.  The per-pair rescan is
     /// [`FaultGraph::add_machine_scan`].
     pub fn add_machine(&mut self, p: &Partition) {
         assert_eq!(p.len(), self.n, "partition over wrong number of states");
-        self.add_machine_bitset(&BitsetPartition::from_partition(p));
-    }
-
-    /// Adds a machine given as a pre-converted [`BitsetPartition`] — the
-    /// fast path for scoring loops that add the same candidate partitions to
-    /// many graph clones (e.g. [`crate::exhaustive_minimum_fusion`]).
-    ///
-    /// For every state `i` the set of states `j > i` that the machine
-    /// separates from `i` is the *complement* of `i`'s block row, so the
-    /// update walks `!row` word-at-a-time and bumps exactly the edges whose
-    /// weight grows.  The stripe histograms are updated inline (the
-    /// histogram row is resolved once per visited word, and words with a
-    /// zero mask — clean stripes — are skipped); the stripe minima are
-    /// advanced afterwards.
-    pub fn add_machine_bitset(&mut self, p: &BitsetPartition) {
-        assert_eq!(p.len(), self.n, "partition over wrong number of states");
         assert_within_limit(self.machines + 1);
-        let n = self.n;
-        let words = words_for(n);
-        // One more machine: weights may now reach `machines + 1`.
-        for sh in &mut self.stripe_hist {
-            sh.push(0);
+        self.insert(p, 1);
+        self.weakest
+            .retain(|&(i, j)| !p.separates(i as usize, j as usize));
+        if self.weakest.is_empty() && self.dmin != u32::MAX {
+            self.search_from(self.dmin + 1);
         }
-        let FaultGraph {
-            weights,
-            stripe_hist,
-            ..
-        } = self;
-        let mut base = 0usize;
-        for i in 0..n.saturating_sub(1) {
-            let row = p.block_row(p.block_of(i));
-            let start = i + 1;
-            for (w, &word) in row.iter().enumerate().skip(start / WORD_BITS) {
-                let mut mask = !word;
-                if w == start / WORD_BITS {
-                    mask &= !0u64 << (start % WORD_BITS);
-                }
-                if w == words - 1 && n % WORD_BITS != 0 {
-                    mask &= (1u64 << (n % WORD_BITS)) - 1;
-                }
-                if mask == 0 {
-                    // Clean stripe for this row: no weight in word `w`
-                    // moves, so its histogram is untouched.
-                    continue;
-                }
-                let sh = &mut stripe_hist[w];
-                while mask != 0 {
-                    let j = w * WORD_BITS + mask.trailing_zeros() as usize;
-                    let idx = base + (j - start);
-                    let old = weights[idx];
-                    weights[idx] = old + 1;
-                    sh[usize::from(old)] -= 1;
-                    sh[usize::from(old) + 1] += 1;
-                    mask &= mask - 1;
-                }
-            }
-            base += n - i - 1;
-        }
-        self.machines += 1;
-        self.advance_mins();
     }
 
-    /// The pre-refactor element scan: every `(i, j)` pair tested with
-    /// [`Partition::separates`].  Kept for cross-validation (property tests)
-    /// and as the `fault_graph_build_scan` baseline in `BENCH_fusion.json`;
-    /// use [`FaultGraph::add_machine`] everywhere else.  Faithful to its
-    /// pre-refactor behavior, it leaves the trackers to a full rebuild pass
-    /// instead of maintaining them inline.
+    /// [`FaultGraph::add_machine`] for a pre-converted [`BitsetPartition`].
+    pub fn add_machine_bitset(&mut self, p: &BitsetPartition) {
+        self.add_machine(&p.to_partition());
+    }
+
+    /// The reference add: counts the machine in and rescans every pair
+    /// (cross-validation and the `fault_graph_build_scan` baseline).
     pub fn add_machine_scan(&mut self, p: &Partition) {
         assert_eq!(p.len(), self.n, "partition over wrong number of states");
         assert_within_limit(self.machines + 1);
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                if p.separates(i, j) {
-                    self.weights[edge_index_in(self.n, i, j)] += 1;
-                }
-            }
-        }
-        self.machines += 1;
-        self.rebuild_trackers();
+        self.insert(p, 1);
+        self.dmin = self.dmin_scan();
+        let scan = self.weakest_edges_scan().into_iter();
+        self.weakest = scan.map(|(i, j)| (i as u32, j as u32)).collect();
     }
 
     /// Pulls the graph back along a state mapping onto a new state space
-    /// and adds one machine `p` that lives on the *new* space, in one pass
-    /// over the new edge set.
+    /// and adds one machine `p` that lives on the *new* space.
     ///
-    /// `mapping[i]` names the state of *this* graph that new state `i`
-    /// projects onto, so the result is the fault graph of the same
-    /// machines lifted through the mapping plus `p`:
-    /// `w'(i, j) = w(mapping[i], mapping[j]) + [p separates i and j]`, where
-    /// the lifted part is zero when both endpoints collapse onto the same
-    /// old state (no machine separates a state from itself).  A surjective
-    /// mapping lifts a product extension, which is how a warm `AddMachine`
-    /// reuses the old graph.  The separation bit comes from one bitset word
-    /// per 64 columns, so adding `p` costs a shift and a mask on top of the
-    /// copy.
-    ///
-    /// Returns the grown graph and the number of new-space stripes in which
-    /// `p` separates some pair.
+    /// New state `i` projects onto old state `mapping[i]`, so
+    /// `w'(i, j) = w(mapping[i], mapping[j]) + [p separates i and j]`, the
+    /// lifted part zero for a *fiber* pair (both on one old state); a
+    /// surjective mapping lifts a product extension (a warm `AddMachine`).
+    /// Other pairs weighed more than `dmin` and still do, so the fiber pairs
+    /// and the lifted weakest edges show the new lowest level when it is at
+    /// most `dmin`; otherwise one level is searched.  Returns the graph and
+    /// the number of levels searched.
     pub fn remap_states_adding(&self, mapping: &[u32], p: &Partition) -> (FaultGraph, usize) {
         debug_assert!(mapping.iter().all(|&x| (x as usize) < self.n));
-        assert_eq!(
-            p.len(),
-            mapping.len(),
-            "partition over wrong number of states"
-        );
-        assert_within_limit(self.machines + 1);
-        let p = BitsetPartition::from_partition(p);
         let n_new = mapping.len();
-        let row_base = row_bases(self.n);
-        let stripes = words_for(n_new);
-        let mut weights = vec![0u16; edges_in(n_new)];
-        let mut stripe_hist = vec![vec![0usize; self.machines + 2]; stripes];
-        let mut stripe_touched = vec![false; stripes];
-        let mut idx = 0usize;
-        for (i, &mi) in mapping.iter().enumerate() {
-            let a = mi as usize;
-            let row = p.block_row(p.block_of(i));
-            let mut j = i + 1;
-            while j < n_new {
-                let s = j / WORD_BITS;
-                let seg_end = ((s + 1) * WORD_BITS).min(n_new);
-                let sh = &mut stripe_hist[s];
-                // Bit `j - s·64` set means `j` shares `i`'s block (not
-                // separated); invert once for the whole segment.
-                let sep_word = !row[s];
-                let mut seg_sep = false;
-                for (&mj, bit) in mapping[j..seg_end].iter().zip(j - s * WORD_BITS..) {
-                    let sep = (sep_word >> bit) & 1;
-                    seg_sep |= sep != 0;
-                    let w = self.pulled_weight(&row_base, a, mj as usize) + sep as u16;
-                    weights[idx] = w;
-                    sh[usize::from(w)] += 1;
-                    idx += 1;
-                }
-                stripe_touched[s] |= seg_sep;
-                j = seg_end;
+        assert_eq!(p.len(), n_new, "partition over wrong number of states");
+        assert_within_limit(self.machines + 1);
+        let mut g = self.lifted(mapping, None);
+        g.insert(p, 1);
+        let mut fibers = vec![Vec::new(); self.n];
+        for (i, &a) in mapping.iter().enumerate() {
+            fibers[a as usize].push(i);
+        }
+        let bound = self.dmin.saturating_add(1);
+        let mut offers = Vec::new();
+        let mut offer = |w: u32, i: usize, j: usize| {
+            if w < bound {
+                offers.push((w, i.min(j), i.max(j)));
+            }
+        };
+        for f in &fibers {
+            for (x, &i) in f.iter().enumerate() {
+                f[x + 1..]
+                    .iter()
+                    .for_each(|&j| offer(u32::from(p.separates(i, j)), i, j));
             }
         }
-        (
-            Self::from_hists(n_new, self.machines + 1, weights, stripe_hist),
-            stripe_touched.iter().filter(|&&t| t).count(),
-        )
+        for &(a, b) in &self.weakest {
+            for &i in &fibers[a as usize] {
+                for &j in &fibers[b as usize] {
+                    offer(self.dmin + u32::from(p.separates(i, j)), i, j);
+                }
+            }
+        }
+        let levels = g.settle(bound, offers);
+        (g, levels)
     }
 
     /// Removes one machine `p` that lives on *this* graph's state space and
-    /// pulls the rest back along an injective state mapping, in one pass
-    /// over the new (smaller) edge set — the full old edge set is never
-    /// walked.
+    /// pulls the rest back along an injective state mapping.
     ///
     /// `w'(i, j) = w(mapping[i], mapping[j]) − [p separates mapping[i] and
-    /// mapping[j]]`.  An injective mapping contracts fibers after a machine
-    /// is removed: it picks one preimage representative per new state, and
-    /// since the surviving machines cannot distinguish preimages, any
-    /// choice yields the same graph.
+    /// mapping[j]]`: the mapping picks one representative per new state,
+    /// and since the survivors cannot tell preimages apart, any choice
+    /// gives the same graph.  Pairs off the weakest edges keep at least
+    /// `dmin`, so the weakest edges among representatives that `p`
+    /// separates are the new lowest level when there are any; otherwise one
+    /// level is searched.  Returns the graph and the levels searched.
     ///
-    /// Returns the contracted graph and the number of new-space stripes
-    /// whose weights lost a unit.
+    /// # Panics
+    ///
+    /// If `p` is not one of the graph's machines.
     pub fn remap_states_removing(&self, mapping: &[u32], p: &Partition) -> (FaultGraph, usize) {
         debug_assert!(mapping.iter().all(|&x| (x as usize) < self.n));
         assert_eq!(p.len(), self.n, "partition over wrong number of states");
-        assert!(self.machines > 0, "no machines to remove");
-        let p = BitsetPartition::from_partition(p);
-        let n_new = mapping.len();
-        let row_base = row_bases(self.n);
-        let stripes = words_for(n_new);
-        let mut weights = vec![0u16; edges_in(n_new)];
-        let mut stripe_hist = vec![vec![0usize; self.machines]; stripes];
-        let mut stripe_touched = vec![false; stripes];
-        let mut idx = 0usize;
-        for (i, &mi) in mapping.iter().enumerate() {
-            let a = mi as usize;
-            let row = p.block_row(p.block_of(a));
-            let mut j = i + 1;
-            while j < n_new {
-                let s = j / WORD_BITS;
-                let seg_end = ((s + 1) * WORD_BITS).min(n_new);
-                let sh = &mut stripe_hist[s];
-                let mut seg_sep = false;
-                for &mj in &mapping[j..seg_end] {
-                    let b = mj as usize;
-                    let w = self.pulled_weight(&row_base, a, b);
-                    // Separated by the removed machine: bit `b` clear in
-                    // the block row of `a` (never for `a == b`).
-                    let sep = !(row[b / WORD_BITS] >> (b % WORD_BITS)) & 1;
-                    seg_sep |= sep != 0;
-                    debug_assert!(u64::from(w) >= sep, "removing a machine never added");
-                    let w = w - sep as u16;
-                    weights[idx] = w;
-                    sh[usize::from(w)] += 1;
-                    idx += 1;
-                }
-                stripe_touched[s] |= seg_sep;
-                j = seg_end;
+        let c = self
+            .parts
+            .iter()
+            .position(|q| q == p)
+            .expect("p is one of the graph's machines");
+        let mut g = self.lifted(mapping, Some(c));
+        let mut new_of = vec![usize::MAX; self.n];
+        for (i, &a) in mapping.iter().enumerate() {
+            new_of[a as usize] = i;
+        }
+        let mut offers = Vec::new();
+        for &(a, b) in &self.weakest {
+            let (a, b) = (a as usize, b as usize);
+            let (i, j) = (new_of[a], new_of[b]);
+            if i != usize::MAX && j != usize::MAX && p.separates(a, b) {
+                offers.push((self.dmin - 1, i.min(j), i.max(j)));
             }
         }
-        (
-            Self::from_hists(n_new, self.machines - 1, weights, stripe_hist),
-            stripe_touched.iter().filter(|&&t| t).count(),
-        )
+        let levels = g.settle(self.dmin, offers);
+        (g, levels)
     }
 
-    /// `w(a, b)` read through a [`row_bases`] table of this graph; zero
-    /// for `a == b` (no machine separates a state from itself).
-    fn pulled_weight(&self, row_base: &[usize], a: usize, b: usize) -> u16 {
-        if a == b {
+    /// This graph's machines pulled back along `mapping` (new state `i`
+    /// sits in the block of old state `mapping[i]`), less one copy of
+    /// `parts[drop]`; partitions that become equal merge.
+    fn lifted(&self, mapping: &[u32], drop: Option<usize>) -> FaultGraph {
+        let mut g = Self::empty(mapping.len());
+        for (c, (q, &mu)) in self.parts.iter().zip(&self.mult).enumerate() {
+            let copies = mu - u32::from(drop == Some(c));
+            if copies > 0 {
+                let blocks: Vec<usize> = mapping.iter().map(|&x| q.block_of(x as usize)).collect();
+                g.insert(&Partition::from_assignment(&blocks), copies);
+            }
+        }
+        g
+    }
+
+    /// Installs the lightest `(weight, i, j)` offers, which hold every
+    /// pair lighter than `bound`, or searches from `bound` when there are
+    /// none; returns the number of levels searched.
+    fn settle(&mut self, bound: u32, offers: Vec<(u32, usize, usize)>) -> usize {
+        let Some(w) = offers.iter().map(|o| o.0).min() else {
+            return self.search_from(bound);
+        };
+        let level = offers.into_iter().filter(|o| o.0 == w);
+        let pairs: Vec<_> = level.map(|(_, i, j)| (i as u32, j as u32)).collect();
+        self.dmin = w;
+        self.weakest = row_major(&pairs, self.n);
+        0
+    }
+
+    /// Sets `dmin` and the weakest edges, given that no pair weighs less
+    /// than `floor`; returns the number of levels searched.
+    ///
+    /// The lightest edge between consecutive states bounds `dmin`, so the
+    /// levels up to its weight are all a search can need.  They are
+    /// searched by subsets, unless counting or probing the subsets would
+    /// cost more than the sweep costs cells; the sweep counts as one level.
+    fn search_from(&mut self, floor: u32) -> usize {
+        self.weakest.clear();
+        self.dmin = u32::MAX;
+        let n = self.n;
+        if n < 2 {
             return 0;
         }
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        self.weights[row_base[lo] + (hi - lo - 1)]
+        let floor = floor as usize;
+        let upper = (1..n).map(|i| self.pair_weight(i - 1, i)).min();
+        let upper = upper.expect("two states make an edge") as usize;
+        let k = self.parts.len().max(1);
+        let sweep_cells = edges_in(n).saturating_mul(k);
+        // A count table larger than the sweep's `k · n` block ids loses.
+        if (k + 1).saturating_mul(upper + 1) > k * n {
+            self.sweep();
+            return 1;
+        }
+        let subsets = Subsets::new(&self.mult, upper);
+        let count = (floor..=upper).fold(0u64, |t, d| t.saturating_add(subsets.ways(0, d)));
+        if count.saturating_mul((n * PROBE_CELLS) as u64) > sweep_cells as u64 {
+            self.sweep();
+            return 1;
+        }
+        let mut signatures = Signatures::new(n, &self.parts);
+        for d in floor..=upper {
+            let pairs = signatures.collisions(&self.parts, &subsets, d);
+            if !pairs.is_empty() {
+                self.dmin = u32::try_from(d).expect("a weight never exceeds the machine count");
+                self.weakest = row_major(&pairs, n);
+                return d - floor + 1;
+            }
+        }
+        unreachable!("no pair weighs less than {floor}, yet one weighs {upper}")
     }
 
-    /// The distance `d(ti, tj)` between two states (Definition 4).
+    /// The row sweep: one reused `u16` row of weights per state.  Block ids
+    /// are below `n`, so up to 2¹⁶ states they compare as `u16`.
+    fn sweep(&mut self) {
+        if let Some(cols) = self.columns::<u16>() {
+            return self.sweep_columns(&cols);
+        }
+        let cols = self.columns::<u32>().expect("block ids are below n < 2³²");
+        self.sweep_columns(&cols);
+    }
+
+    /// One column of block ids per partition; `None` if one does not fit.
+    fn columns<T: TryFrom<usize>>(&self) -> Option<Vec<T>> {
+        let mut cols = Vec::with_capacity(self.parts.len() * self.n);
+        for &b in self.parts.iter().flat_map(|p| p.assignment()) {
+            cols.push(T::try_from(b).ok()?);
+        }
+        Some(cols)
+    }
+
+    fn sweep_columns<T: Copy + PartialEq>(&mut self, cols: &[T]) {
+        let n = self.n;
+        let limit = "a graph holds at most DENSE_MACHINE_LIMIT machines";
+        let mult: Vec<_> = self
+            .mult
+            .iter()
+            .map(|&m| u16::try_from(m).expect(limit))
+            .collect();
+        let mut buf = vec![0u16; n];
+        let mut best = u32::MAX;
+        for i in 0..n - 1 {
+            let row = &mut buf[..n - i - 1];
+            row.fill(0);
+            // Four partitions per pass over the row cut its load/store
+            // traffic; the ones left over get a pass each.
+            for (quad, mu) in cols.chunks_exact(4 * n).zip(mult.chunks_exact(4)) {
+                let c: [&[T]; 4] = std::array::from_fn(|x| &quad[x * n + i..(x + 1) * n]);
+                let cells = c[0][1..]
+                    .iter()
+                    .zip(&c[1][1..])
+                    .zip(&c[2][1..])
+                    .zip(&c[3][1..]);
+                let (a, m) = (c.map(|col| col[0]), [mu[0], mu[1], mu[2], mu[3]]);
+                for (w, (((&b0, &b1), &b2), &b3)) in row.iter_mut().zip(cells) {
+                    *w += m[0] * u16::from(b0 != a[0]) + m[1] * u16::from(b1 != a[1]);
+                    *w += m[2] * u16::from(b2 != a[2]) + m[3] * u16::from(b3 != a[3]);
+                }
+            }
+            let rest = mult.len() / 4 * 4;
+            for (col, &mu) in cols.chunks_exact(n).zip(&mult).skip(rest) {
+                let own = col[i];
+                for (w, &b) in row.iter_mut().zip(&col[i + 1..]) {
+                    *w += mu * u16::from(b != own);
+                }
+            }
+            let low = u32::from(*row.iter().min().expect("rows before the last have cells"));
+            if low < best {
+                best = low;
+                self.weakest.clear();
+            }
+            if low == best {
+                let at_best = row
+                    .iter()
+                    .zip(i + 1..)
+                    .filter(|&(&w, _)| u32::from(w) == best);
+                self.weakest
+                    .extend(at_best.map(|(_, j)| (i as u32, j as u32)));
+            }
+        }
+        self.dmin = best;
+    }
+
+    /// The weight of pair `(i, j)`, `i ≠ j`, from the kept partitions.
+    fn pair_weight(&self, i: usize, j: usize) -> u32 {
+        let parts = self.parts.iter().zip(&self.mult);
+        parts
+            .map(|(p, &mu)| mu * u32::from(p.separates(i, j)))
+            .sum()
+    }
+
+    /// Every pair `(i, j)`, `i < j`, in row-major order.
+    fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.n).flat_map(move |i| (i + 1..self.n).map(move |j| (i, j)))
+    }
+
+    /// The distance `d(ti, tj)` between two states (Definition 4), summed
+    /// over the kept partitions in `O(k)`.
     ///
     /// # Panics
     ///
@@ -535,70 +473,42 @@ impl FaultGraph {
         if i == j {
             return u32::MAX;
         }
-        let (a, b) = if i < j { (i, j) } else { (j, i) };
-        u32::from(self.weights[edge_index_in(self.n, a, b)])
+        self.pair_weight(i, j)
     }
 
-    /// The minimum edge weight `dmin`, from the incrementally maintained
-    /// trackers — `O(1)`.  For a single-state `⊤` there are no edges and no
-    /// pair of states to confuse, so every fault count is tolerated; we
-    /// represent that as `u32::MAX`.
+    /// The minimum edge weight `dmin`, kept by every update; `u32::MAX` for
+    /// a single-state `⊤`, which has no pair of states to confuse.
     pub fn dmin(&self) -> u32 {
-        self.min_weight
+        self.dmin
     }
 
-    /// The pre-refactor `dmin`: a full scan over every stored weight.  Kept
-    /// for cross-validation and as the `fault_graph_incremental_dmin_scan`
-    /// baseline; use [`FaultGraph::dmin`] everywhere else.
+    /// The reference `dmin`: a per-pair scan over the kept partitions (for
+    /// cross-validation and the `fault_graph_incremental_dmin_scan` op).
     pub fn dmin_scan(&self) -> u32 {
-        self.weights
-            .iter()
-            .copied()
-            .min()
-            .map_or(u32::MAX, u32::from)
+        let weights = self.pairs().map(|(i, j)| self.pair_weight(i, j));
+        weights.min().unwrap_or(u32::MAX)
     }
 
     /// All edges whose weight equals `dmin` — the "weakest edges" Algorithm 2
-    /// must cover with every machine it adds.  One filtered pass confined
-    /// to the stripes whose cached minimum equals `dmin`; the result is in
-    /// row-major order, matching the scan.
+    /// must cover with every machine it adds — in row-major order.
     pub fn weakest_edges(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        // No edges (`min_weight == u32::MAX`): nothing is weakest.
-        if let Ok(w) = u16::try_from(self.min_weight) {
-            self.visit_edges_at(w, &self.stripes_at(self.min_weight), |i, j| {
-                out.push((i, j));
-                true
-            });
-        }
-        out
+        let edges = self.weakest.iter();
+        edges.map(|&(i, j)| (i as usize, j as usize)).collect()
     }
 
-    /// The pre-refactor weakest-edge computation: one full scan for `dmin`
-    /// and a second for the edges at that weight.  Kept for cross-validation
-    /// and as the `fault_graph_incremental_weakest_scan` baseline; use
-    /// [`FaultGraph::weakest_edges`] everywhere else.
+    /// The reference weakest edges: [`FaultGraph::dmin_scan`], then a
+    /// per-pair scan at that weight (the `*_weakest_scan` op).
     pub fn weakest_edges_scan(&self) -> Vec<(usize, usize)> {
-        let d = self.dmin_scan();
-        if d == u32::MAX {
-            return Vec::new();
+        match self.dmin_scan() {
+            u32::MAX => Vec::new(),
+            d => self.edges_with_weight(d),
         }
-        self.edges_with_weight(d)
     }
 
-    /// All edges with exactly the given weight.
+    /// All edges with exactly the given weight, by a per-pair sweep.
     pub fn edges_with_weight(&self, w: u32) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let mut idx = 0usize;
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                if u32::from(self.weights[idx]) == w {
-                    out.push((i, j));
-                }
-                idx += 1;
-            }
-        }
-        out
+        let at_w = self.pairs().filter(|&(i, j)| self.pair_weight(i, j) == w);
+        at_w.collect()
     }
 
     /// Theorem 1: the machine set tolerates `f` crash faults iff
@@ -627,31 +537,23 @@ impl FaultGraph {
     /// Observation 1: the maximum number of Byzantine faults tolerated,
     /// `(dmin − 1) / 2`.
     pub fn max_byzantine_faults(&self) -> usize {
-        let d = self.dmin();
-        if d == u32::MAX {
-            usize::MAX
-        } else {
-            (d as usize).saturating_sub(1) / 2
+        match self.max_crash_faults() {
+            usize::MAX => usize::MAX,
+            crash => crash / 2,
         }
     }
 
-    /// Whether a candidate machine separates every one of the given edges.
-    /// Adding such a machine increases the weight of each of these edges by
-    /// one; when the edges are the weakest edges, this is exactly the
-    /// condition under which adding the machine increases `dmin`
-    /// (the test on line 6 of Algorithm 2).
+    /// Whether a candidate machine separates every one of the given edges:
+    /// for the weakest edges, whether adding it increases `dmin` (the test
+    /// on line 6 of Algorithm 2).
     pub fn covers_all(candidate: &Partition, edges: &[(usize, usize)]) -> bool {
         edges.iter().all(|&(i, j)| candidate.separates(i, j))
     }
 
-    /// Would adding `candidate` increase `dmin`?
-    ///
-    /// Answered from the incremental trackers without materializing a graph
-    /// copy: `dmin` grows iff the candidate separates every current weakest
-    /// edge (weights move by at most one per added machine), so the check
-    /// is one early-exiting pass over the stripes that can hold a weakest
-    /// edge, instead of the clone + word-level add + full rescan of
-    /// [`FaultGraph::addition_increases_dmin_scan`].
+    /// Would adding `candidate` increase `dmin`?  Iff it separates every
+    /// weakest edge (weights move by at most one per added machine): one
+    /// early-exiting pass over the kept list instead of the clone, add and
+    /// rescan of [`FaultGraph::addition_increases_dmin_scan`].
     pub fn speculate(&self, candidate: &Partition) -> bool {
         assert_eq!(
             candidate.len(),
@@ -672,127 +574,224 @@ impl FaultGraph {
         self.speculate_with(|i, j| candidate.separates(i, j))
     }
 
-    /// Single early-exiting pass over the min-weight edges, confined to the
-    /// stripes whose minimum equals the global minimum.
     fn speculate_with(&self, separates: impl Fn(usize, usize) -> bool) -> bool {
-        // No edges (`min_weight == u32::MAX`): `dmin` is already maximal.
-        let Ok(d) = u16::try_from(self.min_weight) else {
-            return false;
-        };
-        self.visit_edges_at(d, &self.stripes_at(self.min_weight), separates)
+        // No edges: `dmin` is already maximal.
+        let mut edges = self.weakest.iter();
+        !self.weakest.is_empty() && edges.all(|&(i, j)| separates(i as usize, j as usize))
     }
 
-    /// The pre-refactor direct check: clone the graph, add the machine,
-    /// compare `dmin`.  Kept for cross-validation and as the
-    /// `fault_graph_incremental_speculate_scan` baseline; use
-    /// [`FaultGraph::speculate`] everywhere else.
+    /// The reference [`FaultGraph::speculate`]: clone, add the machine by
+    /// [`FaultGraph::add_machine_scan`], compare [`FaultGraph::dmin_scan`].
     pub fn addition_increases_dmin_scan(&self, candidate: &Partition) -> bool {
         let mut g = self.clone();
-        g.add_machine(candidate);
+        g.add_machine_scan(candidate);
         g.dmin_scan() > self.dmin_scan()
     }
 
-    /// A histogram of edge weights, useful for reports and for reproducing
-    /// the paper's Figure 4 numbers.  Read from the incrementally
-    /// maintained trackers (`O(stripes · machines)`), not a rescan of the
-    /// weights.
+    /// A histogram of edge weights, by a per-pair sweep — for reports and
+    /// for reproducing the paper's Figure 4 numbers.
     pub fn weight_histogram(&self) -> std::collections::BTreeMap<u32, usize> {
         let mut out = std::collections::BTreeMap::new();
-        for sh in &self.stripe_hist {
-            for (w, &count) in sh.iter().enumerate() {
-                if count > 0 {
-                    *out.entry(w as u32).or_insert(0) += count;
-                }
-            }
+        for (i, j) in self.pairs() {
+            *out.entry(self.pair_weight(i, j)).or_insert(0) += 1;
         }
         out
     }
+}
 
-    /// Rebuilds every stripe histogram and cached minimum from the raw
-    /// weights in one `O(E + stripes·machines)` pass.
-    fn rebuild_trackers(&mut self) {
-        for sh in &mut self.stripe_hist {
-            sh.clear();
-            sh.resize(self.machines + 1, 0);
-        }
-        let n = self.n;
-        let mut idx = 0usize;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                self.stripe_hist[j / WORD_BITS][usize::from(self.weights[idx])] += 1;
-                idx += 1;
+/// Sorts distinct pairs `(i, j)`, `i < j < n`, into row-major order: a
+/// counting sort by row, then each (short) row by column.
+fn row_major(pairs: &[(u32, u32)], n: usize) -> Vec<(u32, u32)> {
+    let mut start = vec![0usize; n + 1];
+    for &(i, _) in pairs {
+        start[i as usize + 1] += 1;
+    }
+    for r in 0..n {
+        start[r + 1] += start[r];
+    }
+    let mut fill = start.clone();
+    let mut out = vec![(0, 0); pairs.len()];
+    for &(i, j) in pairs {
+        out[fill[i as usize]] = (i, j);
+        fill[i as usize] += 1;
+    }
+    for r in 0..n {
+        out[start[r]..start[r + 1]].sort_unstable();
+    }
+    out
+}
+
+/// The sets `S` of distinct partitions (by index) by their weight `μ(S)`,
+/// up to a bound: counted, and enumerated per weight without trying dead
+/// ends.
+struct Subsets<'a> {
+    mult: &'a [u32],
+    upper: usize,
+    /// `ways[c · (upper + 1) + w]`: the subsets of partitions `c..` of
+    /// weight `w` (saturating).
+    ways: Vec<u64>,
+}
+
+impl<'a> Subsets<'a> {
+    fn new(mult: &'a [u32], upper: usize) -> Self {
+        let (k, row) = (mult.len(), upper + 1);
+        let mut ways = vec![0u64; (k + 1) * row];
+        ways[k * row] = 1;
+        for c in (0..k).rev() {
+            let m = mult[c] as usize;
+            for w in 0..row {
+                let with = if w >= m {
+                    ways[(c + 1) * row + w - m]
+                } else {
+                    0
+                };
+                ways[c * row + w] = ways[(c + 1) * row + w].saturating_add(with);
             }
         }
-        for (m, sh) in self.stripe_min.iter_mut().zip(&self.stripe_hist) {
-            *m = hist_min(sh);
-        }
-        self.min_weight = self.stripe_min.iter().copied().min().unwrap_or(u32::MAX);
+        Subsets { mult, upper, ways }
     }
 
-    /// Advances every stripe minimum past emptied histogram slots (weights
-    /// only grow) and refreshes the global minimum.  Untouched stripes cost
-    /// one histogram probe each, so the pass is `O(n / 64)` plus the actual
-    /// advances.
-    fn advance_mins(&mut self) {
-        let mut global = u32::MAX;
-        for (sh, m) in self.stripe_hist.iter().zip(self.stripe_min.iter_mut()) {
-            if *m != u32::MAX {
-                let mut d = *m as usize;
-                while sh[d] == 0 {
-                    d += 1;
-                }
-                *m = d as u32;
+    /// Subsets of partitions `c..` of weight `w ≤ upper`.
+    fn ways(&self, c: usize, w: usize) -> u64 {
+        self.ways[c * (self.upper + 1) + w]
+    }
+
+    /// Calls `visit` on every subset of weight `d ≤ upper`, as ascending
+    /// indices.
+    fn for_each(&self, d: usize, mut visit: impl FnMut(&[usize])) {
+        if self.ways(0, d) == 0 {
+            return;
+        }
+        let mut chosen: Vec<usize> = Vec::new();
+        let (mut c, mut rest) = (0, d);
+        // Invariant: some subset of partitions `c..` weighs `rest`.  Each
+        // step takes the first partition that still leads to one.
+        loop {
+            if rest > 0 {
+                let fits = |x: &usize| {
+                    let m = self.mult[*x] as usize;
+                    m <= rest && self.ways(x + 1, rest - m) > 0
+                };
+                let next = (c..self.mult.len())
+                    .find(fits)
+                    .expect("the invariant holds");
+                chosen.push(next);
+                rest -= self.mult[next] as usize;
+                c = next + 1;
+                continue;
             }
-            global = global.min(*m);
+            visit(&chosen);
+            // Backtrack: drop the latest partition and go on without it.
+            loop {
+                let Some(last) = chosen.pop() else {
+                    return;
+                };
+                rest += self.mult[last] as usize;
+                if self.ways(last + 1, rest) > 0 {
+                    c = last + 1;
+                    break;
+                }
+            }
         }
-        self.min_weight = global;
+    }
+}
+
+/// The hashed block-id signatures of a level search: a random word per
+/// block of every partition, and per state the sum of its blocks' words.
+/// The signature over the partitions outside `S` is that sum less the
+/// words of `S`; equal signatures are confirmed block by block.
+struct Signatures {
+    /// `word[offset[c] + b]` stands for block `b` of partition `c`.
+    word: Vec<u64>,
+    offset: Vec<usize>,
+    full: Vec<u64>,
+    /// An open-addressing table from a signature (`key`) to the latest
+    /// state of its group (`last`); `prev` links each state to the one
+    /// before it in its group.
+    key: Vec<u64>,
+    last: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+/// An empty table slot, or the first state of a group.
+const NONE: u32 = u32::MAX;
+
+impl Signatures {
+    fn new(n: usize, parts: &[Partition]) -> Self {
+        let (mut seed, mut word, mut offset) = (0x5EED_F00D_u64, Vec::new(), Vec::new());
+        let mut full = vec![0u64; n];
+        for p in parts {
+            let base = word.len();
+            offset.push(base);
+            word.extend((0..p.num_blocks()).map(|_| splitmix64(&mut seed)));
+            for (s, &b) in full.iter_mut().zip(p.assignment()) {
+                *s = s.wrapping_add(word[base + b]);
+            }
+        }
+        let slots = (2 * n).next_power_of_two();
+        let (key, last, prev) = (vec![0; slots], vec![NONE; slots], vec![NONE; n]);
+        Signatures {
+            word,
+            offset,
+            full,
+            key,
+            last,
+            prev,
+        }
     }
 
-    /// The stripes whose cached minimum equals `w`, ascending.
-    fn stripes_at(&self, w: u32) -> Vec<usize> {
-        self.stripe_min
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m == w)
-            .map(|(s, _)| s)
-            .collect()
-    }
-
-    /// Calls `visit(i, j)` on every edge of weight `w` in the given
-    /// (ascending) stripes, in row-major order, and stops at the first
-    /// `false` it returns; returns whether the walk ran to the end.  Each
-    /// row segment is first tested for a `w` without branching, so the
-    /// segments holding none (most of them) cost one vectorized pass.
-    fn visit_edges_at(
-        &self,
-        w: u16,
-        stripes: &[usize],
-        mut visit: impl FnMut(usize, usize) -> bool,
-    ) -> bool {
-        let n = self.n;
-        for i in 0..n {
-            // `row[j - i - 1]` is the weight of edge (i, j).
-            let base = i * n - i * (i + 1) / 2;
-            let row = &self.weights[base..base + (n - i - 1)];
-            for &s in stripes {
-                let lo = (s * WORD_BITS).max(i + 1);
-                let hi = ((s + 1) * WORD_BITS).min(n);
-                if lo >= hi {
-                    continue;
-                }
-                let seg = &row[lo - i - 1..hi - i - 1];
-                if !seg.iter().fold(false, |hit, &x| hit | (x == w)) {
-                    continue;
-                }
-                for (j, &x) in (lo..).zip(seg) {
-                    if x == w && !visit(i, j) {
-                        return false;
+    /// Every pair of states that agrees on all partitions outside some
+    /// subset of weight `d`, as `(i, j)` with `i < j`, unordered.
+    fn collisions(
+        &mut self,
+        parts: &[Partition],
+        subsets: &Subsets<'_>,
+        d: usize,
+    ) -> Vec<(u32, u32)> {
+        let mask = self.last.len() - 1;
+        let shift = 64 - self.last.len().trailing_zeros();
+        let mut inside = vec![false; parts.len()];
+        let mut pairs = Vec::new();
+        subsets.for_each(d, |s| {
+            self.last.fill(NONE);
+            s.iter().for_each(|&c| inside[c] = true);
+            for (i, &full) in self.full.iter().enumerate() {
+                let words = s
+                    .iter()
+                    .map(|&c| self.word[self.offset[c] + parts[c].block_of(i)]);
+                let sig = words.fold(full, u64::wrapping_sub);
+                let mut slot = (sig >> shift) as usize;
+                let mut t = self.last[slot];
+                while t != NONE {
+                    let same =
+                        |(p, &skip): (&Partition, &bool)| skip || !p.separates(t as usize, i);
+                    if self.key[slot] == sig && parts.iter().zip(&inside).all(same) {
+                        break;
                     }
+                    slot = (slot + 1) & mask;
+                    t = self.last[slot];
+                }
+                self.key[slot] = sig;
+                self.prev[i] = t;
+                self.last[slot] = i as u32;
+                while t != NONE {
+                    pairs.push((t, i as u32));
+                    t = self.prev[t as usize];
                 }
             }
-        }
-        true
+            s.iter().for_each(|&c| inside[c] = false);
+        });
+        pairs
     }
+}
+
+/// SplitMix64: the next word of a deterministic pseudo-random sequence.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -922,8 +921,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "state out of range for a 4-state fault graph")]
     fn weight_of_a_state_past_the_graph_panics() {
-        // Without the bound check, (0, 4) lands on the flat index of edge
-        // (1, 2) and reads its weight.
         let (a, b, _, _) = fig3_partitions();
         FaultGraph::from_partitions(4, &[a, b]).weight(0, 4);
     }
@@ -942,9 +939,8 @@ mod tests {
 
     #[test]
     fn bitset_add_machine_matches_scan_across_word_boundaries() {
-        // 70 states spans two u64 words; mod-3 blocks interleave across the
-        // boundary, exercising the first/last-word masking and the stripe
-        // split.
+        // 70 states spans two u64 words of the bitset form; mod-3 blocks
+        // interleave across the boundary.
         let n = 70;
         let assignment: Vec<usize> = (0..n).map(|x| x % 3).collect();
         let p = Partition::from_assignment(&assignment);
@@ -960,8 +956,8 @@ mod tests {
 
     #[test]
     fn incremental_trackers_match_full_scans() {
-        // Interleave tracked adds and queries; the cached dmin and striped
-        // weakest edges must match the full rescans at every step.
+        // Interleave adds and queries; the kept dmin and weakest edges
+        // must match the per-pair scans at every step.
         let n = 70;
         let machines: Vec<Partition> = (0..4)
             .map(|k| {
@@ -1004,15 +1000,12 @@ mod tests {
             .collect()
     }
 
-    /// The same graph down to the tracker state, and consistent with the
-    /// full scans.
+    /// The same observables, and `a`'s kept index equal to the per-pair
+    /// scans.
     fn assert_same_graph(a: &FaultGraph, b: &FaultGraph) {
         assert_eq!(a.num_states(), b.num_states());
         assert_eq!(a.num_machines(), b.num_machines());
-        assert_eq!(a.weights, b.weights);
-        assert_eq!(a.stripe_hist, b.stripe_hist);
-        assert_eq!(a.stripe_min, b.stripe_min);
-        assert_eq!(a.min_weight, b.min_weight);
+        assert_eq!(a.dmin(), b.dmin());
         assert_eq!(a.dmin(), a.dmin_scan());
         assert_eq!(a.weakest_edges(), b.weakest_edges());
         assert_eq!(a.weakest_edges(), a.weakest_edges_scan());
@@ -1026,52 +1019,44 @@ mod tests {
         Partition::from_assignment(&mapping.iter().map(|&x| a[x as usize]).collect::<Vec<_>>())
     }
 
-    /// Stripes of an `n`-state graph holding a pair `(i, j)`, `i < j`, for
-    /// which `sep(i, j)` holds.
-    fn stripes_where(n: usize, sep: impl Fn(usize, usize) -> bool) -> usize {
-        (0..words_for(n))
-            .filter(|&s| {
-                (s * WORD_BITS..((s + 1) * WORD_BITS).min(n)).any(|j| (0..j).any(|i| sep(i, j)))
-            })
-            .count()
-    }
-
     #[test]
     fn remap_states_adding_matches_two_step_sequence() {
-        // The fused lift-and-add must be bit-identical to the two steps
-        // done cold on the new state space — build the graph of the
-        // lifted machines, then add the new one — and report the stripes
-        // the added partition separates a pair in.  The surjective mapping
-        // (fibers of size > 1) models a product extension.
+        // The lift-and-add must equal the two steps done cold on the new
+        // state space: build the graph of the lifted machines, then add
+        // the new one.  It searches a level exactly when dmin rose past
+        // the kept level.  The surjective mapping (fibers of size > 1)
+        // models a product extension; the bijective one a replica joining.
         let n_old = 10;
         let machines = delta_family(n_old);
         let g = FaultGraph::from_partitions(n_old, &machines);
+        let bijection: Vec<u32> = (0..n_old as u32).rev().collect();
+        let mut cases = vec![(bijection, machines[1].clone())];
         for n_new in [63, 64, 65, 127, 129] {
             let mapping: Vec<u32> = (0..n_new)
                 .map(|i| ((i * 7 + i / 3) % n_old) as u32)
                 .collect();
-            let added = &delta_family(n_new)[2];
-            let (fused, touched) = g.remap_states_adding(&mapping, added);
-            let lifted: Vec<Partition> = machines.iter().map(|p| lift(p, &mapping)).collect();
-            let mut two_step = FaultGraph::from_partitions(n_new, &lifted);
+            cases.push((mapping, delta_family(n_new)[2].clone()));
+        }
+        for (mapping, added) in &cases {
+            let (fused, levels) = g.remap_states_adding(mapping, added);
+            let lifted: Vec<Partition> = machines.iter().map(|p| lift(p, mapping)).collect();
+            let mut two_step = FaultGraph::from_partitions(mapping.len(), &lifted);
             two_step.add_machine(added);
             assert_eq!(fused.num_machines(), machines.len() + 1);
             assert_same_graph(&fused, &two_step);
-            assert_eq!(
-                touched,
-                stripes_where(n_new, |i, j| added.separates(i, j)),
-                "n_new={n_new}"
-            );
+            assert_eq!(levels == 0, fused.dmin() <= g.dmin(), "n={}", mapping.len());
         }
     }
 
     #[test]
     fn remap_states_removing_matches_two_step_sequence() {
-        // The fused remove-and-contract must be bit-identical to the two
-        // steps done cold: drop the machine, then build the graph of the
-        // survivors lifted onto the contracted space.  The injective,
-        // non-surjective mapping models the contraction after a machine
-        // removal (representatives only, old fibers dropped).
+        // The remove-and-contract must equal the two steps done cold: drop
+        // the machine, then build the graph of the survivors lifted onto
+        // the contracted space.  The injective, non-surjective mapping
+        // models the contraction after a machine removal (representatives
+        // only, old fibers dropped).  It searches a level exactly when the
+        // kept weakest edges cannot show the new dmin: when dmin did not
+        // fall.
         for n_new in [63, 64, 65, 127, 129] {
             let n_old = 2 * n_new;
             let machines = delta_family(n_old);
@@ -1082,7 +1067,7 @@ mod tests {
                 .take(n_new)
                 .collect();
             for k in 0..machines.len() {
-                let (fused, touched) = g.remap_states_removing(&mapping, &machines[k]);
+                let (fused, levels) = g.remap_states_removing(&mapping, &machines[k]);
                 let survivors: Vec<Partition> = (0..machines.len())
                     .filter(|&i| i != k)
                     .map(|i| lift(&machines[i], &mapping))
@@ -1090,12 +1075,7 @@ mod tests {
                 let two_step = FaultGraph::from_partitions(n_new, &survivors);
                 assert_eq!(fused.num_machines(), machines.len() - 1);
                 assert_same_graph(&fused, &two_step);
-                let removed = lift(&machines[k], &mapping);
-                assert_eq!(
-                    touched,
-                    stripes_where(n_new, |i, j| removed.separates(i, j)),
-                    "n_new={n_new} k={k}"
-                );
+                assert_eq!(levels == 0, fused.dmin() < g.dmin(), "n_new={n_new} k={k}");
             }
         }
     }
@@ -1116,9 +1096,9 @@ mod tests {
     }
 
     #[test]
-    fn bulk_dense_build_matches_tracked_adds_tracker_state_included() {
-        // Stripe boundaries (63/64/65, 128/129), a partial tail word, the
-        // edge-less graphs and the empty family.
+    fn bulk_build_matches_incremental_adds() {
+        // Word boundaries (63/64/65, 128/129), the edge-less graphs and the
+        // empty family; 24 machines repeat partitions.
         for n in [0, 1, 2, 63, 64, 65, 128, 129, 200] {
             for m in [0, 1, 5, 24] {
                 let parts: Vec<Partition> = (0..m).map(|k| mixed_partition(n, k)).collect();
@@ -1128,11 +1108,87 @@ mod tests {
                     tracked.add_machine_bitset(&p.to_bitset());
                 }
                 assert_eq!(bulk.num_machines(), tracked.num_machines(), "n={n} m={m}");
-                assert_eq!(bulk.weights, tracked.weights, "n={n} m={m}");
-                assert_eq!(bulk.stripe_hist, tracked.stripe_hist, "n={n} m={m}");
-                assert_eq!(bulk.stripe_min, tracked.stripe_min, "n={n} m={m}");
-                assert_eq!(bulk.min_weight, tracked.min_weight, "n={n} m={m}");
+                assert_eq!(bulk.dmin(), tracked.dmin(), "n={n} m={m}");
+                assert_eq!(bulk.weakest_edges(), tracked.weakest_edges(), "n={n} m={m}");
+                assert_eq!(
+                    bulk.weakest_edges(),
+                    bulk.weakest_edges_scan(),
+                    "n={n} m={m}"
+                );
             }
+        }
+    }
+
+    /// Level `d` of `g` by the subset search alone, row-major.
+    fn level_by_subsets(g: &FaultGraph, d: usize) -> Vec<(usize, usize)> {
+        let subsets = Subsets::new(&g.mult, d);
+        let pairs = Signatures::new(g.n, &g.parts).collisions(&g.parts, &subsets, d);
+        row_major(&pairs, g.n)
+            .into_iter()
+            .map(|(i, j)| (i as usize, j as usize))
+            .collect()
+    }
+
+    #[test]
+    fn level_search_and_row_sweep_return_the_same_list() {
+        // Twelve near-singleton partitions of 40 states (dmin is large,
+        // the build's choice is the sweep) and four counters of 81 states
+        // (dmin 1, the build's choice is the subset search): on each, the
+        // sweep and the subset search at dmin give the per-pair scan's
+        // list, and the subset search finds nothing below dmin.
+        let mut seed = 17u64;
+        let near_singletons: Vec<Partition> = (0..12)
+            .map(|_| {
+                Partition::from_assignment(
+                    &(0..40)
+                        .map(|_| (splitmix64(&mut seed) % 30) as usize)
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        let counters: Vec<Partition> = (0..4)
+            .map(|c| {
+                Partition::from_assignment(
+                    &(0..81).map(|x| (x / 3usize.pow(c)) % 3).collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        for (parts, n, low) in [(near_singletons, 40, 8), (counters, 81, 1)] {
+            let g = FaultGraph::from_partitions(n, &parts);
+            let d = g.dmin() as usize;
+            assert!(d >= low, "dmin {d}");
+            let scan = g.weakest_edges_scan();
+            assert_eq!(g.weakest_edges(), scan);
+            let mut swept = g.clone();
+            swept.sweep();
+            assert_eq!(swept.dmin() as usize, d);
+            assert_eq!(swept.weakest_edges(), scan);
+            // The `u32` block columns that graphs past 2¹⁶ states sweep.
+            let mut wide = g.clone();
+            wide.sweep_columns(&g.columns::<u32>().unwrap());
+            assert_eq!(wide.weakest_edges(), scan);
+            assert_eq!(level_by_subsets(&g, d), scan);
+            for lower in 0..d {
+                assert!(level_by_subsets(&g, lower).is_empty(), "level {lower}");
+            }
+        }
+    }
+
+    #[test]
+    fn subsets_enumerate_each_subset_of_a_weight_once() {
+        let mult = [3u32, 1, 2, 1, 3];
+        let subsets = Subsets::new(&mult, 10);
+        for d in 0..=10 {
+            let mut seen = Vec::new();
+            subsets.for_each(d, |s| seen.push(s.to_vec()));
+            let mut expected: Vec<Vec<usize>> = (0u32..32)
+                .map(|bits| (0..5).filter(|&c| bits >> c & 1 == 1).collect::<Vec<_>>())
+                .filter(|s| s.iter().map(|&c| mult[c] as usize).sum::<usize>() == d)
+                .collect();
+            assert_eq!(subsets.ways(0, d), expected.len() as u64, "d={d}");
+            seen.sort();
+            expected.sort();
+            assert_eq!(seen, expected, "d={d}");
         }
     }
 

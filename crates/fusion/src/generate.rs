@@ -45,20 +45,21 @@
 //!
 //! ## The fault graph
 //!
-//! The descent reads the fault graph only for its weakest edges.  Each
-//! backup covers every weakest edge, so it raises `dmin` by exactly one
-//! (Theorems 4 and 5): the loop counts `dmin` itself and folds a backup
-//! into the graph only when a later iteration will read the result.  A
-//! run that needs one backup — `f = 1` over originals with `dmin = 1` —
-//! never writes the graph, so a session's lent graph is copied only by
-//! runs that add two or more backups.
+//! The descent reads the fault graph only for its weakest edges, which
+//! [`FaultGraph`] keeps as a list instead of storing every weight (see
+//! [`crate::fault_graph`]).  Each backup covers every weakest edge, so it
+//! raises `dmin` by exactly one (Theorems 4 and 5): the loop counts `dmin`
+//! itself and folds a backup into the graph — one level search at the new
+//! `dmin` — only when a later iteration will read the result.  A run that
+//! needs one backup — `f = 1` over originals with `dmin = 1` — never
+//! writes the graph, so a session's lent graph is copied only by runs that
+//! add two or more backups.
 
 use std::borrow::Cow;
 use std::time::Instant;
 
 use fsm_dfsm::{Dfsm, ReachableProduct};
 
-use crate::bitset::BitsetPartition;
 use crate::closed::quotient_machine;
 use crate::closed::{CloseScratch, ClosureKernel};
 use crate::error::{FusionError, Result};
@@ -212,7 +213,6 @@ pub(crate) fn seq_engine(
     // Search-lifetime buffers: every kept candidate of every descent of
     // every outer iteration is lifted into this one partition.
     let mut candidate = Partition::singletons(n);
-    let mut current_bits = BitsetPartition::singletons(0);
 
     // Loop invariant: `dmin` is dmin(originals ∪ partitions), and `graph`
     // is the fault graph of that set whenever the loop body reads it.  Each
@@ -270,9 +270,8 @@ pub(crate) fn seq_engine(
         if !tolerates(dmin) {
             // The next iteration reads the weakest edges of the grown
             // graph; after the last backup nothing does.
-            current_bits.refresh_from_partition(&current);
             let grown = graph.to_mut();
-            grown.add_machine_bitset(&current_bits);
+            grown.add_machine(&current);
             debug_assert_eq!(grown.dmin(), dmin);
         }
         partitions.push(current);

@@ -30,12 +30,28 @@ use crate::error::{FusionError, Result};
 /// canonically by order of first occurrence, so two equal partitions always
 /// have identical representations (and `PartialEq`/`Hash` behave as set
 /// equality of the block structure).
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Partition {
     /// `block_of[x]` is the canonical block index of element `x`.
     block_of: Vec<usize>,
     /// Number of blocks.
     num_blocks: usize,
+}
+
+/// Hand-written so that [`Clone::clone_from`] reuses the destination's
+/// assignment buffer ([`crate::FaultGraph`]'s `clone_from` relies on it).
+impl Clone for Partition {
+    fn clone(&self) -> Self {
+        Partition {
+            block_of: self.block_of.clone(),
+            num_blocks: self.num_blocks,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.block_of.clone_from(&source.block_of);
+        self.num_blocks = source.num_blocks;
+    }
 }
 
 impl Partition {

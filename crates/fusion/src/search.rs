@@ -16,7 +16,6 @@
 
 use fsm_dfsm::Dfsm;
 
-use crate::bitset::BitsetPartition;
 use crate::error::Result;
 use crate::fault_graph::FaultGraph;
 use crate::lattice::enumerate_lattice;
@@ -55,15 +54,9 @@ pub fn exhaustive_minimum_fusion(
     let n = top.size();
     let lattice = enumerate_lattice(top, lattice_limit)?;
     // Sort candidates by block count so the depth-first search finds small
-    // state spaces early and can prune aggressively.  Each candidate is
-    // converted to its bitset form once; the DFS then updates fault-graph
-    // clones word-at-a-time instead of re-scanning every state pair.
+    // state spaces early and can prune aggressively.
     let mut candidates: Vec<Partition> = lattice.elements.clone();
     candidates.sort_by_key(|p| p.num_blocks());
-    let bitsets: Vec<BitsetPartition> = candidates
-        .iter()
-        .map(BitsetPartition::from_partition)
-        .collect();
 
     let base = FaultGraph::from_partitions(n, originals);
     let mut best: Option<(u128, Vec<usize>)> = None;
@@ -74,12 +67,12 @@ pub fn exhaustive_minimum_fusion(
     //
     // `scratch` holds one pre-allocated graph per remaining depth: each tree
     // node refreshes `scratch[0]` from its parent graph with `clone_from`
-    // (which reuses the weight/histogram buffers) instead of allocating a
-    // fresh clone per candidate, and hands the rest of the slice down.
+    // (which reuses the partition and weakest-edge buffers) instead of
+    // allocating a fresh clone per candidate, and hands the rest of the
+    // slice down.
     #[allow(clippy::too_many_arguments)]
     fn dfs(
         candidates: &[Partition],
-        bitsets: &[BitsetPartition],
         start: usize,
         chosen: &mut Vec<usize>,
         graph: &FaultGraph,
@@ -114,24 +107,21 @@ pub fn exhaustive_minimum_fusion(
             return;
         }
         // With one pick left and dmin sitting exactly at f, only a machine
-        // that raises dmin can complete a fusion; the incremental tracker
-        // answers that with one early-exiting pass (`speculate`), skipping
-        // the graph clone + word-level add + full rescan for every hopeless
-        // candidate.
+        // that raises dmin can complete a fusion; the kept weakest edges
+        // answer that with one early-exiting pass (`speculate`), skipping
+        // the graph clone and add for every hopeless candidate.
         let last_pick_must_raise = remaining == 1 && graph.dmin() as u128 == f as u128;
         let (g, deeper) = scratch
             .split_first_mut()
             .expect("scratch stack sized to search depth");
         for i in start..candidates.len() {
-            if last_pick_must_raise && !graph.speculate_bitset(&bitsets[i]) {
+            if last_pick_must_raise && !graph.speculate(&candidates[i]) {
                 continue;
             }
             chosen.push(i);
             g.clone_from(graph);
-            g.add_machine_bitset(&bitsets[i]);
-            dfs(
-                candidates, bitsets, i, chosen, g, deeper, m, f, best, examined,
-            );
+            g.add_machine(&candidates[i]);
+            dfs(candidates, i, chosen, g, deeper, m, f, best, examined);
             chosen.pop();
         }
     }
@@ -141,7 +131,6 @@ pub fn exhaustive_minimum_fusion(
     let mut scratch: Vec<FaultGraph> = (0..m).map(|_| base.clone()).collect();
     dfs(
         &candidates,
-        &bitsets,
         0,
         &mut chosen,
         &base,

@@ -20,11 +20,7 @@ pub fn is_fusion(
     fusions: &[Partition],
     f: usize,
 ) -> bool {
-    let mut graph = FaultGraph::from_partitions(top_size, originals);
-    for p in fusions {
-        graph.add_machine(p);
-    }
-    graph.tolerates_crash_faults(f)
+    FaultGraph::from_partitions(top_size, &[originals, fusions].concat()).tolerates_crash_faults(f)
 }
 
 /// Theorem 4: an `(f, m)`-fusion of `originals` exists iff

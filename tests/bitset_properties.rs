@@ -1,7 +1,7 @@
 //! Property tests pinning the bitset kernel to the element-scan reference.
 //!
-//! The hot paths (`Partition::le`/`meet`/`join`, `FaultGraph::add_machine`,
-//! `close`, Algorithm 2) were rewritten over the `u64`-word block
+//! The hot paths (`Partition::le`/`meet`/`join`, `close`, Algorithm 2) were
+//! rewritten over the `u64`-word block
 //! representation in `fsm_fusion::fusion::bitset`; the pre-refactor
 //! element-scan implementations are preserved verbatim in
 //! `fsm_fusion::fusion::reference`.  These properties assert, on random
@@ -114,8 +114,8 @@ proptest! {
         prop_assert!(p.le(&join) && q.le(&join));
     }
 
-    /// The word-at-a-time fault-graph update produces exactly the same edge
-    /// weights as the pre-refactor per-pair scan.
+    /// The fault-graph add produces exactly the same edge weights as the
+    /// per-pair scan.
     #[test]
     fn fault_graph_add_machine_agrees_with_scan(seed in 0u64..100_000, n in 2usize..130, blocks in 1usize..9) {
         let machines: Vec<Partition> = (0..3)

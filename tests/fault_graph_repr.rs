@@ -1,20 +1,24 @@
-//! Property tests pinning the fault graph's tracked paths to its
-//! element-scan reference.
+//! Property tests pinning the fault graph's weakest-edge index to its
+//! per-pair reference.
 //!
-//! `FaultGraph` keeps its edge weights in a flat upper-triangular `u16`
-//! matrix with per-stripe (64-column) histograms and cached minima, and
-//! builds it three ways: the bulk row pass of `from_partitions`, the
-//! word-level `add_machine`, and the preserved per-pair `add_machine_scan`.
-//! These properties assert, on random machine families, that every
-//! observable the fusion layer consumes — `dmin`, the weakest-edge set,
-//! weight queries, histograms, tolerance bounds, and `speculate` — is
-//! bit-identical across the three builds and equal to the full-scan
-//! queries, with state counts on both sides of the stripe boundaries.
+//! `FaultGraph` stores no weights: it keeps the machines' distinct
+//! partitions with their multiplicities, `dmin` and the weakest edges, and
+//! finds a level either by hashing block-id signatures or, when that would
+//! cost more, by a row sweep.  It is built and evolved five ways: the bulk
+//! `from_partitions`, `add_machine`, the per-pair `add_machine_scan`, and
+//! the two state remaps.  These properties assert, on random,
+//! duplicate-heavy and high-`dmin` families, that every observable the
+//! fusion layer consumes — `dmin`, the weakest-edge set, weight queries,
+//! histograms, tolerance bounds, and `speculate` — agrees across the
+//! builds and with the per-pair scans, with state counts on both sides of
+//! the 64- and 128-state word boundaries.
+
+use std::collections::HashSet;
 
 use fsm_fusion::fusion::{FaultGraph, Partition};
 use proptest::prelude::*;
 
-/// State counts on both sides of the 64- and 128-state stripe boundaries.
+/// State counts on both sides of the 64- and 128-state word boundaries.
 const BOUNDARY_N: [usize; 5] = [63, 64, 65, 127, 129];
 
 /// Deterministic SplitMix64, so failures reproduce from the case inputs.
@@ -36,8 +40,42 @@ fn random_partition(seed: u64, n: usize, max_blocks: usize) -> Partition {
     Partition::from_assignment(&assignment)
 }
 
-/// Every observable of two fault graphs must agree, and `a`'s tracked
-/// queries must equal its full scans.
+/// A partition as coarse as a greedy pass makes it that still separates
+/// every weakest edge of `g`: adding it raises `dmin`.
+fn covering_partition(g: &FaultGraph, seed: u64) -> Partition {
+    let weakest: HashSet<(usize, usize)> = g.weakest_edges().into_iter().collect();
+    let mut blocks: Vec<Vec<usize>> = Vec::new();
+    let mut assignment = vec![0; g.num_states()];
+    let mut state = seed;
+    let offset = splitmix(&mut state) as usize;
+    for (x, slot) in assignment.iter_mut().enumerate() {
+        let fits = |block: &Vec<usize>| {
+            block
+                .iter()
+                .all(|&y| !weakest.contains(&(y.min(x), y.max(x))))
+        };
+        let b = (0..blocks.len())
+            .map(|k| (k + offset) % blocks.len())
+            .find(|&k| fits(&blocks[k]))
+            .unwrap_or_else(|| {
+                blocks.push(Vec::new());
+                blocks.len() - 1
+            });
+        blocks[b].push(x);
+        *slot = b;
+    }
+    Partition::from_assignment(&assignment)
+}
+
+/// `p` pulled back along `mapping`: new state `i` sits in the block of
+/// old state `mapping[i]`.
+fn lift(p: &Partition, mapping: &[u32]) -> Partition {
+    let a = p.assignment();
+    Partition::from_assignment(&mapping.iter().map(|&x| a[x as usize]).collect::<Vec<_>>())
+}
+
+/// Every observable of two fault graphs must agree, and `a`'s kept index
+/// must equal its per-pair scans.
 fn assert_graphs_identical(
     a: &FaultGraph,
     b: &FaultGraph,
@@ -75,9 +113,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A graph grown by `add_machine` agrees with one grown by the
-    /// element scan and with a bulk build of the same prefix after every
+    /// per-pair scan and with a bulk build of the same prefix after every
     /// single add, and `speculate` answers like the clone-add-rescan
-    /// reference throughout.
+    /// reference throughout.  Every other add is a covering machine, so
+    /// `dmin` rises and a level is searched.
     #[test]
     fn incremental_graph_agrees_with_scans_while_growing(
         seed in 0u64..100_000,
@@ -90,10 +129,18 @@ proptest! {
         let mut scan = FaultGraph::new(n);
         let mut parts = Vec::new();
         for m in 0..machines {
-            let p = random_partition(seed.wrapping_add(m as u64 * 101), n, blocks);
+            let p = if m % 2 == 1 {
+                covering_partition(&word, seed ^ m as u64)
+            } else {
+                random_partition(seed.wrapping_add(m as u64 * 101), n, blocks)
+            };
+            let covers = word.speculate(&p);
+            prop_assert!(covers || m % 2 == 0);
+            let before = word.dmin();
             word.add_machine(&p);
             scan.add_machine_scan(&p);
             parts.push(p);
+            prop_assert_eq!(word.dmin(), before + u32::from(covers));
             assert_graphs_identical(&word, &scan)?;
             assert_graphs_identical(&word, &FaultGraph::from_partitions(n, &parts))?;
 
@@ -110,7 +157,7 @@ proptest! {
     }
 
     /// Bulk construction (`from_partitions`) equals the incremental and the
-    /// element-scan paths.  `n` spans several 64-state stripes with a
+    /// per-pair scan paths.  `n` spans several 64-state words with a
     /// partial tail word, and the family may be empty.
     #[test]
     fn bulk_and_incremental_construction_agree(
@@ -132,4 +179,176 @@ proptest! {
         assert_graphs_identical(&bulk, &incremental)?;
         assert_graphs_identical(&bulk, &scan)?;
     }
+
+    /// Families whose partitions repeat: each of a few random partitions
+    /// deployed several times.  The graph merges the copies into one
+    /// partition with a multiplicity, and its levels skip the weights no
+    /// set of copies can sum to.
+    #[test]
+    fn duplicate_heavy_families_agree_with_scans(
+        seed in 0u64..100_000,
+        pick in 0usize..5,
+        distinct in 1usize..5,
+        copies in 1usize..5,
+    ) {
+        let n = BOUNDARY_N[pick];
+        let mut parts = Vec::new();
+        for k in 0..distinct {
+            let p = random_partition(seed.wrapping_add(k as u64 * 31), n, 3 + k);
+            parts.extend(std::iter::repeat(p).take(copies + k % 2));
+        }
+        let bulk = FaultGraph::from_partitions(n, &parts);
+        let mut scan = FaultGraph::new(n);
+        for p in &parts {
+            scan.add_machine_scan(p);
+        }
+        assert_graphs_identical(&bulk, &scan)?;
+    }
+
+    /// Near-singleton families with `dmin ≥ 10`: too many subsets per
+    /// level, so the build and the adds compute their levels by the row
+    /// sweep.  Both must still equal the per-pair scans.
+    #[test]
+    fn high_dmin_families_agree_with_scans(
+        seed in 0u64..100_000,
+        pick in 0usize..5,
+        extra in 1usize..4,
+    ) {
+        let n = BOUNDARY_N[pick];
+        let parts: Vec<Partition> = (0..16)
+            .map(|m| random_partition(seed.wrapping_add(m * 101), n, n))
+            .collect();
+        let mut g = FaultGraph::from_partitions(n, &parts);
+        prop_assert!(g.dmin() >= 10, "dmin {} does not force the sweep", g.dmin());
+        prop_assert_eq!(g.dmin(), g.dmin_scan());
+        prop_assert_eq!(g.weakest_edges(), g.weakest_edges_scan());
+        for m in 0..extra {
+            let p = if m % 2 == 0 {
+                covering_partition(&g, seed ^ m as u64)
+            } else {
+                random_partition(seed ^ ((m as u64) << 7), n, n)
+            };
+            let covers = g.speculate(&p);
+            prop_assert_eq!(covers, g.addition_increases_dmin_scan(&p));
+            g.add_machine(&p);
+            prop_assert_eq!(g.dmin(), g.dmin_scan());
+            prop_assert_eq!(g.weakest_edges(), g.weakest_edges_scan());
+        }
+    }
+
+    /// `remap_states_adding` along a fibered (surjective) and a bijective
+    /// mapping, with a random, a replicated and a covering added machine,
+    /// equals a cold build of the lifted machines plus the added one.
+    #[test]
+    fn remap_states_adding_matches_cold_builds(
+        seed in 0u64..100_000,
+        pick in 0usize..5,
+        n_old in 2usize..30,
+        blocks in 2usize..6,
+        machines in 1usize..5,
+    ) {
+        let parts: Vec<Partition> = (0..machines)
+            .map(|m| random_partition(seed.wrapping_add(m as u64 * 101), n_old, blocks))
+            .collect();
+        let g = FaultGraph::from_partitions(n_old, &parts);
+        let n_fibered = BOUNDARY_N[pick];
+        let mut state = seed;
+        let fibered: Vec<u32> = (0..n_fibered)
+            .map(|i| if i < n_old { i as u32 } else { (splitmix(&mut state) % n_old as u64) as u32 })
+            .collect();
+        let mut bijective: Vec<u32> = (0..n_old as u32).collect();
+        for i in (1..n_old).rev() {
+            bijective.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
+        }
+        for mapping in [fibered, bijective] {
+            let n_new = mapping.len();
+            let lifted: Vec<Partition> = parts.iter().map(|p| lift(p, &mapping)).collect();
+            let cold = FaultGraph::from_partitions(n_new, &lifted);
+            let added = [
+                random_partition(seed ^ 0xADD, n_new, blocks),
+                lifted[0].clone(),
+                covering_partition(&cold, seed),
+            ];
+            for p in &added {
+                let (warm, levels) = g.remap_states_adding(&mapping, p);
+                let mut all = lifted.clone();
+                all.push(p.clone());
+                assert_graphs_identical(&warm, &FaultGraph::from_partitions(n_new, &all))?;
+                prop_assert_eq!(levels == 0, warm.dmin() <= g.dmin());
+            }
+        }
+    }
+
+    /// `remap_states_removing` along an injective mapping equals a cold
+    /// build of the surviving machines lifted onto the smaller space.
+    #[test]
+    fn remap_states_removing_matches_cold_builds(
+        seed in 0u64..100_000,
+        pick in 0usize..5,
+        blocks in 2usize..6,
+        machines in 2usize..6,
+    ) {
+        let n_old = BOUNDARY_N[pick];
+        let mut parts: Vec<Partition> = (0..machines)
+            .map(|m| random_partition(seed.wrapping_add(m as u64 * 101), n_old, blocks))
+            .collect();
+        parts.push(parts[0].clone());
+        let g = FaultGraph::from_partitions(n_old, &parts);
+        let mut state = seed;
+        let mut order: Vec<u32> = (0..n_old as u32).collect();
+        for i in (1..n_old).rev() {
+            order.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
+        }
+        let mapping = &order[..n_old / 2 + 1];
+        for k in 0..parts.len() {
+            let (warm, levels) = g.remap_states_removing(mapping, &parts[k]);
+            let survivors: Vec<Partition> = (0..parts.len())
+                .filter(|&i| i != k)
+                .map(|i| lift(&parts[i], mapping))
+                .collect();
+            let cold = FaultGraph::from_partitions(mapping.len(), &survivors);
+            assert_graphs_identical(&warm, &cold)?;
+            prop_assert_eq!(levels == 0, warm.dmin() < g.dmin());
+        }
+    }
+}
+
+/// Six mod-3 counters, each deployed as four copies, over their 729-state
+/// product: the replication-shaped family of the warm re-fusion workload.
+/// `dmin` is 4 (two states differing in one counter are told apart only by
+/// its four copies); removing one copy drops it to 3 without a search, and
+/// adding the copy back raises it to 4 with one.
+#[test]
+fn replicated_counters_through_remaps() {
+    let n = 729;
+    let counter = |c: u32| {
+        Partition::from_assignment(&(0..n).map(|x| (x / 3usize.pow(c)) % 3).collect::<Vec<_>>())
+    };
+    let parts: Vec<Partition> = (0..4).flat_map(|_| (0..6).map(counter)).collect();
+    let g = FaultGraph::from_partitions(n, &parts);
+    assert_eq!(g.num_machines(), 24);
+    assert_eq!(g.dmin(), 4);
+    assert_eq!(g.weakest_edges().len(), 6 * 729);
+    assert_eq!(g.weakest_edges(), g.weakest_edges_scan());
+
+    let identity: Vec<u32> = (0..n as u32).collect();
+    let (down, levels) = g.remap_states_removing(&identity, &counter(5));
+    assert_eq!(levels, 0);
+    assert_eq!(down.dmin(), 3);
+    assert_eq!(
+        down.weakest_edges(),
+        FaultGraph::from_partitions(n, &parts[..23]).weakest_edges()
+    );
+    assert_eq!(down.weakest_edges(), down.weakest_edges_scan());
+
+    let (up, levels) = down.remap_states_adding(&identity, &counter(5));
+    assert_eq!(levels, 1);
+    assert_eq!(up.dmin(), 4);
+    assert_eq!(up.weakest_edges(), g.weakest_edges());
+
+    // A backup that covers the weakest edges raises dmin by one.
+    let mut grown = down.clone();
+    grown.add_machine(&Partition::singletons(n));
+    assert_eq!(grown.dmin(), 4);
+    assert_eq!(grown.weakest_edges(), grown.weakest_edges_scan());
 }

@@ -1,8 +1,8 @@
-//! Property tests pinning the incremental fault-graph trackers to their
-//! full-rescan reference implementations.
+//! Property tests pinning the kept fault-graph index to its per-pair
+//! rescan reference implementations.
 //!
-//! The incrementally maintained `dmin` / weakest-edge / speculation
-//! queries of `FaultGraph` must agree with the `*_scan` twins under
+//! The kept `dmin` / weakest-edge / speculation queries of `FaultGraph`
+//! must agree with the `*_scan` twins under
 //! arbitrary interleavings of machine additions and queries (the pattern
 //! `tests/bitset_properties.rs` set for the bitset kernels).
 
