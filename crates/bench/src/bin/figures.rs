@@ -16,10 +16,10 @@ fn main() {
     let all = which.is_empty();
     let wants = |name: &str| all || which.iter().any(|w| w == name);
 
-    // One environment-configured session drives every figure: fig3's
+    // One session drives every figure: fig3's
     // lattice enumeration and fig4's fusion generation share the kernel of
     // the same 4-state top machine.
-    let mut session = FusionConfig::from_env().build();
+    let mut session = FusionConfig::new().build();
 
     if wants("fig1") {
         fig1(&mut session);

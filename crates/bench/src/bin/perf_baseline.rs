@@ -4,25 +4,22 @@
 //!
 //! Times the partition operations, the fault-graph build, the kept
 //! fault-graph queries, the Algorithm-2 search at several `⊤` state counts
-//! and the reachable-product construction (packed sequential, packed
-//! parallel, reference) with small fixed iteration counts, and emits
-//! `BENCH_fusion.json` (see README.md for the format).  Every optimized
-//! kernel is measured next to its pre-refactor twin (`*_scan`, from
-//! `fsm_fusion_core::reference` or the tuple-keyed
-//! `ReachableProduct::new_reference`), every `_par` op next to its
-//! sequential twin, the session's `f` sweep with its cached initial fault
-//! graph (`alg2_sweep_cached_*`) next to the cold free-function sweep
-//! (`alg2_sweep_cold_*`), and the delta-aware update paths
-//! (`alg2_update_add_machine_*`, `product_extend_factor_*`) next to cold
-//! rebuilds of the evolved context; the JSON records all four speedup
-//! ratio sets.
+//! and the reachable-product construction (packed, reference) with small
+//! fixed iteration counts, and emits `BENCH_fusion.json` (see README.md for
+//! the format).  Every optimized kernel is measured next to its
+//! pre-refactor twin (`*_scan`, from `fsm_fusion_core::reference` or the
+//! tuple-keyed `ReachableProduct::new_reference`), the session's `f` sweep
+//! with its cached initial fault graph (`alg2_sweep_cached_*`) next to the
+//! cold free-function sweep (`alg2_sweep_cold_*`), and the delta-aware
+//! update paths (`alg2_update_add_machine_*`, `product_extend_factor_*`)
+//! next to cold rebuilds of the evolved context; the JSON records all
+//! three speedup ratio sets.
 //! The crash-recovery pipeline is covered by `wal_append_frame`,
 //! `recover_replay_n512` and `recover_decode_f1`, and the `sim_sweep`
 //! section records a fusion-vs-replication cost comparison over identical
 //! seeds (`backend_comparison`).  The scaling workloads past the old
 //! `10⁴` wall are `alg2_search_n6561`, `alg2_search_n59049`,
-//! `product_build_n6561` and `product_build_stream_n59049` (the last one
-//! asserts the memory-budgeted streaming builder actually spills).
+//! `product_build_n6561` and `product_build_n59049`.
 //! `alg2_search_table1_mesi_tcp_f1` times a Table 1 row whose descent
 //! examines 15,400 candidates and keeps none — the failing-candidate path.  `lattice_walk_n81` times a full
 //! `enumerate_lattice` (212 closed partitions of four mod-3 counters), the
@@ -53,7 +50,7 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fsm_dfsm::{Event, ProductBuilder, ProductStrategy, ReachableProduct};
+use fsm_dfsm::{Event, ReachableProduct};
 use fsm_distsys::sim::sweep::{compare_backends, run_scenario, BackendCost, Scenario};
 use fsm_distsys::{shared, wal, DurabilityConfig, DurableServer, FusedSystem, MemStore};
 use fsm_fusion_bench::{
@@ -78,12 +75,6 @@ const MIN_ITERS: u64 = 3;
 
 /// Timed rounds per op; the reported figure is the median round.
 const ROUNDS: usize = 5;
-
-/// Worker threads for the `product_build_par_*` op.  Fixed (not
-/// `available_parallelism`) so the committed numbers mean the same thing on
-/// every machine; the calibration normalization cannot cancel out a varying
-/// thread count.
-const PAR_WORKERS: usize = 4;
 
 /// The op every other measurement is normalized by in `--check` mode: a
 /// fixed chunk of pure integer work whose duration tracks the machine's
@@ -336,21 +327,13 @@ fn measure_all() -> Vec<Measurement> {
     }
 
     // Reachable-product construction at |⊤| = 729: the packed mixed-radix
-    // builder (sequential and frontier-chunked parallel) against the
-    // preserved tuple-keyed reference BFS (the `_scan` twin).  Explicit
-    // worker counts, so an exported FSM_FUSION_WORKERS cannot change what
-    // the op names mean.
+    // build against the preserved tuple-keyed reference BFS (the `_scan`
+    // twin).
     {
         let machines = counter_family(6, 3);
         let iters = 50;
-        let ns = bench(iters, || {
-            ReachableProduct::with_workers(&machines, 1).unwrap()
-        });
+        let ns = bench(iters, || ReachableProduct::new(&machines).unwrap());
         push("product_build_n729", iters, ns);
-        let ns = bench(iters, || {
-            ReachableProduct::with_workers(&machines, PAR_WORKERS).unwrap()
-        });
-        push("product_build_par_n729", iters, ns);
         let ns = bench(iters, || {
             ReachableProduct::new_reference(&machines).unwrap()
         });
@@ -358,19 +341,18 @@ fn measure_all() -> Vec<Measurement> {
     }
 
     // Past the 10⁴ wall: the scaling workloads the weakest-edge fault graph
-    // and the streaming product builder exist for.  |⊤| = 3⁸ = 6561 runs
-    // the full pipeline (packed product build, then the Algorithm-2 descent
-    // over a fault graph of ~21.5M edges, 52,488 of them weakest); the
-    // `peak_rss_kb` field recorded with every op documents the memory side.
+    // exists for.  |⊤| = 3⁸ = 6561 runs the full pipeline (packed product
+    // build, then the Algorithm-2 descent over a fault graph whose ~21.5M
+    // state pairs are never stored: only its 52,488 weakest edges are
+    // kept); the `peak_rss_kb` field recorded with every op documents the
+    // memory side.
     {
         let machines = counter_family(8, 3);
         let iters = 50;
-        let ns = bench(iters, || {
-            ReachableProduct::with_workers(&machines, 1).unwrap()
-        });
+        let ns = bench(iters, || ReachableProduct::new(&machines).unwrap());
         push("product_build_n6561", iters, ns);
 
-        let product = ReachableProduct::with_workers(&machines, 1).unwrap();
+        let product = ReachableProduct::new(&machines).unwrap();
         let originals = projection_partitions(&product);
         let top = product.top();
         let ns = bench(MIN_ITERS, || generate_fusion(top, &originals, 1).unwrap());
@@ -386,31 +368,23 @@ fn measure_all() -> Vec<Measurement> {
         // `FusionSession` takes, initial-fault-graph slot included.
         let iters = 5;
         let ns = bench(iters, || {
-            let mut session = FusionConfig::new().workers(1).build();
+            let mut session = FusionConfig::new().build();
             session.generate_fusion(top, &originals, 1).unwrap()
         });
         push("alg2_session_n6561", iters, ns);
     }
 
-    // |⊤| = 3¹⁰ = 59049 through the memory-budgeted streaming builder: a
-    // 128 KiB budget is below the ~236 KiB dense interner table alone, so
-    // the build must take the map-interner path and spill sealed successor
-    // pages to disk — asserted every iteration, so the op keeps measuring
-    // the spill path (not a silently-degraded resident build).
+    // The packed product build at |⊤| = 3¹⁰ = 59049, the scale of
+    // `alg2_search_n59049`.
     {
         let machines = counter_family(10, 3);
-        let builder = ProductBuilder::new()
-            .strategy(ProductStrategy::Streaming)
-            .mem_budget(128 << 10);
         let iters = 5;
         let ns = bench(iters, || {
-            let (product, stats) = builder.build_with_stats(&machines).unwrap();
+            let product = ReachableProduct::new(&machines).unwrap();
             assert_eq!(product.size(), 59_049);
-            assert!(!stats.dense_interner, "budget must force the map interner");
-            assert!(stats.spilled_pages > 0, "budget must force page spilling");
             product.size()
         });
-        push("product_build_stream_n59049", iters, ns);
+        push("product_build_n59049", iters, ns);
     }
 
     // Session amortization at |⊤| = 729: a FusionSession sweeping
@@ -422,7 +396,7 @@ fn measure_all() -> Vec<Measurement> {
     // and never gates.
     {
         let machines = counter_family(6, 3);
-        let product = ReachableProduct::with_workers(&machines, 1).unwrap();
+        let product = ReachableProduct::new(&machines).unwrap();
         let originals = projection_partitions(&product);
         let top = product.top();
         let mut session = FusionConfig::new().build();
@@ -482,12 +456,11 @@ fn measure_all() -> Vec<Measurement> {
             up.graph_stripes_touched + down.graph_stripes_touched
         });
         push("alg2_update_add_machine_n729", iters, ns);
-        let builder = ProductBuilder::new().workers(1);
         let ns = bench(iters, || {
-            let grown = builder.build(&family).unwrap();
+            let grown = ReachableProduct::new(&family).unwrap();
             let originals = projection_partitions(&grown);
             let graph = FaultGraph::from_partitions(grown.size(), &originals);
-            let back = builder.build(&family[..last]).unwrap();
+            let back = ReachableProduct::new(&family[..last]).unwrap();
             let shrunk = projection_partitions(&back);
             let graph_back = FaultGraph::from_partitions(back.size(), &shrunk);
             graph.dmin() as usize + graph_back.dmin() as usize + grown.size() + back.size()
@@ -510,16 +483,15 @@ fn measure_all() -> Vec<Measurement> {
             family.extend(primaries.iter().cloned());
         }
         let last = family.len() - 1;
-        let base = ReachableProduct::with_workers(&family[..last], 1).unwrap();
-        let builder = ProductBuilder::new().workers(1);
+        let base = ReachableProduct::new(&family[..last]).unwrap();
         let iters = 50;
         let ns = bench(iters, || {
-            let (grown, ext) = builder.extend_factor(&base, &family[last]).unwrap();
+            let (grown, ext) = base.extend_factor(&family[last]).unwrap();
             assert_eq!(grown.size(), 729);
             ext.reexpanded
         });
         push("product_extend_factor_n729", iters, ns);
-        let ns = bench(iters, || builder.build(&family).unwrap().size());
+        let ns = bench(iters, || ReachableProduct::new(&family).unwrap().size());
         push("product_extend_factor_cold_n729", iters, ns);
     }
 
@@ -627,7 +599,7 @@ fn measure_all() -> Vec<Measurement> {
             .into_iter()
             .find(|r| r.label == "MESI, TCP, A, B")
             .expect("Table 1 has the MESI/TCP row");
-        let product = ReachableProduct::with_workers(&row.machines, 1).unwrap();
+        let product = ReachableProduct::new(&row.machines).unwrap();
         let originals = projection_partitions(&product);
         let iters = 20;
         let ns = bench(iters, || {
@@ -643,7 +615,7 @@ fn measure_all() -> Vec<Measurement> {
     // pairwise block merges on the quotient of the level it stands on.
     {
         let machines = counter_family(4, 3);
-        let product = ReachableProduct::with_workers(&machines, 1).unwrap();
+        let product = ReachableProduct::new(&machines).unwrap();
         let iters = 10;
         let ns = bench(iters, || {
             let lattice = enumerate_lattice(product.top(), 5000).unwrap();
@@ -661,7 +633,7 @@ fn measure_all() -> Vec<Measurement> {
     // ops' `peak_rss_kb`.
     {
         let machines = counter_family(10, 3);
-        let product = ReachableProduct::with_workers(&machines, 1).unwrap();
+        let product = ReachableProduct::new(&machines).unwrap();
         let originals = projection_partitions(&product);
         let n = product.size();
         let graph = FaultGraph::from_partitions(n, &originals);
@@ -679,7 +651,7 @@ fn measure_all() -> Vec<Measurement> {
 
 /// Pairs every op whose name contains `marker` with the op named by
 /// substituting `twin_marker` for `marker` (e.g. `_cached` → `_cold`,
-/// `_par` → ``), returning `(marked op, twin op)` — the shared walk behind
+/// `_scan` → ``), returning `(marked op, twin op)` — the shared walk behind
 /// the speedup sections below.
 fn paired<'a>(
     ops: &'a [Measurement],
@@ -706,14 +678,6 @@ fn speedups(ops: &[Measurement]) -> Vec<(String, f64)> {
     paired(ops, "_scan", "")
         .into_iter()
         .map(|(scan, fast)| (fast.name.to_string(), scan.ns_per_op / fast.ns_per_op))
-        .collect()
-}
-
-/// Speedup ratios of each `_par` op against its sequential twin.
-fn par_speedups(ops: &[Measurement]) -> Vec<(String, f64)> {
-    paired(ops, "_par", "")
-        .into_iter()
-        .map(|(par, seq)| (par.name.to_string(), seq.ns_per_op / par.ns_per_op))
         .collect()
 }
 
@@ -789,13 +753,6 @@ fn render_json(ops: &[Measurement], comparison: &(BackendCost, BackendCost)) -> 
     s.push_str("  },\n");
     s.push_str("  \"speedup_vs_scan\": {\n");
     let ratios = speedups(ops);
-    for (i, (name, ratio)) in ratios.iter().enumerate() {
-        let comma = if i + 1 == ratios.len() { "" } else { "," };
-        let _ = writeln!(s, "    \"{name}\": {ratio:.2}{comma}");
-    }
-    s.push_str("  },\n");
-    s.push_str("  \"speedup_par_vs_seq\": {\n");
-    let ratios = par_speedups(ops);
     for (i, (name, ratio)) in ratios.iter().enumerate() {
         let comma = if i + 1 == ratios.len() { "" } else { "," };
         let _ = writeln!(s, "    \"{name}\": {ratio:.2}{comma}");
@@ -960,9 +917,6 @@ fn main() -> ExitCode {
     let ops = measure_all();
     for (name, ratio) in speedups(&ops) {
         println!("speedup {name:<34} {ratio:>6.2}x vs element scan");
-    }
-    for (name, ratio) in par_speedups(&ops) {
-        println!("speedup {name:<34} {ratio:>6.2}x vs sequential twin");
     }
     for (name, ratio) in cached_speedups(&ops) {
         println!("speedup {name:<34} {ratio:>6.2}x vs cold free-function sweep");

@@ -20,10 +20,10 @@ use fsm_fusion_core::{
 };
 
 fn main() {
-    // One environment-configured session drives every sweep; within a
+    // One session drives every sweep; within a
     // sweep, successive machine sets reset the cache (different tops) but
     // share scratch buffers.
-    let mut session = FusionConfig::from_env().build();
+    let mut session = FusionConfig::new().build();
     generation_scaling(&mut session);
     recovery_scaling(&mut session);
     sensor_network_scaling(&mut session);

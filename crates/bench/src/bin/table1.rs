@@ -15,10 +15,10 @@ fn main() {
     );
 
     let rows = table_rows();
-    // One environment-configured session measures every row (the machine
+    // One session measures every row (the machine
     // sets differ, so the kernel and cached fault graph are replaced per
     // row; the scratch is still shared).
-    let mut session = FusionConfig::from_env().build();
+    let mut session = FusionConfig::new().build();
     let mut reports = Vec::new();
     let mut total_time = std::time::Duration::ZERO;
     for row in &rows {

@@ -41,9 +41,6 @@ pub enum DfsmError {
     /// A machine claimed to be less than or equal to another is not
     /// (Algorithm 1 detected an inconsistency during lock-step simulation).
     NotLessOrEqual { reason: String },
-    /// The streaming product builder's spill arena failed to read back a
-    /// page it had previously written (the underlying I/O error, rendered).
-    Spill(String),
 }
 
 impl fmt::Display for DfsmError {
@@ -75,9 +72,6 @@ impl fmt::Display for DfsmError {
             }
             DfsmError::NotLessOrEqual { reason } => {
                 write!(f, "machine is not less than or equal to the reference machine: {reason}")
-            }
-            DfsmError::Spill(reason) => {
-                write!(f, "spill arena I/O failure: {reason}")
             }
         }
     }

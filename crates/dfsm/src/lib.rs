@@ -65,7 +65,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod arena;
 mod builder;
 mod dfsm;
 mod dot;
@@ -76,9 +75,7 @@ mod isomorphism;
 mod minimize;
 mod product;
 mod state;
-mod workers;
 
-pub use arena::PageArena;
 pub use builder::DfsmBuilder;
 pub use dfsm::Dfsm;
 pub use dot::{to_dot, to_dot_default, DotOptions};
@@ -87,12 +84,5 @@ pub use event::{Alphabet, Event, EventId};
 pub use executor::Executor;
 pub use isomorphism::{are_isomorphic, isomorphism};
 pub use minimize::{minimize_by_labels, minimize_by_output, Minimized};
-pub use product::{
-    FactorExtension, ProductBuildStats, ProductBuilder, ProductStrategy, ReachableProduct,
-    DEFAULT_DENSE_LIMIT, DEFAULT_MEM_BUDGET,
-};
+pub use product::{FactorExtension, ReachableProduct};
 pub use state::{StateId, StateInfo};
-pub use workers::{
-    configured_dense_limit, configured_mem_budget, configured_workers, parse_byte_size,
-    parse_workers,
-};

@@ -35,8 +35,8 @@ pub const DEFAULT_COLLECT_TIMEOUT: Duration = Duration::from_secs(30);
 /// interval and overall deadline that used to be hardcoded in
 /// [`ParallelServerGroup`].
 ///
-/// Follows the same explicit > environment > auto precedence convention as
-/// `fsm_fusion_core::FusionConfig`: builder setters win over the
+/// Follows an explicit > environment > default precedence: builder
+/// setters win over the
 /// `FSM_DISTSYS_REPORT_POLL_MS` / `FSM_DISTSYS_COLLECT_TIMEOUT_MS`
 /// environment variables, which win over the defaults.  The environment is
 /// read once, at [`GroupConfig::from_env`].

@@ -109,8 +109,7 @@ impl FusedSystem {
         Self::from_parts(machines, f, fault_model, product, originals, fusion)
     }
 
-    /// [`FusedSystem::new`] through a caller-owned [`FusionSession`]: the
-    /// cross product is built with the session's product strategy and
+    /// [`FusedSystem::new`] through a caller-owned [`FusionSession`]:
     /// Algorithm 2 reuses the session's kernel, scratch and cached initial
     /// fault graph (building several systems over the same machine set —
     /// e.g. per fault model, or a crash/Byzantine pair — builds that graph
@@ -522,7 +521,7 @@ mod tests {
         use fsm_fusion_core::FusionConfig;
         let machines = vec![mesi(), zero_counter_mod3()];
         let w = Workload::uniform_over_machines(&machines, 97, 5);
-        let mut session = FusionConfig::new().workers(2).build();
+        let mut session = FusionConfig::new().build();
         // Two systems from one session (crash + Byzantine) share the
         // cached fault graph; both must equal the free-function build.
         for model in [FaultModel::Crash, FaultModel::Byzantine] {

@@ -12,7 +12,7 @@
 //!
 //! * **`AddMachine`** — the packed mixed-radix product interner makes one
 //!   more factor a stride extension, not a rebuild
-//!   ([`fsm_dfsm::ProductBuilder::extend_factor`]); the old fault graph's
+//!   ([`fsm_dfsm::ReachableProduct::extend_factor`]); the old fault graph's
 //!   partitions are lifted along the projection, the new machine's is
 //!   added, and the new weakest edges are read off the lifted old ones
 //!   unless the new machine covers them all

@@ -23,9 +23,8 @@
 //! * [`set_repr`] — Algorithm 1: the set representation of machine states
 //!   (§5, Fig. 5).
 //! * [`FusionSession`] / [`FusionConfig`] — the **recommended entry
-//!   point**: a config-driven session (worker count, product strategy and
-//!   sizing knobs resolved once) that owns the closure kernel, scratch
-//!   buffers and the last initial fault graph (module [`mod@session`]).
+//!   point**: a session that owns the closure kernel, scratch buffers and
+//!   the last initial fault graph (module [`mod@session`]).
 //! * [`TopDelta`] / [`FusionSession::update_top`] — **delta-aware
 //!   re-fusion** for evolving machine sets: add, remove or extend one
 //!   machine and have the product and fault graph updated incrementally
@@ -115,7 +114,7 @@ pub use closed::{
     check_closed, close, is_closed, quotient_machine, CloseScratch, ClosureKernel, QuotientLevel,
     QuotientMerge,
 };
-pub use config::{Engine, FusionConfig, ProductStrategy};
+pub use config::{Engine, FusionConfig};
 pub use delta::{TopDelta, UpdateStats};
 pub use error::{FusionError, Result};
 pub use fault_graph::FaultGraph;

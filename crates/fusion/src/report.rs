@@ -41,12 +41,12 @@ impl FusionReport {
     /// Runs the full pipeline (cross product → Algorithm 2) for a machine
     /// set and records the results.
     ///
-    /// A thin shim over a throwaway environment-configured
-    /// [`crate::FusionSession`]; multi-row measurements should use
-    /// [`FusionReport::measure_with`] so the rows share one session.
+    /// A thin shim over a throwaway [`crate::FusionSession`]; multi-row
+    /// measurements should use [`FusionReport::measure_with`] so the rows
+    /// share one session.
     pub fn measure(label: impl Into<String>, machines: &[Dfsm], f: usize) -> Result<Self> {
         Self::measure_with(
-            &mut crate::config::FusionConfig::from_env().build(),
+            &mut crate::config::FusionConfig::new().build(),
             label,
             machines,
             f,
@@ -54,9 +54,8 @@ impl FusionReport {
     }
 
     /// [`FusionReport::measure`] through a caller-owned
-    /// [`crate::FusionSession`]: the product is built with the session's
-    /// strategy and the generation reuses its kernel, scratch and cached
-    /// initial fault graph (repeated rows or `f` sweeps over the same
+    /// [`crate::FusionSession`]: the generation reuses its kernel, scratch
+    /// and cached initial fault graph (repeated rows or `f` sweeps over the same
     /// machine set build that graph once).
     pub fn measure_with(
         session: &mut crate::session::FusionSession,

@@ -1,19 +1,15 @@
-//! [`FusionSession`] — the stateful, explicitly configured entry point to
-//! fusion generation.
+//! [`FusionSession`] — the stateful entry point to fusion generation.
 //!
 //! The free functions ([`crate::generate_fusion`],
 //! [`crate::enumerate_lattice`], …) re-derive everything on every call:
 //! they rebuild the closure kernel and scratch buffers and recompute every
-//! candidate closure from nothing.  A `FusionSession` — built once from a
-//! [`FusionConfig`] — owns all of that across calls:
+//! candidate closure from nothing.  A `FusionSession` — built once with
+//! [`FusionConfig::build`] — owns all of that across calls:
 //!
-//! * the resolved worker count and product strategy (environment resolved
-//!   **once**, at config build, and only as the `Auto` fallback),
 //! * one [`CloseScratch`] serving every closure of the session's lifetime,
 //! * the [`ClosureKernel`] of the current top machine, rebuilt only when
 //!   the top machine actually changes,
-//! * a [`fsm_dfsm::ProductBuilder`] configuration for
-//!   [`FusionSession::build_product`],
+//! * the installed `⊤` that [`FusionSession::update_top`] evolves,
 //! * and the **initial fault graph** of the last generation: an `f` sweep
 //!   over the same `(⊤, originals)` borrows the kept graph instead of
 //!   rebuilding it (a generation copies it only to add a backup a later
@@ -65,10 +61,10 @@
 //! assert!(basis.iter().all(|p| p.num_blocks() == 3));
 //! ```
 
-use fsm_dfsm::{Dfsm, ProductBuilder, ReachableProduct, StateId};
+use fsm_dfsm::{Dfsm, ReachableProduct, StateId};
 
 use crate::closed::{CloseScratch, ClosureKernel};
-use crate::config::{FusionConfig, ProductStrategy};
+use crate::config::FusionConfig;
 use crate::delta::{TopDelta, UpdateStats};
 use crate::error::{FusionError, Result};
 use crate::fault_graph::FaultGraph;
@@ -157,9 +153,6 @@ struct TopState {
 /// Build one with [`FusionConfig::build`].  The session is `Send` but not
 /// `Sync`: hand each thread its own.
 pub struct FusionSession {
-    config: FusionConfig,
-    workers: usize,
-    product: ProductStrategy,
     scratch: CloseScratch,
     graph: GraphSlot,
     /// The closure kernel of the current top machine, rebuilt only when
@@ -173,23 +166,15 @@ pub struct FusionSession {
 impl std::fmt::Debug for FusionSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FusionSession")
-            .field("workers", &self.workers)
-            .field("product", &self.product)
             .field("cache_stats", &self.cache_stats())
             .finish_non_exhaustive()
     }
 }
 
 impl FusionSession {
-    /// Builds a session from a config (equivalent to
-    /// [`FusionConfig::build`]).
-    pub fn new(config: FusionConfig) -> Self {
-        let workers = config.resolved_workers();
-        let product = config.resolved_product();
+    /// Builds a session (equivalent to [`FusionConfig::build`]).
+    pub fn new(_config: FusionConfig) -> Self {
         FusionSession {
-            config,
-            workers,
-            product,
             scratch: CloseScratch::new(),
             graph: GraphSlot::default(),
             kernel: None,
@@ -197,49 +182,15 @@ impl FusionSession {
         }
     }
 
-    /// A session with the environment-snapshot configuration
-    /// ([`FusionConfig::from_env`]) — what the legacy free functions shim
-    /// onto.
-    pub fn from_env() -> Self {
-        FusionConfig::from_env().build()
-    }
-
-    /// The config this session was built from (useful to rebuild an
-    /// equivalent session).
-    pub fn config(&self) -> &FusionConfig {
-        &self.config
-    }
-
-    /// The resolved worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The resolved product strategy (never [`ProductStrategy::Auto`]).
-    pub fn product_strategy(&self) -> ProductStrategy {
-        self.product
-    }
-
     /// Counters of the session's initial-fault-graph slot.
     pub fn cache_stats(&self) -> CacheStats {
         self.graph.stats
     }
 
-    /// The session's configured [`ProductBuilder`] (strategy, workers,
-    /// dense-interner limit, streaming memory budget).
-    fn product_builder(&self) -> ProductBuilder {
-        ProductBuilder::new()
-            .strategy(self.product)
-            .workers(self.workers)
-            .dense_limit(self.config.resolved_dense_limit())
-            .mem_budget(self.config.resolved_mem_budget())
-    }
-
-    /// Builds the reachable cross product of `machines` with the session's
-    /// product strategy, worker count and sizing knobs (dense-interner
-    /// limit and streaming memory budget).
+    /// Builds the reachable cross product of `machines`
+    /// ([`ReachableProduct::new`]).
     pub fn build_product(&self, machines: &[Dfsm]) -> Result<ReachableProduct> {
-        Ok(self.product_builder().build(machines)?)
+        Ok(ReachableProduct::new(machines)?)
     }
 
     /// Algorithm 2 through the session: generates the smallest set of
@@ -259,8 +210,7 @@ impl FusionSession {
         seq_engine(top, kernel, originals, f, scratch, Some(graph))
     }
 
-    /// The whole pipeline: builds the reachable cross product with the
-    /// session's product strategy, derives the projection partitions and
+    /// The whole pipeline: builds the reachable cross product, derives the projection partitions and
     /// runs Algorithm 2 (the session form of
     /// [`crate::generate_fusion_for_machines`]).
     pub fn generate_fusion_for_machines(
@@ -346,7 +296,7 @@ impl FusionSession {
     /// touch:
     ///
     /// * the product interner is stride-extended
-    ///   ([`fsm_dfsm::ProductBuilder::extend_factor`]) for
+    ///   ([`fsm_dfsm::ReachableProduct::extend_factor`]) for
     ///   [`TopDelta::AddMachine`],
     /// * the cached fault graph is pulled back or contracted with the
     ///   changed machine added or dropped, its weakest edges re-derived
@@ -428,7 +378,7 @@ impl FusionSession {
     /// cached graph back along the projection with the new machine
     /// added.
     fn apply_add(&mut self, top: TopState, machine: Dfsm) -> Result<UpdateStats> {
-        let (product, ext) = match self.product_builder().extend_factor(&top.product, &machine) {
+        let (product, ext) = match top.product.extend_factor(&machine) {
             Ok(v) => v,
             Err(e) => {
                 self.top = Some(top);
@@ -701,8 +651,8 @@ mod tests {
 
     #[test]
     fn multi_worker_session_matches_single_worker_session() {
-        // More workers only reach the parallel product builder; the
-        // descent, and so every fusion and statistic, must not change.
+        // `workers` is a documented no-op: a session asked for four workers
+        // must produce every fusion and statistic of a one-worker session.
         let machines = vec![
             counter("a", "0", 3),
             counter("b", "1", 3),
@@ -710,7 +660,6 @@ mod tests {
         ];
         let mut one = FusionConfig::new().workers(1).build();
         let mut four = FusionConfig::new().workers(4).build();
-        assert_eq!(four.product_strategy(), ProductStrategy::Parallel);
         for f in 1..=2 {
             let (p1, g1) = one.generate_fusion_for_machines(&machines, f).unwrap();
             let (p4, g4) = four.generate_fusion_for_machines(&machines, f).unwrap();
@@ -726,7 +675,7 @@ mod tests {
 
     #[test]
     fn session_lattice_and_lower_cover_match_free_functions() {
-        let mut session = FusionConfig::new().workers(2).build();
+        let mut session = FusionConfig::new().build();
         let product = session.build_product(&fig1_pair()).unwrap();
         let top = product.top();
         let lattice = session.enumerate_lattice(top, 500).unwrap();

@@ -17,10 +17,8 @@ fn main() {
         println!("  {} with {} states", m.name(), m.size());
     }
 
-    // 2. A fusion session: workers and cache policy resolved once
-    //    (FusionConfig::from_env() would consult FSM_FUSION_WORKERS
-    //    instead).  Repeated generations through the same session reuse
-    //    scratch buffers and the cached initial fault graph.
+    // 2. A fusion session: repeated generations through the same session
+    //    reuse scratch buffers and the cached initial fault graph.
     let mut session = FusionConfig::new().build();
 
     // 3. Build a fusion-backed system tolerating one crash fault.

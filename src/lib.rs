@@ -27,11 +27,9 @@
 //! ## Quickstart
 //!
 //! The recommended entry point is a [`fusion::FusionSession`] built from a
-//! [`fusion::FusionConfig`]: worker count, product strategy and its sizing
-//! knobs are resolved once (the environment is only the `Auto` fallback,
-//! via [`fusion::FusionConfig::from_env`]), and the session reuses its
-//! closure kernel and scratch buffers over every generation and lattice
-//! walk, and its cached initial fault graph over every generation.
+//! [`fusion::FusionConfig`]: the session reuses its closure kernel and
+//! scratch buffers over every generation and lattice walk, and its cached
+//! initial fault graph over every generation.
 //!
 //! ```
 //! use fsm_fusion::prelude::*;
@@ -67,8 +65,7 @@ pub use fsm_machines as machines;
 /// The most commonly used types, importable with one `use`.
 pub mod prelude {
     pub use fsm_dfsm::{
-        Dfsm, DfsmBuilder, Event, Executor, FactorExtension, ProductBuildStats, ProductBuilder,
-        ProductStrategy, ReachableProduct, StateId,
+        Dfsm, DfsmBuilder, Event, Executor, FactorExtension, ReachableProduct, StateId,
     };
     pub use fsm_distsys::sim::sweep::{
         compare_backends, sweep, sweep_recovery, BackendCost, RecoveryScenario, Scenario,

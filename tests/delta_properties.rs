@@ -141,8 +141,8 @@ fn assert_walks_match_oracle(session: &mut FusionSession, label: &str) {
 
 /// Warm-after-deltas versus cold-on-final.
 fn assert_delta_sequence_matches_cold(initial: &[Dfsm], specs: &[DeltaSpec], max_f: usize) {
-    let config = FusionConfig::new().workers(2);
-    let mut warm = config.clone().build();
+    let config = FusionConfig::new();
+    let mut warm = config.build();
     let mut machines = initial.to_vec();
     warm.install_top(&machines).unwrap();
     // Populate the graph slot so the deltas have real state to evolve, and

@@ -1,17 +1,19 @@
-//! Property tests pinning the packed reachable-product builders to the
+//! Property tests pinning the packed reachable-product build to the
 //! preserved reference construction.
 //!
-//! `ReachableProduct` now interns states through packed mixed-radix `u64`
-//! keys (dense table or key hash map) with flat pre-resolved successor
-//! tables and optional frontier-chunked parallel expansion; the seed
-//! tuple-keyed BFS is preserved as `ReachableProduct::new_reference`.  This
-//! suite checks, for random machine families, that every observable of the
-//! packed sequential and packed parallel builds — size, state names,
-//! component tuples, the full transition table, `find_tuple` over the whole
-//! (reachable or not) tuple space, and the projection blocks the fusion
-//! layer consumes — is bit-identical to the reference build.
+//! `ReachableProduct` interns states through packed mixed-radix `u64` keys
+//! (dense table or key hash map) with flat pre-resolved successor tables;
+//! the seed tuple-keyed BFS is preserved as
+//! `ReachableProduct::new_reference`, and is also the fallback when
+//! `∏|Sᵢ|` overflows `u64`.  This suite checks, for random machine
+//! families, that every observable of the packed build — size, state
+//! names, component tuples, the full transition table, `find_tuple` over
+//! the whole (reachable or not) tuple space, and the projection blocks the
+//! fusion layer consumes — is bit-identical to the reference build, and
+//! that the overflow fallback corresponds to a packed build state for
+//! state.
 
-use fsm_fusion::machines::{random_dfsm, RandomDfsmConfig};
+use fsm_fusion::machines::{mod_counter, random_dfsm, RandomDfsmConfig};
 use fsm_fusion::prelude::*;
 use proptest::prelude::*;
 
@@ -62,24 +64,32 @@ fn assert_products_identical(
     Ok(())
 }
 
-/// `find_tuple` agreement over the whole full product (reachable or not),
-/// enumerated via mixed-radix counting.
+/// Every tuple of the full product `∏|Sᵢ|` (reachable or not), enumerated
+/// via mixed-radix counting.
+fn full_tuples(machines: &[Dfsm]) -> Vec<Vec<StateId>> {
+    let sizes: Vec<usize> = machines.iter().map(|m| m.size()).collect();
+    let full: usize = sizes.iter().product();
+    (0..full)
+        .map(|mut code| {
+            sizes
+                .iter()
+                .map(|&s| {
+                    let c = StateId(code % s);
+                    code /= s;
+                    c
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// `find_tuple` agreement over the whole full product.
 fn assert_find_tuple_sweep(
     a: &ReachableProduct,
     b: &ReachableProduct,
     machines: &[Dfsm],
 ) -> std::result::Result<(), TestCaseError> {
-    let sizes: Vec<usize> = machines.iter().map(|m| m.size()).collect();
-    let full: usize = sizes.iter().product();
-    for mut code in 0..full {
-        let tuple: Vec<StateId> = sizes
-            .iter()
-            .map(|&s| {
-                let c = StateId(code % s);
-                code /= s;
-                c
-            })
-            .collect();
+    for tuple in full_tuples(machines) {
         prop_assert_eq!(a.find_tuple(&tuple), b.find_tuple(&tuple));
     }
     Ok(())
@@ -88,42 +98,19 @@ fn assert_find_tuple_sweep(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Packed sequential and frontier-chunked parallel builds equal the
-    /// reference build in every observable, including `find_tuple` over
-    /// every tuple of the full product (reachable or not) and one
-    /// out-of-range probe.
+    /// The packed build equals the reference build in every observable,
+    /// including `find_tuple` over every tuple of the full product
+    /// (reachable or not) and out-of-range probes.
     #[test]
-    fn packed_and_parallel_products_match_reference(
+    fn packed_products_match_reference(
         seed in 0u64..100_000,
         count in 1usize..4,
-        workers in 2usize..5,
     ) {
         let machines = machine_family(seed, count);
         let reference = ReachableProduct::new_reference(&machines).unwrap();
-        let packed = ReachableProduct::with_workers(&machines, 1).unwrap();
-        let parallel = ReachableProduct::with_workers(&machines, workers).unwrap();
+        let packed = ReachableProduct::new(&machines).unwrap();
         assert_products_identical(&reference, &packed)?;
-        assert_products_identical(&reference, &parallel)?;
-
-        // find_tuple agreement over the whole full product: enumerate every
-        // combination via mixed-radix counting.
-        let sizes: Vec<usize> = machines.iter().map(|m| m.size()).collect();
-        let full: usize = sizes.iter().product();
-        for mut code in 0..full {
-            let tuple: Vec<StateId> = sizes
-                .iter()
-                .map(|&s| {
-                    let c = StateId(code % s);
-                    code /= s;
-                    c
-                })
-                .collect();
-            prop_assert_eq!(packed.find_tuple(&tuple), reference.find_tuple(&tuple));
-            prop_assert_eq!(
-                parallel.find_tuple(&tuple),
-                reference.find_tuple(&tuple)
-            );
-        }
+        assert_find_tuple_sweep(&reference, &packed, &machines)?;
         // Out-of-range components are rejected, never aliased into a key.
         let mut bogus: Vec<StateId> = machines.iter().map(|m| StateId(m.size())).collect();
         prop_assert_eq!(packed.find_tuple(&bogus), None);
@@ -133,62 +120,62 @@ proptest! {
         prop_assert_eq!(packed.find_tuple(&[]), None);
     }
 
-    /// The env-dispatching constructor agrees with the reference too (it
-    /// routes through the packed builder whatever `FSM_FUSION_WORKERS`
-    /// says), and the downstream fusion pipeline sees identical inputs:
-    /// projection partitions built from packed and reference products are
-    /// equal.
-    /// The streaming builder — both with the roomy default budget and with
-    /// a tiny one that forces the map interner and page spilling on larger
-    /// products — equals the reference build in every observable.
+    /// Padding a family with 13 lockstep 41-state counters makes `∏|Sᵢ|`
+    /// overflow `u64`, so its product takes the tuple-keyed fallback.  The
+    /// counters move together on their own event, so that product is the
+    /// family padded with *one* counter — a packed build — with the
+    /// counter's coordinate repeated: transitions, tuples, projections and
+    /// `find_tuple` over the packed build's whole tuple space must match.
     #[test]
-    fn streaming_products_match_reference(
+    fn overflowing_products_match_the_packed_build(
         seed in 0u64..100_000,
         count in 1usize..4,
     ) {
-        let machines = machine_family(seed, count);
-        let reference = ReachableProduct::new_reference(&machines).unwrap();
-        let builder = ProductBuilder::new().strategy(ProductStrategy::Streaming);
-        let (roomy, stats) = builder.build_with_stats(&machines).unwrap();
-        prop_assert!(stats.streamed);
-        assert_products_identical(&reference, &roomy)?;
-        assert_find_tuple_sweep(&reference, &roomy, &machines)?;
+        let family = machine_family(seed, count);
+        let pad: Vec<Dfsm> = (0..13)
+            .map(|i| mod_counter(&format!("T{i}"), 41, "tick", &["tick"]))
+            .collect();
+        let wide: Vec<Dfsm> = family.iter().chain(&pad).cloned().collect();
+        let narrow: Vec<Dfsm> = family.iter().chain(&pad[..1]).cloned().collect();
+        let fallback = ReachableProduct::new(&wide).unwrap();
+        let packed = ReachableProduct::new(&narrow).unwrap();
+        prop_assert!(fallback.full_product_size() > u128::from(u64::MAX));
+        // A narrow tuple with its counter coordinate repeated 13 times.
+        let widen = |tuple: &[StateId]| -> Vec<StateId> {
+            let mut wide_tuple = tuple.to_vec();
+            wide_tuple.extend(std::iter::repeat(tuple[count]).take(12));
+            wide_tuple
+        };
 
-        let (tiny, stats) = builder
-            .clone()
-            .mem_budget(64)
-            .build_with_stats(&machines)
-            .unwrap();
-        prop_assert!(stats.streamed);
-        prop_assert_eq!(stats.mem_budget, 64);
-        assert_products_identical(&reference, &tiny)?;
-        assert_find_tuple_sweep(&reference, &tiny, &machines)?;
+        prop_assert_eq!(fallback.size(), packed.size());
+        let k = packed.top().alphabet().len();
+        prop_assert_eq!(
+            fallback.top().alphabet().events(),
+            packed.top().alphabet().events()
+        );
+        for t in 0..packed.size() {
+            let t = StateId(t);
+            prop_assert_eq!(fallback.tuple(t).to_vec(), widen(packed.tuple(t)));
+            for e in 0..k {
+                let e = fsm_fusion::dfsm::EventId(e);
+                prop_assert_eq!(fallback.top().next(t, e), packed.top().next(t, e));
+            }
+        }
+        for i in 0..narrow.len() {
+            prop_assert_eq!(fallback.projection_blocks(i), packed.projection_blocks(i));
+        }
+        for tuple in full_tuples(&narrow) {
+            prop_assert_eq!(fallback.find_tuple(&widen(&tuple)), packed.find_tuple(&tuple));
+        }
+        // Out-of-range and wrong-arity probes are rejected too.
+        let bogus: Vec<StateId> = wide.iter().map(|m| StateId(m.size())).collect();
+        prop_assert_eq!(fallback.find_tuple(&bogus), None);
+        prop_assert_eq!(fallback.find_tuple(&[]), None);
     }
 
-    /// Capping the packed-key capacity forces the `u64`-overflow fallback
-    /// (tuple-keyed interning, as used when `∏|Sᵢ|` does not fit a packed
-    /// key) on machines small enough to sweep exhaustively; every
-    /// observable must still equal the packed build.
-    #[test]
-    fn capped_packed_keys_match_the_packed_build(
-        seed in 0u64..100_000,
-        count in 1usize..4,
-    ) {
-        let machines = machine_family(seed, count);
-        let full: u64 = machines.iter().map(|m| m.size() as u64).product();
-        let packed = ProductBuilder::new().build(&machines).unwrap();
-        let capped = ProductBuilder::new()
-            .packed_key_capacity(full - 1)
-            .build(&machines)
-            .unwrap();
-        assert_products_identical(&packed, &capped)?;
-        assert_find_tuple_sweep(&packed, &capped, &machines)?;
-        // Out-of-range and wrong-arity probes behave identically too.
-        let bogus: Vec<StateId> = machines.iter().map(|m| StateId(m.size())).collect();
-        prop_assert_eq!(capped.find_tuple(&bogus), None);
-        prop_assert_eq!(capped.find_tuple(&[]), None);
-    }
-
+    /// The default constructor agrees with the reference, and the
+    /// downstream fusion pipeline sees identical inputs: projection
+    /// partitions built from packed and reference products are equal.
     #[test]
     fn projection_partitions_are_engine_independent(seed in 0u64..100_000) {
         let machines = machine_family(seed, 2);

@@ -6,17 +6,16 @@
 //! (kernel, scratch, the last initial fault graph), so the properties here
 //! are the contract that keeps the two paths interchangeable:
 //!
-//! * session `generate_fusion` — at any worker count, with the graph slot
-//!   warm or cold — returns exactly the free `generate_fusion`'s
+//! * session `generate_fusion` — with the graph slot warm or cold —
+//!   returns exactly the free `generate_fusion`'s
 //!   partitions, machines and statistics (everything but wall-clock time),
 //!   across repeated `f` sweeps on one session;
 //! * session and free lattice walks equal the test-only `n`-state oracle
 //!   (`tests/support/lattice_oracle.rs`);
-//! * every `ProductBuilder` strategy builds the identical product;
+//! * the session builds the reference construction's product;
 //! * the graph-slot counters behave deterministically: a repeated `f`
-//!   sweep is answered entirely from the slot, lattice walks never touch
-//!   it, and the config precedence rules pin explicit > environment >
-//!   auto-detect.
+//!   sweep is answered entirely from the slot, and lattice walks never
+//!   touch it.
 
 #[path = "support/lattice_oracle.rs"]
 mod lattice_oracle;
@@ -96,17 +95,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The session path, swept over `f` twice on one session (cold cache,
-    /// then warm cache) at any worker count, is bit-identical to the cold
-    /// free-function path — reports, stats and partitions.
+    /// then warm cache), is bit-identical to the cold free-function path —
+    /// reports, stats and partitions.
     #[test]
-    fn session_sweeps_are_bit_identical_to_cold_runs(
-        seed in 0u64..50_000,
-        workers in 1usize..4,
-    ) {
+    fn session_sweeps_are_bit_identical_to_cold_runs(seed in 0u64..50_000) {
         let machines = machine_family(seed);
         let product = ReachableProduct::new(&machines).unwrap();
         let originals = projection_partitions(&product);
-        let mut session = FusionConfig::new().workers(workers).build();
+        let mut session = FusionConfig::new().build();
         for sweep in 0..2 {
             for f in 1..=3usize {
                 let cold = generate_fusion(product.top(), &originals, f).unwrap();
@@ -117,37 +113,21 @@ proptest! {
     }
 
     /// The session's product tables are bit-identical to the reference
-    /// construction for every strategy (states, names, transitions,
-    /// projections — `find_tuple` included).
+    /// construction (states, names, tuples, projections).
     #[test]
     fn session_products_match_the_reference_tables(seed in 0u64..50_000) {
         let machines = machine_family(seed);
         let reference = ReachableProduct::new_reference(&machines).unwrap();
-        for strategy in [
-            ProductStrategy::Auto,
-            ProductStrategy::Packed,
-            ProductStrategy::Parallel,
-            ProductStrategy::Reference,
-        ] {
-            let session = FusionConfig::new().product(strategy).workers(2).build();
-            let product = session.build_product(&machines).unwrap();
-            assert_eq!(product.size(), reference.size(), "{strategy:?}");
-            for t in 0..product.size() {
-                let t = StateId(t);
-                assert_eq!(product.tuple(t), reference.tuple(t), "{strategy:?}");
-                assert_eq!(
-                    product.top().state_name(t),
-                    reference.top().state_name(t),
-                    "{strategy:?}"
-                );
-            }
-            for i in 0..product.arity() {
-                assert_eq!(
-                    product.projection_blocks(i),
-                    reference.projection_blocks(i),
-                    "{strategy:?}"
-                );
-            }
+        let session = FusionConfig::new().build();
+        let product = session.build_product(&machines).unwrap();
+        assert_eq!(product.size(), reference.size());
+        for t in 0..product.size() {
+            let t = StateId(t);
+            assert_eq!(product.tuple(t), reference.tuple(t));
+            assert_eq!(product.top().state_name(t), reference.top().state_name(t));
+        }
+        for i in 0..product.arity() {
+            assert_eq!(product.projection_blocks(i), reference.projection_blocks(i));
         }
     }
 
@@ -281,30 +261,6 @@ fn update_top_remaps_instead_of_clearing() {
         assert_eq!(walked.truncated, oracle.truncated);
     }
     assert_eq!(session.cache_stats(), swept);
-}
-
-/// Config precedence regression: explicit > environment snapshot >
-/// auto-detect, for the worker count and the product strategy it drives,
-/// via the pure `from_env_values` resolution (no process-environment
-/// mutation).
-#[test]
-fn config_precedence_is_explicit_then_env_then_auto() {
-    // Auto-detect floor: nothing configured → 1 worker, packed product.
-    let auto = FusionConfig::new();
-    assert_eq!(auto.resolved_workers(), 1);
-    assert_eq!(auto.resolved_product(), ProductStrategy::Packed);
-
-    // Environment beats auto-detect.
-    let env = FusionConfig::from_env_values(Some("4"), None, None);
-    assert_eq!(env.resolved_workers(), 4);
-    assert_eq!(env.resolved_product(), ProductStrategy::Parallel);
-
-    // Explicit beats environment, and the session carries the result.
-    let explicit = FusionConfig::from_env_values(Some("8"), None, None).workers(1);
-    assert_eq!(explicit.resolved_workers(), 1);
-    let session = explicit.build();
-    assert_eq!(session.workers(), 1);
-    assert_eq!(session.product_strategy(), ProductStrategy::Packed);
 }
 
 /// The legacy free functions and system constructors remain available and
