@@ -15,7 +15,8 @@
 //! next to cold rebuilds of the evolved context; the JSON records all
 //! three speedup ratio sets.
 //! The crash-recovery pipeline is covered by `wal_append_frame`,
-//! `recover_replay_n512` and `recover_decode_f1`, and the `sim_sweep`
+//! `durable_apply_batch256` (group commit), `recover_replay_n512` and
+//! `recover_decode_f1`, and the `sim_sweep`
 //! section records a fusion-vs-replication cost comparison over identical
 //! seeds (`backend_comparison`).  The scaling workloads past the old
 //! `10⁴` wall are `alg2_search_n6561`, `alg2_search_n59049`,
@@ -540,6 +541,27 @@ fn measure_all() -> Vec<Measurement> {
             seq
         });
         push("wal_append_frame", iters, ns);
+    }
+
+    // Group commit: one 256-event batch through a durable server — its
+    // frames encoded into the server's reused buffer, appended in one store
+    // call, then applied.  1024 / 256 puts a snapshot (and compaction)
+    // after every fourth batch, so the figure includes its amortized share.
+    {
+        let machines = counter_family(3, 3);
+        let config = DurabilityConfig::new().snapshot_every(1024);
+        let mut server =
+            DurableServer::fresh(machines[0].clone(), shared(MemStore::new()), "gc", &config)
+                .expect("fresh durable server");
+        let batch: Vec<Event> = (0..256)
+            .map(|i| Event::new(format!("e{}", i % 3)))
+            .collect();
+        let iters = 2_000;
+        let ns = bench(iters, || {
+            server.apply_batch(&batch).expect("group commit");
+            server.acked_seq()
+        });
+        push("durable_apply_batch256", iters, ns);
     }
 
     // Restart-from-log: rebuild a durable server by replaying a 512-frame

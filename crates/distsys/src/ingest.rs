@@ -2,7 +2,7 @@
 //!
 //! The north star asks the system to serve heavy traffic; this module is the
 //! serving path.  Clients push events into bounded per-client queues
-//! (mutex + condvar over a fixed-capacity `VecDeque`); an aggregator
+//! (mutex + condvar over a `VecDeque` bounded at the queue cap); an aggregator
 //! ([`IngestPipeline::pump`]) drains them round-robin into one shared batch
 //! flushed to the group when it reaches [`IngestConfig::resolved_batch_max`]
 //! events (*size* trigger) or when
@@ -228,9 +228,11 @@ impl IngestConfig {
     }
 }
 
-/// One client's bounded queue: a fixed-capacity `VecDeque` of
-/// `(event, enqueue-time nanos)` behind a mutex, with a condvar the
-/// aggregator signals when it makes room.
+/// One client's bounded queue: a `VecDeque` of `(event, enqueue-time nanos)`
+/// behind a mutex, with a condvar the aggregator signals when it makes room.
+/// The bound is `cap`, but the deque starts empty and grows only to the
+/// largest backlog it actually holds, so a large `cap` costs no memory a
+/// small backlog does not use.
 struct ClientQueue {
     items: Mutex<VecDeque<(Event, u64)>>,
     space: Condvar,
@@ -424,7 +426,7 @@ impl IngestPipeline {
         let queues = (0..clients)
             .map(|client| {
                 Arc::new(ClientQueue {
-                    items: Mutex::new(VecDeque::with_capacity(cap)),
+                    items: Mutex::new(VecDeque::new()),
                     space: Condvar::new(),
                     cap,
                     client,
@@ -848,6 +850,37 @@ mod tests {
         assert!(pipeline.client(0).is_empty());
         pipeline.try_push(0, Event::new("1"), MS).unwrap();
         assert_eq!(pipeline.queued(), 4);
+    }
+
+    #[test]
+    fn queue_memory_follows_the_backlog_not_the_cap() {
+        // More than `cap` events flow through a queue whose backlog never
+        // exceeds 5: the deque must stay sized to the backlog, not reserve
+        // (or, as its ring head walks, touch) `cap` slots.
+        const CAP: usize = 1 << 16;
+        const BACKLOG: usize = 5;
+        let machines = fig1_machines();
+        let mut group = ParallelServerGroup::spawn_with(&machines, &GroupConfig::new());
+        let mut pipeline =
+            IngestPipeline::new(1, machines.len(), &IngestConfig::new().queue_cap(CAP));
+        let events = bits("0110100111");
+        let mut pushed = 0usize;
+        while pushed <= CAP {
+            for k in 0..BACKLOG {
+                pipeline
+                    .try_push(0, events[(pushed + k) % events.len()].clone(), MS)
+                    .unwrap();
+            }
+            pushed += BACKLOG;
+            pipeline.drain(&mut group, MS);
+        }
+        assert_eq!(pipeline.metrics().flushed_events, pushed as u64);
+        let capacity = pipeline.queues[0].items.lock().unwrap().capacity();
+        assert!(
+            (BACKLOG..=4 * BACKLOG).contains(&capacity),
+            "queue capacity {capacity} for a backlog of {BACKLOG}"
+        );
+        let _ = group.shutdown();
     }
 
     #[test]

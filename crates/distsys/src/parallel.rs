@@ -57,11 +57,7 @@ fn run_server(
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Command::Apply(e) => ps.apply(&e),
-            Command::ApplyBatch(batch) => {
-                for e in batch.iter() {
-                    ps.apply(e);
-                }
-            }
+            Command::ApplyBatch(batch) => ps.apply_batch(&batch),
             Command::Crash => ps.server_mut().crash(),
             Command::Corrupt(s) => {
                 ps.server_mut().corrupt(s);

@@ -1,12 +1,14 @@
-//! Crash-recovery for servers: the durable wrapper that writes a WAL entry
-//! before acknowledging each event, snapshots periodically, and can rebuild
+//! Crash-recovery for servers: the durable wrapper that writes WAL entries
+//! before acknowledging events, snapshots periodically, and can rebuild
 //! itself from storage after a process death.
 //!
-//! The protocol in one paragraph: every event is appended to the server's
-//! write-ahead log *before* it is applied (append-before-ack), so the set
-//! of acknowledged events is exactly the set of valid log frames beyond the
-//! last snapshot.  Every `snapshot_every` events a `[seq, state]` snapshot
-//! is written atomically and the log is compacted.  [`DurableServer::recover`]
+//! The protocol in one paragraph: a batch's frames are appended to the
+//! server's write-ahead log in one store call before any of them is applied
+//! (append-before-ack, committed as a group); batches split at snapshot
+//! boundaries.  So the set of acknowledged events is exactly the set of
+//! valid log frames beyond the last snapshot.  Every `snapshot_every`
+//! events a `[seq, state]` snapshot is written atomically and the log is
+//! compacted.  [`DurableServer::recover`]
 //! loads the latest valid snapshot, replays the log suffix, and drops a
 //! torn final frame (which, by append-before-ack, was never acknowledged).
 //! When the local log is *behind* the group, [`RejoinPath::choose`] decides
@@ -16,9 +18,9 @@
 use fsm_dfsm::{Dfsm, Event, StateId};
 
 use crate::error::{DistsysError, Result};
-use crate::server::Server;
+use crate::server::{Server, ServerStatus};
 use crate::snapshot::{self, snapshot_name};
-use crate::storage::SharedStore;
+use crate::storage::{with_store, SharedStore};
 use crate::wal::{self, wal_name};
 
 /// Durability knobs for a server group.
@@ -131,9 +133,14 @@ pub struct DurableServer {
     server: Server,
     store: SharedStore,
     id: String,
+    wal_name: String,
+    snapshot_name: String,
     snapshot_every: u64,
     acked_seq: u64,
     since_snapshot: u64,
+    /// The encoded frames of the batch being committed, reused across
+    /// batches so a steady stream allocates nothing per event.
+    frames: Vec<u8>,
 }
 
 impl DurableServer {
@@ -146,17 +153,22 @@ impl DurableServer {
         config: &DurabilityConfig,
     ) -> Result<Self> {
         let id = id.into();
-        crate::storage::with_store(&store, |s| {
-            s.remove(&wal_name(&id))?;
-            s.remove(&snapshot_name(&id))
+        let wal_name = wal_name(&id);
+        let snapshot_name = snapshot_name(&id);
+        with_store(&store, |s| {
+            s.remove(&wal_name)?;
+            s.remove(&snapshot_name)
         })?;
         Ok(DurableServer {
             server: Server::new(machine),
             store,
             id,
+            wal_name,
+            snapshot_name,
             snapshot_every: config.resolved_snapshot_every(),
             acked_seq: 0,
             since_snapshot: 0,
+            frames: Vec::new(),
         })
     }
 
@@ -233,9 +245,12 @@ impl DurableServer {
                 server,
                 store,
                 id,
+                wal_name: log_name,
+                snapshot_name: snap_name,
                 snapshot_every: config.resolved_snapshot_every(),
                 acked_seq,
                 since_snapshot: acked_seq.saturating_sub(snapshot_seq),
+                frames: Vec::new(),
             },
             stats,
         ))
@@ -267,19 +282,59 @@ impl DurableServer {
         self.server
     }
 
-    /// Logs then applies one event (append-before-ack).  On return the
-    /// event is both durable and applied; a crash at any earlier point
-    /// loses only this unacknowledged event.
+    /// Logs then applies one event (append-before-ack) as a one-event
+    /// [`DurableServer::apply_batch`]: a batch's frames are appended in one
+    /// store call before any of them is applied; batches split at snapshot
+    /// boundaries.  On return the event is both durable and applied; a
+    /// crash at any earlier point loses only this unacknowledged event.
     pub fn apply(&mut self, event: &Event) -> Result<()> {
-        wal::append(&self.store, &wal_name(&self.id), self.acked_seq + 1, event)?;
-        self.server.apply(event);
-        self.acked_seq += 1;
-        self.since_snapshot += 1;
-        if self.since_snapshot >= self.snapshot_every
-            && self.server.status() == crate::server::ServerStatus::Healthy
-        {
-            self.snapshot()?;
+        self.apply_batch(std::slice::from_ref(event))
+    }
+
+    /// Logs then applies a batch of events in order, committing them as a
+    /// group: one store append for the frames up to the next snapshot
+    /// boundary, then those events applied, then the snapshot, then the
+    /// rest of the batch the same way.  The split keeps compaction from
+    /// truncating frames that are logged but not yet applied.  On return
+    /// every event is durable and applied; a crash at any earlier point
+    /// loses only unacknowledged events of this batch.
+    pub fn apply_batch(&mut self, events: &[Event]) -> Result<()> {
+        let mut rest = events;
+        while !rest.is_empty() {
+            // Only a healthy server snapshots, and applying events never
+            // changes health, so an unhealthy server commits the whole rest
+            // at once however far past the interval it has run.  A healthy
+            // one stops at the boundary (after one event if it is already
+            // past it, as on its first event after a restore).
+            let healthy = self.server.status() == ServerStatus::Healthy;
+            let take = if healthy {
+                let room = self.snapshot_every.saturating_sub(self.since_snapshot);
+                room.max(1).min(rest.len() as u64) as usize
+            } else {
+                rest.len()
+            };
+            let (head, tail) = rest.split_at(take);
+            self.commit(head)?;
+            if healthy && self.since_snapshot >= self.snapshot_every {
+                self.snapshot()?;
+            }
+            rest = tail;
         }
+        Ok(())
+    }
+
+    /// Appends `events`' frames in one store call, then applies them.
+    fn commit(&mut self, events: &[Event]) -> Result<()> {
+        self.frames.clear();
+        for (seq, event) in (self.acked_seq + 1..).zip(events) {
+            wal::encode_frame_into(&mut self.frames, seq, event.name().as_bytes());
+        }
+        with_store(&self.store, |s| s.append(&self.wal_name, &self.frames))?;
+        for event in events {
+            self.server.apply(event);
+        }
+        self.acked_seq += events.len() as u64;
+        self.since_snapshot += events.len() as u64;
         Ok(())
     }
 
@@ -289,10 +344,10 @@ impl DurableServer {
     pub fn snapshot(&mut self) -> Result<()> {
         snapshot::save_words(
             &self.store,
-            &snapshot_name(&self.id),
+            &self.snapshot_name,
             &[self.acked_seq, self.server.current_state().index() as u64],
         )?;
-        wal::truncate(&self.store, &wal_name(&self.id), 0)?;
+        wal::truncate(&self.store, &self.wal_name, 0)?;
         self.since_snapshot = 0;
         Ok(())
     }
@@ -359,11 +414,22 @@ impl ProcessServer {
     /// acknowledged nor dropped), so it panics like a real fsync failure
     /// would abort a database process.
     pub(crate) fn apply(&mut self, event: &Event) {
+        self.apply_batch(std::slice::from_ref(event));
+    }
+
+    /// Applies a batch in order.  A durable server commits it as a group
+    /// ([`DurableServer::apply_batch`]); storage failure panics as in
+    /// [`ProcessServer::apply`].
+    pub(crate) fn apply_batch(&mut self, events: &[Event]) {
         match self {
-            ProcessServer::Plain(s) => s.apply(event),
+            ProcessServer::Plain(s) => {
+                for e in events {
+                    s.apply(e);
+                }
+            }
             ProcessServer::Durable(d) => d
-                .apply(event)
-                .expect("WAL append failed; cannot acknowledge event"),
+                .apply_batch(events)
+                .expect("WAL append failed; cannot acknowledge events"),
         }
     }
 
@@ -544,6 +610,62 @@ mod tests {
         let (_, stats) = DurableServer::recover(toggle_switch(), store, "s4", &cfg(2)).unwrap();
         assert_eq!(stats.acked_seq, 0);
         assert_eq!(stats.snapshot_seq, 0);
+    }
+
+    /// A [`MemStore`] that counts `append` calls.
+    struct CountingStore {
+        inner: MemStore,
+        appends: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl crate::storage::Store for CountingStore {
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
+            self.appends
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.append(name, bytes)
+        }
+
+        fn read(&self, name: &str) -> Result<Option<Vec<u8>>> {
+            self.inner.read(name)
+        }
+
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
+            self.inner.write_atomic(name, bytes)
+        }
+
+        fn remove(&mut self, name: &str) -> Result<()> {
+            self.inner.remove(name)
+        }
+    }
+
+    #[test]
+    fn unhealthy_server_commits_each_batch_in_one_append() {
+        use std::sync::atomic::Ordering;
+        let appends = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let store = shared(CountingStore {
+            inner: MemStore::new(),
+            appends: appends.clone(),
+        });
+        let mut d = DurableServer::fresh(counter3(), store, "s6", &cfg(4)).unwrap();
+        let batch: Vec<Event> = (0..10).map(|_| ev("1")).collect();
+        // Healthy: the batch splits at the boundaries 4 and 8.
+        d.apply_batch(&batch).unwrap();
+        assert_eq!(appends.load(Ordering::Relaxed), 3);
+        // Byzantine: snapshots are skipped, so nothing splits the batches,
+        // however far past the interval the server runs.
+        d.server_mut().corrupt(StateId(0));
+        for _ in 0..3 {
+            d.apply_batch(&batch).unwrap();
+        }
+        assert_eq!(appends.load(Ordering::Relaxed), 6);
+        assert_eq!(d.acked_seq(), 40);
+        // Restored past the boundary: the first event is committed alone
+        // and snapshotted, then the batch splits every 4 again (1 + 4 + 4
+        // + 1).
+        d.server_mut().restore(StateId(0));
+        d.apply_batch(&batch).unwrap();
+        assert_eq!(appends.load(Ordering::Relaxed), 10);
+        assert_eq!(d.acked_seq(), 50);
     }
 
     #[test]

@@ -92,10 +92,14 @@ impl MemStore {
 
 impl Store for MemStore {
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
-        self.blobs
-            .entry(name.to_string())
-            .or_default()
-            .extend_from_slice(bytes);
+        // Look up before inserting: an append to an existing blob (every
+        // WAL append after the first) allocates no key.
+        match self.blobs.get_mut(name) {
+            Some(blob) => blob.extend_from_slice(bytes),
+            None => {
+                self.blobs.insert(name.to_string(), bytes.to_vec());
+            }
+        }
         Ok(())
     }
 

@@ -1,6 +1,7 @@
 //! The write-ahead event log: sequence-numbered, checksummed frames,
 //! appended through a [`Store`](crate::storage::Store) *before* an event is
-//! acknowledged (applied).
+//! acknowledged (applied).  A batch's frames are appended in one store call
+//! before any of them is applied; batches split at snapshot boundaries.
 //!
 //! Frame layout (all integers little-endian):
 //!
@@ -65,12 +66,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Encodes one frame.
 pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&seq.to_le_bytes());
-    frame.extend_from_slice(payload);
-    let crc = fnv1a(&frame);
-    frame.extend_from_slice(&crc.to_le_bytes());
+    encode_frame_into(&mut frame, seq, payload);
     frame
+}
+
+/// Encodes one frame onto the end of `buf` — the group-commit path, which
+/// gathers a whole batch of frames in one reused buffer.
+pub fn encode_frame_into(buf: &mut Vec<u8>, seq: u64, payload: &[u8]) {
+    let start = buf.len();
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&seq.to_le_bytes());
+    buf.extend_from_slice(payload);
+    let crc = fnv1a(&buf[start..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Appends one event frame to the log `name` in `store`.  Returns only
@@ -131,9 +139,13 @@ pub fn read(store: &SharedStore, name: &str) -> Result<WalScan> {
 
 /// Truncates the log to `new_len` bytes — the simulator's torn-write
 /// injection (modeling a power failure mid-append) and the compaction path
-/// (with `new_len == 0`) share this.
+/// (with `new_len == 0`) share this.  Compaction keeps nothing, so it
+/// writes the empty blob without reading the old one back.
 pub fn truncate(store: &SharedStore, name: &str, new_len: usize) -> Result<()> {
     with_store(store, |s| {
+        if new_len == 0 {
+            return s.write_atomic(name, &[]);
+        }
         let bytes = s.read(name)?.unwrap_or_default();
         let keep = &bytes[..new_len.min(bytes.len())];
         s.write_atomic(name, keep)

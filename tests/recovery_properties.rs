@@ -15,8 +15,14 @@
 //!   crash landed mid-append) is detected by its checksum, dropped, and
 //!   the log truncated clean — recovery keeps every *acked* event and the
 //!   server can immediately append again.
+//! * **Group commit**: a batch's frames are appended in one store call
+//!   before any of them is applied, and batches split at snapshot
+//!   boundaries — so the log and the snapshots a batched server leaves are
+//!   exactly those of a server fed one event at a time.
 
-use fsm_fusion::distsys::wal;
+use std::sync::{Arc, Mutex};
+
+use fsm_fusion::distsys::{wal, OsClock, ParallelServerGroup, Result as StoreResult};
 use fsm_fusion::machines::mod_counter;
 use fsm_fusion::prelude::*;
 use proptest::prelude::*;
@@ -46,8 +52,122 @@ fn wal_len(store: &SharedStore, id: &str) -> usize {
         .map_or(0, |bytes| bytes.len())
 }
 
+/// Snapshot intervals the group-commit property runs under: every event,
+/// short intervals that batches straddle, the default, and one longer than
+/// any batch.
+const GROUP_COMMIT_INTERVALS: [u64; 6] = [1, 2, 3, 7, 32, 1024];
+
+/// A [`MemStore`] that also records the sequence number of every snapshot
+/// written through it, so a property sees each snapshot, not only the last.
+struct SnapshotRecorder {
+    inner: MemStore,
+    snapshot_seqs: Arc<Mutex<Vec<u64>>>,
+}
+
+impl Store for SnapshotRecorder {
+    fn append(&mut self, name: &str, bytes: &[u8]) -> StoreResult<()> {
+        self.inner.append(name, bytes)
+    }
+
+    fn read(&self, name: &str) -> StoreResult<Option<Vec<u8>>> {
+        self.inner.read(name)
+    }
+
+    fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> StoreResult<()> {
+        if name.ends_with(".snap") {
+            // Snapshot layout: `[count][seq][state][crc]`, little-endian u64s.
+            let seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+            self.snapshot_seqs.lock().expect("recorder lock").push(seq);
+        }
+        self.inner.write_atomic(name, bytes)
+    }
+
+    fn remove(&mut self, name: &str) -> StoreResult<()> {
+        self.inner.remove(name)
+    }
+}
+
+/// Splits `0..len` into consecutive batch lengths in `1..=300`, drawn from
+/// `seed`.
+fn batch_lengths(seed: u64, len: usize) -> Vec<usize> {
+    let mut state = seed;
+    let mut out = Vec::new();
+    let mut left = len;
+    while left > 0 {
+        state = state
+            .wrapping_mul(0x5851_F42D_4C95_7F2D)
+            .wrapping_add(0x1405_7B7E_F767_814F);
+        let take = (1 + (state >> 33) as usize % 300).min(left);
+        out.push(take);
+        left -= take;
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Group commit against an oracle built from sequence numbers alone:
+    /// after every batch the WAL holds exactly the frames past the last
+    /// multiple of `snapshot_every`, every snapshot lands on such a
+    /// multiple, and recovery reports what a one-event-at-a-time twin's
+    /// recovery reports.
+    #[test]
+    fn group_commit_matches_the_per_event_log(
+        seed in 0u64..1_000_000,
+        len in 1usize..1500,
+        split_seed in 0u64..1_000_000,
+        interval in 0usize..6,
+        modulus in 2usize..6,
+    ) {
+        let machine = mod_counter("C", modulus, "0", &["0", "1"]);
+        let events = events_from_seed(seed, len);
+        let every = GROUP_COMMIT_INTERVALS[interval];
+        let config = DurabilityConfig::new().snapshot_every(every);
+
+        let snapshot_seqs = Arc::new(Mutex::new(Vec::new()));
+        let store = shared(SnapshotRecorder {
+            inner: MemStore::new(),
+            snapshot_seqs: Arc::clone(&snapshot_seqs),
+        });
+        let mut batched =
+            DurableServer::fresh(machine.clone(), store.clone(), "srv", &config).unwrap();
+        let mut applied = 0usize;
+        for take in batch_lengths(split_seed, len) {
+            batched.apply_batch(&events[applied..applied + take]).unwrap();
+            applied += take;
+            let acked = batched.acked_seq();
+            prop_assert_eq!(acked, applied as u64);
+            let last_snapshot = acked / every * every;
+            let expected: Vec<u64> = (1..=acked / every).map(|k| k * every).collect();
+            prop_assert_eq!(&*snapshot_seqs.lock().unwrap(), &expected);
+            let mut log = Vec::new();
+            for seq in last_snapshot + 1..=acked {
+                let event = &events[seq as usize - 1];
+                log.extend_from_slice(&wal::encode_frame(seq, event.name().as_bytes()));
+            }
+            let stored = store
+                .lock()
+                .unwrap()
+                .read(&wal::wal_name("srv"))
+                .unwrap()
+                .unwrap_or_default();
+            prop_assert_eq!(stored, log);
+        }
+        prop_assert_eq!(batched.server().current_state(), machine.run(events.iter()));
+        drop(batched);
+
+        let twin_store = shared(MemStore::new());
+        let mut twin =
+            DurableServer::fresh(machine.clone(), twin_store.clone(), "srv", &config).unwrap();
+        for e in &events {
+            twin.apply(e).unwrap();
+        }
+        drop(twin);
+        let (_, a) = DurableServer::recover(machine.clone(), store, "srv", &config).unwrap();
+        let (_, b) = DurableServer::recover(machine, twin_store, "srv", &config).unwrap();
+        prop_assert_eq!(a, b);
+    }
 
     /// Crash anywhere, recover, resume: bit-identical to never crashing.
     #[test]
@@ -182,4 +302,54 @@ proptest! {
         prop_assert_eq!(s.acked_seq(), events.len() as u64);
         prop_assert_eq!(s.server().current_state(), machine.run(events.iter()));
     }
+}
+
+/// A threaded durable group on real files: a server killed mid-stream and
+/// restarted recovers exactly the events flushed to it before the kill,
+/// and catches up to its siblings.
+#[test]
+fn threaded_group_commit_restart_on_dir_store() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("group_commit_dir_store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = shared(DirStore::open(&dir).unwrap());
+    let machines = vec![
+        mod_counter("A", 3, "0", &["0", "1"]),
+        mod_counter("B", 5, "1", &["0", "1"]),
+    ];
+    let mut group = ParallelServerGroup::spawn_durable(
+        &machines,
+        &GroupConfig::new(),
+        OsClock::new(),
+        store,
+        "gc",
+        DurabilityConfig::new().snapshot_every(32),
+    )
+    .unwrap();
+    let events = events_from_seed(7, 1000);
+    let (before, after) = events.split_at(613);
+    for batch in before.chunks(37) {
+        group.apply_batch(batch);
+    }
+    // Stop drains the queue first, so every batch sent so far is committed
+    // before the thread exits; batches sent while it is down are lost to it.
+    group.kill_process(1);
+    for batch in after.chunks(37) {
+        group.apply_batch(batch);
+    }
+    let stats = group.restart_process(1).unwrap();
+    assert_eq!(stats.acked_seq, before.len() as u64);
+    assert_eq!(stats.snapshot_seq, before.len() as u64 / 32 * 32);
+    assert_eq!(stats.torn_tail_bytes, 0);
+    assert_eq!(stats.state, machines[1].run(before.iter()));
+    group.apply_batch_to(1, after);
+    let reports = group.collect_reports().unwrap();
+    for (i, m) in machines.iter().enumerate() {
+        assert_eq!(
+            reports[i],
+            MachineReport::State(m.run(events.iter()).index()),
+            "server {i}"
+        );
+    }
+    let _ = group.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
