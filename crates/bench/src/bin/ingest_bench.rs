@@ -4,7 +4,8 @@
 //!
 //! Drives the paper's sensor-network scenario through the full serving
 //! path — N client threads blocking-push into bounded queues, the
-//! aggregator thread draining them into size/time-triggered batches, a
+//! aggregator thread draining them into batches (flushed at the size cap or
+//! when the queues run dry), a
 //! [`ParallelServerGroup`] applying them — and records sustained events/sec
 //! plus p50/p99 enqueue-to-apply latency into the `ingest` section of
 //! `BENCH_fusion.json` (upserted next to `perf_baseline`'s sections).
@@ -20,8 +21,8 @@
 //! slight upper bound (the marker RTT includes the reply hop), which is
 //! the conservative side to gate on.
 //!
-//! Alongside the main run, a sweep re-measures throughput across
-//! batch-size/flush-interval points through [`SensorNetwork::serve`], plus
+//! Alongside the main run, a sweep re-measures throughput across batch-size
+//! caps through [`SensorNetwork::serve`], plus
 //! one point with a server killed mid-run to document that fault isolation
 //! (divert + backoff + isolate) does not stall the healthy lanes.
 //!
@@ -29,8 +30,7 @@
 //!
 //! * `--events N` — events in the main threaded run (default 1,000,000).
 //! * `--clients N` — producer threads (default 4).
-//! * `--batch N` / `--flush-ms N` — pipeline knobs for the main run
-//!   (defaults 256 / 2).
+//! * `--batch N` — the batch-size cap for the main run (default 256).
 //! * `--out FILE` — the JSON to upsert (default `BENCH_fusion.json`).
 //! * `--check` — compare against the `ingest` section already in the out
 //!   file and exit non-zero if calibration-normalized events/sec fell more
@@ -131,7 +131,7 @@ fn threaded_run(
             });
         }
 
-        // Aggregator: pump, flush on triggers, and float a bounded window
+        // Aggregator: pump (each pump flushes), and float a bounded window
         // of marker report rounds to time the flush→apply half.
         let mut outstanding: VecDeque<(u64, Instant)> = VecDeque::new();
         let mut answers: HashMap<u64, usize> = HashMap::new();
@@ -210,28 +210,24 @@ fn threaded_run(
 struct SweepPoint {
     label: String,
     batch_max: usize,
-    flush_ms: u64,
     events: usize,
     events_per_sec: f64,
     diverted: u64,
 }
 
-/// Throughput across batch/flush knobs through the single-threaded
+/// Throughput at one batch-size cap through the single-threaded
 /// [`SensorNetwork::serve`] path (the same code the tests pin).
-fn sweep_point(net: &SensorNetwork, events: usize, batch_max: usize, flush_ms: u64) -> SweepPoint {
+fn sweep_point(net: &SensorNetwork, events: usize, batch_max: usize) -> SweepPoint {
     let env = OsEnvironment::seeded(7);
     let workload = net.random_workload(events, 7);
-    let config = IngestConfig::new()
-        .batch_max(batch_max)
-        .flush_interval(Duration::from_millis(flush_ms));
+    let config = IngestConfig::new().batch_max(batch_max);
     let report = net
         .serve(&env, 2, &workload, &config)
         .expect("sweep serve succeeds");
     assert!(report.missing.is_empty(), "no server may go missing");
     SweepPoint {
-        label: format!("batch{batch_max}_flush{flush_ms}ms"),
+        label: format!("batch{batch_max}"),
         batch_max,
-        flush_ms,
         events,
         events_per_sec: report.events_per_sec,
         diverted: report.metrics.diverted,
@@ -256,8 +252,9 @@ fn killed_point(net: &SensorNetwork, events: usize) -> SweepPoint {
         if j == events / 2 {
             pipeline.kill_server(&mut group, 0, clock.now());
         }
+        // `push` pumps when the queue fills; pumping after every push
+        // would flush one-event batches.
         pipeline.push(&mut group, 0, event.clone(), clock.now());
-        pipeline.pump(&mut group, clock.now());
     }
     pipeline.drain(&mut group, clock.now());
     let elapsed = start.elapsed();
@@ -273,7 +270,6 @@ fn killed_point(net: &SensorNetwork, events: usize) -> SweepPoint {
     SweepPoint {
         label: "one_server_killed".into(),
         batch_max: 256,
-        flush_ms: 2,
         events,
         events_per_sec: events as f64 / elapsed.as_secs_f64().max(1e-9),
         diverted: metrics.diverted,
@@ -294,16 +290,16 @@ fn render_ingest(main: &MainRun, sweep: &[SweepPoint], cal_ns: f64) -> String {
     let m = &main.metrics;
     let _ = writeln!(
         s,
-        "    \"batches\": {}, \"size_flushes\": {}, \"time_flushes\": {}, \"forced_flushes\": {}, \"max_batch\": {},",
-        m.batches, m.size_flushes, m.time_flushes, m.forced_flushes, m.max_batch
+        "    \"batches\": {}, \"size_flushes\": {}, \"idle_flushes\": {}, \"max_batch\": {},",
+        m.batches, m.size_flushes, m.idle_flushes, m.max_batch
     );
     s.push_str("    \"sweep\": [\n");
     for (i, p) in sweep.iter().enumerate() {
         let comma = if i + 1 == sweep.len() { "" } else { "," };
         let _ = writeln!(
             s,
-            "      {{ \"label\": \"{}\", \"batch_max\": {}, \"flush_interval_ms\": {}, \"events\": {}, \"events_per_sec\": {:.1}, \"diverted\": {} }}{comma}",
-            p.label, p.batch_max, p.flush_ms, p.events, p.events_per_sec, p.diverted
+            "      {{ \"label\": \"{}\", \"batch_max\": {}, \"events\": {}, \"events_per_sec\": {:.1}, \"diverted\": {} }}{comma}",
+            p.label, p.batch_max, p.events, p.events_per_sec, p.diverted
         );
     }
     s.push_str("    ]\n");
@@ -327,7 +323,6 @@ fn main() -> ExitCode {
     let mut events = 1_000_000usize;
     let mut clients = 4usize;
     let mut batch_max = 256usize;
-    let mut flush_ms = 2u64;
     let mut out_path = String::from("BENCH_fusion.json");
     let mut check = false;
     let mut args = std::env::args().skip(1);
@@ -340,13 +335,12 @@ fn main() -> ExitCode {
             "--events" => events = take("--events").parse().expect("--events: integer"),
             "--clients" => clients = take("--clients").parse().expect("--clients: integer"),
             "--batch" => batch_max = take("--batch").parse().expect("--batch: integer"),
-            "--flush-ms" => flush_ms = take("--flush-ms").parse().expect("--flush-ms: integer"),
             "--out" => out_path = take("--out"),
             "--check" => check = true,
             other => {
                 eprintln!(
                     "unknown flag `{other}`; use [--events N] [--clients N] [--batch N] \
-                     [--flush-ms N] [--out FILE] [--check]"
+                     [--out FILE] [--check]"
                 );
                 return ExitCode::from(2);
             }
@@ -358,9 +352,7 @@ fn main() -> ExitCode {
     let net = SensorNetwork::new(SENSORS, SensorBackupMode::Analytic)
         .expect("the analytic sensor scenario always builds");
     let cal_ns = calibration_ns();
-    let config = IngestConfig::new()
-        .batch_max(batch_max)
-        .flush_interval(Duration::from_millis(flush_ms));
+    let config = IngestConfig::new().batch_max(batch_max);
 
     let main_run = threaded_run(&net, events, clients, &config);
     println!(
@@ -372,19 +364,18 @@ fn main() -> ExitCode {
         main_run.p99_us
     );
     println!(
-        "       batches={} size={} time={} forced={} max_batch={}",
+        "       batches={} size={} idle={} max_batch={}",
         main_run.metrics.batches,
         main_run.metrics.size_flushes,
-        main_run.metrics.time_flushes,
-        main_run.metrics.forced_flushes,
+        main_run.metrics.idle_flushes,
         main_run.metrics.max_batch
     );
 
     let sweep_events = (events / 20).max(10_000);
     let sweep = vec![
-        sweep_point(&net, sweep_events, 64, 1),
-        sweep_point(&net, sweep_events, 256, 2),
-        sweep_point(&net, sweep_events, 1024, 5),
+        sweep_point(&net, sweep_events, 64),
+        sweep_point(&net, sweep_events, 256),
+        sweep_point(&net, sweep_events, 1024),
         killed_point(&net, sweep_events),
     ];
     for p in &sweep {

@@ -5,10 +5,13 @@
 //! (mutex + condvar over a `VecDeque` bounded at the queue cap); an aggregator
 //! ([`IngestPipeline::pump`]) drains them round-robin into one shared batch
 //! flushed to the group when it reaches [`IngestConfig::resolved_batch_max`]
-//! events (*size* trigger) or when
-//! [`IngestConfig::resolved_flush_interval`] has elapsed since the last
-//! flush (*time* trigger).  Full queues exert **backpressure**: the caller
-//! chooses between the typed [`DistsysError::Backpressure`] error
+//! events (*size* trigger) or when a sweep finds every client queue empty
+//! (*idle* trigger).  This is smart batching: a batch grows only while the
+//! aggregator is behind its clients, so a lightly loaded pipeline hands each
+//! event on after the cost of one broadcast instead of waiting for a batch
+//! to fill, and a loaded one spreads each broadcast over up to `batch_max`
+//! events.  Full queues exert **backpressure**: the caller chooses between
+//! the typed [`DistsysError::Backpressure`] error
 //! ([`ClientHandle::try_push`]) and blocking until the aggregator makes
 //! room ([`ClientHandle::push_blocking`]).
 //!
@@ -23,8 +26,9 @@
 //! Time is injected by the caller (every entry point takes `now`), so the
 //! same pipeline runs on the wall clock of
 //! [`OsEnvironment`](crate::OsEnvironment) and on the virtual clock of
-//! [`SimEnvironment`](crate::sim::SimEnvironment) — where the flush timer
-//! fires on *virtual* deadlines and seeded replay stays bit-identical.
+//! [`SimEnvironment`](crate::sim::SimEnvironment) — where enqueue stamps and
+//! restart-probe deadlines are *virtual* and seeded replay stays
+//! bit-identical.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -40,10 +44,6 @@ pub const DEFAULT_QUEUE_CAP: usize = 1024;
 
 /// Default size trigger: flush once this many events are pending.
 pub const DEFAULT_BATCH_MAX: usize = 256;
-
-/// Default time trigger: flush pending events once this much time has
-/// passed since the last flush.
-pub const DEFAULT_FLUSH_INTERVAL: Duration = Duration::from_millis(2);
 
 /// Default base delay of the exponential-backoff restart schedule.
 pub const DEFAULT_RETRY_BASE: Duration = Duration::from_millis(5);
@@ -62,15 +62,16 @@ pub const DEFAULT_DIVERT_CAP: usize = 4096;
 /// full 1M-event benchmark run without unbounded growth).
 pub const LATENCY_SAMPLE_CAP: usize = 1 << 20;
 
-/// Configuration for an [`IngestPipeline`]: queue capacity, batch size,
-/// flush interval and the restart-retry schedule.
+/// Configuration for an [`IngestPipeline`]: queue capacity, the batch-size
+/// cap and the restart-retry schedule.  There is no flush timer: a batch
+/// flushes when it reaches `batch_max` or when the aggregator runs out of
+/// queued events, whichever comes first (see [`IngestPipeline::pump`]).
 ///
 /// Follows the same explicit > environment > default precedence convention
 /// as [`GroupConfig`](crate::GroupConfig): builder setters win over the
 /// `FSM_DISTSYS_QUEUE_CAP` / `FSM_DISTSYS_BATCH_MAX` /
-/// `FSM_DISTSYS_FLUSH_INTERVAL_MS` / `FSM_DISTSYS_RETRY_BASE_MS`
-/// environment variables, which win over the defaults.  The environment is
-/// read once, at [`IngestConfig::from_env`].
+/// `FSM_DISTSYS_RETRY_BASE_MS` environment variables, which win over the
+/// defaults.  The environment is read once, at [`IngestConfig::from_env`].
 ///
 /// ```
 /// use fsm_distsys::ingest::{IngestConfig, DEFAULT_BATCH_MAX};
@@ -85,8 +86,6 @@ pub struct IngestConfig {
     env_queue_cap: Option<usize>,
     batch_max: Option<usize>,
     env_batch_max: Option<usize>,
-    flush_interval: Option<Duration>,
-    env_flush_interval: Option<Duration>,
     retry_base: Option<Duration>,
     env_retry_base: Option<Duration>,
     retry_cap: Option<Duration>,
@@ -101,16 +100,13 @@ impl IngestConfig {
     }
 
     /// A configuration snapshotting the `FSM_DISTSYS_QUEUE_CAP`,
-    /// `FSM_DISTSYS_BATCH_MAX`, `FSM_DISTSYS_FLUSH_INTERVAL_MS` and
-    /// `FSM_DISTSYS_RETRY_BASE_MS` environment variables (positive
-    /// integers; unset or unparsable values fall through to the defaults).
+    /// `FSM_DISTSYS_BATCH_MAX` and `FSM_DISTSYS_RETRY_BASE_MS` environment
+    /// variables (positive integers; unset or unparsable values fall
+    /// through to the defaults).
     pub fn from_env() -> Self {
         Self::from_env_values(
             std::env::var("FSM_DISTSYS_QUEUE_CAP").ok().as_deref(),
             std::env::var("FSM_DISTSYS_BATCH_MAX").ok().as_deref(),
-            std::env::var("FSM_DISTSYS_FLUSH_INTERVAL_MS")
-                .ok()
-                .as_deref(),
             std::env::var("FSM_DISTSYS_RETRY_BASE_MS").ok().as_deref(),
         )
     }
@@ -120,7 +116,6 @@ impl IngestConfig {
     pub fn from_env_values(
         queue_cap: Option<&str>,
         batch_max: Option<&str>,
-        flush_ms: Option<&str>,
         retry_ms: Option<&str>,
     ) -> Self {
         let count = |v: Option<&str>| {
@@ -135,7 +130,6 @@ impl IngestConfig {
         IngestConfig {
             env_queue_cap: count(queue_cap),
             env_batch_max: count(batch_max),
-            env_flush_interval: millis(flush_ms),
             env_retry_base: millis(retry_ms),
             ..IngestConfig::default()
         }
@@ -147,15 +141,17 @@ impl IngestConfig {
         self
     }
 
-    /// Explicitly sets the size trigger (highest precedence).
+    /// Explicitly sets the size trigger, the cap on one batch (highest
+    /// precedence).
     pub fn batch_max(mut self, max: usize) -> Self {
         self.batch_max = Some(max.max(1));
         self
     }
 
-    /// Explicitly sets the time trigger (highest precedence).
-    pub fn flush_interval(mut self, interval: Duration) -> Self {
-        self.flush_interval = Some(interval);
+    /// Does nothing: the pipeline has no flush timer.  A batch flushes at
+    /// `batch_max` or as soon as the client queues run dry, so a timer could
+    /// never fire first.  Kept so existing callers still compile.
+    pub fn flush_interval(self, _interval: Duration) -> Self {
         self
     }
 
@@ -198,13 +194,6 @@ impl IngestConfig {
             .unwrap_or(DEFAULT_BATCH_MAX)
     }
 
-    /// The time trigger after precedence: explicit > env > default.
-    pub fn resolved_flush_interval(&self) -> Duration {
-        self.flush_interval
-            .or(self.env_flush_interval)
-            .unwrap_or(DEFAULT_FLUSH_INTERVAL)
-    }
-
     /// The backoff base after precedence: explicit > env > default.
     pub fn resolved_retry_base(&self) -> Duration {
         self.retry_base
@@ -229,15 +218,35 @@ impl IngestConfig {
 }
 
 /// One client's bounded queue: a `VecDeque` of `(event, enqueue-time nanos)`
-/// behind a mutex, with a condvar the aggregator signals when it makes room.
-/// The bound is `cap`, but the deque starts empty and grows only to the
-/// largest backlog it actually holds, so a large `cap` costs no memory a
-/// small backlog does not use.
+/// behind a mutex, with a condvar the aggregator signals when it takes an
+/// event from a full queue.  The bound is `cap`, but the deque starts empty
+/// and grows only to the largest backlog it actually holds, so a large `cap`
+/// costs no memory a small backlog does not use.
 struct ClientQueue {
     items: Mutex<VecDeque<(Event, u64)>>,
     space: Condvar,
     cap: usize,
     client: usize,
+}
+
+impl ClientQueue {
+    /// Takes the oldest event, reading under the same lock whether the queue
+    /// was full.  Only a full queue can have producers blocked in
+    /// [`ClientHandle::push_blocking`], so only then is `space` signalled:
+    /// std's futex condvar makes a syscall on every notify, waiter or not.
+    /// The signal wakes *every* blocked producer, because the full → not
+    /// full step is the only one that signals: a producer left asleep after
+    /// it would sleep on while the queue has room.
+    fn pop(&self) -> Option<(Event, u64)> {
+        let mut items = self.items.lock().expect("queue lock");
+        let was_full = items.len() >= self.cap;
+        let popped = items.pop_front();
+        drop(items);
+        if was_full {
+            self.space.notify_all();
+        }
+        popped
+    }
 }
 
 /// A cloneable, `Send` handle to one client's bounded queue, so real client
@@ -355,14 +364,16 @@ pub struct IngestMetrics {
     /// Events flushed to the group so far (each broadcast event counted
     /// once, whether every lane or only the healthy ones received it).
     pub flushed_events: u64,
-    /// Batches flushed (size, time and forced triggers combined).
+    /// Batches flushed (size and idle triggers combined).
     pub batches: u64,
     /// Flushes triggered by the batch filling to `batch_max`.
     pub size_flushes: u64,
-    /// Flushes triggered by the flush interval elapsing.
+    /// Flushes triggered by a pump finding every client queue empty while
+    /// events were pending.
+    pub idle_flushes: u64,
+    /// Always 0: the pipeline has no flush timer.  Kept so existing
+    /// readers still compile.
     pub time_flushes: u64,
-    /// Flushes forced by [`IngestPipeline::flush`] / drain / kill.
-    pub forced_flushes: u64,
     /// Largest single batch flushed.
     pub max_batch: u64,
     /// Events diverted into down lanes' side buffers.
@@ -386,21 +397,20 @@ pub struct IngestMetrics {
 /// drives it by pushing events through [`ClientHandle`]s and calling
 /// [`IngestPipeline::pump`] with the current time; the pipeline drains the
 /// queues fairly (round-robin, one event per queue per rotation, with a
-/// persistent cursor), flushes on size/time triggers, and manages per-lane
-/// fault isolation.  This is what lets the identical pipeline code run on
-/// OS threads and inside the deterministic simulator.
+/// persistent cursor), flushes on the size and idle triggers, and manages
+/// per-lane fault isolation.  This is what lets the identical pipeline code
+/// run on OS threads and inside the deterministic simulator.
 pub struct IngestPipeline {
     queues: Vec<Arc<ClientQueue>>,
     /// Round-robin position, persistent across pumps so no queue is
     /// favored.
     cursor: usize,
-    /// The batch being assembled, with per-event enqueue timestamps.
+    /// The batch being assembled, with per-event enqueue timestamps (empty
+    /// between pumps).
     pending: Vec<Event>,
     pending_ts: Vec<u64>,
-    last_flush_ns: u64,
     lanes: Vec<Lane>,
     batch_max: usize,
-    flush_interval_ns: u64,
     retry_base_ns: u64,
     retry_cap_ns: u64,
     max_retries: u32,
@@ -413,8 +423,7 @@ pub struct IngestPipeline {
 
 enum FlushKind {
     Size,
-    Time,
-    Forced,
+    Idle,
 }
 
 impl IngestPipeline {
@@ -438,10 +447,8 @@ impl IngestPipeline {
             cursor: 0,
             pending: Vec::new(),
             pending_ts: Vec::new(),
-            last_flush_ns: 0,
             lanes: (0..servers).map(|_| Lane::healthy()).collect(),
             batch_max: config.resolved_batch_max(),
-            flush_interval_ns: config.resolved_flush_interval().as_nanos() as u64,
             retry_base_ns: config.resolved_retry_base().as_nanos() as u64,
             retry_cap_ns: config.resolved_retry_cap().as_nanos() as u64,
             max_retries: config.resolved_max_retries(),
@@ -493,14 +500,20 @@ impl IngestPipeline {
             .expect("pump emptied the queue; no concurrent producers on push()");
     }
 
-    /// Drains the client queues into the pending batch and flushes on the
-    /// size and time triggers; also fires due restart probes on down lanes.
-    /// Returns `true` if at least one batch was flushed.
+    /// Drains the client queues into a batch and flushes it to the group
+    /// when it reaches `batch_max` (*size* trigger) or when a sweep finds
+    /// every queue empty (*idle* trigger), so nothing is left pending when
+    /// it returns; also fires due restart probes on down lanes.  Returns
+    /// `true` if at least one batch was flushed.
     ///
     /// Drain order is round-robin with a persistent cursor — one event per
     /// queue per rotation — so clients pushing round-robin see their global
     /// order reconstructed exactly (the property the equivalence proptest
-    /// pins).
+    /// pins).  A batch holds the backlog the pump found, up to `batch_max`:
+    /// it grows only while the aggregator is behind its clients.  So a
+    /// caller that pumps after every push flushes one-event batches; a
+    /// single-threaded driver should let [`IngestPipeline::push`] pump when
+    /// a queue fills and end with [`IngestPipeline::drain`].
     pub fn pump(&mut self, group: &mut dyn ServerGroup, now: Duration) -> bool {
         let now_ns = now.as_nanos() as u64;
         self.retry_lanes(group, now_ns);
@@ -510,64 +523,47 @@ impl IngestPipeline {
         while empty_streak < n {
             let qi = self.cursor;
             self.cursor = (self.cursor + 1) % n;
-            let popped = self.queues[qi]
-                .items
-                .lock()
-                .expect("queue lock")
-                .pop_front();
-            match popped {
-                Some((event, ts)) => {
-                    self.queues[qi].space.notify_one();
-                    empty_streak = 0;
-                    self.pending.push(event);
-                    self.pending_ts.push(ts);
-                    if self.pending.len() >= self.batch_max {
-                        self.flush_pending(group, now_ns, FlushKind::Size);
-                        flushed = true;
-                    }
-                }
-                None => empty_streak += 1,
+            let Some((event, ts)) = self.queues[qi].pop() else {
+                empty_streak += 1;
+                continue;
+            };
+            empty_streak = 0;
+            self.pending.push(event);
+            self.pending_ts.push(ts);
+            if self.pending.len() >= self.batch_max {
+                self.flush_pending(group, now_ns, FlushKind::Size);
+                flushed = true;
             }
         }
-        if !self.pending.is_empty()
-            && now_ns.saturating_sub(self.last_flush_ns) >= self.flush_interval_ns
-        {
-            self.flush_pending(group, now_ns, FlushKind::Time);
+        if !self.pending.is_empty() {
+            // The aggregator has caught up with its clients: waiting for
+            // more events would only add their arrival time to the latency
+            // of the ones already here.
+            self.flush_pending(group, now_ns, FlushKind::Idle);
             flushed = true;
         }
         flushed
     }
 
-    /// Forces the pending batch out regardless of the triggers (no-op when
-    /// nothing is pending).  Does *not* drain the client queues first —
-    /// that is [`IngestPipeline::pump`] / [`IngestPipeline::drain`].
-    pub fn flush(&mut self, group: &mut dyn ServerGroup, now: Duration) {
-        if !self.pending.is_empty() {
-            self.flush_pending(group, now.as_nanos() as u64, FlushKind::Forced);
-        }
-    }
-
-    /// Pumps and force-flushes until the queues and the pending batch are
-    /// both observed empty — the end-of-stream barrier.  With concurrent
-    /// client threads still pushing, this loops until they pause; call it
-    /// after the producers finish.
+    /// Pumps until the client queues are observed empty — the end-of-stream
+    /// barrier (a pump leaves nothing pending).  With concurrent client
+    /// threads still pushing, this loops until they pause; call it after
+    /// the producers finish.
     pub fn drain(&mut self, group: &mut dyn ServerGroup, now: Duration) {
         loop {
             self.pump(group, now);
-            self.flush(group, now);
-            if self.pending.is_empty() && self.queued() == 0 {
+            if self.queued() == 0 {
                 return;
             }
         }
     }
 
-    /// Flushes everything pending, kills server `i`'s process through the
+    /// Flushes everything queued, kills server `i`'s process through the
     /// group, and marks its lane down — in that order, so the victim's FIFO
     /// sees exactly the events flushed before the kill and the rejoin
     /// replay owes it exactly the events diverted after.
     pub fn kill_server(&mut self, group: &mut dyn ServerGroup, i: usize, now: Duration) {
         self.pump(group, now);
-        self.flush(group, now);
         group.kill_process(i);
         self.mark_down(i, now);
     }
@@ -647,7 +643,9 @@ impl IngestPipeline {
             .sum()
     }
 
-    /// Events drained from queues but not yet flushed.
+    /// Events drained from queues but not yet flushed: always 0 between
+    /// calls, because every [`IngestPipeline::pump`] ends with the idle
+    /// flush.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
@@ -754,8 +752,7 @@ impl IngestPipeline {
         self.metrics.max_batch = self.metrics.max_batch.max(self.pending.len() as u64);
         match kind {
             FlushKind::Size => self.metrics.size_flushes += 1,
-            FlushKind::Time => self.metrics.time_flushes += 1,
-            FlushKind::Forced => self.metrics.forced_flushes += 1,
+            FlushKind::Idle => self.metrics.idle_flushes += 1,
         }
         for &ts in &self.pending_ts {
             if self.latency_ns.len() < LATENCY_SAMPLE_CAP {
@@ -764,7 +761,6 @@ impl IngestPipeline {
         }
         self.pending.clear();
         self.pending_ts.clear();
-        self.last_flush_ns = now_ns;
     }
 }
 
@@ -789,30 +785,26 @@ mod tests {
         let auto = IngestConfig::new();
         assert_eq!(auto.resolved_queue_cap(), DEFAULT_QUEUE_CAP);
         assert_eq!(auto.resolved_batch_max(), DEFAULT_BATCH_MAX);
-        assert_eq!(auto.resolved_flush_interval(), DEFAULT_FLUSH_INTERVAL);
         assert_eq!(auto.resolved_retry_base(), DEFAULT_RETRY_BASE);
         assert_eq!(auto.resolved_retry_cap(), DEFAULT_RETRY_CAP);
         assert_eq!(auto.resolved_max_retries(), DEFAULT_MAX_RETRIES);
         assert_eq!(auto.resolved_divert_cap(), DEFAULT_DIVERT_CAP);
 
-        let env = IngestConfig::from_env_values(Some("8"), Some("16"), Some("7"), Some("3"));
+        let env = IngestConfig::from_env_values(Some("8"), Some("16"), Some("3"));
         assert_eq!(env.resolved_queue_cap(), 8);
         assert_eq!(env.resolved_batch_max(), 16);
-        assert_eq!(env.resolved_flush_interval(), Duration::from_millis(7));
         assert_eq!(env.resolved_retry_base(), Duration::from_millis(3));
 
         let explicit = env
             .clone()
             .queue_cap(2)
             .batch_max(4)
-            .flush_interval(Duration::from_millis(1))
             .retry_base(Duration::from_millis(9))
             .retry_cap(Duration::from_secs(2))
             .max_retries(1)
             .divert_cap(10);
         assert_eq!(explicit.resolved_queue_cap(), 2);
         assert_eq!(explicit.resolved_batch_max(), 4);
-        assert_eq!(explicit.resolved_flush_interval(), Duration::from_millis(1));
         assert_eq!(explicit.resolved_retry_base(), Duration::from_millis(9));
         assert_eq!(explicit.resolved_retry_cap(), Duration::from_secs(2));
         assert_eq!(explicit.resolved_max_retries(), 1);
@@ -821,11 +813,10 @@ mod tests {
 
     #[test]
     fn config_ignores_garbage_and_zero_env_values() {
-        let cfg = IngestConfig::from_env_values(Some("nope"), Some("0"), Some("-3"), Some(""));
+        let cfg = IngestConfig::from_env_values(Some("nope"), Some("0"), Some(""));
         assert_eq!(cfg, IngestConfig::new());
         assert_eq!(cfg.resolved_queue_cap(), DEFAULT_QUEUE_CAP);
         assert_eq!(cfg.resolved_batch_max(), DEFAULT_BATCH_MAX);
-        assert_eq!(cfg.resolved_flush_interval(), DEFAULT_FLUSH_INTERVAL);
         assert_eq!(cfg.resolved_retry_base(), DEFAULT_RETRY_BASE);
     }
 
@@ -899,7 +890,7 @@ mod tests {
         });
         let clock = crate::env::OsClock::new();
         while pipeline.metrics().flushed_events < 3 {
-            pipeline.pump(&mut group, clock.now() + DEFAULT_FLUSH_INTERVAL);
+            pipeline.pump(&mut group, clock.now());
             std::thread::yield_now();
         }
         producer.join().unwrap();
@@ -912,29 +903,82 @@ mod tests {
     }
 
     #[test]
+    fn blocked_producers_all_finish_when_the_queue_drains() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Instant;
+        // Several producers share one queue, and the aggregator pumps only
+        // once the queue is full, so producers with events left are blocked
+        // on it.  The aggregator signals only when it takes from a full
+        // queue: at cap 1 every pop is from a full queue; at cap 3 a pump
+        // empties it in three pops of which only the first signals, so that
+        // one signal must wake every blocked producer.
+        const PRODUCERS: usize = 4;
+        const EACH: usize = 25;
+        for cap in [1, 3] {
+            let machines = fig1_machines();
+            let mut group = ParallelServerGroup::spawn_with(&machines, &GroupConfig::new());
+            let mut pipeline =
+                IngestPipeline::new(1, machines.len(), &IngestConfig::new().queue_cap(cap));
+            let done = Arc::new(AtomicUsize::new(0));
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|_| {
+                    let h = pipeline.client(0);
+                    let done = Arc::clone(&done);
+                    std::thread::spawn(move || {
+                        for k in 0..EACH {
+                            h.push_blocking(Event::new(if k % 2 == 0 { "0" } else { "1" }), MS);
+                        }
+                        done.fetch_add(1, Ordering::Release);
+                    })
+                })
+                .collect();
+            // A producer that is never woken must fail the assertion below,
+            // not hang the test: give up at a deadline.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while done.load(Ordering::Acquire) < PRODUCERS && Instant::now() < deadline {
+                if pipeline.queued() >= cap {
+                    pipeline.pump(&mut group, MS);
+                }
+                std::thread::yield_now();
+            }
+            assert_eq!(
+                done.load(Ordering::Acquire),
+                PRODUCERS,
+                "cap {cap}: a blocked producer was never woken"
+            );
+            for p in producers {
+                p.join().expect("producer thread");
+            }
+            pipeline.drain(&mut group, MS);
+            assert_eq!(pipeline.metrics().flushed_events, (PRODUCERS * EACH) as u64);
+            // 13 zeros and 12 ones per producer.
+            let reports = group.collect_reports().unwrap();
+            assert_eq!(reports[0], MachineReport::State(PRODUCERS * 13 % 3));
+            assert_eq!(reports[1], MachineReport::State(PRODUCERS * 12 % 3));
+            let _ = group.shutdown();
+        }
+    }
+
+    #[test]
     fn size_trigger_flushes_at_batch_max() {
         let machines = fig1_machines();
         let mut group = ParallelServerGroup::spawn_with(&machines, &GroupConfig::new());
-        let cfg = IngestConfig::new()
-            .batch_max(4)
-            .flush_interval(Duration::from_secs(3600));
-        let mut pipeline = IngestPipeline::new(1, machines.len(), &cfg);
+        let mut pipeline =
+            IngestPipeline::new(1, machines.len(), &IngestConfig::new().batch_max(4));
         for e in bits("0110101") {
             pipeline.try_push(0, e, MS).unwrap();
         }
-        // 7 events, batch_max 4, huge interval: exactly one size flush, 3
-        // left pending.
+        // 7 events, batch_max 4: one size flush of 4, then the sweep finds
+        // the queue empty and the idle trigger flushes the other 3.
         assert!(pipeline.pump(&mut group, MS));
         let m = pipeline.metrics();
         assert_eq!(m.size_flushes, 1);
+        assert_eq!(m.idle_flushes, 1);
         assert_eq!(m.time_flushes, 0);
-        assert_eq!(m.flushed_events, 4);
+        assert_eq!(m.batches, 2);
+        assert_eq!(m.flushed_events, 7);
         assert_eq!(m.max_batch, 4);
-        assert_eq!(pipeline.pending_len(), 3);
-        // The forced flush delivers the tail.
-        pipeline.flush(&mut group, MS);
-        assert_eq!(pipeline.metrics().forced_flushes, 1);
-        assert_eq!(pipeline.metrics().flushed_events, 7);
+        assert_eq!(pipeline.pending_len(), 0);
         let reports = group.collect_reports().unwrap();
         assert_eq!(reports[0], MachineReport::State(3 % 3));
         assert_eq!(reports[1], MachineReport::State(4 % 3));
@@ -942,24 +986,33 @@ mod tests {
     }
 
     #[test]
-    fn time_trigger_flushes_after_the_interval() {
+    fn idle_trigger_flushes_when_the_queues_run_dry() {
         let machines = fig1_machines();
         let mut group = ParallelServerGroup::spawn_with(&machines, &GroupConfig::new());
-        let cfg = IngestConfig::new()
-            .batch_max(1000)
-            .flush_interval(Duration::from_millis(10));
-        let mut pipeline = IngestPipeline::new(1, machines.len(), &cfg);
-        pipeline.try_push(0, Event::new("0"), MS).unwrap();
-        // Before the interval: drained into pending, not flushed.
-        assert!(!pipeline.pump(&mut group, Duration::from_millis(5)));
-        assert_eq!(pipeline.pending_len(), 1);
-        // Past the interval (injected time — no sleeping): time flush.
-        assert!(pipeline.pump(&mut group, Duration::from_millis(11)));
+        let mut pipeline =
+            IngestPipeline::new(2, machines.len(), &IngestConfig::new().batch_max(1000));
+        // One event, far below batch_max: the pump finds both queues empty
+        // after it and flushes at the `now` it was given, with no timer to
+        // wait for.  The latency sample is that `now` minus the enqueue
+        // stamp (injected time — no sleeping).
+        pipeline.try_push(1, Event::new("0"), MS).unwrap();
+        assert!(pipeline.pump(&mut group, Duration::from_millis(5)));
         let m = pipeline.metrics();
-        assert_eq!(m.time_flushes, 1);
+        assert_eq!(m.idle_flushes, 1);
+        assert_eq!(m.size_flushes, 0);
         assert_eq!(m.flushed_events, 1);
-        // Latency sample measures enqueue (1ms) to flush (11ms).
-        assert_eq!(pipeline.take_latency_samples(), vec![10_000_000]);
+        assert_eq!(pipeline.pending_len(), 0);
+        assert_eq!(pipeline.take_latency_samples(), vec![4_000_000]);
+        // Pushed and pumped at the same instant: flushed at once.
+        pipeline.try_push(0, Event::new("1"), MS * 7).unwrap();
+        assert!(pipeline.pump(&mut group, MS * 7));
+        assert_eq!(pipeline.take_latency_samples(), vec![0]);
+        // A pump that finds nothing flushes nothing.
+        assert!(!pipeline.pump(&mut group, MS * 8));
+        assert_eq!(pipeline.metrics().batches, 2);
+        let reports = group.collect_reports().unwrap();
+        assert_eq!(reports[0], MachineReport::State(1));
+        assert_eq!(reports[1], MachineReport::State(1));
         let _ = group.shutdown();
     }
 
@@ -1063,7 +1116,6 @@ mod tests {
         // Before the backoff deadline (1ms + 4ms): the probe does not fire,
         // and the flush diverts the tail instead of stalling the survivor.
         pipeline.pump(&mut group, Duration::from_millis(2));
-        pipeline.flush(&mut group, Duration::from_millis(2));
         assert_eq!(pipeline.metrics().retries, 0);
         assert_eq!(pipeline.diverted_len(0), 5);
         assert_eq!(pipeline.lane_status(0), LaneStatus::Retrying { attempt: 0 });
@@ -1162,30 +1214,45 @@ mod tests {
     }
 
     #[test]
-    fn sim_time_flush_fires_on_virtual_deadlines_bit_identically() {
+    fn sim_idle_flushes_replay_bit_identically() {
         use crate::env::Environment;
         use crate::sim::SimConfig;
-        // The flush timer runs on injected time, so under the simulator it
-        // fires on *virtual* deadlines: two seeded runs replay the same
-        // trace byte for byte, and no wall-clock time is spent waiting.
+        // Under the simulator the pump points come from the seeded
+        // generator, so the flush sizes are a function of the seed: one seed
+        // replays the same batches and the same trace byte for byte, and
+        // another seed gives another trace.
         let run = |seed: u64| {
             let env = SimConfig::new(seed).drop_probability(0.2).build();
             let mut group = env.spawn_group(&fig1_machines(), &GroupConfig::new());
-            let cfg = IngestConfig::new()
-                .batch_max(100)
-                .flush_interval(Duration::from_millis(2));
-            let mut pipeline = IngestPipeline::new(2, 2, &cfg);
-            for (j, e) in bits("0110").into_iter().enumerate() {
-                pipeline.push(group.as_mut(), j % 2, e, env.now());
+            let mut pipeline = IngestPipeline::new(2, 2, &IngestConfig::new().batch_max(4));
+            // (batches, events flushed) after every pump: with batch_max 4
+            // the pair fixes every batch's size.
+            let mut flushes = Vec::new();
+            let events = bits("0110100111010110");
+            for (j, e) in events.iter().enumerate() {
+                pipeline.push(group.as_mut(), j % 2, e.clone(), env.now());
+                if env.next_u64() % 4 == 0 {
+                    pipeline.pump(group.as_mut(), env.now());
+                    let m = pipeline.metrics();
+                    flushes.push((m.batches, m.flushed_events));
+                }
+                env.sleep(Duration::from_micros(100));
             }
-            assert!(!pipeline.pump(group.as_mut(), env.now()), "too early");
-            env.sleep(Duration::from_millis(2));
-            assert!(pipeline.pump(group.as_mut(), env.now()), "virtual deadline");
-            assert_eq!(pipeline.metrics().time_flushes, 1);
+            pipeline.drain(group.as_mut(), env.now());
+            let m = pipeline.metrics();
+            flushes.push((m.batches, m.flushed_events));
+            assert_eq!(m.flushed_events, events.len() as u64);
+            assert_eq!(m.size_flushes + m.idle_flushes, m.batches);
+            assert!(
+                m.size_flushes > 0 && m.idle_flushes > 0,
+                "seed {seed}: both triggers fire"
+            );
             let _ = group.try_collect_reports();
-            env.trace_hash()
+            (flushes, env.trace_hash())
         };
-        assert_eq!(run(11), run(11));
-        assert_ne!(run(11), run(12));
+        let (a, b) = (run(11), run(12));
+        assert_eq!(a, run(11));
+        assert_eq!(b, run(12));
+        assert_ne!(a.1, b.1);
     }
 }

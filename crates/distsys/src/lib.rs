@@ -28,9 +28,9 @@
 //! * [`sim`] — the deterministic simulation runtime and its
 //!   [`sweep`](sim::sweep) scenario harness.
 //! * [`ingest`] — the batched ingestion front-end: bounded client queues
-//!   with backpressure, size/time-triggered batch flushing, and per-server
-//!   fault isolation with exponential-backoff rejoin (the serving path
-//!   measured by `ingest_bench`).
+//!   with backpressure, batches flushed at a size cap or when the queues
+//!   run dry, and per-server fault isolation with exponential-backoff
+//!   rejoin (the serving path measured by `ingest_bench`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

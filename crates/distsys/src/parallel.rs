@@ -9,6 +9,7 @@
 //! The implementation uses `crossbeam-channel` for the per-server command
 //! queues and a shared response channel for reports.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -22,6 +23,9 @@ use crate::error::{DistsysError, Result};
 use crate::recovery::{DurabilityConfig, DurableServer, ProcessServer, ReplayStats};
 use crate::server::Server;
 use crate::storage::SharedStore;
+
+/// Most broadcast batches a group keeps for its sending thread to free.
+const SENT_BATCHES: usize = 64;
 
 /// Commands sent to a server thread.
 enum Command {
@@ -122,6 +126,14 @@ pub struct ParallelServerGroup {
     /// Which servers' processes were killed (and not yet restarted).
     /// Mutex-guarded so the `&self` inherent API can keep its signatures.
     down: Mutex<Vec<bool>>,
+    /// Broadcast batches, oldest first, that the sending thread still holds
+    /// a reference to.  It drops each once the servers have released theirs,
+    /// so the buffer is freed on the thread that allocated it.  Freed on a
+    /// server thread, a small buffer would stay in that thread's allocator
+    /// cache (glibc's per-thread tcache), which only that thread reuses: a
+    /// megabyte or more of dead buffers across a group fed small batches.
+    /// Capped at [`SENT_BATCHES`], so a slow server's backlog is let go.
+    sent: Mutex<VecDeque<Arc<[Event]>>>,
 }
 
 /// What a durable group needs to rebuild a killed server from storage.
@@ -225,6 +237,7 @@ impl ParallelServerGroup {
             roster: machines.to_vec(),
             durable,
             down: Mutex::new(vec![false; n]),
+            sent: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -317,6 +330,16 @@ impl ParallelServerGroup {
         for h in &self.handles {
             let _ = h.commands.send(Command::ApplyBatch(Arc::clone(&batch)));
         }
+        let mut sent = self.sent.lock().expect("sent-batch lock");
+        // Each server applies its commands in order, so batches are
+        // released oldest first.
+        while let Some(oldest) = sent.front() {
+            if sent.len() < SENT_BATCHES && Arc::strong_count(oldest) > 1 {
+                break;
+            }
+            sent.pop_front();
+        }
+        sent.push_back(batch);
     }
 
     /// Crashes server `i`.
@@ -608,6 +631,33 @@ mod tests {
     use super::*;
     use fsm_fusion_core::{projection_partitions, FaultModel, RecoveryEngine};
     use fsm_machines::fig1_machines;
+
+    #[test]
+    fn sender_frees_released_batches_and_caps_the_rest() {
+        let machines = fig1_machines();
+        let group = ParallelServerGroup::spawn(&machines);
+        let batch: Vec<Event> = "0110".chars().map(|c| Event::new(c.to_string())).collect();
+        group.apply_batch(&batch);
+        group.apply_batch(&batch);
+        // A report round is a barrier: every server has applied and let go
+        // of both batches, so the next send frees them here.
+        group.collect_reports().unwrap();
+        group.apply_batch(&batch);
+        assert_eq!(group.sent.lock().unwrap().len(), 1);
+        // A batch that is never released stops the oldest-first sweep; the
+        // cap still bounds what the group holds.
+        let pinned = Arc::clone(group.sent.lock().unwrap().front().unwrap());
+        for _ in 0..2 * SENT_BATCHES {
+            group.apply_batch(&batch);
+        }
+        assert!(group.sent.lock().unwrap().len() <= SENT_BATCHES);
+        drop(pinned);
+        let reports = group.collect_reports().unwrap();
+        let sent = (3 + 2 * SENT_BATCHES) * 2;
+        assert_eq!(reports[0], MachineReport::State(sent % 3));
+        assert_eq!(reports[1], MachineReport::State(sent % 3));
+        group.shutdown();
+    }
 
     #[test]
     fn parallel_group_applies_events_concurrently() {

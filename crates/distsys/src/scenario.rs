@@ -291,11 +291,14 @@ impl SensorNetwork {
     /// Serves `workload` from `clients` simulated clients through a fused
     /// server group spawned on `env` — the end-to-end traffic path: events
     /// are pushed round-robin into the bounded client queues of an
-    /// [`IngestPipeline`] configured by `config`, batched on its size/time
-    /// triggers, applied by the group, and report collection closes the
-    /// run.  Works identically on [`crate::OsEnvironment`] (wall clock,
-    /// real threads) and [`crate::sim::SimEnvironment`] (virtual time,
-    /// seeded chaos, bit-identical replay).
+    /// [`IngestPipeline`] configured by `config`, applied by the group in
+    /// batches, and report collection closes the run.  The one driving
+    /// thread both pushes and pumps, so it pumps only when
+    /// [`IngestPipeline::push`] finds a queue full, and drains at the end:
+    /// a pump after every push would flush one-event batches.  Works
+    /// identically on [`crate::OsEnvironment`] (wall clock, real threads)
+    /// and [`crate::sim::SimEnvironment`] (virtual time, seeded chaos,
+    /// bit-identical replay).
     ///
     /// A server that dies mid-run degrades to a `None` report (the
     /// [`DistsysError::MissingReports`] path) in
@@ -314,7 +317,6 @@ impl SensorNetwork {
         let start = env.now();
         for (j, event) in workload.iter().enumerate() {
             pipeline.push(group.as_mut(), j % clients, event.clone(), env.now());
-            pipeline.pump(group.as_mut(), env.now());
         }
         pipeline.drain(group.as_mut(), env.now());
         let reports = group.try_collect_reports();

@@ -182,18 +182,22 @@ fn replication_and_fusion_agree_on_byzantine_recovery() {
 }
 
 /// Drives `workload` through a batched [`IngestPipeline`] on `env`'s group:
-/// round-robin pushes across `clients` queues, a pump after every push, an
-/// optional kill before event `at`, and a final drain.  Returns the partial
-/// reports.  The retry base is an hour so no rejoin probe can fire mid-run
-/// (the reference's victim stays dead; so must the pipeline's).
+/// round-robin pushes across `clients` queues, a pump after every
+/// `pump_every` pushes (a pump flushes the backlog it finds, so a pump
+/// after every push would only ever flush one-event batches), an optional
+/// kill before event `at`, and a final drain.  Returns the partial reports
+/// and the pipeline's counters.  The retry base is an hour so no rejoin
+/// probe can fire mid-run (the reference's victim stays dead; so must the
+/// pipeline's).
 fn batched_reports(
     env: &dyn Environment,
     machines: &[Dfsm],
     workload: &Workload,
     clients: usize,
     batch_max: usize,
+    pump_every: usize,
     kill: Option<(usize, usize)>,
-) -> Vec<Option<MachineReport>> {
+) -> (Vec<Option<MachineReport>>, IngestMetrics) {
     let mut group = env.spawn_group(machines, &GroupConfig::new());
     let config = IngestConfig::new()
         .batch_max(batch_max)
@@ -207,10 +211,12 @@ fn batched_reports(
             }
         }
         pipeline.push(group.as_mut(), j % clients, event.clone(), env.now());
-        pipeline.pump(group.as_mut(), env.now());
+        if (j + 1) % pump_every == 0 {
+            pipeline.pump(group.as_mut(), env.now());
+        }
     }
     pipeline.drain(group.as_mut(), env.now());
-    group.try_collect_reports()
+    (group.try_collect_reports(), pipeline.metrics())
 }
 
 /// The per-event reference the pipeline must be indistinguishable from:
@@ -255,12 +261,21 @@ proptest! {
         // 0 = fault-free; otherwise kill server (pick-1)%4 at event pick*9.
         let kill = (kill_pick > 0)
             .then(|| ((kill_pick - 1) % machines.len(), kill_pick * 9));
+        // Pump every 2 to 8 pushes, so each pump finds a backlog to batch.
+        let pump_every = 2 + (seed % 7) as usize;
+        let run = |env: &dyn Environment| {
+            batched_reports(env, &machines, &workload, clients, batch_max, pump_every, kill)
+        };
 
         // Threaded backend.
         let os = OsEnvironment::seeded(seed);
-        let batched = batched_reports(&os, &machines, &workload, clients, batch_max, kill);
+        let (batched, metrics) = run(&os);
         let reference = per_event_reports(&os, &machines, &workload, kill);
         prop_assert_eq!(&batched, &reference);
+        // The comparison covered real batches, not only one-event ones.
+        if batch_max > 1 {
+            prop_assert!(metrics.max_batch > 1, "largest batch {}", metrics.max_batch);
+        }
 
         // Simulated backend under report-drop chaos, twice with the same
         // seed: byte-identical across replays.  The batched and per-event
@@ -269,8 +284,7 @@ proptest! {
         // batched-to-reference.
         let sim_run = || {
             let env = Seeded(seed).sim().drop_probability(0.1).build();
-            let reports = batched_reports(&env, &machines, &workload, clients, batch_max, kill);
-            (reports, env.trace_hash())
+            (run(&env), env.trace_hash())
         };
         let (sim_batched, hash_a) = sim_run();
         let (sim_again, hash_b) = sim_run();
@@ -282,7 +296,7 @@ proptest! {
         // degrades that server's report to None, by design.
         let quiet_batched = {
             let env = Seeded(seed).sim().build();
-            batched_reports(&env, &machines, &workload, clients, batch_max, kill)
+            run(&env).0
         };
         let quiet_reference = {
             let env = Seeded(seed).sim().build();

@@ -121,10 +121,7 @@ fn prelude_exposes_ingest_surface() {
 
     // Constructors and the end-to-end serving path, reachable without
     // naming a sub-crate.
-    let config = IngestConfig::new()
-        .queue_cap(8)
-        .batch_max(4)
-        .flush_interval(std::time::Duration::from_millis(1));
+    let config = IngestConfig::new().queue_cap(8).batch_max(4);
     assert_eq!(config.resolved_batch_max(), 4);
     let pipeline = IngestPipeline::new(2, 3, &config);
     assert_eq!(pipeline.clients(), 2);
