@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fsm_dfsm::ReachableProduct;
-use fsm_distsys::{FusedSystem, ReplicatedSystem, Workload};
+use fsm_distsys::{FusedSystem, ReplicatedSystem, Seeded, Workload};
 use fsm_fusion_bench::counter_family;
 use fsm_fusion_core::{
     generate_fusion, projection_partitions, FaultModel, MachineReport, RecoveryEngine,
@@ -101,7 +101,7 @@ fn bench_event_throughput(c: &mut Criterion) {
     // operation, compared with the replicated system — fusion runs fewer
     // servers, so it should be at least as fast.
     let machines = fsm_machines::table1_rows()[1].machines.clone();
-    let workload = Workload::uniform_over_machines(&machines, 1_000, 3);
+    let workload = Seeded(3).workload_over_machines(&machines, 1_000);
     let mut group = c.benchmark_group("event_throughput_1000_events");
     group.warm_up_time(Duration::from_secs(1));
     group.measurement_time(Duration::from_secs(5));

@@ -22,6 +22,7 @@ pub const SIM_SWEEP_SEEDS: usize = 256;
 /// [`SIM_SWEEP_SEEDS`] unless the `SIM_SWEEP_SEEDS` environment variable
 /// overrides it — how the nightly workflow deepens the same gates (e.g.
 /// `SIM_SWEEP_SEEDS=4096`) without a separate binary.
+#[allow(clippy::disallowed_methods)] // The nightly workflow sets it.
 pub fn sim_sweep_seeds() -> usize {
     std::env::var("SIM_SWEEP_SEEDS")
         .ok()

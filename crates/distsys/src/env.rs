@@ -33,13 +33,12 @@ pub const DEFAULT_COLLECT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Configuration for spawning a server group: the report-collection poll
 /// interval and overall deadline that used to be hardcoded in
-/// [`ParallelServerGroup`].
+/// [`ParallelServerGroup`], plus the optional durability knobs.
 ///
-/// Follows an explicit > environment > default precedence: builder
-/// setters win over the
-/// `FSM_DISTSYS_REPORT_POLL_MS` / `FSM_DISTSYS_COLLECT_TIMEOUT_MS`
-/// environment variables, which win over the defaults.  The environment is
-/// read once, at [`GroupConfig::from_env`].
+/// Builders are the only way to set a knob: each resolves to its explicit
+/// value, else its default.  No environment variable is read, so a group
+/// spawned under [`SimEnvironment`](crate::sim::SimEnvironment) replays the
+/// same way whatever shell runs it.
 ///
 /// ```
 /// use std::time::Duration;
@@ -51,9 +50,7 @@ pub const DEFAULT_COLLECT_TIMEOUT: Duration = Duration::from_secs(30);
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupConfig {
     report_poll: Option<Duration>,
-    env_report_poll: Option<Duration>,
     collect_timeout: Option<Duration>,
-    env_collect_timeout: Option<Duration>,
     durability: Option<DurabilityConfig>,
 }
 
@@ -63,59 +60,27 @@ impl GroupConfig {
         GroupConfig::default()
     }
 
-    /// A configuration snapshotting `FSM_DISTSYS_REPORT_POLL_MS` and
-    /// `FSM_DISTSYS_COLLECT_TIMEOUT_MS` (integer milliseconds; unset or
-    /// unparsable values fall through to the defaults).
-    pub fn from_env() -> Self {
-        Self::from_env_values(
-            std::env::var("FSM_DISTSYS_REPORT_POLL_MS").ok().as_deref(),
-            std::env::var("FSM_DISTSYS_COLLECT_TIMEOUT_MS")
-                .ok()
-                .as_deref(),
-        )
-    }
-
-    /// Pure core of [`GroupConfig::from_env`], separated so precedence is
-    /// testable without mutating process state.
-    pub fn from_env_values(poll_ms: Option<&str>, timeout_ms: Option<&str>) -> Self {
-        let parse = |v: Option<&str>| {
-            v.and_then(|s| s.trim().parse::<u64>().ok())
-                .filter(|&ms| ms > 0)
-                .map(Duration::from_millis)
-        };
-        GroupConfig {
-            report_poll: None,
-            env_report_poll: parse(poll_ms),
-            collect_timeout: None,
-            env_collect_timeout: parse(timeout_ms),
-            durability: None,
-        }
-    }
-
-    /// Explicitly sets the report poll interval (highest precedence).
+    /// Sets the report poll interval.
     pub fn report_poll(mut self, poll: Duration) -> Self {
         self.report_poll = Some(poll);
         self
     }
 
-    /// Explicitly sets the collection deadline (highest precedence).
+    /// Sets the collection deadline.
     pub fn collect_timeout(mut self, timeout: Duration) -> Self {
         self.collect_timeout = Some(timeout);
         self
     }
 
-    /// The poll interval after precedence: explicit > env > default.
+    /// The poll interval: the explicit value, else [`DEFAULT_REPORT_POLL`].
     pub fn resolved_report_poll(&self) -> Duration {
-        self.report_poll
-            .or(self.env_report_poll)
-            .unwrap_or(DEFAULT_REPORT_POLL)
+        self.report_poll.unwrap_or(DEFAULT_REPORT_POLL)
     }
 
-    /// The collection deadline after precedence: explicit > env > default.
+    /// The collection deadline: the explicit value, else
+    /// [`DEFAULT_COLLECT_TIMEOUT`].
     pub fn resolved_collect_timeout(&self) -> Duration {
-        self.collect_timeout
-            .or(self.env_collect_timeout)
-            .unwrap_or(DEFAULT_COLLECT_TIMEOUT)
+        self.collect_timeout.unwrap_or(DEFAULT_COLLECT_TIMEOUT)
     }
 
     /// Enables durability with default [`DurabilityConfig`] knobs: spawned
@@ -174,10 +139,14 @@ impl Default for OsClock {
 /// the threaded runner ([`ParallelServerGroup`]) and the simulated runner
 /// ([`SimServerGroup`](crate::sim::SimServerGroup)) implement.
 ///
-/// Commands (events, faults, restores) are asynchronous and processed in
-/// per-server FIFO order; [`ServerGroup::collect_reports`] is the
-/// synchronization point, guaranteeing every previously sent command has
-/// been applied by the servers that answer.
+/// Events travel only as batches: [`ServerGroup::apply_batch`] and
+/// [`ServerGroup::apply_batch_to`] are the two apply commands, and
+/// [`ServerGroup::apply_event`] / [`ServerGroup::apply_event_to`] send
+/// one-event batches.  Commands (batches, faults, restores) are
+/// asynchronous and processed in per-server FIFO order;
+/// [`ServerGroup::collect_reports`] is the synchronization point,
+/// guaranteeing every previously sent command has been applied by the
+/// servers that answer.
 pub trait ServerGroup {
     /// Number of servers in the group.
     fn len(&self) -> usize;
@@ -187,26 +156,25 @@ pub trait ServerGroup {
         self.len() == 0
     }
 
-    /// Broadcasts one event to every server.
-    fn apply_event(&mut self, event: &Event);
-
-    /// Sends one event to server `i` only — the rejoin-replay path, where a
-    /// recovered server catches up on events its peers already applied.
-    fn apply_event_to(&mut self, i: usize, event: &Event);
-
-    /// Broadcasts a whole batch of events (one command per server).
+    /// Broadcasts a whole batch of events, in order: one command per
+    /// server.  An empty batch sends nothing.
     fn apply_batch(&mut self, events: &[Event]);
 
-    /// Sends a whole batch of events to server `i` only — the degraded-mode
-    /// ingestion path, where healthy lanes receive their batches
-    /// individually while a sick sibling's are diverted, and the rejoin
-    /// path replaying a diverted backlog.  The default implementation loops
-    /// [`ServerGroup::apply_event_to`]; both runners override it with one
-    /// shared-batch command.
-    fn apply_batch_to(&mut self, i: usize, events: &[Event]) {
-        for e in events {
-            self.apply_event_to(i, e);
-        }
+    /// Sends a whole batch of events to server `i` only, as one command —
+    /// the degraded-mode ingestion path, where healthy lanes receive their
+    /// batches individually while a sick sibling's are diverted, and the
+    /// rejoin path replaying missed events.  An empty batch sends nothing.
+    fn apply_batch_to(&mut self, i: usize, events: &[Event]);
+
+    /// Broadcasts one event: a one-event [`ServerGroup::apply_batch`].
+    fn apply_event(&mut self, event: &Event) {
+        self.apply_batch(std::slice::from_ref(event));
+    }
+
+    /// Sends one event to server `i` only: a one-event
+    /// [`ServerGroup::apply_batch_to`].
+    fn apply_event_to(&mut self, i: usize, event: &Event) {
+        self.apply_batch_to(i, std::slice::from_ref(event));
     }
 
     /// Injects a modeled crash fault into server `i` (the server stays
@@ -240,14 +208,10 @@ pub trait ServerGroup {
     /// Adopts a peer-decoded state for server `i` at the group's sequence
     /// number `seq` — the peer-resync path after
     /// [`restart_process`](ServerGroup::restart_process) came back behind
-    /// the group.  Durable groups persist a snapshot at `seq` so the
-    /// sequence number never regresses; the default implementation (plain
-    /// groups) restores the state and ignores `seq`.
-    fn resync(&mut self, i: usize, seq: u64, state: StateId) -> Result<()> {
-        let _ = seq;
-        self.restore(i, state);
-        Ok(())
-    }
+    /// the group.  Durable servers persist a snapshot at `seq` so the
+    /// sequence number never regresses; plain servers restore the state and
+    /// ignore `seq`.
+    fn resync(&mut self, i: usize, seq: u64, state: StateId) -> Result<()>;
 
     /// Collects a report from every server that answers before the
     /// configured deadline; servers that never answer (dead or wedged
@@ -424,30 +388,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn group_config_precedence_explicit_over_env_over_default() {
+    fn group_config_explicit_over_default() {
         let auto = GroupConfig::new();
+        assert_eq!(auto, GroupConfig::default());
         assert_eq!(auto.resolved_report_poll(), DEFAULT_REPORT_POLL);
         assert_eq!(auto.resolved_collect_timeout(), DEFAULT_COLLECT_TIMEOUT);
 
-        let env = GroupConfig::from_env_values(Some("5"), Some("1500"));
-        assert_eq!(env.resolved_report_poll(), Duration::from_millis(5));
-        assert_eq!(env.resolved_collect_timeout(), Duration::from_millis(1500));
-
-        let explicit = env
-            .clone()
+        let explicit = auto
             .report_poll(Duration::from_millis(1))
             .collect_timeout(Duration::from_secs(2));
         assert_eq!(explicit.resolved_report_poll(), Duration::from_millis(1));
         assert_eq!(explicit.resolved_collect_timeout(), Duration::from_secs(2));
-    }
-
-    #[test]
-    fn group_config_ignores_garbage_and_zero_env_values() {
-        let cfg = GroupConfig::from_env_values(Some("not-a-number"), Some("0"));
-        assert_eq!(cfg.resolved_report_poll(), DEFAULT_REPORT_POLL);
-        assert_eq!(cfg.resolved_collect_timeout(), DEFAULT_COLLECT_TIMEOUT);
-        let cfg = GroupConfig::from_env_values(None, None);
-        assert_eq!(cfg, GroupConfig::new());
     }
 
     #[test]
@@ -461,8 +412,7 @@ mod tests {
         group.kill_process(0);
         let stats = group.restart_process(0).expect("durable group restarts");
         assert_eq!(stats.acked_seq, 2);
-        // The default ServerGroup::resync falls back to a plain restore on
-        // non-durable groups; here it snapshots at the group seq.
+        // A durable server snapshots at the group seq.
         group.resync(0, 5, fsm_dfsm::StateId(1)).unwrap();
         // A plain group spawned by the same environment cannot restart.
         let mut plain = env.spawn_group(&machines, &GroupConfig::new());

@@ -10,7 +10,6 @@ use fsm_dfsm::StateId;
 
 use crate::env::ServerGroup;
 use crate::error::{DistsysError, Result};
-use crate::sim::Seeded;
 use crate::system::FusedSystem;
 use crate::workload::Workload;
 
@@ -53,35 +52,6 @@ impl FaultPlan {
     /// An empty plan (no faults).
     pub fn none() -> Self {
         FaultPlan::default()
-    }
-
-    /// A plan that crashes `count` distinct servers (chosen with `seed`) at
-    /// random points of a `workload_len`-event run.
-    ///
-    /// Legacy shim over [`Seeded::crash_plan`]; produces the exact plan it
-    /// always did for a given seed.
-    pub fn random_crashes(
-        num_servers: usize,
-        count: usize,
-        workload_len: usize,
-        seed: u64,
-    ) -> Self {
-        Seeded(seed).crash_plan(num_servers, count, workload_len)
-    }
-
-    /// A plan that corrupts `count` distinct servers.  The corrupted state
-    /// is chosen as "current state + 1 (mod machine size)" at injection
-    /// time, so the placeholder state recorded here is resolved by
-    /// [`FaultPlan::execute`].
-    ///
-    /// Legacy shim over [`Seeded::corruption_plan`].
-    pub fn random_corruptions(
-        num_servers: usize,
-        count: usize,
-        workload_len: usize,
-        seed: u64,
-    ) -> Self {
-        Seeded(seed).corruption_plan(num_servers, count, workload_len)
     }
 
     /// Number of scheduled faults.
@@ -147,10 +117,11 @@ impl FaultPlan {
     /// positions, and returns how many faults were injected.
     ///
     /// Placeholder corruptions (the "current state + 1" faults of
-    /// [`FaultPlan::random_corruptions`]) cannot be resolved here — the
-    /// group's servers run remotely, so their current state is unknown at
-    /// injection time.  Use [`Seeded::explicit_corruption_plan`] for plans
-    /// aimed at server groups; a placeholder fault fails with
+    /// [`Seeded::corruption_plan`](crate::Seeded::corruption_plan)) cannot
+    /// be resolved here — the group's servers run remotely, so their
+    /// current state is unknown at injection time.  Use
+    /// [`Seeded::explicit_corruption_plan`](crate::Seeded::explicit_corruption_plan)
+    /// for plans aimed at server groups; a placeholder fault fails with
     /// [`DistsysError::UnresolvedCorruption`] before anything is sent.
     ///
     /// Kill and restart faults are validated against the plan's own
@@ -212,13 +183,14 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Seeded;
     use fsm_fusion_core::FaultModel;
     use fsm_machines::fig1_machines;
 
     #[test]
     fn random_crash_plan_is_reproducible_and_bounded() {
-        let p1 = FaultPlan::random_crashes(5, 2, 100, 9);
-        let p2 = FaultPlan::random_crashes(5, 2, 100, 9);
+        let p1 = Seeded(9).crash_plan(5, 2, 100);
+        let p2 = Seeded(9).crash_plan(5, 2, 100);
         assert_eq!(p1.faults, p2.faults);
         assert_eq!(p1.len(), 2);
         assert!(!p1.is_empty());
@@ -242,8 +214,8 @@ mod tests {
     fn executed_crash_plan_is_recoverable_within_budget() {
         for seed in 0..10u64 {
             let mut sys = FusedSystem::new(&fig1_machines(), 1, FaultModel::Crash).unwrap();
-            let w = Workload::uniform_over_machines(&fig1_machines(), 50, seed);
-            let plan = FaultPlan::random_crashes(sys.num_servers(), 1, w.len(), seed);
+            let w = Seeded(seed).workload_over_machines(&fig1_machines(), 50);
+            let plan = Seeded(seed).crash_plan(sys.num_servers(), 1, w.len());
             let injected = plan.execute(&mut sys, &w);
             assert_eq!(injected, 1);
             let outcome = sys.recover().unwrap();
@@ -256,8 +228,8 @@ mod tests {
     fn executed_corruption_plan_is_recoverable_within_budget() {
         for seed in 0..10u64 {
             let mut sys = FusedSystem::new(&fig1_machines(), 1, FaultModel::Byzantine).unwrap();
-            let w = Workload::uniform_over_machines(&fig1_machines(), 50, seed);
-            let plan = FaultPlan::random_corruptions(sys.num_servers(), 1, w.len(), seed);
+            let w = Seeded(seed).workload_over_machines(&fig1_machines(), 50);
+            let plan = Seeded(seed).corruption_plan(sys.num_servers(), 1, w.len());
             plan.execute(&mut sys, &w);
             let outcome = sys.recover().unwrap();
             assert!(outcome.matches_oracle, "seed {seed}");

@@ -67,11 +67,8 @@ pub const LATENCY_SAMPLE_CAP: usize = 1 << 20;
 /// flushes when it reaches `batch_max` or when the aggregator runs out of
 /// queued events, whichever comes first (see [`IngestPipeline::pump`]).
 ///
-/// Follows the same explicit > environment > default precedence convention
-/// as [`GroupConfig`](crate::GroupConfig): builder setters win over the
-/// `FSM_DISTSYS_QUEUE_CAP` / `FSM_DISTSYS_BATCH_MAX` /
-/// `FSM_DISTSYS_RETRY_BASE_MS` environment variables, which win over the
-/// defaults.  The environment is read once, at [`IngestConfig::from_env`].
+/// Like [`GroupConfig`](crate::GroupConfig), it is set only through its
+/// builders: each knob resolves to its explicit value, else its default.
 ///
 /// ```
 /// use fsm_distsys::ingest::{IngestConfig, DEFAULT_BATCH_MAX};
@@ -83,11 +80,8 @@ pub const LATENCY_SAMPLE_CAP: usize = 1 << 20;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestConfig {
     queue_cap: Option<usize>,
-    env_queue_cap: Option<usize>,
     batch_max: Option<usize>,
-    env_batch_max: Option<usize>,
     retry_base: Option<Duration>,
-    env_retry_base: Option<Duration>,
     retry_cap: Option<Duration>,
     max_retries: Option<u32>,
     divert_cap: Option<usize>,
@@ -99,50 +93,13 @@ impl IngestConfig {
         IngestConfig::default()
     }
 
-    /// A configuration snapshotting the `FSM_DISTSYS_QUEUE_CAP`,
-    /// `FSM_DISTSYS_BATCH_MAX` and `FSM_DISTSYS_RETRY_BASE_MS` environment
-    /// variables (positive integers; unset or unparsable values fall
-    /// through to the defaults).
-    pub fn from_env() -> Self {
-        Self::from_env_values(
-            std::env::var("FSM_DISTSYS_QUEUE_CAP").ok().as_deref(),
-            std::env::var("FSM_DISTSYS_BATCH_MAX").ok().as_deref(),
-            std::env::var("FSM_DISTSYS_RETRY_BASE_MS").ok().as_deref(),
-        )
-    }
-
-    /// Pure core of [`IngestConfig::from_env`], separated so precedence is
-    /// testable without mutating process state.
-    pub fn from_env_values(
-        queue_cap: Option<&str>,
-        batch_max: Option<&str>,
-        retry_ms: Option<&str>,
-    ) -> Self {
-        let count = |v: Option<&str>| {
-            v.and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-        };
-        let millis = |v: Option<&str>| {
-            v.and_then(|s| s.trim().parse::<u64>().ok())
-                .filter(|&ms| ms > 0)
-                .map(Duration::from_millis)
-        };
-        IngestConfig {
-            env_queue_cap: count(queue_cap),
-            env_batch_max: count(batch_max),
-            env_retry_base: millis(retry_ms),
-            ..IngestConfig::default()
-        }
-    }
-
-    /// Explicitly sets the per-client queue capacity (highest precedence).
+    /// Sets the per-client queue capacity (clamped to at least 1).
     pub fn queue_cap(mut self, cap: usize) -> Self {
         self.queue_cap = Some(cap.max(1));
         self
     }
 
-    /// Explicitly sets the size trigger, the cap on one batch (highest
-    /// precedence).
+    /// Sets the size trigger, the cap on one batch (clamped to at least 1).
     pub fn batch_max(mut self, max: usize) -> Self {
         self.batch_max = Some(max.max(1));
         self
@@ -155,50 +112,43 @@ impl IngestConfig {
         self
     }
 
-    /// Explicitly sets the backoff base delay (highest precedence).
+    /// Sets the backoff base delay.
     pub fn retry_base(mut self, base: Duration) -> Self {
         self.retry_base = Some(base);
         self
     }
 
-    /// Sets the backoff ceiling (explicit-only knob).
+    /// Sets the backoff ceiling.
     pub fn retry_cap(mut self, cap: Duration) -> Self {
         self.retry_cap = Some(cap);
         self
     }
 
-    /// Sets how many failed restart probes isolate a lane (explicit-only
-    /// knob).
+    /// Sets how many failed restart probes isolate a lane.
     pub fn max_retries(mut self, retries: u32) -> Self {
         self.max_retries = Some(retries);
         self
     }
 
-    /// Sets the per-lane divert-buffer capacity (explicit-only knob).
+    /// Sets the per-lane divert-buffer capacity.
     pub fn divert_cap(mut self, cap: usize) -> Self {
         self.divert_cap = Some(cap);
         self
     }
 
-    /// The queue capacity after precedence: explicit > env > default.
+    /// The queue capacity (explicit or default).
     pub fn resolved_queue_cap(&self) -> usize {
-        self.queue_cap
-            .or(self.env_queue_cap)
-            .unwrap_or(DEFAULT_QUEUE_CAP)
+        self.queue_cap.unwrap_or(DEFAULT_QUEUE_CAP)
     }
 
-    /// The size trigger after precedence: explicit > env > default.
+    /// The size trigger (explicit or default).
     pub fn resolved_batch_max(&self) -> usize {
-        self.batch_max
-            .or(self.env_batch_max)
-            .unwrap_or(DEFAULT_BATCH_MAX)
+        self.batch_max.unwrap_or(DEFAULT_BATCH_MAX)
     }
 
-    /// The backoff base after precedence: explicit > env > default.
+    /// The backoff base (explicit or default).
     pub fn resolved_retry_base(&self) -> Duration {
-        self.retry_base
-            .or(self.env_retry_base)
-            .unwrap_or(DEFAULT_RETRY_BASE)
+        self.retry_base.unwrap_or(DEFAULT_RETRY_BASE)
     }
 
     /// The backoff ceiling (explicit or default).
@@ -781,8 +731,9 @@ mod tests {
     const MS: Duration = Duration::from_millis(1);
 
     #[test]
-    fn config_precedence_explicit_over_env_over_default() {
+    fn config_explicit_over_default() {
         let auto = IngestConfig::new();
+        assert_eq!(auto, IngestConfig::default());
         assert_eq!(auto.resolved_queue_cap(), DEFAULT_QUEUE_CAP);
         assert_eq!(auto.resolved_batch_max(), DEFAULT_BATCH_MAX);
         assert_eq!(auto.resolved_retry_base(), DEFAULT_RETRY_BASE);
@@ -790,13 +741,7 @@ mod tests {
         assert_eq!(auto.resolved_max_retries(), DEFAULT_MAX_RETRIES);
         assert_eq!(auto.resolved_divert_cap(), DEFAULT_DIVERT_CAP);
 
-        let env = IngestConfig::from_env_values(Some("8"), Some("16"), Some("3"));
-        assert_eq!(env.resolved_queue_cap(), 8);
-        assert_eq!(env.resolved_batch_max(), 16);
-        assert_eq!(env.resolved_retry_base(), Duration::from_millis(3));
-
-        let explicit = env
-            .clone()
+        let explicit = auto
             .queue_cap(2)
             .batch_max(4)
             .retry_base(Duration::from_millis(9))
@@ -812,12 +757,10 @@ mod tests {
     }
 
     #[test]
-    fn config_ignores_garbage_and_zero_env_values() {
-        let cfg = IngestConfig::from_env_values(Some("nope"), Some("0"), Some(""));
-        assert_eq!(cfg, IngestConfig::new());
-        assert_eq!(cfg.resolved_queue_cap(), DEFAULT_QUEUE_CAP);
-        assert_eq!(cfg.resolved_batch_max(), DEFAULT_BATCH_MAX);
-        assert_eq!(cfg.resolved_retry_base(), DEFAULT_RETRY_BASE);
+    fn config_clamps_zero_counts() {
+        let cfg = IngestConfig::new().queue_cap(0).batch_max(0);
+        assert_eq!(cfg.resolved_queue_cap(), 1);
+        assert_eq!(cfg.resolved_batch_max(), 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`SensorNetwork`] — the paper's motivating sensor-network scenario,
 //!   including the 100-sensor configuration.
 //! * [`ParallelServerGroup`] — servers on OS threads with channel-based
-//!   event broadcast and report collection.
+//!   event-batch broadcast and report collection.
 //! * [`Environment`] / [`ServerGroup`] — the execution-environment
 //!   abstraction (time, randomness, spawning) with two implementations:
 //!   [`OsEnvironment`] (threads, wall clock) and

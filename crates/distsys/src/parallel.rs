@@ -29,11 +29,8 @@ const SENT_BATCHES: usize = 64;
 
 /// Commands sent to a server thread.
 enum Command {
-    /// Apply an event.
-    Apply(Event),
-    /// Apply a whole shared batch of events in order.  One channel send per
-    /// server per batch (the `Arc` is cloned, not the events), instead of
-    /// one send per event per server.
+    /// Apply a whole shared batch of events in order: one channel send per
+    /// server per batch (the `Arc` is cloned, not the events).
     ApplyBatch(Arc<[Event]>),
     /// Crash the server.
     Crash,
@@ -60,18 +57,17 @@ fn run_server(
 ) -> Server {
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            Command::Apply(e) => ps.apply(&e),
             Command::ApplyBatch(batch) => ps.apply_batch(&batch),
             Command::Crash => ps.server_mut().crash(),
             Command::Corrupt(s) => {
                 ps.server_mut().corrupt(s);
             }
             Command::Restore(s) => ps.server_mut().restore(s),
-            Command::Resync(seq, state) => match ps.resync(seq, state) {
-                Ok(()) => {}
-                Err(DistsysError::NotDurable { .. }) => ps.server_mut().restore(state),
-                Err(e) => panic!("resync failed: {e}"),
-            },
+            Command::Resync(seq, state) => {
+                if let Err(e) = ps.resync(seq, state) {
+                    panic!("resync failed: {e}");
+                }
+            }
             Command::Report(generation) => {
                 let _ = report_tx.send((index, generation, ps.server().report()));
             }
@@ -87,7 +83,8 @@ struct ServerHandle {
     join: Option<thread::JoinHandle<Server>>,
 }
 
-/// A group of servers, each on its own thread, driven by broadcast events.
+/// A group of servers, each on its own thread, driven by broadcast event
+/// batches.
 ///
 /// This type mirrors the event-application and fault-injection API of
 /// [`crate::FusedSystem`] but performs the work concurrently.  Recovery
@@ -150,10 +147,9 @@ impl DurableGroupInfo {
 }
 
 impl ParallelServerGroup {
-    /// Spawns one thread per machine with the environment-variable
-    /// configuration ([`GroupConfig::from_env`]).
+    /// Spawns one thread per machine with the default [`GroupConfig`].
     pub fn spawn(machines: &[Dfsm]) -> Self {
-        Self::spawn_with(machines, &GroupConfig::from_env())
+        Self::spawn_with(machines, &GroupConfig::new())
     }
 
     /// Spawns one thread per machine with an explicit [`GroupConfig`].
@@ -264,55 +260,18 @@ impl ParallelServerGroup {
         self.handles.is_empty()
     }
 
-    /// Broadcasts an event to every server.
-    ///
-    /// The reference per-event path (one channel send per server per
-    /// event); stream callers should prefer
-    /// [`ParallelServerGroup::apply_batch`], which is pinned equivalent by
-    /// a test.
-    pub fn apply_event(&self, event: &Event) {
-        for h in &self.handles {
-            let _ = h.commands.send(Command::Apply(event.clone()));
-        }
-    }
-
-    /// Sends one event to server `i` only — the rejoin-replay path.
-    pub fn apply_event_to(&self, i: usize, event: &Event) {
-        let _ = self.handles[i].commands.send(Command::Apply(event.clone()));
-    }
-
-    /// Clones a sequence of events into the shared `Arc<[Event]>` every
-    /// batch command hands around — or `None` for an empty sequence, so no
-    /// batch path allocates an `Arc` (or sends a single command) for
-    /// nothing.  The one clone-into-Arc site shared by
-    /// [`ParallelServerGroup::apply_batch`],
-    /// [`ParallelServerGroup::apply_all`] and
-    /// [`ParallelServerGroup::apply_batch_to`].
-    fn shared_batch<'a, I: IntoIterator<Item = &'a Event>>(events: I) -> Option<Arc<[Event]>> {
-        let batch: Vec<Event> = events.into_iter().cloned().collect();
-        if batch.is_empty() {
-            None
-        } else {
-            Some(Arc::from(batch))
-        }
+    /// Copies `events` into the shared `Arc<[Event]>` every batch command
+    /// hands around, in one allocation — or `None` for an empty slice, so
+    /// no batch path allocates (or sends a command) for nothing.
+    fn shared_batch(events: &[Event]) -> Option<Arc<[Event]>> {
+        (!events.is_empty()).then(|| Arc::from(events))
     }
 
     /// Broadcasts a whole batch of events with **one channel send per
     /// server**: the events are cloned once into a shared `Arc<[Event]>`
-    /// and every server thread walks the same slice in order.  Command
-    /// ordering per server is unchanged, so the observable behavior equals
-    /// the same events sent through [`ParallelServerGroup::apply_event`]
-    /// one at a time.
+    /// and every server thread walks the same slice in order, so each
+    /// server ends where applying the events one at a time would leave it.
     pub fn apply_batch(&self, events: &[Event]) {
-        if let Some(batch) = Self::shared_batch(events) {
-            self.send_batch(batch);
-        }
-    }
-
-    /// Broadcasts a sequence of events, batched: the whole sequence is
-    /// submitted per server as one shared batch (events borrowed from the
-    /// iterator are cloned exactly once, into the `Arc` slice itself).
-    pub fn apply_all<'a, I: IntoIterator<Item = &'a Event>>(&self, events: I) {
         if let Some(batch) = Self::shared_batch(events) {
             self.send_batch(batch);
         }
@@ -556,14 +515,6 @@ impl ServerGroup for ParallelServerGroup {
         ParallelServerGroup::len(self)
     }
 
-    fn apply_event(&mut self, event: &Event) {
-        ParallelServerGroup::apply_event(self, event);
-    }
-
-    fn apply_event_to(&mut self, i: usize, event: &Event) {
-        ParallelServerGroup::apply_event_to(self, i, event);
-    }
-
     fn apply_batch(&mut self, events: &[Event]) {
         ParallelServerGroup::apply_batch(self, events);
     }
@@ -666,7 +617,7 @@ mod tests {
         assert_eq!(group.len(), 2);
         assert!(!group.is_empty());
         let events: Vec<Event> = "00110".chars().map(|c| Event::new(c.to_string())).collect();
-        group.apply_all(events.iter());
+        group.apply_batch(&events);
         let reports = group.collect_reports().unwrap();
         // 3 zeros → 0-counter at 0; 2 ones → 1-counter at 2.
         assert_eq!(reports[0], MachineReport::State(0));
@@ -679,36 +630,35 @@ mod tests {
     #[test]
     fn apply_batch_matches_per_event_reference_path() {
         // The batched submission (one channel send per server) must leave
-        // every server in exactly the state the per-event reference path
-        // produces, including interleavings with fault commands.
+        // every server in exactly the state the sequential per-event oracle
+        // (`Server::apply`) reaches, including interleavings with fault
+        // commands.
         let machines = fig1_machines();
-        let batched = ParallelServerGroup::spawn(&machines);
-        let reference = ParallelServerGroup::spawn(&machines);
+        let group = ParallelServerGroup::spawn(&machines);
         let events: Vec<Event> = "0110100101101"
             .chars()
             .map(|c| Event::new(c.to_string()))
             .collect();
-        batched.apply_batch(&events);
-        for e in &events {
-            reference.apply_event(e);
-        }
+        group.apply_batch(&events);
         // A second batch after a crash command keeps the per-server command
-        // order intact on both paths.
-        batched.crash(1);
-        reference.crash(1);
-        batched.apply_batch(&events[..4]);
-        for e in &events[..4] {
-            reference.apply_event(e);
+        // order intact.
+        group.crash(1);
+        group.apply_batch(&events[..4]);
+        let mut oracle: Vec<Server> = machines.iter().cloned().map(Server::new).collect();
+        for (i, server) in oracle.iter_mut().enumerate() {
+            events.iter().for_each(|e| server.apply(e));
+            if i == 1 {
+                server.crash();
+            }
+            events[..4].iter().for_each(|e| server.apply(e));
         }
-        assert_eq!(
-            batched.collect_reports().unwrap(),
-            reference.collect_reports().unwrap()
-        );
+        let expected: Vec<MachineReport> = oracle.iter().map(Server::report).collect();
+        assert_eq!(group.collect_reports().unwrap(), expected);
         // Empty batches are a no-op, not a command.
-        batched.apply_batch(&[]);
-        let b = batched.shutdown();
-        let r = reference.shutdown();
-        for (bs, rs) in b.iter().zip(r.iter()) {
+        group.apply_batch(&[]);
+        let servers = group.shutdown();
+        assert_eq!(servers.len(), oracle.len());
+        for (bs, rs) in servers.iter().zip(&oracle) {
             assert_eq!(bs.current_state(), rs.current_state());
             assert_eq!(bs.events_seen(), rs.events_seen());
         }
@@ -724,7 +674,6 @@ mod tests {
         // Empty batches are a no-op on every batch path (no Arc, no send).
         group.apply_batch_to(0, &[]);
         group.apply_batch(&[]);
-        group.apply_all([].iter());
         // The async marker: request now, drain replies later.  FIFO order
         // guarantees the batch above is applied once server 0 answers.
         assert!(group.try_recv_report().is_none());
@@ -756,7 +705,7 @@ mod tests {
         let group = ParallelServerGroup::spawn(&machines);
         let word = "0101101001";
         let events: Vec<Event> = word.chars().map(|c| Event::new(c.to_string())).collect();
-        group.apply_all(events.iter());
+        group.apply_batch(&events);
         let reports = group.collect_reports().unwrap();
         for (i, m) in machines.iter().enumerate() {
             let expected = m.run(events.iter()).index();
@@ -780,7 +729,7 @@ mod tests {
             .chars()
             .map(|c| Event::new(c.to_string()))
             .collect();
-        group.apply_all(events.iter());
+        group.apply_batch(&events);
         group.crash(0);
 
         let reports = group.collect_reports().unwrap();
@@ -816,7 +765,7 @@ mod tests {
         // return an error naming it.
         let machines = fig1_machines();
         let group = ParallelServerGroup::spawn(&machines);
-        group.apply_event(&Event::new("0"));
+        group.apply_batch(&[Event::new("0")]);
         group.kill_process(0);
         match group.collect_reports() {
             Err(crate::DistsysError::MissingReports { servers }) => {
@@ -843,7 +792,7 @@ mod tests {
                 .report_poll(Duration::from_millis(1))
                 .collect_timeout(Duration::from_millis(250)),
         );
-        group.apply_event(&Event::new("1"));
+        group.apply_batch(&[Event::new("1")]);
         group.kill_process(1);
         let partial = group.try_collect_reports();
         assert!(partial[0].is_some());
@@ -871,26 +820,20 @@ mod tests {
             .chars()
             .map(|c| Event::new(c.to_string()))
             .collect();
-        for e in &events[..5] {
-            group.apply_event(e);
-        }
+        group.apply_batch(&events[..5]);
         // Stop drains the queue first, so all five events hit the log
         // before the thread exits.
         group.kill_process(0);
         // Events broadcast while a process is down are lost to it — the
         // missed suffix the rejoin replay has to make up.
-        for e in &events[5..] {
-            group.apply_event(e);
-        }
+        group.apply_batch(&events[5..]);
         let stats = group.restart_process(0).unwrap();
         assert_eq!(stats.acked_seq, 5);
         assert_eq!(stats.snapshot_seq, 3); // snapshot_every = 3
         assert_eq!(stats.frames_replayed, 2);
         assert_eq!(stats.state, machines[0].run(events[..5].iter()));
         // Catch the rejoiner up on what it missed.
-        for e in &events[5..] {
-            group.apply_event_to(0, e);
-        }
+        group.apply_batch_to(0, &events[5..]);
         let reports = group.collect_reports().unwrap();
         for (i, m) in machines.iter().enumerate() {
             assert_eq!(
@@ -915,7 +858,7 @@ mod tests {
             DurabilityConfig::new().snapshot_every(32),
         )
         .unwrap();
-        group.apply_event(&Event::new("0"));
+        group.apply_batch(&[Event::new("0")]);
         group.resync(0, 10, StateId(2));
         let reports = group.collect_reports().unwrap();
         assert_eq!(reports[0], MachineReport::State(2));
@@ -973,7 +916,7 @@ mod tests {
         let machines = fig1_machines();
         let group = ParallelServerGroup::spawn(&machines);
         group.restore(1, StateId(usize::MAX));
-        group.apply_event(&Event::new("1"));
+        group.apply_batch(&[Event::new("1")]);
         match group.collect_reports() {
             Err(crate::DistsysError::MissingReports { servers }) => {
                 assert_eq!(servers, vec![1])

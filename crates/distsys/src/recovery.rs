@@ -23,23 +23,20 @@ use crate::snapshot::{self, snapshot_name};
 use crate::storage::{with_store, SharedStore};
 use crate::wal::{self, wal_name};
 
-/// Durability knobs for a server group.
-///
-/// Resolution order for each knob: explicit builder value, then the
-/// environment (`FSM_DISTSYS_SNAPSHOT_EVERY`), then the default.
+/// Durability knobs for a server group: each knob resolves to its explicit
+/// value, else its default.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Snapshot (and compact the log) after this many acknowledged events.
-    /// `None` means "resolve from the environment or default".
+    /// `None` means [`DurabilityConfig::DEFAULT_SNAPSHOT_EVERY`].
     pub snapshot_every: Option<u64>,
 }
 
 impl DurabilityConfig {
-    /// Default snapshot interval when neither the builder nor the
-    /// environment specifies one.
+    /// Default snapshot interval when none is set.
     pub const DEFAULT_SNAPSHOT_EVERY: u64 = 32;
 
-    /// A config with every knob left to resolve from the environment.
+    /// A config with every knob at its default.
     pub fn new() -> Self {
         DurabilityConfig::default()
     }
@@ -50,24 +47,12 @@ impl DurabilityConfig {
         self
     }
 
-    /// Resolution against explicit environment values — the pure core of
-    /// [`DurabilityConfig::resolved_snapshot_every`], testable without
-    /// touching the process environment.
-    pub fn resolved_snapshot_every_from(&self, env_value: Option<u64>) -> u64 {
+    /// The effective snapshot interval: the explicit value (at least 1),
+    /// else [`DurabilityConfig::DEFAULT_SNAPSHOT_EVERY`].
+    pub fn resolved_snapshot_every(&self) -> u64 {
         self.snapshot_every
-            .or(env_value)
             .unwrap_or(Self::DEFAULT_SNAPSHOT_EVERY)
             .max(1)
-    }
-
-    /// The effective snapshot interval: explicit value, else
-    /// `FSM_DISTSYS_SNAPSHOT_EVERY`, else
-    /// [`DurabilityConfig::DEFAULT_SNAPSHOT_EVERY`].
-    pub fn resolved_snapshot_every(&self) -> u64 {
-        let env_value = std::env::var("FSM_DISTSYS_SNAPSHOT_EVERY")
-            .ok()
-            .and_then(|v| v.trim().parse().ok());
-        self.resolved_snapshot_every_from(env_value)
     }
 }
 
@@ -433,9 +418,15 @@ impl ProcessServer {
         }
     }
 
+    /// Adopts a peer-decoded state at the group sequence number `seq`: a
+    /// durable server snapshots at `seq` ([`DurableServer::resync`]), a
+    /// plain one restores the state and ignores `seq`.
     pub(crate) fn resync(&mut self, seq: u64, state: StateId) -> Result<()> {
         match self {
-            ProcessServer::Plain(_) => Err(DistsysError::NotDurable { server: 0 }),
+            ProcessServer::Plain(s) => {
+                s.restore(state);
+                Ok(())
+            }
             ProcessServer::Durable(d) => d.resync(seq, state),
         }
     }
@@ -470,18 +461,16 @@ mod tests {
     fn config_resolution_order() {
         let c = DurabilityConfig::new();
         assert_eq!(
-            c.resolved_snapshot_every_from(None),
+            c.resolved_snapshot_every(),
             DurabilityConfig::DEFAULT_SNAPSHOT_EVERY
         );
-        assert_eq!(c.resolved_snapshot_every_from(Some(7)), 7);
-        let c = c.snapshot_every(5);
-        assert_eq!(c.resolved_snapshot_every_from(Some(7)), 5);
-        // Zero clamps to 1 everywhere.
-        assert_eq!(cfg(0).resolved_snapshot_every_from(None), 1);
-        assert_eq!(
-            DurabilityConfig::new().resolved_snapshot_every_from(Some(0)),
-            1
-        );
+        assert_eq!(c.snapshot_every(5).resolved_snapshot_every(), 5);
+        // Zero clamps to 1, through the builder and through the field.
+        assert_eq!(cfg(0).resolved_snapshot_every(), 1);
+        let raw = DurabilityConfig {
+            snapshot_every: Some(0),
+        };
+        assert_eq!(raw.resolved_snapshot_every(), 1);
     }
 
     #[test]
@@ -676,7 +665,9 @@ mod tests {
         assert_eq!(plain.server().current_state(), StateId(1));
         assert!(!plain.is_durable());
         assert_eq!(plain.durable_id(), None);
-        assert!(plain.resync(1, StateId(0)).is_err());
+        // A plain resync restores the state and ignores the sequence number.
+        assert!(plain.resync(1, StateId(0)).is_ok());
+        assert_eq!(plain.server().current_state(), StateId(0));
         let durable = DurableServer::fresh(toggle_switch(), store, "s5", &cfg(8)).unwrap();
         let mut durable = ProcessServer::Durable(durable);
         durable.apply(&ev("1"));

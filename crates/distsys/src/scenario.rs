@@ -311,7 +311,7 @@ impl SensorNetwork {
         config: &IngestConfig,
     ) -> Result<ServeReport> {
         let machines = self.serving_machines();
-        let mut group = env.spawn_group(&machines, &GroupConfig::from_env());
+        let mut group = env.spawn_group(&machines, &GroupConfig::new());
         let clients = clients.max(1);
         let mut pipeline = IngestPipeline::new(clients, machines.len(), config);
         let start = env.now();

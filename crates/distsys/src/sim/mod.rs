@@ -272,17 +272,6 @@ impl ServerGroup for SimServerGroup {
         self.world.borrow().group_len(self.group)
     }
 
-    fn apply_event(&mut self, event: &Event) {
-        let mut w = self.world.borrow_mut();
-        w.broadcast(self.group, || Payload::Apply(event.clone()));
-    }
-
-    fn apply_event_to(&mut self, i: usize, event: &Event) {
-        self.world
-            .borrow_mut()
-            .send_command(self.group, i, Payload::Apply(event.clone()));
-    }
-
     fn apply_batch(&mut self, events: &[Event]) {
         if events.is_empty() {
             return;
@@ -409,7 +398,7 @@ mod tests {
     fn modeled_crash_reports_crashed_but_killed_process_goes_missing() {
         let env = SimConfig::new(5).build();
         let mut group = env.spawn_group(&fig1_machines(), &GroupConfig::new());
-        group.apply_event(&Event::new("0"));
+        group.apply_batch(&[Event::new("0")]);
         group.crash(0);
         group.kill_process(1);
         let partial = group.try_collect_reports();

@@ -2,13 +2,13 @@
 //! processes, all advanced deterministically from one seed.
 //!
 //! Every interaction between a driver and its servers goes through the
-//! message queue: commands (events, faults, restores, report requests) and
-//! report replies.  Commands model the paper's reliable totally-ordered
-//! event broadcast, so they are delayed but never dropped or reordered
-//! per-server; report *replies* travel the chaotic network and may be
-//! dropped, delayed past other replies, or duplicated, according to the
-//! configured knobs.  All of it is scheduled off one SplitMix64 stream, so
-//! the same seed replays the same world byte for byte.
+//! message queue: commands (event batches, faults, restores, report
+//! requests) and report replies.  Commands model the paper's reliable
+//! totally-ordered event broadcast, so they are delayed but never dropped
+//! or reordered per-server; report *replies* travel the chaotic network and
+//! may be dropped, delayed past other replies, or duplicated, according to
+//! the configured knobs.  All of it is scheduled off one SplitMix64 stream,
+//! so the same seed replays the same world byte for byte.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -84,7 +84,6 @@ pub(crate) struct Chaos {
 
 /// What a message carries.
 pub(crate) enum Payload {
-    Apply(Event),
     Batch(Rc<[Event]>),
     Crash,
     Corrupt(StateId),
@@ -105,9 +104,10 @@ pub(crate) enum Payload {
 }
 
 impl Payload {
+    /// The discriminant recorded in `TraceEvent::Send`, and so in the trace
+    /// hash: a value keeps its meaning once used.
     fn kind(&self) -> u8 {
         match self {
-            Payload::Apply(_) => 0,
             Payload::Batch(_) => 1,
             Payload::Crash => 2,
             Payload::Corrupt(_) => 3,
@@ -434,14 +434,6 @@ impl SimWorld {
                         return true;
                     }
                     match msg.payload {
-                        Payload::Apply(e) => {
-                            p.server.apply(&e);
-                            self.trace.record(TraceEvent::Apply {
-                                group,
-                                server,
-                                state: p.server.server().current_state().index() as u64,
-                            });
-                        }
                         Payload::Batch(events) => {
                             for e in events.iter() {
                                 p.server.apply(e);
@@ -473,12 +465,8 @@ impl SimWorld {
                             });
                         }
                         Payload::Resync(seq, s) => {
-                            match p.server.resync(seq, s) {
-                                Ok(()) => {}
-                                Err(DistsysError::NotDurable { .. }) => {
-                                    p.server.server_mut().restore(s)
-                                }
-                                Err(e) => panic!("sim resync failed: {e}"),
+                            if let Err(e) = p.server.resync(seq, s) {
+                                panic!("sim resync failed: {e}");
                             }
                             self.trace.record(TraceEvent::Resync {
                                 group,

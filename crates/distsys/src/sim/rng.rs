@@ -3,10 +3,9 @@
 //! points.
 //!
 //! [`SimRng`] is SplitMix64 with exactly the same constants as the
-//! workspace's `rand::rngs::StdRng`, so every legacy seeded constructor
-//! (`Workload::uniform`, `FaultPlan::random_crashes`,
-//! `SensorNetwork::observe_randomly`, …) can delegate here without changing
-//! the event streams historical seeds produce.
+//! workspace's `rand::rngs::StdRng`, so the seeded workloads and fault plans
+//! built here (and `SensorNetwork::observe_randomly`, which delegates here)
+//! keep the event streams historical seeds produce.
 
 use fsm_dfsm::{Alphabet, Dfsm, Event};
 use rand::seq::SliceRandom;
@@ -71,9 +70,8 @@ impl RngCore for SimRng {
 /// assert_eq!(w1.events(), w2.events());
 /// ```
 ///
-/// The legacy entry points (`Workload::uniform`, `FaultPlan::random_*`,
-/// `SensorNetwork::observe_randomly`/`random_workload`) are thin shims over
-/// these methods and keep producing the exact streams they always did.
+/// `SensorNetwork::observe_randomly`/`random_workload` map these methods'
+/// observation streams onto sensor events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Seeded(pub u64);
 
@@ -99,8 +97,7 @@ impl Seeded {
         crate::sim::SimConfig::new(self.0)
     }
 
-    /// `length` events drawn uniformly from `alphabet`
-    /// ([`Workload::uniform`]'s stream).
+    /// `length` events drawn uniformly from `alphabet`.
     pub fn uniform_workload(self, alphabet: &Alphabet, length: usize) -> Workload {
         let mut rng = self.rng();
         Workload::scripted((0..length).map(|_| {
@@ -110,14 +107,14 @@ impl Seeded {
     }
 
     /// `length` events drawn uniformly from the union alphabet of
-    /// `machines` ([`Workload::uniform_over_machines`]'s stream).
+    /// `machines` — the natural workload for a heterogeneous server group.
     pub fn workload_over_machines(self, machines: &[Dfsm], length: usize) -> Workload {
         let alphabet = Alphabet::union_all(machines.iter().map(|m| m.alphabet()));
         self.uniform_workload(&alphabet, length)
     }
 
-    /// `length` events drawn from `choices` with the given relative weights
-    /// ([`Workload::weighted`]'s stream).
+    /// `length` events drawn from `choices` with the given relative
+    /// weights.
     ///
     /// # Panics
     ///
@@ -140,7 +137,7 @@ impl Seeded {
     }
 
     /// A plan crashing `count` distinct servers at random points of a
-    /// `workload_len`-event run ([`FaultPlan::random_crashes`]'s stream).
+    /// `workload_len`-event run.
     pub fn crash_plan(self, num_servers: usize, count: usize, workload_len: usize) -> FaultPlan {
         self.fault_plan(num_servers, count, workload_len, |_, _| FaultKind::Crash)
     }
@@ -148,8 +145,7 @@ impl Seeded {
     /// A plan corrupting `count` distinct servers with the placeholder
     /// "current state + 1" corruption that only
     /// [`FaultPlan::execute`] against a
-    /// [`FusedSystem`](crate::FusedSystem) can resolve
-    /// ([`FaultPlan::random_corruptions`]'s stream).
+    /// [`FusedSystem`](crate::FusedSystem) can resolve.
     pub fn corruption_plan(
         self,
         num_servers: usize,
@@ -223,7 +219,8 @@ mod tests {
 
     #[test]
     fn sim_rng_matches_the_workspace_std_rng_stream() {
-        // The whole legacy-shim story rests on this: same seed, same bits.
+        // Historical seeds keep their streams because of this: same seed,
+        // same bits.
         for seed in [0u64, 1, 42, u64::MAX] {
             let mut a = SimRng::new(seed);
             let mut b = StdRng::seed_from_u64(seed);

@@ -498,6 +498,7 @@ impl FusedSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Seeded;
     use fsm_machines::{fig1_machines, mesi, zero_counter_mod3};
 
     fn fig1_system(f: usize, model: FaultModel) -> FusedSystem {
@@ -520,7 +521,7 @@ mod tests {
     fn with_session_builds_the_identical_system() {
         use fsm_fusion_core::FusionConfig;
         let machines = vec![mesi(), zero_counter_mod3()];
-        let w = Workload::uniform_over_machines(&machines, 97, 5);
+        let w = Seeded(5).workload_over_machines(&machines, 97);
         let mut session = FusionConfig::new().build();
         // Two systems from one session (crash + Byzantine) share the
         // cached fault graph; both must equal the free-function build.
@@ -624,7 +625,7 @@ mod tests {
         let machines = vec![mesi(), zero_counter_mod3()];
         let mut batched = FusedSystem::new(&machines, 1, FaultModel::Crash).unwrap();
         let mut reference = FusedSystem::new(&machines, 1, FaultModel::Crash).unwrap();
-        let w = Workload::uniform_over_machines(&machines, 157, 23);
+        let w = Seeded(23).workload_over_machines(&machines, 157);
         batched.apply_workload(&w);
         for e in &w {
             reference.apply_event(e);
@@ -664,7 +665,7 @@ mod tests {
     fn heterogeneous_machine_set_roundtrip() {
         let machines = vec![mesi(), zero_counter_mod3()];
         let mut sys = FusedSystem::new(&machines, 1, FaultModel::Crash).unwrap();
-        let w = Workload::uniform_over_machines(&machines, 200, 11);
+        let w = Seeded(11).workload_over_machines(&machines, 200);
         sys.apply_workload(&w);
         sys.crash(0).unwrap();
         let outcome = sys.recover().unwrap();
@@ -684,7 +685,7 @@ mod tests {
     fn external_recovery_translates_raw_machine_reports() {
         let machines = vec![mesi(), zero_counter_mod3()];
         let mut sys = FusedSystem::new(&machines, 1, FaultModel::Crash).unwrap();
-        let w = Workload::uniform_over_machines(&machines, 321, 17);
+        let w = Seeded(17).workload_over_machines(&machines, 321);
         sys.apply_workload(&w);
         // Reports as an external server group would produce them: raw
         // machine states in each machine's own numbering, one crashed.

@@ -1,13 +1,11 @@
 //! Event workloads: the "environment" of the paper's system model.
 //!
 //! Clients (the environment) send a totally ordered stream of events that is
-//! applied to every server.  This module generates such streams — scripted,
-//! uniformly random, or weighted — with seeded randomness so experiments are
-//! reproducible.
+//! applied to every server.  This module holds such streams; scripted ones
+//! are built here, and seeded random ones (uniform or weighted) by
+//! [`Seeded`](crate::Seeded), so experiments are reproducible.
 
-use fsm_dfsm::{Alphabet, Dfsm, Event};
-
-use crate::sim::Seeded;
+use fsm_dfsm::Event;
 
 /// A reproducible event workload.
 #[derive(Debug, Clone)]
@@ -33,29 +31,6 @@ impl Workload {
         Workload {
             events: bits.chars().map(|c| Event::new(c.to_string())).collect(),
         }
-    }
-
-    /// `length` events drawn uniformly from `alphabet` with the given seed.
-    ///
-    /// Legacy shim over [`Seeded::uniform_workload`]; produces the exact
-    /// event stream it always did.
-    pub fn uniform(alphabet: &Alphabet, length: usize, seed: u64) -> Self {
-        Seeded(seed).uniform_workload(alphabet, length)
-    }
-
-    /// `length` events drawn uniformly from the union alphabet of the given
-    /// machines — the natural workload for a heterogeneous server group.
-    ///
-    /// Legacy shim over [`Seeded::workload_over_machines`].
-    pub fn uniform_over_machines(machines: &[Dfsm], length: usize, seed: u64) -> Self {
-        Seeded(seed).workload_over_machines(machines, length)
-    }
-
-    /// `length` events drawn from `choices` with the given relative weights.
-    ///
-    /// Legacy shim over [`Seeded::weighted_workload`].
-    pub fn weighted(choices: &[(Event, u32)], length: usize, seed: u64) -> Self {
-        Seeded(seed).weighted_workload(choices, length)
     }
 
     /// The events, in order.
@@ -97,6 +72,7 @@ impl<'a> IntoIterator for &'a Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Seeded;
     use fsm_machines::{mesi, zero_counter_mod3};
 
     #[test]
@@ -112,20 +88,20 @@ mod tests {
     #[test]
     fn uniform_workload_is_reproducible_and_in_alphabet() {
         let m = zero_counter_mod3();
-        let w1 = Workload::uniform(m.alphabet(), 100, 7);
-        let w2 = Workload::uniform(m.alphabet(), 100, 7);
+        let w1 = Seeded(7).uniform_workload(m.alphabet(), 100);
+        let w2 = Seeded(7).uniform_workload(m.alphabet(), 100);
         assert_eq!(w1.events(), w2.events());
         for e in &w1 {
             assert!(m.alphabet().contains(e));
         }
-        let w3 = Workload::uniform(m.alphabet(), 100, 8);
+        let w3 = Seeded(8).uniform_workload(m.alphabet(), 100);
         assert_ne!(w1.events(), w3.events());
     }
 
     #[test]
     fn uniform_over_machines_uses_union_alphabet() {
         let machines = vec![zero_counter_mod3(), mesi()];
-        let w = Workload::uniform_over_machines(&machines, 500, 1);
+        let w = Seeded(1).workload_over_machines(&machines, 500);
         let mut saw_binary = false;
         let mut saw_mesi = false;
         for e in &w {
@@ -143,7 +119,7 @@ mod tests {
     fn weighted_workload_respects_weights_roughly() {
         let heavy = Event::new("heavy");
         let light = Event::new("light");
-        let w = Workload::weighted(&[(heavy.clone(), 9), (light.clone(), 1)], 1000, 3);
+        let w = Seeded(3).weighted_workload(&[(heavy.clone(), 9), (light.clone(), 1)], 1000);
         let heavy_count = w.iter().filter(|e| **e == heavy).count();
         assert!(
             heavy_count > 800,
@@ -162,6 +138,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "weights must not all be zero")]
     fn weighted_rejects_zero_weights() {
-        Workload::weighted(&[(Event::new("x"), 0)], 10, 0);
+        Seeded(0).weighted_workload(&[(Event::new("x"), 0)], 10);
     }
 }

@@ -40,7 +40,7 @@ fn main() {
 
     // Drive both systems with the same protocol workload: a mix of cache
     // operations, TCP segments and binary events.
-    let workload = Workload::uniform_over_machines(&machines, 2_000, 7);
+    let workload = Seeded(7).workload_over_machines(&machines, 2_000);
     fused.apply_workload(&workload);
     replicated.apply_workload(&workload);
 

@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use fsm_fusion::distsys::{
-    DistsysError, FaultPlan, ParallelServerGroup, SensorBackupMode, SensorNetwork, ServerStatus,
+    replay_oracle, DistsysError, ParallelServerGroup, SensorBackupMode, SensorNetwork, ServerStatus,
 };
 use fsm_fusion::fusion::projection_partitions;
 use fsm_fusion::machines::{mesi, table1_rows, tcp, zero_counter_mod3};
@@ -20,8 +20,8 @@ fn randomized_fault_plans_stay_recoverable_within_budget() {
     let machines = vec![mesi(), zero_counter_mod3()];
     for seed in 0..20u64 {
         let mut system = FusedSystem::new(&machines, 2, FaultModel::Crash).unwrap();
-        let workload = Workload::uniform_over_machines(&machines, 100, seed);
-        let plan = FaultPlan::random_crashes(system.num_servers(), 2, workload.len(), seed);
+        let workload = Seeded(seed).workload_over_machines(&machines, 100);
+        let plan = Seeded(seed).crash_plan(system.num_servers(), 2, workload.len());
         let injected = plan.execute(&mut system, &workload);
         assert_eq!(injected, 2);
         let outcome = system.recover().unwrap();
@@ -38,7 +38,7 @@ fn repeated_fault_and_recovery_cycles() {
     let machines = table1_rows()[1].machines.clone(); // parity/toggle/pattern/MESI row (small top)
     let mut system = FusedSystem::new(&machines, 1, FaultModel::Crash).unwrap();
     for round in 0..10usize {
-        let w = Workload::uniform_over_machines(&machines, 50, round as u64);
+        let w = Seeded(round as u64).workload_over_machines(&machines, 50);
         system.apply_workload(&w);
         let victim = round % system.num_servers();
         system.crash(victim).unwrap();
@@ -66,9 +66,9 @@ fn parallel_group_agrees_with_sequential_system() {
     all_machines.extend(sequential.fusion().machines.iter().cloned());
     let parallel = ParallelServerGroup::spawn(&all_machines);
 
-    let workload = Workload::uniform_over_machines(&machines, 400, 99);
+    let workload = Seeded(99).workload_over_machines(&machines, 400);
     sequential.apply_workload(&workload);
-    parallel.apply_all(workload.iter());
+    parallel.apply_batch(workload.events());
 
     let reports = parallel.collect_reports().expect("all servers report");
     for (i, report) in reports.iter().enumerate() {
@@ -95,8 +95,8 @@ fn parallel_recovery_with_engine_matches_oracle() {
     all_machines.extend(reference.fusion().machines.iter().cloned());
     let group = ParallelServerGroup::spawn(&all_machines);
 
-    let workload = Workload::uniform_over_machines(&machines, 200, 5);
-    group.apply_all(workload.iter());
+    let workload = Seeded(5).workload_over_machines(&machines, 200);
+    group.apply_batch(workload.events());
     group.crash(1);
 
     // Build the recovery engine exactly as FusedSystem does, but drive it by
@@ -162,7 +162,7 @@ fn replication_and_fusion_agree_on_byzantine_recovery() {
     let machines = vec![zero_counter_mod3(), mesi()];
     let mut fused = FusedSystem::new(&machines, 1, FaultModel::Byzantine).unwrap();
     let mut replicated = ReplicatedSystem::new(&machines, 1, FaultModel::Byzantine).unwrap();
-    let workload = Workload::uniform_over_machines(&machines, 150, 21);
+    let workload = Seeded(21).workload_over_machines(&machines, 150);
     fused.apply_workload(&workload);
     replicated.apply_workload(&workload);
 
@@ -187,7 +187,7 @@ fn replication_and_fusion_agree_on_byzantine_recovery() {
 /// after every push would only ever flush one-event batches), an optional
 /// kill before event `at`, and a final drain.  Returns the partial reports
 /// and the pipeline's counters.  The retry base is an hour so no rejoin
-/// probe can fire mid-run (the reference's victim stays dead; so must the
+/// probe can fire mid-run (the oracle's victim stays dead; so must the
 /// pipeline's).
 fn batched_reports(
     env: &dyn Environment,
@@ -219,25 +219,22 @@ fn batched_reports(
     (group.try_collect_reports(), pipeline.metrics())
 }
 
-/// The per-event reference the pipeline must be indistinguishable from:
-/// broadcast each event individually, killing the same victim at the same
-/// point in the stream.
-fn per_event_reports(
-    env: &dyn Environment,
+/// The sequential oracle the pipeline must be indistinguishable from: every
+/// surviving server at its machine's bare replay of the workload, and the
+/// killed victim missing.
+fn oracle_reports(
     machines: &[Dfsm],
     workload: &Workload,
     kill: Option<(usize, usize)>,
 ) -> Vec<Option<MachineReport>> {
-    let mut group = env.spawn_group(machines, &GroupConfig::new());
-    for (j, event) in workload.iter().enumerate() {
-        if let Some((victim, at)) = kill {
-            if j == at {
-                group.kill_process(victim);
-            }
-        }
-        group.apply_event(event);
-    }
-    group.try_collect_reports()
+    machines
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            (kill.map(|(victim, _)| victim) != Some(i))
+                .then(|| MachineReport::State(replay_oracle(m, workload).index()))
+        })
+        .collect()
 }
 
 proptest! {
@@ -245,9 +242,9 @@ proptest! {
 
     /// The tentpole equivalence: under any client count, batch size and
     /// kill schedule, batched ingestion lands every server in exactly the
-    /// state the per-event reference produces — on the threaded backend and
-    /// on the simulator (where the seeded run is additionally pinned
-    /// bit-identical across replays).
+    /// state the sequential per-event oracle reaches — on the threaded
+    /// backend and on the simulator (where the seeded run is additionally
+    /// pinned bit-identical across replays).
     #[test]
     fn batched_ingest_matches_per_event_reference(
         seed in 0u64..10_000,
@@ -270,18 +267,16 @@ proptest! {
         // Threaded backend.
         let os = OsEnvironment::seeded(seed);
         let (batched, metrics) = run(&os);
-        let reference = per_event_reports(&os, &machines, &workload, kill);
-        prop_assert_eq!(&batched, &reference);
+        let oracle = oracle_reports(&machines, &workload, kill);
+        prop_assert_eq!(&batched, &oracle);
         // The comparison covered real batches, not only one-event ones.
         if batch_max > 1 {
             prop_assert!(metrics.max_batch > 1, "largest batch {}", metrics.max_batch);
         }
 
         // Simulated backend under report-drop chaos, twice with the same
-        // seed: byte-identical across replays.  The batched and per-event
-        // runs send different message counts, so they consume the chaos
-        // RNG differently — drops are only comparable run-to-run, not
-        // batched-to-reference.
+        // seed: byte-identical across replays.  Drops make a run's reports
+        // comparable only run-to-run, not to the oracle.
         let sim_run = || {
             let env = Seeded(seed).sim().drop_probability(0.1).build();
             (run(&env), env.trace_hash())
@@ -291,32 +286,14 @@ proptest! {
         prop_assert_eq!(&sim_batched, &sim_again);
         prop_assert_eq!(hash_a, hash_b);
 
-        // Equivalence to the per-event reference needs a lossless reply
-        // path (delivery delays stay on); a dropped reply legitimately
-        // degrades that server's report to None, by design.
+        // Equivalence to the oracle needs a lossless reply path (delivery
+        // delays stay on); a dropped reply legitimately degrades that
+        // server's report to None, by design.
         let quiet_batched = {
             let env = Seeded(seed).sim().build();
             run(&env).0
         };
-        let quiet_reference = {
-            let env = Seeded(seed).sim().build();
-            per_event_reports(&env, &machines, &workload, kill)
-        };
-        prop_assert_eq!(&quiet_batched, &quiet_reference);
-        prop_assert_eq!(&quiet_batched, &batched);
-
-        // Ground truth for the survivors: a bare replay of the workload.
-        for (i, report) in batched.iter().enumerate() {
-            if kill.map(|(victim, _)| victim) == Some(i) {
-                prop_assert_eq!(report.clone(), None);
-            } else {
-                let expected = machines[i].run(workload.iter());
-                prop_assert_eq!(
-                    report.clone(),
-                    Some(MachineReport::State(expected.index()))
-                );
-            }
-        }
+        prop_assert_eq!(&quiet_batched, &oracle);
     }
 }
 
@@ -379,7 +356,7 @@ fn workload_reproducibility_across_system_kinds() {
     // The same seeded workload drives identical state evolution in a fused
     // system, a replicated system, and bare machine replay.
     let machines = vec![mesi(), zero_counter_mod3()];
-    let workload = Workload::uniform_over_machines(&machines, 300, 1234);
+    let workload = Seeded(1234).workload_over_machines(&machines, 300);
     let mut fused = FusedSystem::new(&machines, 1, FaultModel::Crash).unwrap();
     let mut replicated = ReplicatedSystem::new(&machines, 1, FaultModel::Crash).unwrap();
     fused.apply_workload(&workload);

@@ -79,7 +79,7 @@ fn crash_recovery_round_trip_for_every_row() {
     for row in table1_rows() {
         let mut system = FusedSystem::new(&row.machines, row.f, FaultModel::Crash)
             .expect("fusion generation succeeds");
-        let workload = Workload::uniform_over_machines(&row.machines, 300, 0xC0FFEE);
+        let workload = Seeded(0xC0FFEE).workload_over_machines(&row.machines, 300);
         system.apply_workload(&workload);
 
         // Record ground truth, crash `f` machines (the originals first), and
@@ -115,7 +115,7 @@ fn byzantine_recovery_round_trip_for_rows_with_enough_distance() {
         let byz = row.f / 2;
         let mut system = FusedSystem::new(&row.machines, byz, FaultModel::Byzantine)
             .expect("fusion generation succeeds");
-        let workload = Workload::uniform_over_machines(&row.machines, 200, 0xBEEF);
+        let workload = Seeded(0xBEEF).workload_over_machines(&row.machines, 200);
         system.apply_workload(&workload);
         let truth: Vec<_> = (0..system.num_servers())
             .map(|i| system.server(i).current_state())
@@ -149,7 +149,7 @@ fn fused_and_replicated_systems_recover_identical_states() {
             FusedSystem::new(&row.machines, f, FaultModel::Crash).expect("generation succeeds");
         let mut replicated =
             ReplicatedSystem::new(&row.machines, f, FaultModel::Crash).expect("valid machines");
-        let workload = Workload::uniform_over_machines(&row.machines, 250, 0xABCD);
+        let workload = Seeded(0xABCD).workload_over_machines(&row.machines, 250);
         fused.apply_workload(&workload);
         replicated.apply_workload(&workload);
 

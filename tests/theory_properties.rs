@@ -109,7 +109,7 @@ proptest! {
         for p in &fusion.partitions {
             prop_assert!(is_closed(product.top(), p));
             let q = quotient_machine(product.top(), p, "F").unwrap();
-            let w = Workload::uniform(product.top().alphabet(), 30, seed);
+            let w = Seeded(seed).uniform_workload(product.top().alphabet(), 30);
             let t_final = product.top().run(w.iter());
             let q_final = q.run(w.iter());
             prop_assert_eq!(p.block_of(t_final.index()), q_final.index());
@@ -157,7 +157,7 @@ proptest! {
     fn random_crash_recovery_roundtrip(seed in 0u64..200, f in 1usize..3, workload_len in 1usize..80) {
         let machines = machine_family(seed, 3, 3);
         let mut system = FusedSystem::new(&machines, f, FaultModel::Crash).unwrap();
-        let workload = Workload::uniform_over_machines(&machines, workload_len, seed);
+        let workload = Seeded(seed).workload_over_machines(&machines, workload_len);
         system.apply_workload(&workload);
         let truth: Vec<_> = (0..system.num_servers())
             .map(|i| system.server(i).current_state())
@@ -182,7 +182,7 @@ proptest! {
     fn random_byzantine_recovery_roundtrip(seed in 0u64..150, workload_len in 1usize..60) {
         let machines = machine_family(seed, 2, 3);
         let mut system = FusedSystem::new(&machines, 1, FaultModel::Byzantine).unwrap();
-        let workload = Workload::uniform_over_machines(&machines, workload_len, seed);
+        let workload = Seeded(seed).workload_over_machines(&machines, workload_len);
         system.apply_workload(&workload);
         let liar = seed as usize % system.num_servers();
         if system.server(liar).machine().size() < 2 {
