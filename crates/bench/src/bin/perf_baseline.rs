@@ -6,14 +6,15 @@
 //! fault-graph queries, the Algorithm-2 search at several `⊤` state counts
 //! and the reachable-product construction (packed, reference) with small
 //! fixed iteration counts, and emits `BENCH_fusion.json` (see README.md for
-//! the format).  Every optimized kernel is measured next to its
-//! pre-refactor twin (`*_scan`, from `fsm_fusion_core::reference` or the
-//! tuple-keyed `ReachableProduct::new_reference`), the session's `f` sweep
-//! with its cached initial fault graph (`alg2_sweep_cached_*`) next to the
-//! cold free-function sweep (`alg2_sweep_cold_*`), and the delta-aware
-//! update paths (`alg2_update_add_machine_*`, `product_extend_factor_*`)
-//! next to cold rebuilds of the evolved context; the JSON records all
-//! three speedup ratio sets.
+//! the format).  The packed product build is measured next to the
+//! tuple-keyed `ReachableProduct::new_reference` (`product_build_scan_n729`),
+//! the session's `f` sweep with its cached initial fault graph
+//! (`alg2_sweep_cached_*`) next to the cold free-function sweep
+//! (`alg2_sweep_cold_*`), and the delta-aware update paths
+//! (`alg2_update_add_machine_*`, `product_extend_factor_*`) next to cold
+//! rebuilds of the evolved context; the JSON records all three speedup
+//! ratio sets.  Those four twins ([`TWIN_OPS`]) document the ratios and
+//! never gate.
 //! The crash-recovery pipeline is covered by `wal_append_frame`,
 //! `durable_apply_batch256` (group commit), `recover_replay_n512` and
 //! `recover_decode_f1`, and the `sim_sweep`
@@ -58,7 +59,6 @@ use fsm_fusion_bench::{
     counter_family, extract_json_section, peak_rss_kb, reset_peak_rss, upsert_json_section,
     SIM_SWEEP_SEEDS,
 };
-use fsm_fusion_core::reference;
 use fsm_fusion_core::{
     enumerate_lattice, generate_fusion, is_fusion, projection_partitions, FaultGraph, FaultModel,
     FusionConfig, MachineReport, Partition, TopDelta,
@@ -81,6 +81,15 @@ const ROUNDS: usize = 5;
 /// fixed chunk of pure integer work whose duration tracks the machine's
 /// scalar speed.
 const CALIBRATION_OP: &str = "calibration_splitmix64_1m";
+
+/// The twins measured only to document a speedup ratio: `--check` never
+/// gates them, and every other op gates.
+const TWIN_OPS: [&str; 4] = [
+    "product_build_scan_n729",
+    "alg2_sweep_cold_n729",
+    "alg2_cold_add_machine_n729",
+    "product_extend_factor_cold_n729",
+];
 
 struct SplitMix64(u64);
 
@@ -176,7 +185,6 @@ fn measure_all() -> Vec<Measurement> {
     let pairs: Vec<(&Partition, &Partition)> = (0..pool.len())
         .map(|i| (&pool[i], &pool[(i * 7 + 1) % pool.len()]))
         .collect();
-    let bit_pool: Vec<_> = pool.iter().map(|p| p.to_bitset()).collect();
 
     {
         let mut i = 0;
@@ -187,22 +195,6 @@ fn measure_all() -> Vec<Measurement> {
             p.le(q) || q.le(p)
         });
         push("partition_le_n81", iters, ns);
-        let mut i = 0;
-        let ns = bench(iters, || {
-            let (p, q) = pairs[i % pairs.len()];
-            i += 1;
-            reference::le_scan(p, q) || reference::le_scan(q, p)
-        });
-        push("partition_le_scan_n81", iters, ns);
-        let mut i = 0;
-        let iters = 50_000;
-        let ns = bench(iters, || {
-            let p = &bit_pool[i % bit_pool.len()];
-            let q = &bit_pool[(i * 7 + 1) % bit_pool.len()];
-            i += 1;
-            p.le(q) || q.le(p)
-        });
-        push("bitset_le_n81", iters, ns);
     }
     {
         let mut i = 0;
@@ -213,13 +205,6 @@ fn measure_all() -> Vec<Measurement> {
             p.meet(q)
         });
         push("partition_meet_n81", iters, ns);
-        let mut i = 0;
-        let ns = bench(iters, || {
-            let (p, q) = pairs[i % pairs.len()];
-            i += 1;
-            reference::meet_scan(p, q)
-        });
-        push("partition_meet_scan_n81", iters, ns);
     }
     {
         let mut i = 0;
@@ -230,35 +215,19 @@ fn measure_all() -> Vec<Measurement> {
             p.join(q)
         });
         push("partition_join_n81", iters, ns);
-        let mut i = 0;
-        let ns = bench(iters, || {
-            let (p, q) = pairs[i % pairs.len()];
-            i += 1;
-            reference::join_scan(p, q)
-        });
-        push("partition_join_scan_n81", iters, ns);
     }
 
     // Fault-graph build: 24 random machines over 81 states (dmin 14, so the
-    // build sweeps its rows) vs. the per-pair scan.
+    // build sweeps its rows).
     {
         let machines: Vec<Partition> = pool.iter().take(24).cloned().collect();
         let iters = 200;
         let ns = bench(iters, || FaultGraph::from_partitions(n, &machines));
         push("fault_graph_build_n81_m24", iters, ns);
-        let ns = bench(iters, || {
-            let mut g = FaultGraph::new(n);
-            for p in &machines {
-                g.add_machine_scan(p);
-            }
-            g
-        });
-        push("fault_graph_build_scan_n81_m24", iters, ns);
     }
 
-    // The kept fault-graph queries (dmin / weakest edges / speculation)
-    // against the per-pair rescans they subsume.  n = 243 keeps ~29k edges
-    // in play so the O(E) scan side is clearly visible.
+    // The kept fault-graph queries (dmin / weakest edges / speculation) over
+    // 24 random machines of 243 states (~29k edges).
     {
         let n2 = 243;
         let mut rng = SplitMix64(7);
@@ -268,16 +237,10 @@ fn measure_all() -> Vec<Measurement> {
         let iters = 100_000;
         let ns = bench(iters, || g.dmin());
         push("fault_graph_incremental_dmin_n243_m24", iters, ns);
-        let iters = 2_000;
-        let ns = bench(iters, || g.dmin_scan());
-        push("fault_graph_incremental_dmin_scan_n243_m24", iters, ns);
 
         let iters = 5_000;
         let ns = bench(iters, || g.weakest_edges());
         push("fault_graph_incremental_weakest_n243_m24", iters, ns);
-        let iters = 1_000;
-        let ns = bench(iters, || g.weakest_edges_scan());
-        push("fault_graph_incremental_weakest_scan_n243_m24", iters, ns);
 
         let mut i = 0;
         let iters = 5_000;
@@ -286,20 +249,11 @@ fn measure_all() -> Vec<Measurement> {
             g.speculate(&machines[i % machines.len()])
         });
         push("fault_graph_incremental_speculate_n243_m24", iters, ns);
-        let mut i = 0;
-        let iters = 50;
-        let ns = bench(iters, || {
-            i += 1;
-            g.addition_increases_dmin_scan(&machines[i % machines.len()])
-        });
-        push("fault_graph_incremental_speculate_scan_n243_m24", iters, ns);
     }
 
     // Algorithm-2 search on the scaling workload (disjoint mod-3 counter
-    // families; |⊤| = 3^count), optimized kernel vs. the pre-refactor
-    // element-scan implementation.
-    for (count, iters, scan_iters) in [(3usize, 200u64, 50u64), (4, 50, 20), (5, 20, 5), (6, 5, 2)]
-    {
+    // families; |⊤| = 3^count).
+    for (count, iters) in [(3usize, 200u64), (4, 50), (5, 20), (6, 5)] {
         let machines = counter_family(count, 3);
         let product = ReachableProduct::new(&machines).unwrap();
         let originals = projection_partitions(&product);
@@ -314,17 +268,6 @@ fn measure_all() -> Vec<Measurement> {
         };
         let ns = bench(iters, || generate_fusion(top, &originals, 2).unwrap());
         push(name, iters, ns);
-        let scan_name: &'static str = match size {
-            27 => "alg2_search_scan_n27_f2",
-            81 => "alg2_search_scan_n81_f2",
-            243 => "alg2_search_scan_n243_f2",
-            729 => "alg2_search_scan_n729_f2",
-            _ => unreachable!(),
-        };
-        let ns = bench(scan_iters, || {
-            reference::generate_fusion_scan(top, &originals, 2).unwrap()
-        });
-        push(scan_name, scan_iters, ns);
     }
 
     // Reachable-product construction at |⊤| = 729: the packed mixed-radix
@@ -393,7 +336,7 @@ fn measure_all() -> Vec<Measurement> {
     // pair measures what the session keeps across calls: the
     // initial-fault-graph slot, plus a warm kernel and scratch.  The
     // session lives outside the timing loop (warm after the harness's
-    // warm-up call).  The `_cold` op is a documentation twin like `_scan`
+    // warm-up call).  The `_cold` op is a documentation twin ([`TWIN_OPS`])
     // and never gates.
     {
         let machines = counter_family(6, 3);
@@ -429,7 +372,7 @@ fn measure_all() -> Vec<Measurement> {
     // the last replica.  The generation walk itself is excluded from both
     // sides: `tests/delta_properties.rs` pins it bit-identical, so it would
     // only add the same constant to both figures.  The `_cold` op is a
-    // documentation twin like `_scan` and never gates.
+    // documentation twin ([`TWIN_OPS`]) and never gates.
     {
         let mut family = counter_family(6, 3);
         let primaries = family.clone();
@@ -864,10 +807,9 @@ fn check_raw(
 ) -> Vec<String> {
     let mut regressed = Vec::new();
     for m in fresh {
-        // The calibration op is the normalizer, and the `_scan` / `_cold`
-        // reference ops exist only to document speedups — none of them
-        // gate the build.
-        if m.name == CALIBRATION_OP || m.name.contains("_scan") || m.name.contains("_cold") {
+        // The calibration op is the normalizer, and the twins exist only to
+        // document speedups — none of them gate the build.
+        if m.name == CALIBRATION_OP || TWIN_OPS.contains(&m.name) {
             continue;
         }
         let Some((_, base)) = baseline.iter().find(|(n, _)| n == m.name) else {
@@ -898,7 +840,7 @@ fn check_raw(
     // Tracked ops must keep being measured: a baseline op that silently
     // vanishes from the fresh run would otherwise bypass the gate forever.
     for (name, _) in baseline {
-        if name == CALIBRATION_OP || name.contains("_scan") || name.contains("_cold") {
+        if name == CALIBRATION_OP || TWIN_OPS.contains(&name.as_str()) {
             continue;
         }
         if !fresh.iter().any(|m| m.name == *name) {
@@ -938,7 +880,7 @@ fn main() -> ExitCode {
 
     let ops = measure_all();
     for (name, ratio) in speedups(&ops) {
-        println!("speedup {name:<34} {ratio:>6.2}x vs element scan");
+        println!("speedup {name:<34} {ratio:>6.2}x vs its `_scan` twin");
     }
     for (name, ratio) in cached_speedups(&ops) {
         println!("speedup {name:<34} {ratio:>6.2}x vs cold free-function sweep");

@@ -631,8 +631,8 @@ pub fn check_closed(machine: &Dfsm, partition: &Partition) -> Result<()> {
 ///
 /// One-shot form of [`ClosureKernel::close`]; callers that close many
 /// partitions against the same machine should build a [`ClosureKernel`]
-/// once instead.  The original `HashMap`-based fixpoint is preserved as
-/// [`crate::reference::close_scan`].
+/// once instead.  `tests/scan_properties.rs` pins it to a `HashMap`-based
+/// fixpoint kept in the test-only scan oracle.
 pub fn close(machine: &Dfsm, partition: &Partition) -> Result<Partition> {
     let closed = ClosureKernel::new(machine).close(partition)?;
     debug_assert!(is_closed(machine, &closed));

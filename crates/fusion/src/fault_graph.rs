@@ -35,11 +35,11 @@
 //! choice follows from the inputs; both paths yield the same list.
 //!
 //! Adding a machine and the state remaps keep the index without a full
-//! search (see their docs).  Single weights, the histogram and the `*_scan`
-//! oracles are per-pair [`Partition::separates`] sweeps, independent of
-//! both search paths (`tests/fault_graph_repr.rs`).
+//! search (see their docs).  Single weights and the histogram are per-pair
+//! [`Partition::separates`] sweeps, independent of both search paths;
+//! `tests/fault_graph_repr.rs` pins every path to per-pair scans over the
+//! machine list kept in test-only code.
 
-use crate::bitset::BitsetPartition;
 use crate::partition::Partition;
 
 /// Most machines a fault graph holds: the row sweep sums weights in `u16`
@@ -188,8 +188,7 @@ impl FaultGraph {
     /// Adds a machine: every pair of states the partition separates gains
     /// one unit of weight.  The weakest edges it leaves alone stay weakest;
     /// when it separates all of them, `dmin` rises by exactly one and one
-    /// level is searched.  The per-pair rescan is
-    /// [`FaultGraph::add_machine_scan`].
+    /// level is searched.
     pub fn add_machine(&mut self, p: &Partition) {
         assert_eq!(p.len(), self.n, "partition over wrong number of states");
         assert_within_limit(self.machines + 1);
@@ -199,22 +198,6 @@ impl FaultGraph {
         if self.weakest.is_empty() && self.dmin != u32::MAX {
             self.search_from(self.dmin + 1);
         }
-    }
-
-    /// [`FaultGraph::add_machine`] for a pre-converted [`BitsetPartition`].
-    pub fn add_machine_bitset(&mut self, p: &BitsetPartition) {
-        self.add_machine(&p.to_partition());
-    }
-
-    /// The reference add: counts the machine in and rescans every pair
-    /// (cross-validation and the `fault_graph_build_scan` baseline).
-    pub fn add_machine_scan(&mut self, p: &Partition) {
-        assert_eq!(p.len(), self.n, "partition over wrong number of states");
-        assert_within_limit(self.machines + 1);
-        self.insert(p, 1);
-        self.dmin = self.dmin_scan();
-        let scan = self.weakest_edges_scan().into_iter();
-        self.weakest = scan.map(|(i, j)| (i as u32, j as u32)).collect();
     }
 
     /// Pulls the graph back along a state mapping onto a new state space
@@ -482,27 +465,11 @@ impl FaultGraph {
         self.dmin
     }
 
-    /// The reference `dmin`: a per-pair scan over the kept partitions (for
-    /// cross-validation and the `fault_graph_incremental_dmin_scan` op).
-    pub fn dmin_scan(&self) -> u32 {
-        let weights = self.pairs().map(|(i, j)| self.pair_weight(i, j));
-        weights.min().unwrap_or(u32::MAX)
-    }
-
     /// All edges whose weight equals `dmin` — the "weakest edges" Algorithm 2
     /// must cover with every machine it adds — in row-major order.
     pub fn weakest_edges(&self) -> Vec<(usize, usize)> {
         let edges = self.weakest.iter();
         edges.map(|&(i, j)| (i as usize, j as usize)).collect()
-    }
-
-    /// The reference weakest edges: [`FaultGraph::dmin_scan`], then a
-    /// per-pair scan at that weight (the `*_weakest_scan` op).
-    pub fn weakest_edges_scan(&self) -> Vec<(usize, usize)> {
-        match self.dmin_scan() {
-            u32::MAX => Vec::new(),
-            d => self.edges_with_weight(d),
-        }
     }
 
     /// All edges with exactly the given weight, by a per-pair sweep.
@@ -552,40 +519,16 @@ impl FaultGraph {
 
     /// Would adding `candidate` increase `dmin`?  Iff it separates every
     /// weakest edge (weights move by at most one per added machine): one
-    /// early-exiting pass over the kept list instead of the clone, add and
-    /// rescan of [`FaultGraph::addition_increases_dmin_scan`].
+    /// early-exiting pass over the kept list.
     pub fn speculate(&self, candidate: &Partition) -> bool {
         assert_eq!(
             candidate.len(),
             self.n,
             "partition over wrong number of states"
         );
-        self.speculate_with(|i, j| candidate.separates(i, j))
-    }
-
-    /// [`FaultGraph::speculate`] for a pre-converted [`BitsetPartition`]
-    /// candidate.
-    pub fn speculate_bitset(&self, candidate: &BitsetPartition) -> bool {
-        assert_eq!(
-            candidate.len(),
-            self.n,
-            "partition over wrong number of states"
-        );
-        self.speculate_with(|i, j| candidate.separates(i, j))
-    }
-
-    fn speculate_with(&self, separates: impl Fn(usize, usize) -> bool) -> bool {
         // No edges: `dmin` is already maximal.
         let mut edges = self.weakest.iter();
-        !self.weakest.is_empty() && edges.all(|&(i, j)| separates(i as usize, j as usize))
-    }
-
-    /// The reference [`FaultGraph::speculate`]: clone, add the machine by
-    /// [`FaultGraph::add_machine_scan`], compare [`FaultGraph::dmin_scan`].
-    pub fn addition_increases_dmin_scan(&self, candidate: &Partition) -> bool {
-        let mut g = self.clone();
-        g.add_machine_scan(candidate);
-        g.dmin_scan() > self.dmin_scan()
+        !self.weakest.is_empty() && edges.all(|&(i, j)| candidate.separates(i as usize, j as usize))
     }
 
     /// A histogram of edge weights, by a per-pair sweep — for reports and
@@ -797,6 +740,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan_oracle;
 
     /// Partitions for the paper's Fig. 3 machines over ⊤ = {t0,t1,t2,t3}.
     fn fig3_partitions() -> (Partition, Partition, Partition, Partition) {
@@ -865,21 +809,17 @@ mod tests {
     #[test]
     fn covers_all_and_speculate_agree_with_clone_based_check() {
         let (a, b, m1, m2) = fig3_partitions();
-        let g = FaultGraph::from_partitions(4, &[a.clone(), b.clone()]);
+        let machines = [a.clone(), b.clone()];
+        let g = FaultGraph::from_partitions(4, &machines);
         let weak = g.weakest_edges();
         for candidate in [&a, &b, &m1, &m2] {
-            let direct = g.addition_increases_dmin_scan(candidate);
+            let direct = scan_oracle::addition_increases_dmin(4, &machines, candidate);
             assert_eq!(
                 FaultGraph::covers_all(candidate, &weak),
                 direct,
                 "candidate {candidate}"
             );
             assert_eq!(g.speculate(candidate), direct, "candidate {candidate}");
-            assert_eq!(
-                g.speculate_bitset(&candidate.to_bitset()),
-                direct,
-                "candidate {candidate}"
-            );
         }
     }
 
@@ -938,20 +878,23 @@ mod tests {
     }
 
     #[test]
-    fn bitset_add_machine_matches_scan_across_word_boundaries() {
-        // 70 states spans two u64 words of the bitset form; mod-3 blocks
-        // interleave across the boundary.
+    fn add_machine_matches_the_scan_oracle() {
+        // Mod-3 blocks, then the singletons: the second add separates every
+        // weakest edge of the first, so dmin rises and a level is searched.
         let n = 70;
         let assignment: Vec<usize> = (0..n).map(|x| x % 3).collect();
-        let p = Partition::from_assignment(&assignment);
-        let singles = Partition::singletons(n);
-        let mut word = FaultGraph::new(n);
-        word.add_machine(&p);
-        word.add_machine_bitset(&singles.to_bitset());
-        let mut scan = FaultGraph::new(n);
-        scan.add_machine_scan(&p);
-        scan.add_machine_scan(&singles);
-        assert_same_graph(&word, &scan);
+        let machines = [
+            Partition::from_assignment(&assignment),
+            Partition::singletons(n),
+        ];
+        let mut g = FaultGraph::new(n);
+        for p in &machines {
+            g.add_machine(p);
+        }
+        assert_eq!(g.dmin(), 1);
+        assert_same_graph(&g, &FaultGraph::from_partitions(n, &machines));
+        let scan = scan_oracle::weight_histogram(n, &machines);
+        assert_eq!(g.weight_histogram(), scan);
     }
 
     #[test]
@@ -965,10 +908,11 @@ mod tests {
             })
             .collect();
         let mut g = FaultGraph::new(n);
-        for p in &machines {
+        for (k, p) in machines.iter().enumerate() {
             g.add_machine(p);
-            assert_eq!(g.dmin(), g.dmin_scan());
-            assert_eq!(g.weakest_edges(), g.weakest_edges_scan());
+            let added = &machines[..=k];
+            assert_eq!(g.dmin(), scan_oracle::dmin(n, added));
+            assert_eq!(g.weakest_edges(), scan_oracle::weakest_edges(n, added));
         }
         // And after a bulk build.
         assert_same_graph(&FaultGraph::from_partitions(n, &machines), &g);
@@ -1000,15 +944,25 @@ mod tests {
             .collect()
     }
 
+    /// The machines of `g`, each kept partition repeated by its
+    /// multiplicity.
+    fn machines_of(g: &FaultGraph) -> Vec<Partition> {
+        let kept = g.parts.iter().zip(&g.mult);
+        kept.flat_map(|(p, &mu)| vec![p.clone(); mu as usize])
+            .collect()
+    }
+
     /// The same observables, and `a`'s kept index equal to the per-pair
-    /// scans.
+    /// scans over its machines.
     fn assert_same_graph(a: &FaultGraph, b: &FaultGraph) {
-        assert_eq!(a.num_states(), b.num_states());
+        let (n, machines) = (a.num_states(), machines_of(a));
+        assert_eq!(n, b.num_states());
         assert_eq!(a.num_machines(), b.num_machines());
         assert_eq!(a.dmin(), b.dmin());
-        assert_eq!(a.dmin(), a.dmin_scan());
+        assert_eq!(a.dmin(), scan_oracle::dmin(n, &machines));
         assert_eq!(a.weakest_edges(), b.weakest_edges());
-        assert_eq!(a.weakest_edges(), a.weakest_edges_scan());
+        let scan = scan_oracle::weakest_edges(n, &machines);
+        assert_eq!(a.weakest_edges(), scan);
         assert_eq!(a.weight_histogram(), b.weight_histogram());
     }
 
@@ -1105,14 +1059,14 @@ mod tests {
                 let bulk = FaultGraph::from_partitions(n, &parts);
                 let mut tracked = FaultGraph::new(n);
                 for p in &parts {
-                    tracked.add_machine_bitset(&p.to_bitset());
+                    tracked.add_machine(p);
                 }
                 assert_eq!(bulk.num_machines(), tracked.num_machines(), "n={n} m={m}");
                 assert_eq!(bulk.dmin(), tracked.dmin(), "n={n} m={m}");
                 assert_eq!(bulk.weakest_edges(), tracked.weakest_edges(), "n={n} m={m}");
                 assert_eq!(
                     bulk.weakest_edges(),
-                    bulk.weakest_edges_scan(),
+                    scan_oracle::weakest_edges(n, &parts),
                     "n={n} m={m}"
                 );
             }
@@ -1157,7 +1111,7 @@ mod tests {
             let g = FaultGraph::from_partitions(n, &parts);
             let d = g.dmin() as usize;
             assert!(d >= low, "dmin {d}");
-            let scan = g.weakest_edges_scan();
+            let scan = scan_oracle::weakest_edges(n, &parts);
             assert_eq!(g.weakest_edges(), scan);
             let mut swept = g.clone();
             swept.sweep();

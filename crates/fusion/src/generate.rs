@@ -129,10 +129,9 @@ impl FusionGeneration {
 ///
 /// Each descent level is scored on its quotient machine through a
 /// [`ClosureKernel`] built once per call (see the [module docs](self)), and
-/// the fault graph updates word-at-a-time through the bitset kernel; the
-/// pre-refactor element-scan version is preserved as
-/// [`crate::reference::generate_fusion_scan`] and pinned equal to this one,
-/// statistics included, by `tests/bitset_properties.rs`.
+/// the fault graph keeps its weakest-edge index across backups.
+/// `tests/scan_properties.rs` pins it, statistics included, to an
+/// element-scan version kept in test-only code.
 ///
 /// The descent inner loop is **allocation-free**: one [`CloseScratch`]
 /// holds the quotient table, the block union-find and the forbidden

@@ -20,7 +20,6 @@ use std::collections::BTreeSet;
 
 use fsm_dfsm::Dfsm;
 
-use crate::bitset::BitsetPartition;
 use crate::closed::{CloseScratch, ClosureKernel};
 use crate::error::Result;
 use crate::partition::Partition;
@@ -45,8 +44,7 @@ pub fn lower_cover(top: &Dfsm, p: &Partition) -> Result<Vec<Partition>> {
 /// Every closed partition strictly below `p` merges at least two blocks of
 /// `p`; closing each pairwise block merge therefore produces a set of
 /// candidates that contains the whole lower cover, from which non-maximal
-/// and duplicate candidates are removed.  The maximality filter converts
-/// each candidate to bitset form once and compares word-at-a-time.
+/// and duplicate candidates are removed.
 ///
 /// # Errors
 ///
@@ -83,18 +81,14 @@ pub(crate) fn lower_cover_impl(
     }
     // Keep only the maximal candidates: q is dropped if some other
     // candidate q' satisfies q < q' (q' is strictly finer, i.e. closer to p).
+    // The candidates are distinct, so q' must have more blocks; the other
+    // pairs skip the `le` pass.
     let all: Vec<Partition> = candidates.into_iter().collect();
-    let bits: Vec<BitsetPartition> = all.iter().map(BitsetPartition::from_partition).collect();
-    let mut maximal = Vec::new();
-    'outer: for (i, q) in bits.iter().enumerate() {
-        for (j, other) in bits.iter().enumerate() {
-            if i != j && q.lt(other) {
-                continue 'outer;
-            }
-        }
-        maximal.push(all[i].clone());
-    }
-    Ok(maximal)
+    let below = |q: &Partition| {
+        all.iter()
+            .any(|other| other.num_blocks() > q.num_blocks() && Partition::le(q, other))
+    };
+    Ok(all.iter().filter(|q| !below(q)).cloned().collect())
 }
 
 /// The basis of the closed partition lattice: the lower cover of `⊤` itself
@@ -141,26 +135,25 @@ impl ClosedPartitionLattice {
     /// All `(coarser, finer)` covering pairs, i.e. the Hasse diagram edges;
     /// `finer` covers `coarser` when `coarser < finer` with nothing in
     /// between.
+    ///
+    /// The order is compared once per pair of elements, into an `L × L`
+    /// table the covering test then reads.  The elements are distinct, so
+    /// `a < b` holds exactly when `b` has more blocks and `a ≤ b`: pairs
+    /// whose block counts do not rise skip the `le` pass.
     pub fn hasse_edges(&self) -> Vec<(usize, usize)> {
-        // Convert every element once; the O(L²·L) covering check then runs
-        // entirely on word-level subset tests.
-        let bits: Vec<BitsetPartition> = self
-            .elements
-            .iter()
-            .map(BitsetPartition::from_partition)
+        let l = self.elements.len();
+        let below: Vec<bool> = (0..l * l)
+            .map(|x| {
+                let (a, b) = (&self.elements[x / l], &self.elements[x % l]);
+                a.num_blocks() < b.num_blocks() && Partition::le(a, b)
+            })
             .collect();
+        let lt = |i: usize, j: usize| below[i * l + j];
         let mut edges = Vec::new();
-        for (i, p) in bits.iter().enumerate() {
-            for (j, q) in bits.iter().enumerate() {
-                if i == j || !p.lt(q) {
-                    continue;
-                }
-                // p < q; check there is no r strictly between.
-                let between = bits
-                    .iter()
-                    .enumerate()
-                    .any(|(k, r)| k != i && k != j && p.lt(r) && r.lt(q));
-                if !between {
+        for i in 0..l {
+            for j in 0..l {
+                // elements[i] < elements[j] with nothing strictly between.
+                if lt(i, j) && !(0..l).any(|k| lt(i, k) && lt(k, j)) {
                     edges.push((i, j));
                 }
             }
@@ -316,9 +309,10 @@ mod tests {
                 );
             }
         }
-        // The Hasse diagram connects top to bottom.
+        // The Hasse diagram connects top to bottom, as the definition does.
         let edges = lattice.hasse_edges();
         assert!(!edges.is_empty());
+        assert_eq!(edges, crate::lattice_oracle::hasse_edges(&lattice.elements));
     }
 
     #[test]

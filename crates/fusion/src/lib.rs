@@ -12,10 +12,9 @@
 //!
 //! * [`Partition`] and [`closed`] — closed (substitution-property)
 //!   partitions of the reachable cross product `⊤` and the machine order
-//!   (§2.1).
-//! * [`bitset`] — the `u64`-word block representation
-//!   ([`BitsetPartition`]) behind the partition/fault-graph hot paths, with
-//!   the original element scans preserved in [`mod@reference`].
+//!   (§2.1).  `Partition` is the one representation every algorithm works
+//!   on; the element-scan oracles the tests pin it to live in test-only
+//!   code (`tests/support/scan_oracle.rs`).
 //! * [`lattice`] — lower covers and the closed partition lattice (§2.1,
 //!   Fig. 3).
 //! * [`FaultGraph`] — the fault graph `G(⊤, M)`, distances, `dmin`, and the
@@ -83,7 +82,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bitset;
 pub mod closed;
 pub mod config;
 pub mod delta;
@@ -93,7 +91,6 @@ pub mod generate;
 pub mod lattice;
 pub mod partition;
 pub mod recovery;
-pub mod reference;
 pub mod replication;
 pub mod report;
 pub mod search;
@@ -101,15 +98,18 @@ pub mod session;
 pub mod set_repr;
 pub mod theory;
 
-// The test-only `n`-state lattice-walk oracle, shared with the workspace's
-// integration tests; it names this crate `fsm_fusion_core`, as they do.
+// The test-only oracles (the `n`-state lattice walk and the element
+// scans), shared with the workspace's integration tests; they name this
+// crate `fsm_fusion_core`, as those do.
 #[cfg(test)]
 extern crate self as fsm_fusion_core;
 #[cfg(test)]
 #[path = "../../../tests/support/lattice_oracle.rs"]
 mod lattice_oracle;
+#[cfg(test)]
+#[path = "../../../tests/support/scan_oracle.rs"]
+mod scan_oracle;
 
-pub use bitset::{BitsetPartition, BlockMatrix};
 pub use closed::{
     check_closed, close, is_closed, quotient_machine, CloseScratch, ClosureKernel, QuotientLevel,
     QuotientMerge,

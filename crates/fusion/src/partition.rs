@@ -12,16 +12,14 @@
 //! partition (all singletons) and the bottom machine `⊥` to the single-block
 //! partition.
 //!
-//! `Partition` is the canonical element-indexed form used across the public
-//! API; the word-level bitset form used by the hot paths lives in
-//! [`crate::bitset`] (see [`Partition::to_bitset`]).  The operations here
-//! are map-free single passes; the original `BTreeMap`-based element scans
-//! are preserved in [`crate::reference`] for cross-validation.
+//! `Partition` is the one representation of a machine below `⊤`: the
+//! canonical element-indexed form every algorithm of the crate works on.
+//! The operations here are map-free single passes; `tests/scan_properties.rs`
+//! pins them to `BTreeMap`-based element scans kept in test-only code.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::bitset::{join_assignments, BitsetPartition};
 use crate::error::{FusionError, Result};
 
 /// A partition of the set `{0, …, n-1}` into disjoint blocks.
@@ -221,13 +219,6 @@ impl Partition {
         self.block_of[x] != self.block_of[y]
     }
 
-    /// Converts to the word-level bitset form used by the hot paths
-    /// ([`crate::bitset::BitsetPartition`]).  Convert once, compare many
-    /// times.
-    pub fn to_bitset(&self) -> BitsetPartition {
-        BitsetPartition::from_partition(self)
-    }
-
     /// The blocks in compressed (CSR) layout: two flat allocations instead
     /// of the `Vec<Vec<usize>>` that [`Partition::blocks`] builds.  Use this
     /// (or [`Partition::iter_block`]) whenever only block membership is
@@ -292,10 +283,14 @@ impl Partition {
     /// block of `other` is contained in a block of `self`, i.e. `other`
     /// refines `self` (`self` is coarser or equal).
     ///
-    /// One sentinel-table pass over the elements.  For amortized use (one
-    /// partition compared against many) prefer converting to
-    /// [`BitsetPartition`] once and using its word-at-a-time
-    /// [`BitsetPartition::le`].
+    /// One sentinel-table pass over the elements.  `le` returning `true`
+    /// with equal block counts means equal partitions, so comparisons
+    /// between distinct partitions can skip every pair whose block counts
+    /// are not strictly increasing.
+    ///
+    /// `Partition` also derives [`PartialOrd`] (a lexicographic order, for
+    /// sorted sets), whose `le` method is *not* this one: in a closure
+    /// over `&&Partition` items write `Partition::le(a, b)`.
     pub fn le(&self, other: &Partition) -> bool {
         assert_eq!(self.len(), other.len(), "partitions over different sets");
         // other refines self ⟺ whenever other puts x,y together, so does
@@ -447,6 +442,48 @@ impl BlockGroups {
     }
 }
 
+/// Canonical assignment of the common refinement of two canonical
+/// assignments (`pair(x)` returns the two block indices of `x`), plus the
+/// resulting block count.  Uses a dense `B_a × B_b` relabel table when it
+/// fits (the overwhelmingly common case), falling back to a hash map for
+/// pathologically large block-count products.
+fn join_assignments(
+    n: usize,
+    a_blocks: usize,
+    b_blocks: usize,
+    pair: impl Fn(usize) -> (usize, usize),
+) -> (Vec<usize>, usize) {
+    let mut assignment = Vec::with_capacity(n);
+    let mut next = 0usize;
+    // 2^22 entries = 32 MiB of usize labels at the worst; beyond that (only
+    // possible for n > 2048) use the map fallback.
+    const DENSE_LIMIT: usize = 1 << 22;
+    if a_blocks.saturating_mul(b_blocks) <= DENSE_LIMIT {
+        let mut table = vec![usize::MAX; a_blocks * b_blocks];
+        for x in 0..n {
+            let (a, b) = pair(x);
+            let key = a * b_blocks + b;
+            if table[key] == usize::MAX {
+                table[key] = next;
+                next += 1;
+            }
+            assignment.push(table[key]);
+        }
+    } else {
+        let mut table: std::collections::HashMap<(usize, usize), usize> =
+            std::collections::HashMap::with_capacity(n);
+        for x in 0..n {
+            let label = *table.entry(pair(x)).or_insert_with(|| {
+                let l = next;
+                next += 1;
+                l
+            });
+            assignment.push(label);
+        }
+    }
+    (assignment, next)
+}
+
 /// A small union-find used by partition closure operations.
 ///
 /// `find` uses iterative path halving, so deep merge chains cannot overflow
@@ -501,15 +538,6 @@ impl UnionFind {
         true
     }
 
-    /// The canonical (first-occurrence ordered) assignment of the current
-    /// components, plus the component count.
-    pub(crate) fn canonical_assignment(&mut self) -> (Vec<usize>, usize) {
-        let mut assignment = Vec::with_capacity(self.parent.len());
-        let mut label_of_root = Vec::new();
-        let num_blocks = self.canonical_assignment_into(&mut label_of_root, &mut assignment);
-        (assignment, num_blocks)
-    }
-
     /// Writes the canonical assignment into `out` (reusing its buffer) and
     /// returns the component count.  `label_of_root` is caller-owned scratch
     /// so repeated calls stay allocation-free once the buffers have grown to
@@ -536,8 +564,10 @@ impl UnionFind {
         num_blocks
     }
 
+    /// The components as a partition, in canonical block order.
     pub(crate) fn into_partition(mut self) -> Partition {
-        let (assignment, num_blocks) = self.canonical_assignment();
+        let (mut assignment, mut label_of_root) = (Vec::new(), Vec::new());
+        let num_blocks = self.canonical_assignment_into(&mut label_of_root, &mut assignment);
         Partition::from_canonical_parts(assignment, num_blocks)
     }
 }
@@ -665,15 +695,6 @@ mod tests {
         );
         // Out-of-range block indices simply yield nothing from iter_block.
         assert_eq!(p.iter_block(17).count(), 0);
-    }
-
-    #[test]
-    fn bitset_conversion_roundtrips() {
-        let p = Partition::from_blocks(5, &[vec![0, 2, 4], vec![1, 3]]).unwrap();
-        let bits = p.to_bitset();
-        assert_eq!(bits.to_partition(), p);
-        assert_eq!(BitsetPartition::from(&p).to_partition(), p);
-        assert_eq!(Partition::from(&bits), p);
     }
 
     #[test]

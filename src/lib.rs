@@ -21,8 +21,6 @@
 //!   runtimes — a threaded [`distsys::OsEnvironment`] and a deterministic,
 //!   seeded [`distsys::SimEnvironment`] (virtual clock, scripted message
 //!   chaos, byte-identical replay; see [`distsys::sim`]).
-//! * [`erasure`] — the coding-theory analogy substrate (Hamming distances,
-//!   repetition/parity/Hamming codes).
 //!
 //! ## Quickstart
 //!
@@ -58,7 +56,6 @@
 
 pub use fsm_dfsm as dfsm;
 pub use fsm_distsys as distsys;
-pub use fsm_erasure as erasure;
 pub use fsm_fusion_core as fusion;
 pub use fsm_machines as machines;
 
@@ -79,9 +76,9 @@ pub mod prelude {
         SimEnvironment, Store, TraceEvent, Workload, REPLAY_CUTOVER,
     };
     pub use fsm_fusion_core::{
-        generate_fusion, generate_fusion_for_machines, BitsetPartition, CacheStats, FaultGraph,
-        FaultModel, FusionConfig, FusionReport, FusionSession, MachineReport, Partition,
-        RecoveryEngine, TopDelta, UpdateStats,
+        generate_fusion, generate_fusion_for_machines, CacheStats, FaultGraph, FaultModel,
+        FusionConfig, FusionReport, FusionSession, MachineReport, Partition, RecoveryEngine,
+        TopDelta, UpdateStats,
     };
     pub use fsm_machines::{fig1_machines, table1_rows, MachineSet};
 }

@@ -4,21 +4,24 @@
 //! `FaultGraph` stores no weights: it keeps the machines' distinct
 //! partitions with their multiplicities, `dmin` and the weakest edges, and
 //! finds a level either by hashing block-id signatures or, when that would
-//! cost more, by a row sweep.  It is built and evolved five ways: the bulk
-//! `from_partitions`, `add_machine`, the per-pair `add_machine_scan`, and
-//! the two state remaps.  These properties assert, on random,
-//! duplicate-heavy and high-`dmin` families, that every observable the
-//! fusion layer consumes — `dmin`, the weakest-edge set, weight queries,
-//! histograms, tolerance bounds, and `speculate` — agrees across the
-//! builds and with the per-pair scans, with state counts on both sides of
-//! the 64- and 128-state word boundaries.
+//! cost more, by a row sweep.  It is built and evolved four ways: the bulk
+//! `from_partitions`, `add_machine`, and the two state remaps.  These
+//! properties assert, on random, duplicate-heavy and high-`dmin` families,
+//! that every observable the fusion layer consumes — `dmin`, the
+//! weakest-edge set, weight queries, histograms, tolerance bounds, and
+//! `speculate` — agrees across the builds and with the per-pair scans of
+//! the test-only oracle (`tests/support/scan_oracle.rs`), with state counts
+//! on both sides of 64 and 128.
+
+#[path = "support/scan_oracle.rs"]
+mod scan_oracle;
 
 use std::collections::HashSet;
 
 use fsm_fusion::fusion::{FaultGraph, Partition};
 use proptest::prelude::*;
 
-/// State counts on both sides of the 64- and 128-state word boundaries.
+/// State counts on both sides of 64 and 128.
 const BOUNDARY_N: [usize; 5] = [63, 64, 65, 127, 129];
 
 /// Deterministic SplitMix64, so failures reproduce from the case inputs.
@@ -74,21 +77,27 @@ fn lift(p: &Partition, mapping: &[u32]) -> Partition {
     Partition::from_assignment(&mapping.iter().map(|&x| a[x as usize]).collect::<Vec<_>>())
 }
 
-/// Every observable of two fault graphs must agree, and `a`'s kept index
-/// must equal its per-pair scans.
+/// Every observable of two fault graphs of the same `machines` must agree,
+/// and `a`'s must equal the per-pair scans over `machines`.
 fn assert_graphs_identical(
     a: &FaultGraph,
     b: &FaultGraph,
+    machines: &[Partition],
 ) -> std::result::Result<(), TestCaseError> {
     let n = a.num_states();
     prop_assert_eq!(n, b.num_states());
     prop_assert_eq!(a.num_edges(), b.num_edges());
     prop_assert_eq!(a.num_machines(), b.num_machines());
+    prop_assert_eq!(a.num_machines(), machines.len());
     prop_assert_eq!(a.dmin(), b.dmin());
-    prop_assert_eq!(a.dmin(), a.dmin_scan());
+    prop_assert_eq!(a.dmin(), scan_oracle::dmin(n, machines));
     prop_assert_eq!(a.weakest_edges(), b.weakest_edges());
-    prop_assert_eq!(a.weakest_edges(), a.weakest_edges_scan());
+    prop_assert_eq!(a.weakest_edges(), scan_oracle::weakest_edges(n, machines));
     prop_assert_eq!(a.weight_histogram(), b.weight_histogram());
+    prop_assert_eq!(
+        a.weight_histogram(),
+        scan_oracle::weight_histogram(n, machines)
+    );
     prop_assert_eq!(a.max_crash_faults(), b.max_crash_faults());
     prop_assert_eq!(a.max_byzantine_faults(), b.max_byzantine_faults());
     for f in 0..4 {
@@ -101,6 +110,7 @@ fn assert_graphs_identical(
     for i in 0..n {
         for j in (i + 1)..n {
             prop_assert_eq!(a.weight(i, j), b.weight(i, j));
+            prop_assert_eq!(a.weight(i, j), scan_oracle::weight(machines, i, j));
         }
     }
     for w in 0..=(a.num_machines() as u32) {
@@ -112,11 +122,11 @@ fn assert_graphs_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A graph grown by `add_machine` agrees with one grown by the
-    /// per-pair scan and with a bulk build of the same prefix after every
-    /// single add, and `speculate` answers like the clone-add-rescan
-    /// reference throughout.  Every other add is a covering machine, so
-    /// `dmin` rises and a level is searched.
+    /// A graph grown by `add_machine` agrees with the per-pair scans and
+    /// with a bulk build of the same prefix after every single add, and
+    /// `speculate` answers like the add-and-rescan oracle throughout.
+    /// Every other add is a covering machine, so `dmin` rises and a level
+    /// is searched.
     #[test]
     fn incremental_graph_agrees_with_scans_while_growing(
         seed in 0u64..100_000,
@@ -126,7 +136,6 @@ proptest! {
     ) {
         let n = BOUNDARY_N[pick];
         let mut word = FaultGraph::new(n);
-        let mut scan = FaultGraph::new(n);
         let mut parts = Vec::new();
         for m in 0..machines {
             let p = if m % 2 == 1 {
@@ -138,27 +147,21 @@ proptest! {
             prop_assert!(covers || m % 2 == 0);
             let before = word.dmin();
             word.add_machine(&p);
-            scan.add_machine_scan(&p);
             parts.push(p);
             prop_assert_eq!(word.dmin(), before + u32::from(covers));
-            assert_graphs_identical(&word, &scan)?;
-            assert_graphs_identical(&word, &FaultGraph::from_partitions(n, &parts))?;
+            assert_graphs_identical(&word, &FaultGraph::from_partitions(n, &parts), &parts)?;
 
             let candidate = random_partition(seed ^ ((m as u64) << 9), n, blocks);
             prop_assert_eq!(
                 word.speculate(&candidate),
-                word.addition_increases_dmin_scan(&candidate)
-            );
-            prop_assert_eq!(
-                word.speculate_bitset(&candidate.to_bitset()),
-                word.speculate(&candidate)
+                scan_oracle::addition_increases_dmin(n, &parts, &candidate)
             );
         }
     }
 
-    /// Bulk construction (`from_partitions`) equals the incremental and the
-    /// per-pair scan paths.  `n` spans several 64-state words with a
-    /// partial tail word, and the family may be empty.
+    /// Bulk construction (`from_partitions`) equals the incremental path
+    /// and the per-pair scans.  `n` runs from 1 to 199, and the family may
+    /// be empty.
     #[test]
     fn bulk_and_incremental_construction_agree(
         seed in 0u64..100_000,
@@ -170,14 +173,11 @@ proptest! {
             .map(|m| random_partition(seed.wrapping_add(m as u64 * 101), n, blocks))
             .collect();
         let mut incremental = FaultGraph::new(n);
-        let mut scan = FaultGraph::new(n);
         for p in &parts {
             incremental.add_machine(p);
-            scan.add_machine_scan(p);
         }
         let bulk = FaultGraph::from_partitions(n, &parts);
-        assert_graphs_identical(&bulk, &incremental)?;
-        assert_graphs_identical(&bulk, &scan)?;
+        assert_graphs_identical(&bulk, &incremental, &parts)?;
     }
 
     /// Families whose partitions repeat: each of a few random partitions
@@ -198,11 +198,11 @@ proptest! {
             parts.extend(std::iter::repeat(p).take(copies + k % 2));
         }
         let bulk = FaultGraph::from_partitions(n, &parts);
-        let mut scan = FaultGraph::new(n);
+        let mut incremental = FaultGraph::new(n);
         for p in &parts {
-            scan.add_machine_scan(p);
+            incremental.add_machine(p);
         }
-        assert_graphs_identical(&bulk, &scan)?;
+        assert_graphs_identical(&bulk, &incremental, &parts)?;
     }
 
     /// Near-singleton families with `dmin ≥ 10`: too many subsets per
@@ -215,13 +215,13 @@ proptest! {
         extra in 1usize..4,
     ) {
         let n = BOUNDARY_N[pick];
-        let parts: Vec<Partition> = (0..16)
+        let mut parts: Vec<Partition> = (0..16)
             .map(|m| random_partition(seed.wrapping_add(m * 101), n, n))
             .collect();
         let mut g = FaultGraph::from_partitions(n, &parts);
         prop_assert!(g.dmin() >= 10, "dmin {} does not force the sweep", g.dmin());
-        prop_assert_eq!(g.dmin(), g.dmin_scan());
-        prop_assert_eq!(g.weakest_edges(), g.weakest_edges_scan());
+        prop_assert_eq!(g.dmin(), scan_oracle::dmin(n, &parts));
+        prop_assert_eq!(g.weakest_edges(), scan_oracle::weakest_edges(n, &parts));
         for m in 0..extra {
             let p = if m % 2 == 0 {
                 covering_partition(&g, seed ^ m as u64)
@@ -229,10 +229,11 @@ proptest! {
                 random_partition(seed ^ ((m as u64) << 7), n, n)
             };
             let covers = g.speculate(&p);
-            prop_assert_eq!(covers, g.addition_increases_dmin_scan(&p));
+            prop_assert_eq!(covers, scan_oracle::addition_increases_dmin(n, &parts, &p));
             g.add_machine(&p);
-            prop_assert_eq!(g.dmin(), g.dmin_scan());
-            prop_assert_eq!(g.weakest_edges(), g.weakest_edges_scan());
+            parts.push(p);
+            prop_assert_eq!(g.dmin(), scan_oracle::dmin(n, &parts));
+            prop_assert_eq!(g.weakest_edges(), scan_oracle::weakest_edges(n, &parts));
         }
     }
 
@@ -273,7 +274,7 @@ proptest! {
                 let (warm, levels) = g.remap_states_adding(&mapping, p);
                 let mut all = lifted.clone();
                 all.push(p.clone());
-                assert_graphs_identical(&warm, &FaultGraph::from_partitions(n_new, &all))?;
+                assert_graphs_identical(&warm, &FaultGraph::from_partitions(n_new, &all), &all)?;
                 prop_assert_eq!(levels == 0, warm.dmin() <= g.dmin());
             }
         }
@@ -307,7 +308,7 @@ proptest! {
                 .map(|i| lift(&parts[i], mapping))
                 .collect();
             let cold = FaultGraph::from_partitions(mapping.len(), &survivors);
-            assert_graphs_identical(&warm, &cold)?;
+            assert_graphs_identical(&warm, &cold, &survivors)?;
             prop_assert_eq!(levels == 0, warm.dmin() < g.dmin());
         }
     }
@@ -329,7 +330,7 @@ fn replicated_counters_through_remaps() {
     assert_eq!(g.num_machines(), 24);
     assert_eq!(g.dmin(), 4);
     assert_eq!(g.weakest_edges().len(), 6 * 729);
-    assert_eq!(g.weakest_edges(), g.weakest_edges_scan());
+    assert_eq!(g.weakest_edges(), scan_oracle::weakest_edges(n, &parts));
 
     let identity: Vec<u32> = (0..n as u32).collect();
     let (down, levels) = g.remap_states_removing(&identity, &counter(5));
@@ -339,7 +340,10 @@ fn replicated_counters_through_remaps() {
         down.weakest_edges(),
         FaultGraph::from_partitions(n, &parts[..23]).weakest_edges()
     );
-    assert_eq!(down.weakest_edges(), down.weakest_edges_scan());
+    assert_eq!(
+        down.weakest_edges(),
+        scan_oracle::weakest_edges(n, &parts[..23])
+    );
 
     let (up, levels) = down.remap_states_adding(&identity, &counter(5));
     assert_eq!(levels, 1);
@@ -350,5 +354,10 @@ fn replicated_counters_through_remaps() {
     let mut grown = down.clone();
     grown.add_machine(&Partition::singletons(n));
     assert_eq!(grown.dmin(), 4);
-    assert_eq!(grown.weakest_edges(), grown.weakest_edges_scan());
+    let mut with_backup = parts[..23].to_vec();
+    with_backup.push(Partition::singletons(n));
+    assert_eq!(
+        grown.weakest_edges(),
+        scan_oracle::weakest_edges(n, &with_backup)
+    );
 }

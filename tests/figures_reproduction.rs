@@ -1,12 +1,15 @@
 //! Reproduction of the paper's Figures 1–5 (the running examples), as
 //! integration tests spanning the machine library and the fusion core.
 
+#[path = "support/lattice_oracle.rs"]
+mod lattice_oracle;
+
 use fsm_fusion::dfsm::are_isomorphic;
 use fsm_fusion::fusion::{
     basis, enumerate_lattice, generate_fusion, is_closed, set_representation, FaultGraph, Partition,
 };
 use fsm_fusion::machines::{
-    fig1_fusion_f1, fig1_fusion_f2, fig1_machines, fig2_machines, fig3_top,
+    fig1_fusion_f1, fig1_fusion_f2, fig1_machines, fig2_machines, fig3_top, mod_counter,
 };
 use fsm_fusion::prelude::*;
 
@@ -104,6 +107,44 @@ fn figure3_closed_partition_lattice() {
         assert!(is_closed(&top, p));
     }
     assert!(!lattice.hasse_edges().is_empty());
+}
+
+/// Figure 3's Hasse diagram: the covering pairs of the 4-state top's
+/// lattice, exactly, and as the definition gives them.
+#[test]
+fn figure3_hasse_edges_match_the_definition() {
+    let lattice = enumerate_lattice(&fig3_top(), 10_000).unwrap();
+    let shown: Vec<String> = lattice.elements.iter().map(|p| p.to_string()).collect();
+    assert_eq!(
+        shown,
+        [
+            "{0 | 1 | 2 | 3}",
+            "{0,3 | 1 | 2}",
+            "{0 | 1 | 2,3}",
+            "{0,2,3 | 1}",
+            "{0,1,2,3}"
+        ]
+    );
+    // ⊤ covers A and B, both cover {t0,t2,t3 | t1}, which covers ⊥.
+    let edges = lattice.hasse_edges();
+    assert_eq!(edges, [(1, 0), (2, 0), (3, 1), (3, 2), (4, 3)]);
+    assert_eq!(edges, lattice_oracle::hasse_edges(&lattice.elements));
+}
+
+/// The Hasse diagram of the 212-element lattice of four mod-3 counters
+/// (|⊤| = 81) equals the covering pairs by definition.
+#[test]
+fn four_counter_hasse_edges_match_the_definition() {
+    let events = ["e0", "e1", "e2", "e3"];
+    let machines: Vec<Dfsm> = (0..4)
+        .map(|i| mod_counter(&format!("C{i}"), 3, events[i], &events))
+        .collect();
+    let product = ReachableProduct::new(&machines).unwrap();
+    let lattice = enumerate_lattice(product.top(), 5000).unwrap();
+    assert_eq!(lattice.len(), 212);
+    let edges = lattice.hasse_edges();
+    assert_eq!(edges.len(), 1120);
+    assert_eq!(edges, lattice_oracle::hasse_edges(&lattice.elements));
 }
 
 /// Figure 4: fault graphs G({A}), G({A,B}) and the fused system.

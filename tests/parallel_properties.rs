@@ -1,10 +1,12 @@
-//! Property tests pinning the kept fault-graph index to its per-pair
-//! rescan reference implementations.
+//! Property tests pinning the kept fault-graph index to the per-pair
+//! rescans of the test-only scan oracle (`tests/support/scan_oracle.rs`).
 //!
 //! The kept `dmin` / weakest-edge / speculation queries of `FaultGraph`
-//! must agree with the `*_scan` twins under
-//! arbitrary interleavings of machine additions and queries (the pattern
-//! `tests/bitset_properties.rs` set for the bitset kernels).
+//! must agree with the rescans under arbitrary interleavings of machine
+//! additions and queries.
+
+#[path = "support/scan_oracle.rs"]
+mod scan_oracle;
 
 use fsm_fusion::fusion::{FaultGraph, Partition};
 use proptest::prelude::*;
@@ -45,17 +47,18 @@ proptest! {
             .map(|i| random_partition(seed.wrapping_add(i as u64 * 101), n, blocks))
             .collect();
         let mut g = FaultGraph::new(n);
-        prop_assert_eq!(g.dmin(), g.dmin_scan());
+        prop_assert_eq!(g.dmin(), scan_oracle::dmin(n, &[]));
         for (step, p) in machines.iter().enumerate() {
             g.add_machine(p);
-            prop_assert_eq!(g.dmin(), g.dmin_scan());
-            prop_assert_eq!(g.weakest_edges(), g.weakest_edges_scan());
+            let added = &machines[..=step];
+            prop_assert_eq!(g.dmin(), scan_oracle::dmin(n, added));
+            prop_assert_eq!(g.weakest_edges(), scan_oracle::weakest_edges(n, added));
             // Speculation against a fresh random candidate and against a
             // machine already in the graph.
             let candidate = random_partition(seed ^ ((step as u64) << 7), n, blocks);
             for c in [&candidate, p] {
-                prop_assert_eq!(g.speculate(c), g.addition_increases_dmin_scan(c));
-                prop_assert_eq!(g.speculate(c), g.speculate_bitset(&c.to_bitset()));
+                let scan = scan_oracle::addition_increases_dmin(n, added, c);
+                prop_assert_eq!(g.speculate(c), scan);
             }
         }
         let bulk = FaultGraph::from_partitions(n, &machines);

@@ -28,7 +28,7 @@ use fsm_fusion::prelude::*;
 use proptest::prelude::*;
 
 /// A small random machine pair over the shared binary alphabet, matching
-/// the families the parallel/bitset property suites use.
+/// the families the parallel and scan property suites use.
 fn machine_family(seed: u64) -> Vec<Dfsm> {
     (0..2)
         .map(|i| {

@@ -1,7 +1,7 @@
 //! Test-only lattice-walk oracle: lower covers and lattice enumeration
 //! that close every pairwise block merge with the full `n`-state fixpoint
 //! ([`ClosureKernel::close_merged_into`]) instead of on the quotient
-//! machine the library walks use.
+//! machine the library walks use, and the Hasse diagram by its definition.
 //!
 //! Shared by the integration tests (`mod lattice_oracle;` through a
 //! `#[path]` attribute) and by `fsm-fusion-core`'s unit tests, which see
@@ -11,9 +11,7 @@
 use std::collections::BTreeSet;
 
 use fsm_dfsm::Dfsm;
-use fsm_fusion_core::{
-    BitsetPartition, CloseScratch, ClosedPartitionLattice, ClosureKernel, Partition,
-};
+use fsm_fusion_core::{CloseScratch, ClosedPartitionLattice, ClosureKernel, Partition};
 
 /// The lower cover of the closed partition `p` of `top`: every pairwise
 /// block merge closed over all states, then filtered to the maximal,
@@ -34,19 +32,14 @@ pub fn lower_cover(top: &Dfsm, p: &Partition) -> Vec<Partition> {
         }
     }
     // Keep only the maximal candidates: q is dropped if some other
-    // candidate q' satisfies q < q' (q' is strictly finer, i.e. closer to p).
+    // candidate q' satisfies q < q' (q' is strictly finer, i.e. closer to p,
+    // so it has more blocks).
     let all: Vec<Partition> = candidates.into_iter().collect();
-    let bits: Vec<BitsetPartition> = all.iter().map(BitsetPartition::from_partition).collect();
-    let mut maximal = Vec::new();
-    'outer: for (i, q) in bits.iter().enumerate() {
-        for (j, other) in bits.iter().enumerate() {
-            if i != j && q.lt(other) {
-                continue 'outer;
-            }
-        }
-        maximal.push(all[i].clone());
-    }
-    maximal
+    let below = |q: &Partition| {
+        all.iter()
+            .any(|other| other.num_blocks() > q.num_blocks() && Partition::le(q, other))
+    };
+    all.iter().filter(|q| !below(q)).cloned().collect()
 }
 
 /// Every closed partition of `top` by breadth-first descent from the
@@ -76,4 +69,23 @@ pub fn enumerate_lattice(top: &Dfsm, limit: usize) -> ClosedPartitionLattice {
         elements,
         truncated,
     }
+}
+
+/// The Hasse diagram of `elements` by its definition: every `(i, j)` with
+/// `elements[i] < elements[j]` in the paper's order and no element strictly
+/// between, in row-major order.
+pub fn hasse_edges(elements: &[Partition]) -> Vec<(usize, usize)> {
+    let mut edges = Vec::new();
+    for (i, p) in elements.iter().enumerate() {
+        for (j, q) in elements.iter().enumerate() {
+            if Partition::lt(p, q)
+                && !elements
+                    .iter()
+                    .any(|r| Partition::lt(p, r) && Partition::lt(r, q))
+            {
+                edges.push((i, j));
+            }
+        }
+    }
+    edges
 }

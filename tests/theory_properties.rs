@@ -208,7 +208,7 @@ proptest! {
             .iter()
             .map(|p| (0..product.size()).map(|t| p.block_of(t)).collect())
             .collect();
-        let code_dmin = fsm_fusion::erasure::code_minimum_distance(&assignments);
+        let code_dmin = fsm_erasure::code_minimum_distance(&assignments);
         if product.size() >= 2 {
             prop_assert_eq!(graph.dmin() as usize, code_dmin.unwrap());
         }
