@@ -13,9 +13,13 @@
 //! With `--recovery` it instead runs the crash-recovery sweep: durable
 //! fusion groups whose processes are killed under load and rejoin from
 //! write-ahead logs and snapshots, gated on the recovery invariants (no
-//! acked event lost, sequence numbers never regress, bit-identical replay)
-//! plus rejoin coverage (restarts, log replays, peer-decode resyncs, and
-//! torn final WAL frames must all have fired).
+//! acked event lost, sequence numbers never regress, snapshots on their
+//! cadence, bit-identical replay) plus rejoin coverage (restarts, log
+//! replays, peer-decode resyncs, torn final WAL frames and batches split at
+//! a snapshot boundary must all have fired).
+//!
+//! Both sweeps push their workloads in seeded batches of 1–16 events, so
+//! durable servers run the group-commit write path they serve with.
 //!
 //! Flags and environment:
 //!
@@ -134,6 +138,10 @@ fn recovery_sweep(first: u64, seeds: usize) -> ExitCode {
         "  kills             {} ({} torn WAL tails)",
         report.kills, report.stats.torn_tails
     );
+    println!(
+        "  group commit      {} batches split at a snapshot boundary",
+        report.split_batches
+    );
     println!("  network           {:?}", report.stats);
 
     let mut failed = false;
@@ -154,7 +162,8 @@ fn recovery_sweep(first: u64, seeds: usize) -> ExitCode {
         failed = true;
         eprintln!(
             "FAIL: coverage gap — the recovery sweep must exercise restarts, \
-             log replays, peer-decode resyncs and torn WAL tails"
+             log replays, peer-decode resyncs, torn WAL tails and batches \
+             split at a snapshot boundary"
         );
     }
 

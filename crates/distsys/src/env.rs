@@ -211,6 +211,11 @@ pub trait ServerGroup {
     /// the group.  Durable servers persist a snapshot at `seq` so the
     /// sequence number never regresses; plain servers restore the state and
     /// ignore `seq`.
+    ///
+    /// Waits for the server's answer.  A failed snapshot returns
+    /// [`DistsysError::Storage`] and takes the process down, as a kill
+    /// would; a process that is down before it answers fails with
+    /// [`DistsysError::ServerDown`].
     fn resync(&mut self, i: usize, seq: u64, state: StateId) -> Result<()>;
 
     /// Collects a report from every server that answers before the

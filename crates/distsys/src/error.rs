@@ -29,7 +29,7 @@ pub enum DistsysError {
         server: usize,
     },
     /// A kill (or crash/corrupt) fault targeted a server whose process is
-    /// already down.
+    /// already down, or a resync's server went down before answering.
     ServerDown { server: usize },
     /// A restart targeted a server whose process is still up.
     ServerUp { server: usize },

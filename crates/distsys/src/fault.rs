@@ -138,44 +138,40 @@ impl FaultPlan {
         {
             return Err(DistsysError::UnresolvedCorruption { server: f.server });
         }
-        let mut injected = 0usize;
-        let mut next_fault = 0usize;
+        // The events between two fault positions go out as one batch.
+        let events = workload.events();
+        let (mut applied, mut injected) = (0usize, 0usize);
         let mut down: Vec<usize> = Vec::new();
-        let mut fire = |group: &mut dyn ServerGroup,
-                        upto: usize,
-                        next_fault: &mut usize,
-                        down: &mut Vec<usize>|
-         -> Result<()> {
-            while *next_fault < self.faults.len() && self.faults[*next_fault].after_event <= upto {
-                let f = self.faults[*next_fault];
-                match f.kind {
-                    FaultKind::Crash => group.crash(f.server),
-                    FaultKind::Corrupt(state) => group.corrupt(f.server, state),
-                    FaultKind::Kill => {
-                        if down.contains(&f.server) {
-                            return Err(DistsysError::ServerDown { server: f.server });
-                        }
-                        group.kill_process(f.server);
-                        down.push(f.server);
-                    }
-                    FaultKind::Restart => {
-                        let Some(pos) = down.iter().position(|&s| s == f.server) else {
-                            return Err(DistsysError::ServerUp { server: f.server });
-                        };
-                        group.restart_process(f.server)?;
-                        down.swap_remove(pos);
-                    }
-                }
-                *next_fault += 1;
-                injected += 1;
+        for f in self
+            .faults
+            .iter()
+            .take_while(|f| f.after_event <= events.len())
+        {
+            if f.after_event > applied {
+                group.apply_batch(&events[applied..f.after_event]);
+                applied = f.after_event;
             }
-            Ok(())
-        };
-        fire(group, 0, &mut next_fault, &mut down)?;
-        for (i, e) in workload.iter().enumerate() {
-            group.apply_event(e);
-            fire(group, i + 1, &mut next_fault, &mut down)?;
+            match f.kind {
+                FaultKind::Crash => group.crash(f.server),
+                FaultKind::Corrupt(state) => group.corrupt(f.server, state),
+                FaultKind::Kill => {
+                    if down.contains(&f.server) {
+                        return Err(DistsysError::ServerDown { server: f.server });
+                    }
+                    group.kill_process(f.server);
+                    down.push(f.server);
+                }
+                FaultKind::Restart => {
+                    let Some(pos) = down.iter().position(|&s| s == f.server) else {
+                        return Err(DistsysError::ServerUp { server: f.server });
+                    };
+                    group.restart_process(f.server)?;
+                    down.swap_remove(pos);
+                }
+            }
+            injected += 1;
         }
+        group.apply_batch(&events[applied..]);
         Ok(injected)
     }
 }

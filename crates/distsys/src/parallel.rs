@@ -6,72 +6,69 @@
 //! the deployment the paper assumes (independent servers, no shared state,
 //! communication only for recovery).
 //!
-//! The implementation uses `crossbeam-channel` for the per-server command
-//! queues and a shared response channel for reports.
+//! Each thread is a thin transport around `ProcessServer::handle`, the
+//! server step the simulator shares: it takes a `ServerCommand` off its
+//! `crossbeam-channel` queue, hands it over, and sends back what the
+//! command asks for.  Reports go to the group's shared report channel; a
+//! resync's answer goes to a separate answer channel, so the report stream
+//! carries reports only.  A storage failure stops the thread the way
+//! [`ServerGroup::kill_process`] does: its reports go missing and
+//! [`ServerGroup::restart_process`] recovers it from what it persisted.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use fsm_dfsm::{Dfsm, Event, StateId};
 use fsm_fusion_core::MachineReport;
 
 use crate::env::{GroupConfig, OsClock, ServerGroup};
 use crate::error::{DistsysError, Result};
-use crate::recovery::{DurabilityConfig, DurableServer, ProcessServer, ReplayStats};
+use crate::recovery::{DurabilityConfig, DurableServer, ProcessServer, ReplayStats, ServerCommand};
 use crate::server::Server;
 use crate::storage::SharedStore;
 
 /// Most broadcast batches a group keeps for its sending thread to free.
 const SENT_BATCHES: usize = 64;
 
-/// Commands sent to a server thread.
+/// A `(server, generation, report)` reply on the report channel.
+type Reply = (usize, u64, MachineReport);
+
+/// What the group sends a server thread.
 enum Command {
-    /// Apply a whole shared batch of events in order: one channel send per
-    /// server per batch (the `Arc` is cloned, not the events).
-    ApplyBatch(Arc<[Event]>),
-    /// Crash the server.
-    Crash,
-    /// Corrupt the server to the given state.
-    Corrupt(StateId),
-    /// Restore the server to the given state (post-recovery).
-    Restore(StateId),
-    /// Adopt a peer-decoded state at the group sequence number
-    /// (post-recovery resync; snapshots durably on durable servers).
-    Resync(u64, StateId),
-    /// Ask for a state report for the given collection generation.
-    Report(u64),
+    /// A server command and the tag its answer carries back: a report
+    /// round's generation, a resync's ticket, or 0 when no one waits.
+    Server(ServerCommand, u64),
     /// Shut the thread down.
     Stop,
 }
 
-/// The command loop every server thread runs; returns the final `Server`
-/// value when stopped.
+/// The loop every server thread runs; returns the final `Server` value
+/// when stopped, or when a storage failure stops it.
 fn run_server(
     index: usize,
     mut ps: ProcessServer,
     rx: Receiver<Command>,
-    report_tx: Sender<(usize, u64, MachineReport)>,
+    reports: Sender<Reply>,
+    answers: Sender<(u64, Result<()>)>,
 ) -> Server {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Command::ApplyBatch(batch) => ps.apply_batch(&batch),
-            Command::Crash => ps.server_mut().crash(),
-            Command::Corrupt(s) => {
-                ps.server_mut().corrupt(s);
+    while let Ok(Command::Server(cmd, tag)) = rx.recv() {
+        let outcome = ps.handle(cmd);
+        let failed = outcome.is_err();
+        match outcome {
+            Ok(Some(report)) => {
+                let _ = reports.send((index, tag, report));
             }
-            Command::Restore(s) => ps.server_mut().restore(s),
-            Command::Resync(seq, state) => {
-                if let Err(e) = ps.resync(seq, state) {
-                    panic!("resync failed: {e}");
-                }
+            answer if tag != 0 => {
+                let _ = answers.send((tag, answer.map(|_| ())));
             }
-            Command::Report(generation) => {
-                let _ = report_tx.send((index, generation, ps.server().report()));
-            }
-            Command::Stop => break,
+            _ => {}
+        }
+        if failed {
+            break;
         }
     }
     ps.into_server()
@@ -83,33 +80,45 @@ struct ServerHandle {
     join: Option<thread::JoinHandle<Server>>,
 }
 
+impl ServerHandle {
+    /// Whether the thread has exited (killed, stopped by a storage
+    /// failure, or panicked).
+    fn exited(&self) -> bool {
+        self.join.as_ref().map_or(true, |j| j.is_finished())
+    }
+}
+
 /// A group of servers, each on its own thread, driven by broadcast event
 /// batches.
 ///
-/// This type mirrors the event-application and fault-injection API of
-/// [`crate::FusedSystem`] but performs the work concurrently.  Recovery
-/// logic is intentionally not duplicated here: callers collect reports with
-/// [`ParallelServerGroup::collect_reports`] and feed them to a
+/// Its face is [`ServerGroup`]; the inherent methods add what only a
+/// threaded group has: spawning, and asynchronous report markers
+/// ([`ParallelServerGroup::request_reports`]).  Recovery logic is
+/// intentionally not duplicated here: callers collect reports with
+/// [`ServerGroup::collect_reports`] and feed them to a
 /// [`fsm_fusion_core::RecoveryEngine`], then push the corrected states back
-/// with [`ParallelServerGroup::restore`].
+/// with [`ServerGroup::restore`].
 pub struct ParallelServerGroup {
     handles: Vec<ServerHandle>,
-    reports: Receiver<(usize, u64, MachineReport)>,
-    report_sender: Sender<(usize, u64, MachineReport)>,
-    /// Current report-collection generation; replies tagged with an older
-    /// generation are stale (a previous collection gave up on them) and are
-    /// discarded on receipt.
-    generation: std::sync::atomic::AtomicU64,
+    reports: Receiver<Reply>,
+    report_sender: Sender<Reply>,
+    /// Resync answers, tagged with their ticket.
+    answers: Receiver<(u64, Result<()>)>,
+    answer_sender: Sender<(u64, Result<()>)>,
+    /// The last tag handed out.  Report rounds and resyncs each draw a fresh
+    /// one; a reply tagged with an older generation is stale (a previous
+    /// collection gave up on it) and is discarded on receipt.
+    generation: AtomicU64,
     /// How often collection re-checks the liveness of servers that have not
     /// reported yet (resolved from [`GroupConfig`]).
     report_poll: Duration,
-    /// Hard ceiling on one report collection: even a server thread that is
-    /// alive but wedged cannot block the caller past this.  A healthy
-    /// server that cannot drain its backlog within the deadline is reported
-    /// missing, and its late answer is discarded by the generation filter.
-    /// The default is sized orders of magnitude above any broadcast backlog
-    /// the workloads here produce, so only a genuinely wedged (or dead)
-    /// thread hits it.
+    /// Hard ceiling on one report collection (and on one resync's wait):
+    /// even a server thread that is alive but wedged cannot block the
+    /// caller past this.  A healthy server that cannot drain its backlog
+    /// within the deadline is reported missing, and its late answer is
+    /// discarded by the generation filter.  The default is sized orders of
+    /// magnitude above any broadcast backlog the workloads here produce, so
+    /// only a genuinely wedged (or dead) thread hits it.
     collect_timeout: Duration,
     /// The environment clock all deadline math goes through — never raw
     /// `Instant::now()`, so the collection logic reads identically to the
@@ -121,8 +130,7 @@ pub struct ParallelServerGroup {
     /// groups, which cannot restart.
     durable: Option<DurableGroupInfo>,
     /// Which servers' processes were killed (and not yet restarted).
-    /// Mutex-guarded so the `&self` inherent API can keep its signatures.
-    down: Mutex<Vec<bool>>,
+    down: Vec<bool>,
     /// Broadcast batches, oldest first, that the sending thread still holds
     /// a reference to.  It drops each once the servers have released theirs,
     /// so the buffer is freed on the thread that allocated it.  Freed on a
@@ -130,7 +138,7 @@ pub struct ParallelServerGroup {
     /// cache (glibc's per-thread tcache), which only that thread reuses: a
     /// megabyte or more of dead buffers across a group fed small batches.
     /// Capped at [`SENT_BATCHES`], so a slow server's backlog is let go.
-    sent: Mutex<VecDeque<Arc<[Event]>>>,
+    sent: VecDeque<Arc<[Event]>>,
 }
 
 /// What a durable group needs to rebuild a killed server from storage.
@@ -171,9 +179,8 @@ impl ParallelServerGroup {
     /// Spawns a *durable* group: each server keeps a write-ahead log and
     /// periodic snapshots under `prefix`-derived ids in `store`, and killed
     /// processes can be brought back with
-    /// [`ParallelServerGroup::restart_process`].  Any leftover durable
-    /// state under the same ids is wiped first (this is a fresh group, not
-    /// a recovery).
+    /// [`ServerGroup::restart_process`].  Any leftover durable state under
+    /// the same ids is wiped first (this is a fresh group, not a recovery).
     pub fn spawn_durable(
         machines: &[Dfsm],
         config: &GroupConfig,
@@ -216,34 +223,35 @@ impl ParallelServerGroup {
         durable: Option<DurableGroupInfo>,
     ) -> Self {
         let (report_sender, reports) = unbounded();
+        let (answer_sender, answers) = unbounded();
         let n = servers.len();
-        let handles = servers
-            .into_iter()
-            .enumerate()
-            .map(|(index, ps)| Self::spawn_thread(index, ps, report_sender.clone()))
-            .collect();
-        ParallelServerGroup {
-            handles,
+        let mut group = ParallelServerGroup {
+            handles: Vec::with_capacity(n),
             reports,
             report_sender,
-            generation: std::sync::atomic::AtomicU64::new(0),
+            answers,
+            answer_sender,
+            generation: AtomicU64::new(0),
             report_poll: config.resolved_report_poll(),
             collect_timeout: config.resolved_collect_timeout(),
             clock,
             roster: machines.to_vec(),
             durable,
-            down: Mutex::new(vec![false; n]),
-            sent: Mutex::new(VecDeque::new()),
+            down: vec![false; n],
+            sent: VecDeque::new(),
+        };
+        for (index, ps) in servers.into_iter().enumerate() {
+            let handle = group.spawn_thread(index, ps);
+            group.handles.push(handle);
         }
+        group
     }
 
-    fn spawn_thread(
-        index: usize,
-        ps: ProcessServer,
-        report_tx: Sender<(usize, u64, MachineReport)>,
-    ) -> ServerHandle {
-        let (tx, rx): (Sender<Command>, Receiver<Command>) = unbounded();
-        let join = thread::spawn(move || run_server(index, ps, rx, report_tx));
+    fn spawn_thread(&self, index: usize, ps: ProcessServer) -> ServerHandle {
+        let (tx, rx) = unbounded();
+        let reports = self.report_sender.clone();
+        let answers = self.answer_sender.clone();
+        let join = thread::spawn(move || run_server(index, ps, rx, reports, answers));
         ServerHandle {
             commands: tx,
             join: Some(join),
@@ -260,197 +268,15 @@ impl ParallelServerGroup {
         self.handles.is_empty()
     }
 
-    /// Copies `events` into the shared `Arc<[Event]>` every batch command
-    /// hands around, in one allocation — or `None` for an empty slice, so
-    /// no batch path allocates (or sends a command) for nothing.
-    fn shared_batch(events: &[Event]) -> Option<Arc<[Event]>> {
-        (!events.is_empty()).then(|| Arc::from(events))
+    /// Sends server `i` a command no one waits on.  A send to a dead
+    /// server's queue fails silently: its absence shows when it does not
+    /// answer.
+    fn send(&self, i: usize, cmd: ServerCommand) {
+        let _ = self.handles[i].commands.send(Command::Server(cmd, 0));
     }
 
-    /// Broadcasts a whole batch of events with **one channel send per
-    /// server**: the events are cloned once into a shared `Arc<[Event]>`
-    /// and every server thread walks the same slice in order, so each
-    /// server ends where applying the events one at a time would leave it.
-    pub fn apply_batch(&self, events: &[Event]) {
-        if let Some(batch) = Self::shared_batch(events) {
-            self.send_batch(batch);
-        }
-    }
-
-    /// Sends a whole batch of events to server `i` only, as one command —
-    /// the degraded-mode ingestion and rejoin-replay path.
-    pub fn apply_batch_to(&self, i: usize, events: &[Event]) {
-        if let Some(batch) = Self::shared_batch(events) {
-            let _ = self.handles[i].commands.send(Command::ApplyBatch(batch));
-        }
-    }
-
-    fn send_batch(&self, batch: Arc<[Event]>) {
-        for h in &self.handles {
-            let _ = h.commands.send(Command::ApplyBatch(Arc::clone(&batch)));
-        }
-        let mut sent = self.sent.lock().expect("sent-batch lock");
-        // Each server applies its commands in order, so batches are
-        // released oldest first.
-        while let Some(oldest) = sent.front() {
-            if sent.len() < SENT_BATCHES && Arc::strong_count(oldest) > 1 {
-                break;
-            }
-            sent.pop_front();
-        }
-        sent.push_back(batch);
-    }
-
-    /// Crashes server `i`.
-    pub fn crash(&self, i: usize) {
-        let _ = self.handles[i].commands.send(Command::Crash);
-    }
-
-    /// Corrupts server `i` to `state`.
-    pub fn corrupt(&self, i: usize, state: StateId) {
-        let _ = self.handles[i].commands.send(Command::Corrupt(state));
-    }
-
-    /// Restores server `i` to `state` (after recovery).
-    pub fn restore(&self, i: usize, state: StateId) {
-        let _ = self.handles[i].commands.send(Command::Restore(state));
-    }
-
-    /// Kills server `i`'s *thread* (distinct from the modeled crash fault,
-    /// which keeps answering): pending commands are processed first, then
-    /// the thread exits and the server's reports go missing.
-    pub fn kill_process(&self, i: usize) {
-        let _ = self.handles[i].commands.send(Command::Stop);
-        self.down.lock().expect("down lock")[i] = true;
-    }
-
-    /// Restarts server `i`'s killed thread from durable state: joins the
-    /// old thread, runs [`DurableServer::recover`] against the group's
-    /// store (snapshot + WAL-suffix replay, torn tail dropped), and spawns
-    /// a fresh thread hosting the recovered server.
-    ///
-    /// Fails with [`DistsysError::NotDurable`] on plain groups,
-    /// [`DistsysError::ServerUp`] if the process was never killed, and
-    /// [`DistsysError::NoSuchServer`] for an out-of-range index.
-    pub fn restart_process(&mut self, i: usize) -> Result<ReplayStats> {
-        if i >= self.handles.len() {
-            return Err(DistsysError::NoSuchServer {
-                server: i,
-                count: self.handles.len(),
-            });
-        }
-        let Some(info) = &self.durable else {
-            return Err(DistsysError::NotDurable { server: i });
-        };
-        if !self.down.lock().expect("down lock")[i] {
-            return Err(DistsysError::ServerUp { server: i });
-        }
-        // The Stop behind the `down` flag guarantees the old thread exits
-        // once it drains its queue; join it so its final WAL writes are
-        // visible before recovery reads the store.
-        if let Some(join) = self.handles[i].join.take() {
-            let _ = join.join();
-        }
-        let (recovered, stats) = DurableServer::recover(
-            self.roster[i].clone(),
-            info.store.clone(),
-            info.server_id(i),
-            &info.config,
-        )?;
-        self.handles[i] = Self::spawn_thread(
-            i,
-            ProcessServer::Durable(recovered),
-            self.report_sender.clone(),
-        );
-        self.down.lock().expect("down lock")[i] = false;
-        Ok(stats)
-    }
-
-    /// Sends server `i` a peer-decoded state to adopt at group sequence
-    /// `seq` (durable servers snapshot at `seq`; plain servers just
-    /// restore).
-    pub fn resync(&self, i: usize, seq: u64, state: StateId) {
-        let _ = self.handles[i].commands.send(Command::Resync(seq, state));
-    }
-
-    /// Collects a state report from every server.  This is the
-    /// synchronization point of the recovery protocol: it waits until every
-    /// server has answered, which also guarantees all previously broadcast
-    /// events have been applied (commands are processed in order).
-    ///
-    /// A server whose thread has died (e.g. panicked in `Server::apply`)
-    /// can never answer; the group's own clone of the report sender keeps
-    /// the channel open, so a plain blocking `recv` would wait forever.
-    /// Instead the drain polls with a timeout and re-checks the join
-    /// handles of the servers still outstanding: once every missing server's
-    /// thread is finished — or the overall deadline passes — collection
-    /// gives up and returns [`DistsysError::MissingReports`] naming them.
-    /// Each collection runs under a fresh generation tag, so a reply that
-    /// arrives *after* its collection gave up (a slow-but-alive server) is
-    /// recognized as stale and discarded by the next collection instead of
-    /// being mistaken for its answer.
-    pub fn collect_reports(&self) -> Result<Vec<MachineReport>> {
-        let out = self.try_collect_reports();
-        let missing: Vec<usize> = out
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.is_none().then_some(i))
-            .collect();
-        if missing.is_empty() {
-            Ok(out.into_iter().map(|r| r.expect("all received")).collect())
-        } else {
-            Err(DistsysError::MissingReports { servers: missing })
-        }
-    }
-
-    /// The partial form of [`ParallelServerGroup::collect_reports`]:
-    /// servers that never answered before the deadline yield `None` at
-    /// their index instead of failing the whole collection.
-    ///
-    /// All deadline math runs on the group's environment clock
-    /// ([`OsClock`]) — the collection loop never consults `Instant::now()`
-    /// directly, mirroring how the simulated runner computes the same
-    /// deadline on virtual time.
-    pub fn try_collect_reports(&self) -> Vec<Option<MachineReport>> {
-        let generation = self
-            .generation
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            + 1;
-        for h in &self.handles {
-            // A send to a dead server's queue fails; its absence is
-            // detected below rather than here, so the one error path covers
-            // threads that die before *and* after the request lands.
-            let _ = h.commands.send(Command::Report(generation));
-        }
-        let n = self.handles.len();
-        let mut out: Vec<Option<MachineReport>> = vec![None; n];
-        let mut received = 0;
-        let deadline = self.clock.now() + self.collect_timeout;
-        while received < n {
-            match self.reports.recv_timeout(self.report_poll) {
-                Ok((_, gen, _)) if gen != generation => {
-                    // Stale reply from a collection that already gave up.
-                }
-                Ok((i, _, r)) => {
-                    if out[i].is_none() {
-                        received += 1;
-                    }
-                    out[i] = Some(r);
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                    let all_dead = (0..n).filter(|&i| out[i].is_none()).all(|i| {
-                        self.handles[i]
-                            .join
-                            .as_ref()
-                            .map_or(true, |j| j.is_finished())
-                    });
-                    if all_dead || self.clock.now() >= deadline {
-                        break;
-                    }
-                }
-            }
-        }
-        out
+    fn next_tag(&self) -> u64 {
+        self.generation.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Posts a report request to every server under a fresh generation tag
@@ -463,16 +289,15 @@ impl ParallelServerGroup {
     /// this as a batch marker to measure enqueue-to-apply latency without
     /// blocking the aggregator.
     ///
-    /// Do not interleave with [`ParallelServerGroup::collect_reports`]:
-    /// each call bumps the shared generation, and a collection discards
-    /// replies from older tags as stale.
+    /// Do not interleave with [`ServerGroup::collect_reports`]: each call
+    /// bumps the shared generation, and a collection discards replies from
+    /// older tags as stale.
     pub fn request_reports(&self) -> u64 {
-        let generation = self
-            .generation
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            + 1;
+        let generation = self.next_tag();
         for h in &self.handles {
-            let _ = h.commands.send(Command::Report(generation));
+            let _ = h
+                .commands
+                .send(Command::Server(ServerCommand::Report, generation));
         }
         generation
     }
@@ -494,66 +319,193 @@ impl ParallelServerGroup {
     /// Stops all threads and returns the final `Server` values (for
     /// inspection in tests).  Servers whose threads panicked have no final
     /// value and are omitted, matching the recoverable-error contract of
-    /// [`ParallelServerGroup::collect_reports`] — a caller that handled
+    /// [`ServerGroup::collect_reports`] — a caller that handled
     /// [`DistsysError::MissingReports`] can still tear the group down.
     pub fn shutdown(mut self) -> Vec<Server> {
-        self.handles
-            .iter()
-            .for_each(|h| drop(h.commands.send(Command::Stop)));
+        self.stop_all()
+    }
+
+    /// Stops and joins every thread not joined yet, returning the final
+    /// `Server` of each that did not panic.
+    fn stop_all(&mut self) -> Vec<Server> {
+        for h in &self.handles {
+            let _ = h.commands.send(Command::Stop);
+        }
         self.handles
             .iter_mut()
-            .filter_map(|h| h.join.take().expect("joined once").join().ok())
+            .filter_map(|h| h.join.take()?.join().ok())
             .collect()
     }
 }
 
-/// The [`ServerGroup`] view of the threaded runner, delegating to the
-/// inherent methods (which remain available, `&self`, for existing
-/// callers).
 impl ServerGroup for ParallelServerGroup {
     fn len(&self) -> usize {
         ParallelServerGroup::len(self)
     }
 
+    /// Broadcasts a whole batch of events with **one channel send per
+    /// server**: the events are cloned once into a shared `Arc<[Event]>`
+    /// and every server thread walks the same slice in order, so each
+    /// server ends where applying the events one at a time would leave it.
     fn apply_batch(&mut self, events: &[Event]) {
-        ParallelServerGroup::apply_batch(self, events);
+        if events.is_empty() {
+            return;
+        }
+        let batch: Arc<[Event]> = Arc::from(events);
+        for i in 0..self.handles.len() {
+            self.send(i, ServerCommand::Batch(Arc::clone(&batch)));
+        }
+        // Each server applies its commands in order, so batches are
+        // released oldest first.
+        while let Some(oldest) = self.sent.front() {
+            if self.sent.len() < SENT_BATCHES && Arc::strong_count(oldest) > 1 {
+                break;
+            }
+            self.sent.pop_front();
+        }
+        self.sent.push_back(batch);
     }
 
     fn apply_batch_to(&mut self, i: usize, events: &[Event]) {
-        ParallelServerGroup::apply_batch_to(self, i, events);
+        if !events.is_empty() {
+            self.send(i, ServerCommand::Batch(Arc::from(events)));
+        }
     }
 
     fn crash(&mut self, i: usize) {
-        ParallelServerGroup::crash(self, i);
+        self.send(i, ServerCommand::Crash);
     }
 
     fn corrupt(&mut self, i: usize, state: StateId) {
-        ParallelServerGroup::corrupt(self, i, state);
+        self.send(i, ServerCommand::Corrupt(state));
     }
 
     fn restore(&mut self, i: usize, state: StateId) {
-        ParallelServerGroup::restore(self, i, state);
+        self.send(i, ServerCommand::Restore(state));
     }
 
+    /// Kills server `i`'s *thread* (distinct from the modeled crash fault,
+    /// which keeps answering): pending commands are processed first, then
+    /// the thread exits and the server's reports go missing.
     fn kill_process(&mut self, i: usize) {
-        ParallelServerGroup::kill_process(self, i);
+        let _ = self.handles[i].commands.send(Command::Stop);
+        self.down[i] = true;
     }
 
+    /// Restarts server `i`'s thread from durable state once it was killed
+    /// or a storage failure stopped it: joins the old thread, runs
+    /// [`DurableServer::recover`] against the group's store (snapshot +
+    /// WAL-suffix replay, torn tail dropped), and spawns a fresh thread
+    /// hosting the recovered server.
+    ///
+    /// Fails with [`DistsysError::NotDurable`] on plain groups,
+    /// [`DistsysError::ServerUp`] if the thread is still running, and
+    /// [`DistsysError::NoSuchServer`] for an out-of-range index.
     fn restart_process(&mut self, i: usize) -> Result<ReplayStats> {
-        ParallelServerGroup::restart_process(self, i)
+        if i >= self.handles.len() {
+            return Err(DistsysError::NoSuchServer {
+                server: i,
+                count: self.handles.len(),
+            });
+        }
+        let Some(info) = &self.durable else {
+            return Err(DistsysError::NotDurable { server: i });
+        };
+        if !self.down[i] && !self.handles[i].exited() {
+            return Err(DistsysError::ServerUp { server: i });
+        }
+        // The thread exits once it drains its queue (behind the Stop of a
+        // kill); join it so its final WAL writes are visible before
+        // recovery reads the store.
+        if let Some(join) = self.handles[i].join.take() {
+            let _ = join.join();
+        }
+        let (recovered, stats) = DurableServer::recover(
+            self.roster[i].clone(),
+            info.store.clone(),
+            info.server_id(i),
+            &info.config,
+        )?;
+        self.handles[i] = self.spawn_thread(i, ProcessServer::Durable(recovered));
+        self.down[i] = false;
+        Ok(stats)
     }
 
+    /// Sends server `i` the resync and waits for its answer, on a channel
+    /// of its own so report markers in flight are not disturbed.  A server
+    /// whose thread exits (or stays silent past the collection deadline)
+    /// before answering fails with [`DistsysError::ServerDown`].
     fn resync(&mut self, i: usize, seq: u64, state: StateId) -> Result<()> {
-        ParallelServerGroup::resync(self, i, seq, state);
-        Ok(())
+        let ticket = self.next_tag();
+        let _ = self.handles[i]
+            .commands
+            .send(Command::Server(ServerCommand::Resync(seq, state), ticket));
+        let deadline = self.clock.now() + self.collect_timeout;
+        loop {
+            match self.answers.recv_timeout(self.report_poll) {
+                Ok((t, answer)) if t == ticket => return answer,
+                // An earlier resync that gave up waiting.
+                Ok(_) => {}
+                Err(_) if self.handles[i].exited() || self.clock.now() >= deadline => {
+                    // The thread answers before it exits, so its answer
+                    // may have landed since the wait timed out.
+                    return std::iter::from_fn(|| self.answers.try_recv().ok())
+                        .find(|(t, _)| *t == ticket)
+                        .map_or(Err(DistsysError::ServerDown { server: i }), |(_, a)| a);
+                }
+                Err(_) => {}
+            }
+        }
     }
 
+    /// Collects a report from every server.  This is the synchronization
+    /// point of the recovery protocol: it waits until every server has
+    /// answered, which also guarantees all previously broadcast events have
+    /// been applied (commands are processed in order).
+    ///
+    /// A server whose thread has died (killed, stopped by a storage
+    /// failure, or panicked in `Server::apply`) can never answer; the
+    /// group's own clone of the report sender keeps the channel open, so a
+    /// plain blocking `recv` would wait forever.  Instead the drain polls
+    /// with a timeout and re-checks the join handles of the servers still
+    /// outstanding: once every missing server's thread is finished — or
+    /// the overall deadline passes — collection gives up and yields `None`
+    /// for them.  Each collection runs under a fresh generation tag, so a
+    /// reply that arrives *after* its collection gave up (a slow-but-alive
+    /// server) is recognized as stale and discarded by the next collection
+    /// instead of being mistaken for its answer.
+    ///
+    /// All deadline math runs on the group's environment clock
+    /// ([`OsClock`]), mirroring how the simulated runner computes the same
+    /// deadline on virtual time.
     fn try_collect_reports(&mut self) -> Vec<Option<MachineReport>> {
-        ParallelServerGroup::try_collect_reports(self)
-    }
-
-    fn collect_reports(&mut self) -> Result<Vec<MachineReport>> {
-        ParallelServerGroup::collect_reports(self)
+        let generation = self.request_reports();
+        let n = self.handles.len();
+        let mut out: Vec<Option<MachineReport>> = vec![None; n];
+        let mut received = 0;
+        let deadline = self.clock.now() + self.collect_timeout;
+        while received < n {
+            match self.reports.recv_timeout(self.report_poll) {
+                Ok((_, gen, _)) if gen != generation => {
+                    // Stale reply from a collection that already gave up.
+                }
+                Ok((i, _, r)) => {
+                    if out[i].is_none() {
+                        received += 1;
+                    }
+                    out[i] = Some(r);
+                }
+                Err(_) => {
+                    let all_dead = (0..n)
+                        .filter(|&i| out[i].is_none())
+                        .all(|i| self.handles[i].exited());
+                    if all_dead || self.clock.now() >= deadline {
+                        break;
+                    }
+                }
+            }
+        }
+        out
     }
 
     fn shutdown(self: Box<Self>) -> Vec<Server> {
@@ -563,17 +515,7 @@ impl ServerGroup for ParallelServerGroup {
 
 impl Drop for ParallelServerGroup {
     fn drop(&mut self) {
-        for h in &self.handles {
-            let _ = h.commands.send(Command::Stop);
-        }
-        for h in &mut self.handles {
-            if let Some(j) = h.join.take() {
-                let _ = j.join();
-            }
-        }
-        // Keep the report sender alive until here so late reports do not
-        // panic the threads.
-        let _ = &self.report_sender;
+        self.stop_all();
     }
 }
 
@@ -586,7 +528,7 @@ mod tests {
     #[test]
     fn sender_frees_released_batches_and_caps_the_rest() {
         let machines = fig1_machines();
-        let group = ParallelServerGroup::spawn(&machines);
+        let mut group = ParallelServerGroup::spawn(&machines);
         let batch: Vec<Event> = "0110".chars().map(|c| Event::new(c.to_string())).collect();
         group.apply_batch(&batch);
         group.apply_batch(&batch);
@@ -594,14 +536,14 @@ mod tests {
         // of both batches, so the next send frees them here.
         group.collect_reports().unwrap();
         group.apply_batch(&batch);
-        assert_eq!(group.sent.lock().unwrap().len(), 1);
+        assert_eq!(group.sent.len(), 1);
         // A batch that is never released stops the oldest-first sweep; the
         // cap still bounds what the group holds.
-        let pinned = Arc::clone(group.sent.lock().unwrap().front().unwrap());
+        let pinned = Arc::clone(group.sent.front().unwrap());
         for _ in 0..2 * SENT_BATCHES {
             group.apply_batch(&batch);
         }
-        assert!(group.sent.lock().unwrap().len() <= SENT_BATCHES);
+        assert!(group.sent.len() <= SENT_BATCHES);
         drop(pinned);
         let reports = group.collect_reports().unwrap();
         let sent = (3 + 2 * SENT_BATCHES) * 2;
@@ -613,7 +555,7 @@ mod tests {
     #[test]
     fn parallel_group_applies_events_concurrently() {
         let machines = fig1_machines();
-        let group = ParallelServerGroup::spawn(&machines);
+        let mut group = ParallelServerGroup::spawn(&machines);
         assert_eq!(group.len(), 2);
         assert!(!group.is_empty());
         let events: Vec<Event> = "00110".chars().map(|c| Event::new(c.to_string())).collect();
@@ -634,7 +576,7 @@ mod tests {
         // (`Server::apply`) reaches, including interleavings with fault
         // commands.
         let machines = fig1_machines();
-        let group = ParallelServerGroup::spawn(&machines);
+        let mut group = ParallelServerGroup::spawn(&machines);
         let events: Vec<Event> = "0110100101101"
             .chars()
             .map(|c| Event::new(c.to_string()))
@@ -667,7 +609,7 @@ mod tests {
     #[test]
     fn batch_to_one_server_and_async_report_markers() {
         let machines = fig1_machines();
-        let group = ParallelServerGroup::spawn(&machines);
+        let mut group = ParallelServerGroup::spawn(&machines);
         let events: Vec<Event> = "01101".chars().map(|c| Event::new(c.to_string())).collect();
         // The single-lane batch path: one command, one server.
         group.apply_batch_to(0, &events);
@@ -702,7 +644,7 @@ mod tests {
     #[test]
     fn parallel_group_matches_sequential_execution() {
         let machines = fig1_machines();
-        let group = ParallelServerGroup::spawn(&machines);
+        let mut group = ParallelServerGroup::spawn(&machines);
         let word = "0101101001";
         let events: Vec<Event> = word.chars().map(|c| Event::new(c.to_string())).collect();
         group.apply_batch(&events);
@@ -723,7 +665,7 @@ mod tests {
         let sys = crate::FusedSystem::new(&machines, 1, FaultModel::Crash).unwrap();
         let mut all_machines = machines.clone();
         all_machines.extend(sys.fusion().machines.iter().cloned());
-        let group = ParallelServerGroup::spawn(&all_machines);
+        let mut group = ParallelServerGroup::spawn(&all_machines);
 
         let events: Vec<Event> = "011010011"
             .chars()
@@ -764,7 +706,7 @@ mod tests {
         // modeled crash fault, which still answers) and the collection must
         // return an error naming it.
         let machines = fig1_machines();
-        let group = ParallelServerGroup::spawn(&machines);
+        let mut group = ParallelServerGroup::spawn(&machines);
         group.apply_batch(&[Event::new("0")]);
         group.kill_process(0);
         match group.collect_reports() {
@@ -773,6 +715,11 @@ mod tests {
             }
             other => panic!("expected MissingReports, got {other:?}"),
         }
+        let resync = group.resync(0, 1, StateId(0));
+        assert!(matches!(
+            resync,
+            Err(DistsysError::ServerDown { server: 0 })
+        ));
         // The surviving servers still shut down cleanly and the dead
         // thread's final state is still collectable.
         let servers = group.shutdown();
@@ -786,7 +733,7 @@ mod tests {
         // short explicit deadline keeps the partial collection fast, and
         // the surviving server still answers.
         let machines = fig1_machines();
-        let group = ParallelServerGroup::spawn_with(
+        let mut group = ParallelServerGroup::spawn_with(
             &machines,
             &GroupConfig::new()
                 .report_poll(Duration::from_millis(1))
@@ -859,7 +806,7 @@ mod tests {
         )
         .unwrap();
         group.apply_batch(&[Event::new("0")]);
-        group.resync(0, 10, StateId(2));
+        group.resync(0, 10, StateId(2)).unwrap();
         let reports = group.collect_reports().unwrap();
         assert_eq!(reports[0], MachineReport::State(2));
         // The resync snapshotted at the group sequence number, so a
@@ -914,7 +861,7 @@ mod tests {
         // to an out-of-range state makes the next event application panic
         // inside server 1's thread (out-of-bounds transition lookup).
         let machines = fig1_machines();
-        let group = ParallelServerGroup::spawn(&machines);
+        let mut group = ParallelServerGroup::spawn(&machines);
         group.restore(1, StateId(usize::MAX));
         group.apply_batch(&[Event::new("1")]);
         match group.collect_reports() {

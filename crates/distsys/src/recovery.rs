@@ -14,8 +14,16 @@
 //! When the local log is *behind* the group, [`RejoinPath::choose`] decides
 //! between replaying the missed events and decoding the current state from
 //! live peers' reports via Algorithm 3 — peer decode wins for large gaps.
+//!
+//! Both runners drive their servers through one step,
+//! `ProcessServer::handle`, so both commit batches the same way.  A storage
+//! failure is a typed error from that step, not a panic; the runners stop
+//! the process on it, and a restart recovers what was persisted.
+
+use std::sync::Arc;
 
 use fsm_dfsm::{Dfsm, Event, StateId};
+use fsm_fusion_core::MachineReport;
 
 use crate::error::{DistsysError, Result};
 use crate::server::{Server, ServerStatus};
@@ -358,6 +366,27 @@ impl std::fmt::Debug for DurableServer {
     }
 }
 
+/// One command to a server, as both runners deliver it to
+/// [`ProcessServer::handle`].
+#[derive(Debug)]
+pub(crate) enum ServerCommand {
+    /// Apply a shared batch of events in order; a durable server commits
+    /// it as a group ([`DurableServer::apply_batch`]).
+    Batch(Arc<[Event]>),
+    /// Inject a modeled crash fault.
+    Crash,
+    /// Inject a Byzantine fault moving the server to the given state.
+    Corrupt(StateId),
+    /// Restore the server to the given state (after recovery).
+    Restore(StateId),
+    /// Adopt a peer-decoded state at the group sequence number: a durable
+    /// server snapshots at it ([`DurableServer::resync`]), a plain one
+    /// restores the state and ignores the number.
+    Resync(u64, StateId),
+    /// Answer with the server's state report.
+    Report,
+}
+
 /// A server slot that may or may not carry durable state — what the
 /// threaded and simulated runners actually host.
 #[derive(Debug)]
@@ -369,10 +398,6 @@ pub(crate) enum ProcessServer {
 }
 
 impl ProcessServer {
-    pub(crate) fn is_durable(&self) -> bool {
-        matches!(self, ProcessServer::Durable(_))
-    }
-
     pub(crate) fn server(&self) -> &Server {
         match self {
             ProcessServer::Plain(s) => s,
@@ -380,7 +405,7 @@ impl ProcessServer {
         }
     }
 
-    pub(crate) fn server_mut(&mut self) -> &mut Server {
+    fn server_mut(&mut self) -> &mut Server {
         match self {
             ProcessServer::Plain(s) => s,
             ProcessServer::Durable(d) => d.server_mut(),
@@ -394,41 +419,30 @@ impl ProcessServer {
         }
     }
 
-    /// Applies an event, logging first when durable.  Storage failure here
-    /// is unrecoverable for the hosting process (the event can be neither
-    /// acknowledged nor dropped), so it panics like a real fsync failure
-    /// would abort a database process.
-    pub(crate) fn apply(&mut self, event: &Event) {
-        self.apply_batch(std::slice::from_ref(event));
-    }
-
-    /// Applies a batch in order.  A durable server commits it as a group
-    /// ([`DurableServer::apply_batch`]); storage failure panics as in
-    /// [`ProcessServer::apply`].
-    pub(crate) fn apply_batch(&mut self, events: &[Event]) {
-        match self {
-            ProcessServer::Plain(s) => {
-                for e in events {
-                    s.apply(e);
-                }
+    /// Carries out one command, returning the report a
+    /// [`ServerCommand::Report`] asks for.  Answering is the transport's job.
+    ///
+    /// An `Err` is a storage failure (a WAL append or the resync snapshot),
+    /// after which the server's memory may be ahead of what it persisted:
+    /// the runners stop the process, as a kill would.
+    pub(crate) fn handle(&mut self, cmd: ServerCommand) -> Result<Option<MachineReport>> {
+        match cmd {
+            ServerCommand::Batch(events) => match self {
+                ProcessServer::Plain(s) => events.iter().for_each(|e| s.apply(e)),
+                ProcessServer::Durable(d) => d.apply_batch(&events)?,
+            },
+            ServerCommand::Crash => self.server_mut().crash(),
+            ServerCommand::Corrupt(state) => {
+                self.server_mut().corrupt(state);
             }
-            ProcessServer::Durable(d) => d
-                .apply_batch(events)
-                .expect("WAL append failed; cannot acknowledge events"),
+            ServerCommand::Restore(state) => self.server_mut().restore(state),
+            ServerCommand::Resync(seq, state) => match self {
+                ProcessServer::Plain(s) => s.restore(state),
+                ProcessServer::Durable(d) => d.resync(seq, state)?,
+            },
+            ServerCommand::Report => return Ok(Some(self.server().report())),
         }
-    }
-
-    /// Adopts a peer-decoded state at the group sequence number `seq`: a
-    /// durable server snapshots at `seq` ([`DurableServer::resync`]), a
-    /// plain one restores the state and ignores `seq`.
-    pub(crate) fn resync(&mut self, seq: u64, state: StateId) -> Result<()> {
-        match self {
-            ProcessServer::Plain(s) => {
-                s.restore(state);
-                Ok(())
-            }
-            ProcessServer::Durable(d) => d.resync(seq, state),
-        }
+        Ok(None)
     }
 
     pub(crate) fn durable_id(&self) -> Option<&str> {
@@ -660,20 +674,22 @@ mod tests {
     #[test]
     fn process_server_delegates() {
         let store = shared(MemStore::new());
+        let batch: Arc<[Event]> = Arc::from(vec![ev("1")]);
         let mut plain = ProcessServer::Plain(Server::new(toggle_switch()));
-        plain.apply(&ev("1"));
+        plain.handle(ServerCommand::Batch(batch.clone())).unwrap();
         assert_eq!(plain.server().current_state(), StateId(1));
-        assert!(!plain.is_durable());
         assert_eq!(plain.durable_id(), None);
         // A plain resync restores the state and ignores the sequence number.
-        assert!(plain.resync(1, StateId(0)).is_ok());
+        assert!(plain.handle(ServerCommand::Resync(1, StateId(0))).is_ok());
         assert_eq!(plain.server().current_state(), StateId(0));
+        plain.handle(ServerCommand::Crash).unwrap();
+        let report = plain.handle(ServerCommand::Report).unwrap();
+        assert_eq!(report, Some(MachineReport::Crashed));
         let durable = DurableServer::fresh(toggle_switch(), store, "s5", &cfg(8)).unwrap();
         let mut durable = ProcessServer::Durable(durable);
-        durable.apply(&ev("1"));
-        assert!(durable.is_durable());
+        durable.handle(ServerCommand::Batch(batch)).unwrap();
         assert_eq!(durable.durable_id(), Some("s5"));
-        assert!(durable.resync(9, StateId(0)).is_ok());
+        assert!(durable.handle(ServerCommand::Resync(9, StateId(0))).is_ok());
         assert_eq!(durable.into_server().current_state(), StateId(0));
     }
 }

@@ -47,6 +47,7 @@ pub use trace::{Trace, TraceEvent};
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
 use fsm_dfsm::{Dfsm, Event, StateId};
@@ -55,7 +56,7 @@ use rand::RngCore;
 
 use crate::env::{Environment, GroupConfig, ServerGroup};
 use crate::error::Result;
-use crate::recovery::ReplayStats;
+use crate::recovery::{ReplayStats, ServerCommand};
 use crate::server::Server;
 use crate::storage::SharedStore;
 use net::{Chaos, Payload, SimWorld};
@@ -267,6 +268,15 @@ pub struct SimServerGroup {
     collect_timeout: u64,
 }
 
+impl SimServerGroup {
+    /// Sends server `i` a command no one waits on.
+    fn send(&self, i: usize, cmd: ServerCommand) {
+        self.world
+            .borrow_mut()
+            .send_command(self.group, i, Payload::Command(cmd, 0));
+    }
+}
+
 impl ServerGroup for SimServerGroup {
     fn len(&self) -> usize {
         self.world.borrow().group_len(self.group)
@@ -276,36 +286,28 @@ impl ServerGroup for SimServerGroup {
         if events.is_empty() {
             return;
         }
-        let batch: Rc<[Event]> = events.into();
-        let mut w = self.world.borrow_mut();
-        w.broadcast(self.group, || Payload::Batch(Rc::clone(&batch)));
+        let batch: Arc<[Event]> = events.into();
+        for i in 0..self.len() {
+            self.send(i, ServerCommand::Batch(Arc::clone(&batch)));
+        }
     }
 
     fn apply_batch_to(&mut self, i: usize, events: &[Event]) {
-        if events.is_empty() {
-            return;
+        if !events.is_empty() {
+            self.send(i, ServerCommand::Batch(events.into()));
         }
-        self.world
-            .borrow_mut()
-            .send_command(self.group, i, Payload::Batch(events.into()));
     }
 
     fn crash(&mut self, i: usize) {
-        self.world
-            .borrow_mut()
-            .send_command(self.group, i, Payload::Crash);
+        self.send(i, ServerCommand::Crash);
     }
 
     fn corrupt(&mut self, i: usize, state: StateId) {
-        self.world
-            .borrow_mut()
-            .send_command(self.group, i, Payload::Corrupt(state));
+        self.send(i, ServerCommand::Corrupt(state));
     }
 
     fn restore(&mut self, i: usize, state: StateId) {
-        self.world
-            .borrow_mut()
-            .send_command(self.group, i, Payload::Restore(state));
+        self.send(i, ServerCommand::Restore(state));
     }
 
     fn kill_process(&mut self, i: usize) {
@@ -323,11 +325,10 @@ impl ServerGroup for SimServerGroup {
         world.restart(self.group, i)
     }
 
+    /// Delivers the resync (and everything due before it) and returns the
+    /// server's answer.
     fn resync(&mut self, i: usize, seq: u64, state: StateId) -> Result<()> {
-        self.world
-            .borrow_mut()
-            .send_command(self.group, i, Payload::Resync(seq, state));
-        Ok(())
+        self.world.borrow_mut().resync(self.group, i, seq, state)
     }
 
     fn try_collect_reports(&mut self) -> Vec<Option<MachineReport>> {
@@ -365,6 +366,9 @@ mod tests {
         let reports = group.collect_reports().unwrap();
         assert_eq!(reports[0], MachineReport::State(0));
         assert_eq!(reports[1], MachineReport::State(2));
+        // Each server handles the batch as one command, traced once.
+        let batch = |e: &TraceEvent| matches!(e, TraceEvent::Handle { events: 5, .. });
+        assert_eq!(env.trace_events().iter().filter(|e| batch(e)).count(), 2);
         let servers = group.shutdown();
         assert_eq!(servers.len(), 2);
         assert_eq!(servers[0].events_seen(), 5);
@@ -408,6 +412,11 @@ mod tests {
             Err(crate::DistsysError::MissingReports { servers }) => assert_eq!(servers, vec![1]),
             other => panic!("expected MissingReports, got {other:?}"),
         }
+        let resync = group.resync(1, 1, StateId(0));
+        assert!(matches!(
+            resync,
+            Err(crate::DistsysError::ServerDown { server: 1 })
+        ));
         // The killed process has no final value, like a dead thread.
         let servers = group.shutdown();
         assert_eq!(servers.len(), 1);

@@ -2,24 +2,31 @@
 //! processes, all advanced deterministically from one seed.
 //!
 //! Every interaction between a driver and its servers goes through the
-//! message queue: commands (event batches, faults, restores, report
-//! requests) and report replies.  Commands model the paper's reliable
-//! totally-ordered event broadcast, so they are delayed but never dropped
-//! or reordered per-server; report *replies* travel the chaotic network and
-//! may be dropped, delayed past other replies, or duplicated, according to
-//! the configured knobs.  All of it is scheduled off one SplitMix64 stream,
-//! so the same seed replays the same world byte for byte.
+//! message queue: server commands (event batches, faults, restores,
+//! resyncs, report requests), process kills and report replies.  Commands
+//! model the paper's reliable totally-ordered event broadcast, so they are
+//! delayed but never dropped or reordered per-server; report *replies*
+//! travel the chaotic network and may be dropped, delayed past other
+//! replies, or duplicated, according to the configured knobs.  All of it is
+//! scheduled off one SplitMix64 stream, so the same seed replays the same
+//! world byte for byte.
+//!
+//! Delivering a command is a thin transport around
+//! [`ProcessServer::handle`], the server step the threaded runner shares,
+//! so a durable server here commits batches exactly as it does on threads.
+//! Only process kills and torn-tail injection live in the simulator: they
+//! act on the process and its store, not on the server.  A storage failure
+//! takes the process down as a kill does.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
-use fsm_dfsm::{Dfsm, Event, StateId};
+use fsm_dfsm::{Dfsm, StateId};
 use fsm_fusion_core::MachineReport;
 use rand::Rng;
 
 use crate::error::{DistsysError, Result};
-use crate::recovery::{DurabilityConfig, DurableServer, ProcessServer, ReplayStats};
+use crate::recovery::{DurabilityConfig, DurableServer, ProcessServer, ReplayStats, ServerCommand};
 use crate::server::Server;
 use crate::sim::rng::SimRng;
 use crate::sim::trace::{Trace, TraceEvent};
@@ -84,11 +91,11 @@ pub(crate) struct Chaos {
 
 /// What a message carries.
 pub(crate) enum Payload {
-    Batch(Rc<[Event]>),
-    Crash,
-    Corrupt(StateId),
-    Restore(StateId),
-    ReportRequest(u64),
+    /// A server command and the tag its answer carries back: a report
+    /// round's generation, a resync's ticket, or 0 when no one waits.
+    Command(ServerCommand, u64),
+    /// Power failure of the destination process.
+    Kill,
     Reply {
         server: usize,
         generation: u64,
@@ -97,25 +104,22 @@ pub(crate) enum Payload {
         /// used for reorder accounting at the collector.
         sent_seq: u64,
     },
-    Kill,
-    /// Adopt a peer-decoded state at the group sequence number (the
-    /// post-restart resync path; durable servers snapshot at `seq`).
-    Resync(u64, StateId),
 }
 
 impl Payload {
-    /// The discriminant recorded in `TraceEvent::Send`, and so in the trace
-    /// hash: a value keeps its meaning once used.
+    /// The discriminant recorded in `TraceEvent::Send` and
+    /// `TraceEvent::Handle`, and so in the trace hash: a value keeps its
+    /// meaning once used.
     fn kind(&self) -> u8 {
         match self {
-            Payload::Batch(_) => 1,
-            Payload::Crash => 2,
-            Payload::Corrupt(_) => 3,
-            Payload::Restore(_) => 4,
-            Payload::ReportRequest(_) => 5,
+            Payload::Command(ServerCommand::Batch(_), _) => 1,
+            Payload::Command(ServerCommand::Crash, _) => 2,
+            Payload::Command(ServerCommand::Corrupt(_), _) => 3,
+            Payload::Command(ServerCommand::Restore(_), _) => 4,
+            Payload::Command(ServerCommand::Report, _) => 5,
             Payload::Reply { .. } => 6,
             Payload::Kill => 7,
-            Payload::Resync(..) => 8,
+            Payload::Command(ServerCommand::Resync(..), _) => 8,
         }
     }
 }
@@ -172,7 +176,11 @@ struct SimGroup {
     fifo_floor: Vec<u64>,
     /// Replies received for this group's collector, drained by `collect`.
     inbox: Vec<(usize, u64, MachineReport)>,
-    /// Current collection generation.
+    /// The last answer to a tagged command other than a report (a
+    /// resync), with its tag; taken by `resync`.
+    answer: Option<(u64, Result<()>)>,
+    /// The last tag handed out: report rounds and resyncs each draw a
+    /// fresh one.
     generation: u64,
     /// Highest originating send-sequence delivered to the collector, for
     /// reorder accounting.
@@ -265,6 +273,7 @@ impl SimWorld {
             durability: durability.cloned(),
             fifo_floor: vec![0; machines.len()],
             inbox: Vec::new(),
+            answer: None,
             generation: 0,
             last_reply_seq: 0,
         });
@@ -338,13 +347,6 @@ impl SimWorld {
             dest: Dest::Server { group, server },
             payload,
         }));
-    }
-
-    /// Broadcasts a command to every server of a group.
-    pub(crate) fn broadcast(&mut self, group: usize, mut payload: impl FnMut() -> Payload) {
-        for server in 0..self.groups[group].processes.len() {
-            self.send_command(group, server, payload());
-        }
     }
 
     /// Sends a report reply back to the group's collector through the
@@ -421,107 +423,20 @@ impl SimWorld {
         });
         match msg.dest {
             Dest::Server { group, server } => {
-                // Compute any reply outside the borrow of the process table.
-                let mut reply = None;
+                // A dead process consumes nothing; the message is lost at
+                // its door.
+                if !self.groups[group]
+                    .processes
+                    .get(server)
+                    .is_some_and(|p| p.alive)
                 {
-                    let g = &mut self.groups[group];
-                    let Some(p) = g.processes.get_mut(server) else {
-                        return true;
-                    };
-                    if !p.alive {
-                        // A dead process consumes nothing; the message is
-                        // lost at its door.
-                        return true;
-                    }
-                    match msg.payload {
-                        Payload::Batch(events) => {
-                            for e in events.iter() {
-                                p.server.apply(e);
-                                self.trace.record(TraceEvent::Apply {
-                                    group,
-                                    server,
-                                    state: p.server.server().current_state().index() as u64,
-                                });
-                            }
-                        }
-                        Payload::Crash => {
-                            p.server.server_mut().crash();
-                            self.trace.record(TraceEvent::Crash { group, server });
-                        }
-                        Payload::Corrupt(s) => {
-                            p.server.server_mut().corrupt(s);
-                            self.trace.record(TraceEvent::Corrupt {
-                                group,
-                                server,
-                                state: s.index() as u64,
-                            });
-                        }
-                        Payload::Restore(s) => {
-                            p.server.server_mut().restore(s);
-                            self.trace.record(TraceEvent::Restore {
-                                group,
-                                server,
-                                state: s.index() as u64,
-                            });
-                        }
-                        Payload::Resync(seq, s) => {
-                            if let Err(e) = p.server.resync(seq, s) {
-                                panic!("sim resync failed: {e}");
-                            }
-                            self.trace.record(TraceEvent::Resync {
-                                group,
-                                server,
-                                seq,
-                                state: s.index() as u64,
-                            });
-                        }
-                        Payload::ReportRequest(generation) => {
-                            let report = p.server.server().report();
-                            self.trace.record(TraceEvent::Report {
-                                group,
-                                server,
-                                generation,
-                                state: match &report {
-                                    MachineReport::Crashed => u64::MAX,
-                                    MachineReport::State(s) => *s as u64,
-                                },
-                            });
-                            reply = Some((generation, report));
-                        }
-                        Payload::Kill => {
-                            p.alive = false;
-                            self.stats.killed += 1;
-                            self.trace.record(TraceEvent::Kill { group, server });
-                            // Torn-write injection: with probability `torn`
-                            // the power failure interrupts an in-flight WAL
-                            // append, leaving a partial final frame on
-                            // storage.  Only durable processes draw from the
-                            // chaos stream here, so plain-group seeds replay
-                            // exactly as before this knob existed.
-                            if self.chaos.torn > 0.0
-                                && p.server.is_durable()
-                                && self.chaos_rng.gen_bool(self.chaos.torn)
-                            {
-                                if let Some(id) = p.server.durable_id() {
-                                    let name = wal::wal_name(id);
-                                    let dropped =
-                                        tear_wal_tail(&self.store, &name, &mut self.chaos_rng);
-                                    if dropped > 0 {
-                                        self.stats.torn_tails += 1;
-                                        self.trace.record(TraceEvent::TornTail {
-                                            group,
-                                            server,
-                                            dropped: dropped as u64,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        Payload::Reply { .. } => unreachable!("replies go to collectors"),
-                    }
+                    return true;
                 }
-                if let Some((generation, report)) = reply {
-                    self.send_reply(group, server, generation, report);
+                let kind = msg.payload.kind();
+                match msg.payload {
+                    Payload::Command(cmd, tag) => self.deliver(group, server, kind, cmd, tag),
+                    Payload::Kill => self.kill(group, server),
+                    Payload::Reply { .. } => unreachable!("replies go to collectors"),
                 }
             }
             Dest::Collector { group } => {
@@ -544,6 +459,63 @@ impl SimWorld {
             }
         }
         true
+    }
+
+    /// Hands a command to a live server and sends back what it asks for:
+    /// a report travels the chaotic network to the collector, another
+    /// tagged command's answer is kept for its waiting caller.  A storage
+    /// failure takes the process down.
+    fn deliver(&mut self, group: usize, server: usize, kind: u8, cmd: ServerCommand, tag: u64) {
+        let ps = &mut self.groups[group].processes[server].server;
+        let seen = ps.server().events_seen();
+        let outcome = ps.handle(cmd);
+        let s = ps.server();
+        self.trace.record(TraceEvent::Handle {
+            group,
+            server,
+            kind,
+            events: (s.events_seen() - seen) as u64,
+            state: match s.report() {
+                MachineReport::Crashed => u64::MAX,
+                MachineReport::State(state) => state as u64,
+            },
+        });
+        let failed = outcome.is_err();
+        match outcome {
+            Ok(Some(report)) => self.send_reply(group, server, tag, report),
+            answer if tag != 0 => self.groups[group].answer = Some((tag, answer.map(|_| ()))),
+            _ => {}
+        }
+        if failed {
+            self.kill(group, server);
+        }
+    }
+
+    /// A power failure (or a storage failure, which stops the process the
+    /// same way): the process dies, and with probability `torn` an
+    /// in-flight WAL append is interrupted, leaving a partial final frame
+    /// on storage.
+    fn kill(&mut self, group: usize, server: usize) {
+        let p = &mut self.groups[group].processes[server];
+        p.alive = false;
+        self.stats.killed += 1;
+        self.trace.record(TraceEvent::Kill { group, server });
+        // Only durable processes draw from the chaos stream here, so
+        // plain-group seeds replay exactly as before this knob existed.
+        let Some(id) = p.server.durable_id() else {
+            return;
+        };
+        if self.chaos.torn > 0.0 && self.chaos_rng.gen_bool(self.chaos.torn) {
+            let dropped = tear_wal_tail(&self.store, &wal::wal_name(id), &mut self.chaos_rng);
+            if dropped > 0 {
+                self.stats.torn_tails += 1;
+                self.trace.record(TraceEvent::TornTail {
+                    group,
+                    server,
+                    dropped: dropped as u64,
+                });
+            }
+        }
     }
 
     /// Delivers everything currently scheduled, at any time.
@@ -576,7 +548,8 @@ impl SimWorld {
             at: self.now,
         });
         for server in 0..n {
-            self.send_command(group, server, Payload::ReportRequest(generation));
+            let request = Payload::Command(ServerCommand::Report, generation);
+            self.send_command(group, server, request);
         }
         let deadline = self.now.saturating_add(timeout);
         let mut out: Vec<Option<MachineReport>> = vec![None; n];
@@ -608,6 +581,32 @@ impl SimWorld {
             at: self.now,
         });
         out
+    }
+
+    /// Sends server `server` a resync and runs the world until it has been
+    /// delivered, returning the server's answer: the snapshot's storage
+    /// error, or [`DistsysError::ServerDown`] if the process was dead when
+    /// the resync reached it.
+    pub(crate) fn resync(
+        &mut self,
+        group: usize,
+        server: usize,
+        seq: u64,
+        state: StateId,
+    ) -> Result<()> {
+        self.groups[group].generation += 1;
+        let ticket = self.groups[group].generation;
+        let cmd = Payload::Command(ServerCommand::Resync(seq, state), ticket);
+        self.send_command(group, server, cmd);
+        // The resync is the last message sent: deliver up to it.
+        let msg = self.next_seq;
+        while self.queue.iter().any(|Reverse(m)| m.seq == msg) {
+            self.step(u64::MAX);
+        }
+        match self.groups[group].answer.take() {
+            Some((t, answer)) if t == ticket => answer,
+            _ => Err(DistsysError::ServerDown { server }),
+        }
     }
 
     /// Restarts a killed durable process from its durable state: snapshot +

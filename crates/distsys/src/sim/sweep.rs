@@ -15,6 +15,7 @@
 //! which CI runs over ≥200 seeds in release mode.
 
 use std::collections::HashSet;
+use std::ops::Range;
 use std::time::Duration;
 
 use fsm_dfsm::{Dfsm, Executor, StateId};
@@ -25,7 +26,7 @@ use crate::env::{Environment, GroupConfig, ServerGroup};
 use crate::fault::FaultKind;
 use crate::recovery::{DurabilityConfig, RejoinPath};
 use crate::scenario::{replay_oracle, SensorNetwork};
-use crate::sim::{NetStats, Seeded, SimEnvironment, TraceEvent};
+use crate::sim::{NetStats, Seeded, SimEnvironment};
 use crate::system::FusedSystem;
 
 /// Substream of the scenario seed that draws the scenario parameters.
@@ -36,6 +37,12 @@ const STREAM_WORKLOAD: u64 = 1;
 const STREAM_FAULTS: u64 = 2;
 /// Substream that draws the kill/rejoin schedule of recovery scenarios.
 const STREAM_RECOVERY: u64 = 3;
+/// Substream that draws the lengths of the batches the workload is pushed
+/// in.
+const STREAM_BATCHES: u64 = 4;
+
+/// Longest batch a sweep pushes in one call.
+const MAX_BATCH: usize = 16;
 
 /// How often a collection is retried when replies to live servers keep
 /// getting dropped.  With per-reply drop probability ≤ 0.3 the chance of a
@@ -253,6 +260,9 @@ pub struct ScenarioOutcome {
     pub replays: usize,
     /// Rejoins that adopted a peer-decoded state (Algorithm 3 resync).
     pub peer_resyncs: usize,
+    /// Batches a durable server committed in more than one append because
+    /// they crossed a snapshot boundary, counted per server.
+    pub split_batches: usize,
     /// Virtual nanoseconds the world had consumed when the run finished.
     pub virtual_nanos: u64,
     /// Every detected divergence from the oracle (empty = correct run).
@@ -292,8 +302,38 @@ fn collect_until_settled(
     merged
 }
 
+/// Splits the workload `0..len` into the batches a sweep pushes: seeded
+/// lengths of 1 to [`MAX_BATCH`] events, cut at every position in `cuts`,
+/// so a fault scheduled after event `k` still lands between events `k` and
+/// `k + 1`.
+fn batch_ranges(seed: u64, len: usize, cuts: &[usize]) -> Vec<Range<usize>> {
+    let mut rng = Seeded(seed).split(STREAM_BATCHES).rng();
+    let mut out = Vec::new();
+    let mut start = 0;
+    while start < len {
+        let cut = cuts
+            .iter()
+            .copied()
+            .filter(|&c| c > start)
+            .fold(len, usize::min);
+        let end = (start + rng.gen_range(1..=MAX_BATCH)).min(cut);
+        out.push(start..end);
+        start = end;
+    }
+    out
+}
+
+/// Whether a healthy durable server at sequence number `start`, whose
+/// snapshots fall on `base + k * every`, splits a batch ending at `end`:
+/// whether a snapshot boundary lies strictly inside it.
+fn splits_at_snapshot(base: u64, every: u64, start: u64, end: u64) -> bool {
+    let next = start + every - (start - base) % every;
+    next < end
+}
+
 /// Runs one scenario inside a fresh simulated world and checks it end to
-/// end: inject the schedule, collect the surviving reports, decode (fusion's
+/// end: push the workload in seeded batches (cut at every scheduled fault),
+/// inject the schedule, collect the surviving reports, decode (fusion's
 /// Algorithm 3 or replication's per-group vote), restore every live server,
 /// and re-verify against the oracle.
 pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
@@ -325,7 +365,11 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
                     (roster, expected)
                 }
                 Err(e) => {
-                    return failed_outcome(scenario, &env, format!("construction failed: {e}"));
+                    env.note(NOTE_VERDICT, &[u64::MAX]);
+                    let (seed, preset) = (scenario.seed, scenario.preset);
+                    let failed = vec![format!("construction failed: {e}")];
+                    let (backend, model) = (scenario.backend, scenario.fault_model);
+                    return outcome(&env, seed, preset, backend, model, failed);
                 }
             }
         }
@@ -404,10 +448,12 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
             next_fault += 1;
         }
     };
+    let cuts: Vec<usize> = plan.faults.iter().map(|f| f.after_event).collect();
     fire(&mut *group, 0);
-    for (i, e) in w.iter().enumerate() {
-        group.apply_event(e);
-        fire(&mut *group, i + 1);
+    for batch in batch_ranges(scenario.seed, w.len(), &cuts) {
+        let end = batch.end;
+        group.apply_batch(&w.events()[batch]);
+        fire(&mut *group, end);
     }
     let injected = plan.faults.len();
 
@@ -491,32 +537,37 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
     }
 
     env.note(NOTE_VERDICT, &[violations.len() as u64, injected as u64]);
+    let (seed, preset) = (scenario.seed, scenario.preset);
     ScenarioOutcome {
-        seed: scenario.seed,
-        preset: scenario.preset,
-        backend: scenario.backend,
-        fault_model: scenario.fault_model,
-        trace_hash: env.trace_hash(),
-        trace_len: env.trace_len(),
-        stats: env.net_stats(),
         injected,
         kills: killed.len(),
-        restarts: 0,
-        replays: 0,
-        peer_resyncs: 0,
-        virtual_nanos: env.now().as_nanos() as u64,
-        violations,
+        ..outcome(
+            &env,
+            seed,
+            preset,
+            scenario.backend,
+            scenario.fault_model,
+            violations,
+        )
     }
 }
 
-/// An outcome for a scenario that could not even be constructed.
-fn failed_outcome(scenario: &Scenario, env: &SimEnvironment, violation: String) -> ScenarioOutcome {
-    env.note(NOTE_VERDICT, &[u64::MAX]);
+/// The outcome of a run as `env` ends it, with every fault and rejoin
+/// counter at zero for the caller to fill in (a scenario that could not
+/// even be constructed keeps them at zero).
+fn outcome(
+    env: &SimEnvironment,
+    seed: u64,
+    preset: &'static str,
+    backend: Backend,
+    fault_model: FaultModel,
+    violations: Vec<String>,
+) -> ScenarioOutcome {
     ScenarioOutcome {
-        seed: scenario.seed,
-        preset: scenario.preset,
-        backend: scenario.backend,
-        fault_model: scenario.fault_model,
+        seed,
+        preset,
+        backend,
+        fault_model,
         trace_hash: env.trace_hash(),
         trace_len: env.trace_len(),
         stats: env.net_stats(),
@@ -525,8 +576,9 @@ fn failed_outcome(scenario: &Scenario, env: &SimEnvironment, violation: String) 
         restarts: 0,
         replays: 0,
         peer_resyncs: 0,
+        split_batches: 0,
         virtual_nanos: env.now().as_nanos() as u64,
-        violations: vec![violation],
+        violations,
     }
 }
 
@@ -555,6 +607,8 @@ pub struct SweepReport {
     pub replays: usize,
     /// Rejoins that adopted a peer-decoded state (Algorithm 3 resync).
     pub peer_resyncs: usize,
+    /// Batches a durable server split at a snapshot boundary.
+    pub split_batches: usize,
     /// Network chaos counters summed over all runs.
     pub stats: NetStats,
     /// Every violation, tagged with its seed.
@@ -582,9 +636,14 @@ impl SweepReport {
 
     /// Whether a recovery sweep exercised every rejoin mechanism it gates:
     /// restarts from durable state, log-replay catch-up, peer-decode resync,
-    /// and at least one torn final WAL frame survived.
+    /// at least one torn final WAL frame survived, and group commit split a
+    /// batch at a snapshot boundary.
     pub fn recovery_covered(&self) -> bool {
-        self.restarts > 0 && self.replays > 0 && self.peer_resyncs > 0 && self.stats.torn_tails > 0
+        self.restarts > 0
+            && self.replays > 0
+            && self.peer_resyncs > 0
+            && self.stats.torn_tails > 0
+            && self.split_batches > 0
     }
 
     fn absorb(&mut self, outcome: &ScenarioOutcome) {
@@ -605,6 +664,7 @@ impl SweepReport {
         self.restarts += outcome.restarts;
         self.replays += outcome.replays;
         self.peer_resyncs += outcome.peer_resyncs;
+        self.split_batches += outcome.split_batches;
         self.stats.absorb(&outcome.stats);
         for v in &outcome.violations {
             self.violations.push((outcome.seed, v.clone()));
@@ -718,9 +778,14 @@ impl RecoveryScenario {
 /// replay or peer decode ([`RejoinPath::choose`]), and assert the recovery
 /// invariants — no acked event lost (the acknowledged sequence number equals
 /// the kill position, one less only when the final frame was torn),
-/// sequence numbers never regress, the replayed state matches an
-/// uninterrupted run of the log prefix, and the whole group converges on
-/// the oracle at the end.
+/// sequence numbers never regress, every snapshot lands on the server's
+/// cadence (a multiple of `snapshot_every` past its last resync), the
+/// replayed state matches an uninterrupted run of the log prefix, and the
+/// whole group converges on the oracle at the end.
+///
+/// The workload goes out in seeded batches of 1 to 16 events, cut at every
+/// kill and rejoin position, so durable servers commit through group commit
+/// and split batches at snapshot boundaries.
 pub fn run_recovery_scenario(scenario: &RecoveryScenario) -> ScenarioOutcome {
     let env = Seeded(scenario.seed)
         .sim()
@@ -735,24 +800,14 @@ pub fn run_recovery_scenario(scenario: &RecoveryScenario) -> ScenarioOutcome {
         .split(STREAM_WORKLOAD)
         .workload_over_machines(&scenario.machines, scenario.workload_len);
 
-    let fake = Scenario {
-        seed: scenario.seed,
-        preset: scenario.preset,
-        backend: Backend::Fusion,
-        fault_model: FaultModel::Crash,
-        f: scenario.f,
-        machines: scenario.machines.clone(),
-        workload_len: scenario.workload_len,
-        modeled_crashes: 0,
-        kills: scenario.kills(),
-        corruptions: 0,
-        drop: scenario.drop,
-        duplicate: scenario.duplicate,
-        reorder: scenario.reorder,
-    };
     let mut sys = match FusedSystem::new(&scenario.machines, scenario.f, FaultModel::Crash) {
         Ok(sys) => sys,
-        Err(e) => return failed_outcome(&fake, &env, format!("construction failed: {e}")),
+        Err(e) => {
+            env.note(NOTE_VERDICT, &[u64::MAX]);
+            let failed = vec![format!("construction failed: {e}")];
+            let (backend, model) = (Backend::Fusion, FaultModel::Crash);
+            return outcome(&env, scenario.seed, scenario.preset, backend, model, failed);
+        }
     };
     let roster = sys.all_machines();
     let n = roster.len();
@@ -795,12 +850,20 @@ pub fn run_recovery_scenario(scenario: &RecoveryScenario) -> ScenarioOutcome {
     let mut restarts = 0usize;
     let mut replays = 0usize;
     let mut peer_resyncs = 0usize;
+    let mut split_batches = 0usize;
+    let every = scenario.snapshot_every;
+    // Each server's snapshots fall on `base + k * every`, where `base` is
+    // its last resync's sequence number: no modeled fault makes a server
+    // skip a snapshot here.
+    let mut snapshot_base: Vec<u64> = vec![0; n];
     let mut last_acked: Vec<u64> = vec![0; n];
-    let mut torn_seen: Vec<usize> = vec![0; n];
+    let mut torn_seen = 0u64;
     let mut next = 0usize;
     let mut down: Option<(usize, usize, usize)> = None; // (victim, kill_pos, rejoin_pos)
 
-    for pos in 0..w.len() {
+    let cuts: Vec<usize> = schedule.iter().flat_map(|&(k, r, _)| [k, r]).collect();
+    for batch in batch_ranges(scenario.seed, w.len(), &cuts) {
+        let pos = batch.start;
         if down.is_none() && next < schedule.len() && schedule[next].0 == pos {
             let (kill_pos, rejoin_pos, victim) = schedule[next];
             group.kill_process(victim);
@@ -815,16 +878,11 @@ pub fn run_recovery_scenario(scenario: &RecoveryScenario) -> ScenarioOutcome {
                 env.run_until_idle();
                 // A torn tail may cut exactly at the final frame's start,
                 // leaving a *clean* shorter log — `ReplayStats` then reports
-                // no torn bytes, so tears are detected from the trace.
-                let torn_now = env
-                    .trace_events()
-                    .iter()
-                    .filter(
-                        |ev| matches!(ev, TraceEvent::TornTail { server, .. } if *server == victim),
-                    )
-                    .count();
-                let torn_fired = torn_now > torn_seen[victim];
-                torn_seen[victim] = torn_now;
+                // no torn bytes, so tears are counted by the world.  Only
+                // the victim is down, so any new tear is its own.
+                let torn_now = env.net_stats().torn_tails;
+                let torn_fired = torn_now > torn_seen;
+                torn_seen = torn_now;
                 match group.restart_process(victim) {
                     Ok(stats) => {
                         restarts += 1;
@@ -843,6 +901,17 @@ pub fn run_recovery_scenario(scenario: &RecoveryScenario) -> ScenarioOutcome {
                             violations.push(format!(
                                 "server {victim}: acked regressed {} -> {acked}",
                                 last_acked[victim]
+                            ));
+                        }
+                        // Group commit splits batches at snapshot
+                        // boundaries, so every snapshot lands on the
+                        // server's cadence.
+                        let base = snapshot_base[victim];
+                        if stats.snapshot_seq < base || (stats.snapshot_seq - base) % every != 0 {
+                            violations.push(format!(
+                                "server {victim}: snapshot at {} is off the cadence \
+                                 {every} from {base}",
+                                stats.snapshot_seq
                             ));
                         }
                         // Snapshot + replay must equal an uninterrupted run
@@ -880,9 +949,10 @@ pub fn run_recovery_scenario(scenario: &RecoveryScenario) -> ScenarioOutcome {
                             RejoinPath::Current => {}
                             RejoinPath::Replay { .. } => {
                                 replays += 1;
-                                for e in &w.events()[acked as usize..pos] {
-                                    group.apply_event_to(victim, e);
-                                }
+                                let base = snapshot_base[victim];
+                                split_batches +=
+                                    usize::from(splits_at_snapshot(base, every, acked, pos as u64));
+                                group.apply_batch_to(victim, &w.events()[acked as usize..pos]);
                             }
                             RejoinPath::PeerDecode { .. } => {
                                 peer_resyncs += 1;
@@ -905,11 +975,10 @@ pub fn run_recovery_scenario(scenario: &RecoveryScenario) -> ScenarioOutcome {
                                             violations
                                                 .push("peer decode diverged from oracle".into());
                                         }
-                                        if let Err(e) =
-                                            group.resync(victim, pos as u64, ext.states[victim])
-                                        {
-                                            violations
-                                                .push(format!("resync of {victim} failed: {e}"));
+                                        match group.resync(victim, pos as u64, ext.states[victim]) {
+                                            Ok(()) => snapshot_base[victim] = pos as u64,
+                                            Err(e) => violations
+                                                .push(format!("resync of {victim} failed: {e}")),
                                         }
                                     }
                                     Err(e) => {
@@ -925,9 +994,14 @@ pub fn run_recovery_scenario(scenario: &RecoveryScenario) -> ScenarioOutcome {
                 down = None;
             }
         }
-        let e = &w.events()[pos];
-        group.apply_event(e);
-        sys.apply_event(e);
+        let (start, end) = (batch.start as u64, batch.end as u64);
+        let dark = down.map(|(victim, ..)| victim);
+        split_batches += (0..n)
+            .filter(|&i| Some(i) != dark && splits_at_snapshot(snapshot_base[i], every, start, end))
+            .count();
+        let events = &w.events()[batch];
+        group.apply_batch(events);
+        events.iter().for_each(|e| sys.apply_event(e));
     }
 
     // Everyone — including every rejoined process — must converge on the
@@ -945,21 +1019,22 @@ pub fn run_recovery_scenario(scenario: &RecoveryScenario) -> ScenarioOutcome {
     }
 
     env.note(NOTE_VERDICT, &[violations.len() as u64, kills as u64]);
+    let (backend, model) = (Backend::Fusion, FaultModel::Crash);
     ScenarioOutcome {
-        seed: scenario.seed,
-        preset: scenario.preset,
-        backend: Backend::Fusion,
-        fault_model: FaultModel::Crash,
-        trace_hash: env.trace_hash(),
-        trace_len: env.trace_len(),
-        stats: env.net_stats(),
         injected: kills,
         kills,
         restarts,
         replays,
         peer_resyncs,
-        virtual_nanos: env.now().as_nanos() as u64,
-        violations,
+        split_batches,
+        ..outcome(
+            &env,
+            scenario.seed,
+            scenario.preset,
+            backend,
+            model,
+            violations,
+        )
     }
 }
 
@@ -1144,11 +1219,12 @@ mod tests {
         assert!(report.restarts > 0);
         assert!(
             report.recovery_covered(),
-            "coverage gap: restarts {} replays {} peer_resyncs {} torn {}",
+            "coverage gap: restarts {} replays {} peer_resyncs {} torn {} splits {}",
             report.restarts,
             report.replays,
             report.peer_resyncs,
-            report.stats.torn_tails
+            report.stats.torn_tails,
+            report.split_batches
         );
     }
 

@@ -7,13 +7,15 @@
 //! event as it is recorded, so comparing two 64-bit hashes compares the
 //! entire histories.
 
+use std::hash::{Hash, Hasher};
+
 /// One recorded simulation event.
 ///
 /// Times are virtual nanoseconds, `seq` numbers are global send sequence
 /// numbers, and `kind` codes are the message payload discriminants (see the
 /// network module).  The variants are deliberately plain data: equality of
 /// two traces is equality of two runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TraceEvent {
     /// A server group came up.
     Spawn {
@@ -61,38 +63,19 @@ pub enum TraceEvent {
         /// Sequence number of the late-overtaken send.
         seq: u64,
     },
-    /// A server applied one event.
-    Apply {
+    /// A server handled a command (a batch, fault, restore, resync or
+    /// report request): one record per delivered command.
+    Handle {
         /// Group index.
         group: usize,
         /// Server index.
         server: usize,
-        /// The server's state after applying.
-        state: u64,
-    },
-    /// A server received a modeled crash fault.
-    Crash {
-        /// Group index.
-        group: usize,
-        /// Server index.
-        server: usize,
-    },
-    /// A server received a Byzantine corruption.
-    Corrupt {
-        /// Group index.
-        group: usize,
-        /// Server index.
-        server: usize,
-        /// The state it was moved to.
-        state: u64,
-    },
-    /// A server was restored to a state.
-    Restore {
-        /// Group index.
-        group: usize,
-        /// Server index.
-        server: usize,
-        /// The restored state.
+        /// Payload discriminant of the command.
+        kind: u8,
+        /// Events the command applied (a batch's length, else 0).
+        events: u64,
+        /// What the server reports afterwards: its state, or `u64::MAX`
+        /// while crashed.
         state: u64,
     },
     /// A server's process died (scripted crash point or
@@ -102,17 +85,6 @@ pub enum TraceEvent {
         group: usize,
         /// Server index.
         server: usize,
-    },
-    /// A server produced a state report.
-    Report {
-        /// Group index.
-        group: usize,
-        /// Server index.
-        server: usize,
-        /// Collection generation being answered.
-        generation: u64,
-        /// Reported state, or `u64::MAX` for a crash report.
-        state: u64,
     },
     /// A report collection started.
     CollectStart {
@@ -142,18 +114,6 @@ pub enum TraceEvent {
         /// Caller-chosen payload words.
         data: Vec<u64>,
     },
-    /// A durable server adopted a peer-decoded state at the group sequence
-    /// number (peer resync).
-    Resync {
-        /// Group index.
-        group: usize,
-        /// Server index.
-        server: usize,
-        /// Group sequence number adopted.
-        seq: u64,
-        /// The adopted state.
-        state: u64,
-    },
     /// A killed durable process came back up from its durable state.
     Restart {
         /// Group index.
@@ -175,168 +135,26 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// Folds this event into a running FNV-style word hash.
-    fn fold(&self, h: &mut u64) {
-        // Word-wise FNV-1a: good mixing, trivially deterministic, and fast
-        // enough to run on every recorded event.
+/// Word-wise FNV-1a over each event's derived [`Hash`]: good mixing,
+/// trivially deterministic, and fast enough to run on every recorded event.
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, w: u64) {
         const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut put = |w: u64| *h = (*h ^ w).wrapping_mul(PRIME);
-        match self {
-            TraceEvent::Spawn { group, servers } => {
-                put(0);
-                put(*group as u64);
-                put(*servers as u64);
-            }
-            TraceEvent::Send {
-                seq,
-                at,
-                group,
-                server,
-                kind,
-                deliver_at,
-            } => {
-                put(1);
-                put(*seq);
-                put(*at);
-                put(*group as u64);
-                put(*server as u64);
-                put(*kind as u64);
-                put(*deliver_at);
-            }
-            TraceEvent::Drop { seq } => {
-                put(2);
-                put(*seq);
-            }
-            TraceEvent::Duplicate { orig, dup } => {
-                put(3);
-                put(*orig);
-                put(*dup);
-            }
-            TraceEvent::Deliver { seq, at } => {
-                put(4);
-                put(*seq);
-                put(*at);
-            }
-            TraceEvent::Reorder { seq } => {
-                put(5);
-                put(*seq);
-            }
-            TraceEvent::Apply {
-                group,
-                server,
-                state,
-            } => {
-                put(6);
-                put(*group as u64);
-                put(*server as u64);
-                put(*state);
-            }
-            TraceEvent::Crash { group, server } => {
-                put(7);
-                put(*group as u64);
-                put(*server as u64);
-            }
-            TraceEvent::Corrupt {
-                group,
-                server,
-                state,
-            } => {
-                put(8);
-                put(*group as u64);
-                put(*server as u64);
-                put(*state);
-            }
-            TraceEvent::Restore {
-                group,
-                server,
-                state,
-            } => {
-                put(9);
-                put(*group as u64);
-                put(*server as u64);
-                put(*state);
-            }
-            TraceEvent::Kill { group, server } => {
-                put(10);
-                put(*group as u64);
-                put(*server as u64);
-            }
-            TraceEvent::Report {
-                group,
-                server,
-                generation,
-                state,
-            } => {
-                put(11);
-                put(*group as u64);
-                put(*server as u64);
-                put(*generation);
-                put(*state);
-            }
-            TraceEvent::CollectStart {
-                group,
-                generation,
-                at,
-            } => {
-                put(12);
-                put(*group as u64);
-                put(*generation);
-                put(*at);
-            }
-            TraceEvent::CollectDone {
-                group,
-                generation,
-                missing,
-                at,
-            } => {
-                put(13);
-                put(*group as u64);
-                put(*generation);
-                put(*missing as u64);
-                put(*at);
-            }
-            TraceEvent::Note { code, data } => {
-                put(14);
-                put(*code);
-                put(data.len() as u64);
-                for w in data {
-                    put(*w);
-                }
-            }
-            TraceEvent::Resync {
-                group,
-                server,
-                seq,
-                state,
-            } => {
-                put(15);
-                put(*group as u64);
-                put(*server as u64);
-                put(*seq);
-                put(*state);
-            }
-            TraceEvent::Restart {
-                group,
-                server,
-                acked,
-            } => {
-                put(16);
-                put(*group as u64);
-                put(*server as u64);
-                put(*acked);
-            }
-            TraceEvent::TornTail {
-                group,
-                server,
-                dropped,
-            } => {
-                put(17);
-                put(*group as u64);
-                put(*server as u64);
-                put(*dropped);
-            }
-        }
+        self.0 = (self.0 ^ w).wrapping_mul(PRIME);
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
     }
 }
 
@@ -362,7 +180,9 @@ impl Trace {
 
     /// Appends one event, folding it into the hash.
     pub fn record(&mut self, event: TraceEvent) {
-        event.fold(&mut self.hash);
+        let mut h = Fnv(self.hash);
+        event.hash(&mut h);
+        self.hash = h.finish();
         self.events.push(event);
     }
 
@@ -423,16 +243,18 @@ mod tests {
 
     #[test]
     fn every_field_feeds_the_hash() {
-        let base = TraceEvent::Report {
+        let base = TraceEvent::Handle {
             group: 0,
             server: 1,
-            generation: 2,
+            kind: 5,
+            events: 0,
             state: 3,
         };
-        let tweaked = TraceEvent::Report {
+        let tweaked = TraceEvent::Handle {
             group: 0,
             server: 1,
-            generation: 2,
+            kind: 5,
+            events: 0,
             state: 4,
         };
         let mut a = Trace::new();

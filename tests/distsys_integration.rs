@@ -64,7 +64,7 @@ fn parallel_group_agrees_with_sequential_system() {
     let mut sequential = FusedSystem::new(&machines, 1, FaultModel::Crash).unwrap();
     let mut all_machines = machines.clone();
     all_machines.extend(sequential.fusion().machines.iter().cloned());
-    let parallel = ParallelServerGroup::spawn(&all_machines);
+    let mut parallel = ParallelServerGroup::spawn(&all_machines);
 
     let workload = Seeded(99).workload_over_machines(&machines, 400);
     sequential.apply_workload(&workload);
@@ -93,7 +93,7 @@ fn parallel_recovery_with_engine_matches_oracle() {
     let reference = FusedSystem::new(&machines, 1, FaultModel::Crash).unwrap();
     let mut all_machines = machines.clone();
     all_machines.extend(reference.fusion().machines.iter().cloned());
-    let group = ParallelServerGroup::spawn(&all_machines);
+    let mut group = ParallelServerGroup::spawn(&all_machines);
 
     let workload = Seeded(5).workload_over_machines(&machines, 200);
     group.apply_batch(workload.events());

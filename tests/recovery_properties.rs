@@ -19,10 +19,14 @@
 //!   before any of them is applied, and batches split at snapshot
 //!   boundaries — so the log and the snapshots a batched server leaves are
 //!   exactly those of a server fed one event at a time.
+//! * **Typed storage failures**: a failed resync snapshot is an error the
+//!   caller sees, and a failed WAL append stops that server without a
+//!   panic; a restart recovers it from what it persisted.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use fsm_fusion::distsys::{wal, OsClock, ParallelServerGroup, Result as StoreResult};
+use fsm_fusion::distsys::{wal, DistsysError, OsClock, ParallelServerGroup, Result as StoreResult};
 use fsm_fusion::machines::mod_counter;
 use fsm_fusion::prelude::*;
 use proptest::prelude::*;
@@ -58,14 +62,30 @@ fn wal_len(store: &SharedStore, id: &str) -> usize {
 const GROUP_COMMIT_INTERVALS: [u64; 6] = [1, 2, 3, 7, 32, 1024];
 
 /// A [`MemStore`] that also records the sequence number of every snapshot
-/// written through it, so a property sees each snapshot, not only the last.
-struct SnapshotRecorder {
+/// written through it, so a property sees each snapshot, not only the last,
+/// and fails every write (WAL append, snapshot, compaction) while `failing`
+/// is set.
+#[derive(Default)]
+struct TestStore {
     inner: MemStore,
     snapshot_seqs: Arc<Mutex<Vec<u64>>>,
+    failing: Arc<AtomicBool>,
 }
 
-impl Store for SnapshotRecorder {
+impl TestStore {
+    fn check(&self, name: &str) -> StoreResult<()> {
+        if self.failing.load(Ordering::SeqCst) {
+            return Err(DistsysError::Storage {
+                message: format!("{name}: injected write failure"),
+            });
+        }
+        Ok(())
+    }
+}
+
+impl Store for TestStore {
     fn append(&mut self, name: &str, bytes: &[u8]) -> StoreResult<()> {
+        self.check(name)?;
         self.inner.append(name, bytes)
     }
 
@@ -74,6 +94,7 @@ impl Store for SnapshotRecorder {
     }
 
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> StoreResult<()> {
+        self.check(name)?;
         if name.ends_with(".snap") {
             // Snapshot layout: `[count][seq][state][crc]`, little-endian u64s.
             let seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
@@ -126,9 +147,9 @@ proptest! {
         let config = DurabilityConfig::new().snapshot_every(every);
 
         let snapshot_seqs = Arc::new(Mutex::new(Vec::new()));
-        let store = shared(SnapshotRecorder {
-            inner: MemStore::new(),
+        let store = shared(TestStore {
             snapshot_seqs: Arc::clone(&snapshot_seqs),
+            ..TestStore::default()
         });
         let mut batched =
             DurableServer::fresh(machine.clone(), store.clone(), "srv", &config).unwrap();
@@ -352,4 +373,82 @@ fn threaded_group_commit_restart_on_dir_store() {
     }
     let _ = group.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Figure 1's counters on a threaded durable group over a [`TestStore`].
+fn failing_group(every: u64) -> (Vec<Dfsm>, ParallelServerGroup, Arc<AtomicBool>) {
+    let failing = Arc::new(AtomicBool::new(false));
+    let store = shared(TestStore {
+        failing: failing.clone(),
+        ..TestStore::default()
+    });
+    let machines = fig1_machines();
+    let group = ParallelServerGroup::spawn_durable(
+        &machines,
+        &GroupConfig::new(),
+        OsClock::new(),
+        store,
+        "fail",
+        DurabilityConfig::new().snapshot_every(every),
+    )
+    .unwrap();
+    (machines, group, failing)
+}
+
+/// A resync whose snapshot cannot be written returns the storage error,
+/// and the other servers keep answering.
+#[test]
+fn failed_resync_snapshot_is_a_typed_error() {
+    let (machines, mut group, failing) = failing_group(32);
+    let events = events_from_seed(3, 20);
+    group.apply_batch(&events);
+    // A report round is a barrier: both servers committed the batch.
+    group.collect_reports().unwrap();
+    failing.store(true, Ordering::SeqCst);
+    let err = group.resync(0, 40, StateId(1)).unwrap_err();
+    assert!(matches!(err, DistsysError::Storage { .. }), "{err:?}");
+    let reports = group.try_collect_reports();
+    assert_eq!(
+        reports[1],
+        Some(MachineReport::State(machines[1].run(events.iter()).index()))
+    );
+    // Server 0 stopped rather than serve a state it could not persist; a
+    // restart recovers the events it did persist.
+    assert_eq!(reports[0], None);
+    failing.store(false, Ordering::SeqCst);
+    let stats = group.restart_process(0).unwrap();
+    assert_eq!(stats.acked_seq, events.len() as u64);
+    assert_eq!(stats.state, machines[0].run(events.iter()));
+    assert_eq!(group.shutdown().len(), 2);
+}
+
+/// A WAL append that fails stops that server without a panic: its reports
+/// go missing, and a restart recovers it at the batches committed before
+/// the failure.
+#[test]
+fn failed_wal_append_stops_the_server_without_a_panic() {
+    let (machines, mut group, failing) = failing_group(4);
+    let events = events_from_seed(11, 30);
+    let (committed, lost) = events.split_at(18);
+    group.apply_batch(committed);
+    // A report round is a barrier: both servers committed the batch.
+    group.collect_reports().unwrap();
+    failing.store(true, Ordering::SeqCst);
+    group.apply_batch_to(1, lost);
+    match group.collect_reports() {
+        Err(DistsysError::MissingReports { servers }) => assert_eq!(servers, vec![1]),
+        other => panic!("expected MissingReports, got {other:?}"),
+    }
+    failing.store(false, Ordering::SeqCst);
+    let stats = group.restart_process(1).unwrap();
+    assert_eq!(stats.acked_seq, committed.len() as u64);
+    assert_eq!(stats.state, machines[1].run(committed.iter()));
+    group.apply_batch(lost);
+    let run = |m: &Dfsm| MachineReport::State(m.run(events.iter()).index());
+    assert_eq!(
+        group.collect_reports().unwrap(),
+        machines.iter().map(run).collect::<Vec<_>>()
+    );
+    // No thread panicked: shutdown still returns every server.
+    assert_eq!(group.shutdown().len(), 2);
 }
