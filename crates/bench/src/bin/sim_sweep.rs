@@ -15,11 +15,12 @@
 //! write-ahead logs and snapshots, gated on the recovery invariants (no
 //! acked event lost, sequence numbers never regress, snapshots on their
 //! cadence, bit-identical replay) plus rejoin coverage (restarts, log
-//! replays, peer-decode resyncs, torn final WAL frames and batches split at
-//! a snapshot boundary must all have fired).
+//! replays, peer-decode resyncs, torn WAL appends and batches split at a
+//! snapshot boundary must all have fired).
 //!
-//! Both sweeps push their workloads in seeded batches of 1–16 events, so
-//! durable servers run the group-commit write path they serve with.
+//! Both sweeps play their scenarios through the one `run_scenario` and push
+//! their workloads in seeded batches of 1–16 events, so durable servers run
+//! the group-commit write path they serve with.
 //!
 //! Flags and environment:
 //!
@@ -31,19 +32,87 @@
 
 use std::process::ExitCode;
 
-use fsm_distsys::sim::sweep::{
-    run_recovery_scenario, run_scenario, sweep, sweep_recovery, RecoveryScenario, Scenario,
-};
+use fsm_distsys::sim::sweep::{run_scenario, sweep, sweep_recovery, Scenario, SweepReport};
 use fsm_fusion_bench::sim_sweep_seeds;
+
+/// One sweep mode: how it is named, generated, gated and summarised.
+struct Mode {
+    /// The command line that selects it.
+    name: &'static str,
+    /// The scenario generator, for the reproduce hint and the replay
+    /// spot-check.
+    generator: &'static str,
+    generate: fn(u64) -> Scenario,
+    sweep: fn(u64, usize) -> SweepReport,
+    covered: fn(&SweepReport) -> bool,
+    /// What the coverage gate demands, for its failure message.
+    coverage: &'static str,
+    summary: fn(&SweepReport) -> Vec<String>,
+    /// The closing line of a passing run.
+    passed: &'static str,
+}
+
+const FAULT_SWEEP: Mode = Mode {
+    name: "sim_sweep",
+    generator: "from_seed",
+    generate: Scenario::from_seed,
+    sweep,
+    covered: SweepReport::chaos_covered,
+    coverage: "drops, reorders, duplicates, kills, both backends and both fault models",
+    summary: |r| {
+        vec![
+            format!(
+                "backends          fusion {} / replication {}",
+                r.fusion_runs, r.replication_runs
+            ),
+            format!(
+                "fault models      crash {} / byzantine {}",
+                r.crash_runs, r.byzantine_runs
+            ),
+            format!(
+                "faults injected   {} ({} process kills)",
+                r.faults_injected, r.kills
+            ),
+        ]
+    },
+    passed: "every scenario recovered, every chaos mode fired",
+};
+
+const RECOVERY_SWEEP: Mode = Mode {
+    name: "sim_sweep --recovery",
+    generator: "recovery_from_seed",
+    generate: Scenario::recovery_from_seed,
+    sweep: sweep_recovery,
+    covered: SweepReport::recovery_covered,
+    coverage: "restarts, log replays, peer-decode resyncs, torn WAL appends and \
+               batches split at a snapshot boundary",
+    summary: |r| {
+        vec![
+            format!(
+                "rejoins           {} restarts ({} log replays, {} peer resyncs)",
+                r.restarts, r.replays, r.peer_resyncs
+            ),
+            format!(
+                "kills             {} ({} torn WAL tails)",
+                r.kills, r.stats.torn_tails
+            ),
+            format!(
+                "group commit      {} batches split at a snapshot boundary",
+                r.split_batches
+            ),
+        ]
+    },
+    passed: "no acked event lost, every rejoin path fired",
+};
 
 fn main() -> ExitCode {
     let mut seeds = sim_sweep_seeds();
     let mut first = 0u64;
-    let mut recovery = false;
+    let mut mode = &FAULT_SWEEP;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--recovery" => recovery = true,
+            "--recovery" => mode = &RECOVERY_SWEEP,
             "--seeds" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) => seeds = n,
                 None => return usage(),
@@ -55,30 +124,16 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
-
-    if recovery {
-        recovery_sweep(first, seeds)
-    } else {
-        fault_sweep(first, seeds)
-    }
+    run(mode, first, seeds)
 }
 
-fn fault_sweep(first: u64, seeds: usize) -> ExitCode {
-    println!("sim_sweep: {seeds} scenarios from seed {first}");
-    let report = sweep(first, seeds);
+fn run(mode: &Mode, first: u64, seeds: usize) -> ExitCode {
+    println!("{}: {seeds} scenarios from seed {first}", mode.name);
+    let report = (mode.sweep)(first, seeds);
     println!("  passed            {}/{}", report.passed, report.scenarios);
-    println!(
-        "  backends          fusion {} / replication {}",
-        report.fusion_runs, report.replication_runs
-    );
-    println!(
-        "  fault models      crash {} / byzantine {}",
-        report.crash_runs, report.byzantine_runs
-    );
-    println!(
-        "  faults injected   {} ({} process kills)",
-        report.faults_injected, report.kills
-    );
+    for line in (mode.summary)(&report) {
+        println!("  {line}");
+    }
     println!("  network           {:?}", report.stats);
 
     let mut failed = false;
@@ -91,13 +146,16 @@ fn fault_sweep(first: u64, seeds: usize) -> ExitCode {
         for (seed, violation) in &report.violations {
             eprintln!("  seed {seed}: {violation}");
         }
-        eprintln!("reproduce one with: Scenario::from_seed(<seed>) + run_scenario");
+        eprintln!(
+            "reproduce one with: Scenario::{}(<seed>) + run_scenario",
+            mode.generator
+        );
     }
-    if !report.chaos_covered() {
+    if !(mode.covered)(&report) {
         failed = true;
         eprintln!(
-            "FAIL: coverage gap — the sweep must exercise drops, reorders, \
-             duplicates, kills, both backends and both fault models"
+            "FAIL: coverage gap — the sweep must exercise {}",
+            mode.coverage
         );
     }
 
@@ -105,7 +163,7 @@ fn fault_sweep(first: u64, seeds: usize) -> ExitCode {
     // trace hashes — the determinism contract, enforced in release mode on
     // every CI run, not just under `cargo test`.
     for seed in [first, first + seeds as u64 / 2, first + seeds as u64 - 1] {
-        let scenario = Scenario::from_seed(seed);
+        let scenario = (mode.generate)(seed);
         let a = run_scenario(&scenario);
         let b = run_scenario(&scenario);
         if a.trace_hash != b.trace_hash || a.trace_len != b.trace_len {
@@ -121,72 +179,7 @@ fn fault_sweep(first: u64, seeds: usize) -> ExitCode {
     if failed {
         ExitCode::FAILURE
     } else {
-        println!("sim_sweep passed: every scenario recovered, every chaos mode fired");
-        ExitCode::SUCCESS
-    }
-}
-
-fn recovery_sweep(first: u64, seeds: usize) -> ExitCode {
-    println!("sim_sweep --recovery: {seeds} scenarios from seed {first}");
-    let report = sweep_recovery(first, seeds);
-    println!("  passed            {}/{}", report.passed, report.scenarios);
-    println!(
-        "  rejoins           {} restarts ({} log replays, {} peer resyncs)",
-        report.restarts, report.replays, report.peer_resyncs
-    );
-    println!(
-        "  kills             {} ({} torn WAL tails)",
-        report.kills, report.stats.torn_tails
-    );
-    println!(
-        "  group commit      {} batches split at a snapshot boundary",
-        report.split_batches
-    );
-    println!("  network           {:?}", report.stats);
-
-    let mut failed = false;
-    if !report.all_passed() {
-        failed = true;
-        eprintln!(
-            "FAIL: {} scenario(s) violated a recovery invariant:",
-            report.violations.len()
-        );
-        for (seed, violation) in &report.violations {
-            eprintln!("  seed {seed}: {violation}");
-        }
-        eprintln!(
-            "reproduce one with: RecoveryScenario::from_seed(<seed>) + run_recovery_scenario"
-        );
-    }
-    if !report.recovery_covered() {
-        failed = true;
-        eprintln!(
-            "FAIL: coverage gap — the recovery sweep must exercise restarts, \
-             log replays, peer-decode resyncs, torn WAL tails and batches \
-             split at a snapshot boundary"
-        );
-    }
-
-    // Replay spot-check, same contract as the fault sweep: killing and
-    // rejoining servers must not cost a single bit of determinism.
-    for seed in [first, first + seeds as u64 / 2, first + seeds as u64 - 1] {
-        let scenario = RecoveryScenario::from_seed(seed);
-        let a = run_recovery_scenario(&scenario);
-        let b = run_recovery_scenario(&scenario);
-        if a.trace_hash != b.trace_hash || a.trace_len != b.trace_len {
-            failed = true;
-            eprintln!(
-                "FAIL: seed {seed} did not replay bit-identically \
-                 ({:#018x}/{} vs {:#018x}/{})",
-                a.trace_hash, a.trace_len, b.trace_hash, b.trace_len
-            );
-        }
-    }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        println!("sim_sweep --recovery passed: no acked event lost, every rejoin path fired");
+        println!("{} passed: {}", mode.name, mode.passed);
         ExitCode::SUCCESS
     }
 }

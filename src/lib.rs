@@ -65,8 +65,7 @@ pub mod prelude {
         Dfsm, DfsmBuilder, Event, Executor, FactorExtension, ReachableProduct, StateId,
     };
     pub use fsm_distsys::sim::sweep::{
-        compare_backends, sweep, sweep_recovery, BackendCost, RecoveryScenario, Scenario,
-        SweepReport,
+        compare_backends, sweep, sweep_recovery, BackendCost, Scenario, SweepReport,
     };
     pub use fsm_distsys::{
         shared, ClientHandle, DirStore, DurabilityConfig, DurableServer, Environment, FaultKind,

@@ -75,8 +75,8 @@ fn prelude_exposes_recovery_surface() {
     fn _takes_shared_store(_: &SharedStore) {}
     fn _takes_dir_store(_: &DirStore) {}
     fn _takes_fault_kind(_: FaultKind) {}
-    fn _takes_recovery_scenario(_: &RecoveryScenario) {}
     fn _takes_backend_cost(_: &BackendCost) {}
+    let _: fn(u64) -> Scenario = Scenario::recovery_from_seed;
 
     // Constructors reachable without naming a sub-crate.
     let config = DurabilityConfig::new().snapshot_every(8);

@@ -47,7 +47,7 @@ proptest! {
         let b = Scenario::from_seed(seed);
         prop_assert_eq!(a.preset, b.preset);
         prop_assert_eq!(a.workload_len, b.workload_len);
-        prop_assert_eq!(a.kills, b.kills);
+        prop_assert_eq!(a.kills(), b.kills());
         prop_assert_eq!(a.drop, b.drop);
         prop_assert_eq!(a.reorder, b.reorder);
     }
