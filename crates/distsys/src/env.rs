@@ -35,52 +35,52 @@ pub const DEFAULT_COLLECT_TIMEOUT: Duration = Duration::from_secs(30);
 /// interval and overall deadline that used to be hardcoded in
 /// [`ParallelServerGroup`], plus the optional durability knobs.
 ///
-/// Builders are the only way to set a knob: each resolves to its explicit
-/// value, else its default.  No environment variable is read, so a group
-/// spawned under [`SimEnvironment`](crate::sim::SimEnvironment) replays the
-/// same way whatever shell runs it.
+/// Builders are the only way to set a knob; an unset knob keeps its
+/// default.  No environment variable is read, so a group spawned under
+/// [`SimEnvironment`](crate::sim::SimEnvironment) replays the same way
+/// whatever shell runs it.
 ///
 /// ```
 /// use std::time::Duration;
 /// use fsm_distsys::GroupConfig;
 ///
 /// let cfg = GroupConfig::new().collect_timeout(Duration::from_secs(5));
-/// assert_eq!(cfg.resolved_collect_timeout(), Duration::from_secs(5));
+/// assert_ne!(cfg, GroupConfig::new());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupConfig {
-    report_poll: Option<Duration>,
-    collect_timeout: Option<Duration>,
+    pub(crate) report_poll: Duration,
+    pub(crate) collect_timeout: Duration,
     durability: Option<DurabilityConfig>,
 }
 
+impl Default for GroupConfig {
+    fn default() -> Self {
+        GroupConfig {
+            report_poll: DEFAULT_REPORT_POLL,
+            collect_timeout: DEFAULT_COLLECT_TIMEOUT,
+            durability: None,
+        }
+    }
+}
+
 impl GroupConfig {
-    /// An empty configuration: every knob resolves to its default.
+    /// A configuration with every knob at its default:
+    /// [`DEFAULT_REPORT_POLL`], [`DEFAULT_COLLECT_TIMEOUT`], no durability.
     pub fn new() -> Self {
         GroupConfig::default()
     }
 
     /// Sets the report poll interval.
     pub fn report_poll(mut self, poll: Duration) -> Self {
-        self.report_poll = Some(poll);
+        self.report_poll = poll;
         self
     }
 
     /// Sets the collection deadline.
     pub fn collect_timeout(mut self, timeout: Duration) -> Self {
-        self.collect_timeout = Some(timeout);
+        self.collect_timeout = timeout;
         self
-    }
-
-    /// The poll interval: the explicit value, else [`DEFAULT_REPORT_POLL`].
-    pub fn resolved_report_poll(&self) -> Duration {
-        self.report_poll.unwrap_or(DEFAULT_REPORT_POLL)
-    }
-
-    /// The collection deadline: the explicit value, else
-    /// [`DEFAULT_COLLECT_TIMEOUT`].
-    pub fn resolved_collect_timeout(&self) -> Duration {
-        self.collect_timeout.unwrap_or(DEFAULT_COLLECT_TIMEOUT)
     }
 
     /// Enables durability with default [`DurabilityConfig`] knobs: spawned
@@ -396,14 +396,14 @@ mod tests {
     fn group_config_explicit_over_default() {
         let auto = GroupConfig::new();
         assert_eq!(auto, GroupConfig::default());
-        assert_eq!(auto.resolved_report_poll(), DEFAULT_REPORT_POLL);
-        assert_eq!(auto.resolved_collect_timeout(), DEFAULT_COLLECT_TIMEOUT);
+        assert_eq!(auto.report_poll, DEFAULT_REPORT_POLL);
+        assert_eq!(auto.collect_timeout, DEFAULT_COLLECT_TIMEOUT);
 
         let explicit = auto
             .report_poll(Duration::from_millis(1))
             .collect_timeout(Duration::from_secs(2));
-        assert_eq!(explicit.resolved_report_poll(), Duration::from_millis(1));
-        assert_eq!(explicit.resolved_collect_timeout(), Duration::from_secs(2));
+        assert_eq!(explicit.report_poll, Duration::from_millis(1));
+        assert_eq!(explicit.collect_timeout, Duration::from_secs(2));
     }
 
     #[test]

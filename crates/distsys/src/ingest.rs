@@ -4,7 +4,7 @@
 //! serving path.  Clients push events into bounded per-client queues
 //! (mutex + condvar over a `VecDeque` bounded at the queue cap); an aggregator
 //! ([`IngestPipeline::pump`]) drains them round-robin into one shared batch
-//! flushed to the group when it reaches [`IngestConfig::resolved_batch_max`]
+//! flushed to the group when it reaches `batch_max` ([`IngestConfig::batch_max`])
 //! events (*size* trigger) or when a sweep finds every client queue empty
 //! (*idle* trigger).  This is smart batching: a batch grows only while the
 //! aggregator is behind its clients, so a lightly loaded pipeline hands each
@@ -68,40 +68,53 @@ pub const LATENCY_SAMPLE_CAP: usize = 1 << 20;
 /// queued events, whichever comes first (see [`IngestPipeline::pump`]).
 ///
 /// Like [`GroupConfig`](crate::GroupConfig), it is set only through its
-/// builders: each knob resolves to its explicit value, else its default.
+/// builders; an unset knob keeps its default.
 ///
 /// ```
-/// use fsm_distsys::ingest::{IngestConfig, DEFAULT_BATCH_MAX};
+/// use fsm_distsys::ingest::IngestConfig;
 ///
 /// let cfg = IngestConfig::new().batch_max(64);
-/// assert_eq!(cfg.resolved_batch_max(), 64);
-/// assert_eq!(IngestConfig::new().resolved_batch_max(), DEFAULT_BATCH_MAX);
+/// assert_ne!(cfg, IngestConfig::new());
+/// assert_eq!(cfg.clone().batch_max(64), cfg);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestConfig {
-    queue_cap: Option<usize>,
-    batch_max: Option<usize>,
-    retry_base: Option<Duration>,
-    retry_cap: Option<Duration>,
-    max_retries: Option<u32>,
-    divert_cap: Option<usize>,
+    queue_cap: usize,
+    batch_max: usize,
+    retry_base: Duration,
+    retry_cap: Duration,
+    max_retries: u32,
+    divert_cap: usize,
+}
+
+impl Default for IngestConfig {
+    fn default() -> Self {
+        IngestConfig {
+            queue_cap: DEFAULT_QUEUE_CAP,
+            batch_max: DEFAULT_BATCH_MAX,
+            retry_base: DEFAULT_RETRY_BASE,
+            retry_cap: DEFAULT_RETRY_CAP,
+            max_retries: DEFAULT_MAX_RETRIES,
+            divert_cap: DEFAULT_DIVERT_CAP,
+        }
+    }
 }
 
 impl IngestConfig {
-    /// An empty configuration: every knob resolves to its default.
+    /// A configuration with every knob at its `DEFAULT_*` value.
     pub fn new() -> Self {
         IngestConfig::default()
     }
 
     /// Sets the per-client queue capacity (clamped to at least 1).
     pub fn queue_cap(mut self, cap: usize) -> Self {
-        self.queue_cap = Some(cap.max(1));
+        self.queue_cap = cap.max(1);
         self
     }
 
     /// Sets the size trigger, the cap on one batch (clamped to at least 1).
     pub fn batch_max(mut self, max: usize) -> Self {
-        self.batch_max = Some(max.max(1));
+        self.batch_max = max.max(1);
         self
     }
 
@@ -114,56 +127,26 @@ impl IngestConfig {
 
     /// Sets the backoff base delay.
     pub fn retry_base(mut self, base: Duration) -> Self {
-        self.retry_base = Some(base);
+        self.retry_base = base;
         self
     }
 
     /// Sets the backoff ceiling.
     pub fn retry_cap(mut self, cap: Duration) -> Self {
-        self.retry_cap = Some(cap);
+        self.retry_cap = cap;
         self
     }
 
     /// Sets how many failed restart probes isolate a lane.
     pub fn max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = Some(retries);
+        self.max_retries = retries;
         self
     }
 
     /// Sets the per-lane divert-buffer capacity.
     pub fn divert_cap(mut self, cap: usize) -> Self {
-        self.divert_cap = Some(cap);
+        self.divert_cap = cap;
         self
-    }
-
-    /// The queue capacity (explicit or default).
-    pub fn resolved_queue_cap(&self) -> usize {
-        self.queue_cap.unwrap_or(DEFAULT_QUEUE_CAP)
-    }
-
-    /// The size trigger (explicit or default).
-    pub fn resolved_batch_max(&self) -> usize {
-        self.batch_max.unwrap_or(DEFAULT_BATCH_MAX)
-    }
-
-    /// The backoff base (explicit or default).
-    pub fn resolved_retry_base(&self) -> Duration {
-        self.retry_base.unwrap_or(DEFAULT_RETRY_BASE)
-    }
-
-    /// The backoff ceiling (explicit or default).
-    pub fn resolved_retry_cap(&self) -> Duration {
-        self.retry_cap.unwrap_or(DEFAULT_RETRY_CAP)
-    }
-
-    /// The isolation threshold (explicit or default).
-    pub fn resolved_max_retries(&self) -> u32 {
-        self.max_retries.unwrap_or(DEFAULT_MAX_RETRIES)
-    }
-
-    /// The divert-buffer capacity (explicit or default).
-    pub fn resolved_divert_cap(&self) -> usize {
-        self.divert_cap.unwrap_or(DEFAULT_DIVERT_CAP)
     }
 }
 
@@ -381,7 +364,7 @@ impl IngestPipeline {
     /// `servers` lanes (all initially healthy).
     pub fn new(clients: usize, servers: usize, config: &IngestConfig) -> Self {
         let clients = clients.max(1);
-        let cap = config.resolved_queue_cap();
+        let cap = config.queue_cap;
         let queues = (0..clients)
             .map(|client| {
                 Arc::new(ClientQueue {
@@ -398,11 +381,11 @@ impl IngestPipeline {
             pending: Vec::new(),
             pending_ts: Vec::new(),
             lanes: (0..servers).map(|_| Lane::healthy()).collect(),
-            batch_max: config.resolved_batch_max(),
-            retry_base_ns: config.resolved_retry_base().as_nanos() as u64,
-            retry_cap_ns: config.resolved_retry_cap().as_nanos() as u64,
-            max_retries: config.resolved_max_retries(),
-            divert_cap: config.resolved_divert_cap(),
+            batch_max: config.batch_max,
+            retry_base_ns: config.retry_base.as_nanos() as u64,
+            retry_cap_ns: config.retry_cap.as_nanos() as u64,
+            max_retries: config.max_retries,
+            divert_cap: config.divert_cap,
             metrics: IngestMetrics::default(),
             latency_ns: Vec::new(),
         }
@@ -734,12 +717,12 @@ mod tests {
     fn config_explicit_over_default() {
         let auto = IngestConfig::new();
         assert_eq!(auto, IngestConfig::default());
-        assert_eq!(auto.resolved_queue_cap(), DEFAULT_QUEUE_CAP);
-        assert_eq!(auto.resolved_batch_max(), DEFAULT_BATCH_MAX);
-        assert_eq!(auto.resolved_retry_base(), DEFAULT_RETRY_BASE);
-        assert_eq!(auto.resolved_retry_cap(), DEFAULT_RETRY_CAP);
-        assert_eq!(auto.resolved_max_retries(), DEFAULT_MAX_RETRIES);
-        assert_eq!(auto.resolved_divert_cap(), DEFAULT_DIVERT_CAP);
+        assert_eq!(auto.queue_cap, DEFAULT_QUEUE_CAP);
+        assert_eq!(auto.batch_max, DEFAULT_BATCH_MAX);
+        assert_eq!(auto.retry_base, DEFAULT_RETRY_BASE);
+        assert_eq!(auto.retry_cap, DEFAULT_RETRY_CAP);
+        assert_eq!(auto.max_retries, DEFAULT_MAX_RETRIES);
+        assert_eq!(auto.divert_cap, DEFAULT_DIVERT_CAP);
 
         let explicit = auto
             .queue_cap(2)
@@ -748,19 +731,19 @@ mod tests {
             .retry_cap(Duration::from_secs(2))
             .max_retries(1)
             .divert_cap(10);
-        assert_eq!(explicit.resolved_queue_cap(), 2);
-        assert_eq!(explicit.resolved_batch_max(), 4);
-        assert_eq!(explicit.resolved_retry_base(), Duration::from_millis(9));
-        assert_eq!(explicit.resolved_retry_cap(), Duration::from_secs(2));
-        assert_eq!(explicit.resolved_max_retries(), 1);
-        assert_eq!(explicit.resolved_divert_cap(), 10);
+        assert_eq!(explicit.queue_cap, 2);
+        assert_eq!(explicit.batch_max, 4);
+        assert_eq!(explicit.retry_base, Duration::from_millis(9));
+        assert_eq!(explicit.retry_cap, Duration::from_secs(2));
+        assert_eq!(explicit.max_retries, 1);
+        assert_eq!(explicit.divert_cap, 10);
     }
 
     #[test]
     fn config_clamps_zero_counts() {
         let cfg = IngestConfig::new().queue_cap(0).batch_max(0);
-        assert_eq!(cfg.resolved_queue_cap(), 1);
-        assert_eq!(cfg.resolved_batch_max(), 1);
+        assert_eq!(cfg.queue_cap, 1);
+        assert_eq!(cfg.batch_max, 1);
     }
 
     #[test]

@@ -232,8 +232,8 @@ impl ParallelServerGroup {
             answers,
             answer_sender,
             generation: AtomicU64::new(0),
-            report_poll: config.resolved_report_poll(),
-            collect_timeout: config.resolved_collect_timeout(),
+            report_poll: config.report_poll,
+            collect_timeout: config.collect_timeout,
             clock,
             roster: machines.to_vec(),
             durable,

@@ -10,7 +10,9 @@
 //! events a `[seq, state]` snapshot is written atomically and the log is
 //! compacted.  [`DurableServer::recover`]
 //! loads the latest valid snapshot, replays the log suffix, and drops a
-//! torn final frame (which, by append-before-ack, was never acknowledged).
+//! torn tail from the first damaged frame on.  Only the append in flight
+//! at a power failure can be torn, and by append-before-ack none of its
+//! events was acknowledged.
 //! When the local log is *behind* the group, [`RejoinPath::choose`] decides
 //! between replaying the missed events and decoding the current state from
 //! live peers' reports via Algorithm 3 — peer decode wins for large gaps.
@@ -31,13 +33,19 @@ use crate::snapshot::{self, snapshot_name};
 use crate::storage::{with_store, SharedStore};
 use crate::wal::{self, wal_name};
 
-/// Durability knobs for a server group: each knob resolves to its explicit
-/// value, else its default.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Durability knobs for a server group; an unset knob keeps its default.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Snapshot (and compact the log) after this many acknowledged events.
-    /// `None` means [`DurabilityConfig::DEFAULT_SNAPSHOT_EVERY`].
-    pub snapshot_every: Option<u64>,
+    snapshot_every: u64,
+}
+
+impl Default for DurabilityConfig {
+    fn default() -> Self {
+        DurabilityConfig {
+            snapshot_every: Self::DEFAULT_SNAPSHOT_EVERY,
+        }
+    }
 }
 
 impl DurabilityConfig {
@@ -51,16 +59,8 @@ impl DurabilityConfig {
 
     /// Sets an explicit snapshot interval (clamped to at least 1).
     pub fn snapshot_every(mut self, every: u64) -> Self {
-        self.snapshot_every = Some(every.max(1));
+        self.snapshot_every = every.max(1);
         self
-    }
-
-    /// The effective snapshot interval: the explicit value (at least 1),
-    /// else [`DurabilityConfig::DEFAULT_SNAPSHOT_EVERY`].
-    pub fn resolved_snapshot_every(&self) -> u64 {
-        self.snapshot_every
-            .unwrap_or(Self::DEFAULT_SNAPSHOT_EVERY)
-            .max(1)
     }
 }
 
@@ -131,8 +131,9 @@ pub struct DurableServer {
     snapshot_every: u64,
     acked_seq: u64,
     since_snapshot: u64,
-    /// The encoded frames of the batch being committed, reused across
-    /// batches so a steady stream allocates nothing per event.
+    /// The encoded frames of the last append while they are still in the
+    /// log (cleared when a snapshot compacts it), reused across batches so
+    /// a steady stream allocates nothing per event.
     frames: Vec<u8>,
 }
 
@@ -158,7 +159,7 @@ impl DurableServer {
             id,
             wal_name,
             snapshot_name,
-            snapshot_every: config.resolved_snapshot_every(),
+            snapshot_every: config.snapshot_every,
             acked_seq: 0,
             since_snapshot: 0,
             frames: Vec::new(),
@@ -240,7 +241,7 @@ impl DurableServer {
                 id,
                 wal_name: log_name,
                 snapshot_name: snap_name,
-                snapshot_every: config.resolved_snapshot_every(),
+                snapshot_every: config.snapshot_every,
                 acked_seq,
                 since_snapshot: acked_seq.saturating_sub(snapshot_seq),
                 frames: Vec::new(),
@@ -268,6 +269,13 @@ impl DurableServer {
     /// do not touch durable state (crash, corrupt, restore).
     pub fn server_mut(&mut self) -> &mut Server {
         &mut self.server
+    }
+
+    /// Byte length of the last log append, while it is still in the log:
+    /// the write a power failure could have interrupted.  0 after a
+    /// snapshot and before the first append since recovery.
+    pub(crate) fn last_append_len(&self) -> usize {
+        self.frames.len()
     }
 
     /// Unwraps into the plain server.
@@ -341,6 +349,7 @@ impl DurableServer {
             &[self.acked_seq, self.server.current_state().index() as u64],
         )?;
         wal::truncate(&self.store, &self.wal_name, 0)?;
+        self.frames.clear();
         self.since_snapshot = 0;
         Ok(())
     }
@@ -474,17 +483,10 @@ mod tests {
     #[test]
     fn config_resolution_order() {
         let c = DurabilityConfig::new();
-        assert_eq!(
-            c.resolved_snapshot_every(),
-            DurabilityConfig::DEFAULT_SNAPSHOT_EVERY
-        );
-        assert_eq!(c.snapshot_every(5).resolved_snapshot_every(), 5);
-        // Zero clamps to 1, through the builder and through the field.
-        assert_eq!(cfg(0).resolved_snapshot_every(), 1);
-        let raw = DurabilityConfig {
-            snapshot_every: Some(0),
-        };
-        assert_eq!(raw.resolved_snapshot_every(), 1);
+        assert_eq!(c.snapshot_every, DurabilityConfig::DEFAULT_SNAPSHOT_EVERY);
+        assert_eq!(c.snapshot_every(5).snapshot_every, 5);
+        // Zero clamps to 1 through the builder, the only way to set it.
+        assert_eq!(cfg(0).snapshot_every, 1);
     }
 
     #[test]

@@ -247,7 +247,7 @@ impl Environment for SimEnvironment {
         Box::new(SimServerGroup {
             world: Rc::clone(&self.world),
             group,
-            collect_timeout: config.resolved_collect_timeout().as_nanos() as u64,
+            collect_timeout: config.collect_timeout.as_nanos() as u64,
         })
     }
 
@@ -346,6 +346,8 @@ impl ServerGroup for SimServerGroup {
 mod tests {
     use super::*;
     use crate::env::DEFAULT_COLLECT_TIMEOUT;
+    use crate::recovery::DurabilityConfig;
+    use fsm_dfsm::Executor;
     use fsm_machines::fig1_machines;
 
     fn bits(s: &str) -> Vec<Event> {
@@ -421,6 +423,47 @@ mod tests {
         let servers = group.shutdown();
         assert_eq!(servers.len(), 1);
         assert_eq!(env.net_stats().killed, 1);
+    }
+
+    /// Group commit writes a batch's frames in one append, so a power
+    /// failure can cut that append anywhere, not just in its final frame.
+    /// Recovery must still give a clean prefix that keeps every earlier
+    /// append, and replaying the missed suffix must catch the server up.
+    #[test]
+    fn a_tear_inside_a_batch_append_recovers_a_clean_prefix() {
+        let machines = fig1_machines();
+        let events = bits("0110100101101");
+        let config = GroupConfig::new().durable_with(DurabilityConfig::new().snapshot_every(64));
+        let mut mid_batch = 0;
+        for seed in 0..16 {
+            let env = SimConfig::new(seed).torn_write_probability(1.0).build();
+            let mut group = env.spawn_group(&machines, &config);
+            group.apply_batch(&events[..3]);
+            group.apply_batch(&events[3..]);
+            group.kill_process(0);
+            let stats = group.restart_process(0).unwrap();
+            assert_eq!(env.net_stats().torn_tails, 1, "seed {seed}");
+            let acked = stats.acked_seq as usize;
+            assert!(
+                (3..events.len()).contains(&acked),
+                "seed {seed}: acked {acked}"
+            );
+            mid_batch += usize::from(acked < events.len() - 1);
+            let mut prefix = Executor::new(machines[0].clone());
+            events[..acked].iter().for_each(|e| {
+                prefix.apply(e);
+            });
+            assert_eq!(stats.state, prefix.current(), "seed {seed}");
+
+            group.apply_batch_to(0, &events[acked..]);
+            let reports = group.collect_reports().unwrap();
+            let mut full = Executor::new(machines[0].clone());
+            events.iter().for_each(|e| {
+                full.apply(e);
+            });
+            assert_eq!(reports[0], MachineReport::State(full.current().index()));
+        }
+        assert!(mid_batch > 0, "no tear cut deeper than the final frame");
     }
 
     #[test]

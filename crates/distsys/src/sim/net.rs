@@ -492,9 +492,8 @@ impl SimWorld {
     }
 
     /// A power failure (or a storage failure, which stops the process the
-    /// same way): the process dies, and with probability `torn` an
-    /// in-flight WAL append is interrupted, leaving a partial final frame
-    /// on storage.
+    /// same way): the process dies, and with probability `torn` its last
+    /// WAL append is interrupted, leaving any prefix of it on storage.
     fn kill(&mut self, group: usize, server: usize) {
         let p = &mut self.groups[group].processes[server];
         p.alive = false;
@@ -502,11 +501,13 @@ impl SimWorld {
         self.trace.record(TraceEvent::Kill { group, server });
         // Only durable processes draw from the chaos stream here, so
         // plain-group seeds replay exactly as before this knob existed.
-        let Some(id) = p.server.durable_id() else {
+        let ProcessServer::Durable(durable) = &p.server else {
             return;
         };
         if self.chaos.torn > 0.0 && self.chaos_rng.gen_bool(self.chaos.torn) {
-            let dropped = tear_wal_tail(&self.store, &wal::wal_name(id), &mut self.chaos_rng);
+            let name = wal::wal_name(durable.id());
+            let append = durable.last_append_len();
+            let dropped = tear_wal_tail(&self.store, &name, append, &mut self.chaos_rng);
             if dropped > 0 {
                 self.stats.torn_tails += 1;
                 self.trace.record(TraceEvent::TornTail {
@@ -659,19 +660,21 @@ impl SimWorld {
     }
 }
 
-/// Chops a seeded number of bytes off the final valid WAL frame (at least
-/// one, possibly the whole frame), modeling a power failure mid-append.
-/// Returns how many bytes were dropped (0 if the log has no frames).
-fn tear_wal_tail(store: &SharedStore, name: &str, rng: &mut SimRng) -> usize {
-    let bytes = crate::storage::with_store(store, |s| s.read(name))
+/// Chops a seeded number of bytes off the log's last append of
+/// `append_len` bytes (at least one, possibly all of it), modeling a power
+/// failure during that append.  Group commit writes a whole batch's frames
+/// in one append, so the cut may fall inside any of them.  Returns how many
+/// bytes were dropped (0 if there is no append to tear).
+fn tear_wal_tail(store: &SharedStore, name: &str, append_len: usize, rng: &mut SimRng) -> usize {
+    let len = crate::storage::with_store(store, |s| s.read(name))
         .expect("in-memory store cannot fail")
-        .unwrap_or_default();
-    let scan = wal::scan(&bytes);
-    let Some(start) = scan.last_frame_start else {
+        .map_or(0, |bytes| bytes.len());
+    let start = len.saturating_sub(append_len);
+    if start == len {
         return 0;
-    };
-    // Keep anywhere from none to all-but-one byte of the final frame.
-    let cut = rng.gen_range(start..bytes.len());
+    }
+    // Keep anywhere from none to all-but-one byte of the last append.
+    let cut = rng.gen_range(start..len);
     wal::truncate(store, name, cut).expect("in-memory store cannot fail");
-    bytes.len() - cut
+    len - cut
 }

@@ -100,92 +100,35 @@ impl MachineSet {
 /// budget) combination [`Scenario::from_seed`] draws from.  Crash presets
 /// must satisfy `dmin > f`, Byzantine presets `dmin > 2f`, for the fusion
 /// that Algorithm 2 generates.
-const PRESETS: &[(&str, MachineSet, Backend, FaultModel, usize)] = &[
-    (
-        "fig1/fusion/crash/f1",
-        MachineSet::Fig1,
-        Backend::Fusion,
-        FaultModel::Crash,
-        1,
-    ),
-    (
-        "fig1/fusion/crash/f2",
-        MachineSet::Fig1,
-        Backend::Fusion,
-        FaultModel::Crash,
-        2,
-    ),
-    (
-        "fig1/fusion/byz/f1",
-        MachineSet::Fig1,
-        Backend::Fusion,
-        FaultModel::Byzantine,
-        1,
-    ),
-    (
-        "mesi+zc3/fusion/crash/f1",
-        MachineSet::MesiZc3,
-        Backend::Fusion,
-        FaultModel::Crash,
-        1,
-    ),
-    (
-        "mesi+zc3/fusion/byz/f1",
-        MachineSet::MesiZc3,
-        Backend::Fusion,
-        FaultModel::Byzantine,
-        1,
-    ),
-    (
-        "sensors3/fusion/crash/f1",
-        MachineSet::Sensors3,
-        Backend::Fusion,
-        FaultModel::Crash,
-        1,
-    ),
-    (
-        "fig1/replication/crash/f1",
-        MachineSet::Fig1,
-        Backend::Replication,
-        FaultModel::Crash,
-        1,
-    ),
-    (
-        "mesi+zc3/replication/crash/f2",
-        MachineSet::MesiZc3,
-        Backend::Replication,
-        FaultModel::Crash,
-        2,
-    ),
-    (
-        "sensors3/replication/byz/f1",
-        MachineSet::Sensors3,
-        Backend::Replication,
-        FaultModel::Byzantine,
-        1,
-    ),
-];
+#[rustfmt::skip]
+const PRESETS: &[(&str, MachineSet, Backend, FaultModel, usize)] = {
+    use {Backend::*, FaultModel::*, MachineSet::*};
+    &[
+        ("fig1/fusion/crash/f1", Fig1, Fusion, Crash, 1),
+        ("fig1/fusion/crash/f2", Fig1, Fusion, Crash, 2),
+        ("fig1/fusion/byz/f1", Fig1, Fusion, Byzantine, 1),
+        ("mesi+zc3/fusion/crash/f1", MesiZc3, Fusion, Crash, 1),
+        ("mesi+zc3/fusion/byz/f1", MesiZc3, Fusion, Byzantine, 1),
+        ("sensors3/fusion/crash/f1", Sensors3, Fusion, Crash, 1),
+        ("fig1/replication/crash/f1", Fig1, Replication, Crash, 1),
+        ("mesi+zc3/replication/crash/f2", MesiZc3, Replication, Crash, 2),
+        ("sensors3/replication/byz/f1", Sensors3, Replication, Byzantine, 1),
+    ]
+};
 
 /// The recovery preset table: machine set, crash budget, and whether the
 /// scenario rolls kills across `f` victims in sequence or kills once.
 /// Recovery scenarios run fusion under the crash model only — a rejoining
 /// server trusts its own log, which a Byzantine server cannot.
-const RECOVERY_PRESETS: &[(&str, MachineSet, usize, bool)] = &[
-    ("fig1/fusion/crash/f1/rejoin", MachineSet::Fig1, 1, false),
-    ("fig1/fusion/crash/f2/rolling", MachineSet::Fig1, 2, true),
-    (
-        "mesi+zc3/fusion/crash/f1/rejoin",
-        MachineSet::MesiZc3,
-        1,
-        false,
-    ),
-    (
-        "sensors3/fusion/crash/f1/rejoin",
-        MachineSet::Sensors3,
-        1,
-        false,
-    ),
-];
+const RECOVERY_PRESETS: &[(&str, MachineSet, usize, bool)] = {
+    use MachineSet::*;
+    &[
+        ("fig1/fusion/crash/f1/rejoin", Fig1, 1, false),
+        ("fig1/fusion/crash/f2/rolling", Fig1, 2, true),
+        ("mesi+zc3/fusion/crash/f1/rejoin", MesiZc3, 1, false),
+        ("sensors3/fusion/crash/f1/rejoin", Sensors3, 1, false),
+    ]
+};
 
 /// One fully specified simulation scenario, built from a seed by
 /// [`Scenario::from_seed`] or [`Scenario::recovery_from_seed`], or by hand.
@@ -1042,6 +985,7 @@ pub fn compare_backends(first_seed: u64, count: usize) -> (BackendCost, BackendC
             [MachineSet::Fig1, MachineSet::MesiZc3, MachineSet::Sensors3][rng.gen_range(0..3usize)];
         let workload_len = rng.gen_range(20..=100usize);
         for backend in [Backend::Fusion, Backend::Replication] {
+            let replicated = matches!(backend, Backend::Replication) as u64;
             let mut scenario = Scenario {
                 seed,
                 preset: "compare/crash/f1",
@@ -1056,15 +1000,8 @@ pub fn compare_backends(first_seed: u64, count: usize) -> (BackendCost, BackendC
                 drop: 0.0,
                 duplicate: 0.0,
                 reorder: 0.0,
-                note: vec![
-                    matches!(backend, Backend::Replication) as u64,
-                    0,
-                    1,
-                    workload_len as u64,
-                    1,
-                    0,
-                    0,
-                ],
+                // A fault-sweep note: one modeled crash under f = 1.
+                note: vec![replicated, 0, 1, workload_len as u64, 1, 0, 0],
             };
             let servers = scenario.servers().map_or(0, |(roster, _)| roster.len());
             scenario.plan = Seeded(seed)

@@ -367,14 +367,7 @@ impl FusedSystem {
     /// get their state back, Byzantine servers are corrected, healthy
     /// servers are untouched (their state already matches).
     pub fn recover(&mut self) -> Result<RecoveryOutcome> {
-        let reports = self.collect_reports();
-        let recovery = match self.engine.recover(&reports) {
-            Ok(r) => r,
-            Err(e) => {
-                self.metrics.failed_recoveries += 1;
-                return Err(e.into());
-            }
-        };
+        let (recovery, matches_oracle) = self.decode(&self.collect_reports())?;
         let mut repaired = Vec::new();
         for (i, server) in self.servers.iter_mut().enumerate() {
             let correct = self.state_of_block[i][recovery.machine_states[i]];
@@ -383,13 +376,27 @@ impl FusedSystem {
                 repaired.push(i);
             }
         }
-        self.metrics.recoveries += 1;
-        let matches_oracle = recovery.top_state == self.oracle.current().index();
         Ok(RecoveryOutcome {
             recovery,
             repaired,
             matches_oracle,
         })
+    }
+
+    /// Algorithm 3 on reports already translated into partition blocks,
+    /// counted in the metrics; also says whether the decoded top state
+    /// matches the oracle.
+    fn decode(&mut self, blocks: &[MachineReport]) -> Result<(Recovery, bool)> {
+        let recovery = match self.engine.recover(blocks) {
+            Ok(r) => r,
+            Err(e) => {
+                self.metrics.failed_recoveries += 1;
+                return Err(e.into());
+            }
+        };
+        self.metrics.recoveries += 1;
+        let matches_oracle = recovery.top_state == self.oracle.current().index();
+        Ok((recovery, matches_oracle))
     }
 
     /// The full machine set (originals then backups) — what an
@@ -438,21 +445,13 @@ impl FusedSystem {
                 }
             });
         }
-        let recovery = match self.engine.recover(&translated) {
-            Ok(r) => r,
-            Err(e) => {
-                self.metrics.failed_recoveries += 1;
-                return Err(e.into());
-            }
-        };
+        let (recovery, matches_oracle) = self.decode(&translated)?;
         let states = recovery
             .machine_states
             .iter()
             .enumerate()
             .map(|(i, &b)| self.state_of_block[i][b])
             .collect();
-        self.metrics.recoveries += 1;
-        let matches_oracle = recovery.top_state == self.oracle.current().index();
         Ok(ExternalRecovery {
             states,
             recovery,

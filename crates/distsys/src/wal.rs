@@ -50,8 +50,6 @@ pub struct WalScan {
     pub valid_len: usize,
     /// Bytes after the valid prefix (a torn or corrupt tail), dropped.
     pub torn_tail_bytes: usize,
-    /// Byte offset where the last valid frame starts (`None` if no frame).
-    pub last_frame_start: Option<usize>,
 }
 
 /// FNV-1a over a byte slice — the frame checksum.
@@ -121,7 +119,6 @@ pub fn scan(bytes: &[u8]) -> WalScan {
             seq,
             event: Event::new(name),
         });
-        out.last_frame_start = Some(offset);
         last_seq = seq;
         offset += frame_len;
     }
@@ -179,7 +176,6 @@ mod tests {
         assert_eq!(scan.entries[1].seq, 2);
         assert_eq!(scan.entries[1].event.name(), "tick");
         assert_eq!(scan.torn_tail_bytes, 0);
-        assert!(scan.last_frame_start.is_some());
     }
 
     #[test]
@@ -188,7 +184,6 @@ mod tests {
         let scan = read(&store, "nope.wal").unwrap();
         assert!(scan.entries.is_empty());
         assert_eq!(scan.valid_len, 0);
-        assert_eq!(scan.last_frame_start, None);
     }
 
     #[test]

