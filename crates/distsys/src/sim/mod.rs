@@ -449,19 +449,13 @@ mod tests {
                 "seed {seed}: acked {acked}"
             );
             mid_batch += usize::from(acked < events.len() - 1);
-            let mut prefix = Executor::new(machines[0].clone());
-            events[..acked].iter().for_each(|e| {
-                prefix.apply(e);
-            });
-            assert_eq!(stats.state, prefix.current(), "seed {seed}");
+            let prefix = Executor::new(machines[0].clone()).apply_all(&events[..acked]);
+            assert_eq!(stats.state, prefix, "seed {seed}");
 
             group.apply_batch_to(0, &events[acked..]);
             let reports = group.collect_reports().unwrap();
-            let mut full = Executor::new(machines[0].clone());
-            events.iter().for_each(|e| {
-                full.apply(e);
-            });
-            assert_eq!(reports[0], MachineReport::State(full.current().index()));
+            let full = Executor::new(machines[0].clone()).apply_all(&events);
+            assert_eq!(reports[0], MachineReport::State(full.index()));
         }
         assert!(mid_batch > 0, "no tear cut deeper than the final frame");
     }

@@ -217,8 +217,7 @@ impl Scenario {
         // Distinct victims at seeded workload positions.  Crash budgets
         // draw a crash plan and turn its first `kills` entries into process
         // kills; Byzantine budgets draw explicit in-range lies.
-        let roster = scenario.servers().map(|(roster, _)| roster);
-        let roster = roster.unwrap_or_default();
+        let roster = scenario.servers().map(|(r, _)| r).unwrap_or_default();
         let faults = Seeded(seed).split(STREAM_FAULTS);
         scenario.plan = match fault_model {
             FaultModel::Crash => {
@@ -642,9 +641,7 @@ impl Run<'_> {
             let batch = &events[batch];
             self.group.apply_batch(batch);
             for ex in &mut self.oracle {
-                batch.iter().for_each(|e| {
-                    ex.apply(e);
-                });
+                ex.apply_all(batch);
             }
         }
     }
@@ -725,14 +722,12 @@ impl Run<'_> {
         // Snapshot + replay must equal an uninterrupted run of the acked
         // prefix.
         let mut prefix = Executor::new(self.oracle[victim].machine().clone());
-        for e in self.events.iter().take(acked as usize) {
-            prefix.apply(e);
-        }
-        if stats.state != prefix.current() {
+        let want = prefix.apply_all(self.events.iter().take(acked as usize));
+        if stats.state != want {
             violations.push(format!(
                 "server {victim}: replayed state {} != prefix oracle {}",
                 stats.state.index(),
-                prefix.current().index()
+                want.index()
             ));
         }
         // Catch up to the group: replay the missed suffix from the shared

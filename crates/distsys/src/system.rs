@@ -365,38 +365,24 @@ impl FusedSystem {
 
     /// Runs recovery (Algorithm 3) and repairs every server: crashed servers
     /// get their state back, Byzantine servers are corrected, healthy
-    /// servers are untouched (their state already matches).
+    /// servers are untouched (their state already matches).  The decode is
+    /// [`FusedSystem::recover_external`] on the in-process servers'
+    /// reports.
     pub fn recover(&mut self) -> Result<RecoveryOutcome> {
-        let (recovery, matches_oracle) = self.decode(&self.collect_reports())?;
+        let reports: Vec<MachineReport> = self.servers.iter().map(Server::report).collect();
+        let ext = self.recover_external(&reports)?;
         let mut repaired = Vec::new();
-        for (i, server) in self.servers.iter_mut().enumerate() {
-            let correct = self.state_of_block[i][recovery.machine_states[i]];
+        for (i, (server, &correct)) in self.servers.iter_mut().zip(&ext.states).enumerate() {
             if server.status() != ServerStatus::Healthy || server.current_state() != correct {
                 server.restore(correct);
                 repaired.push(i);
             }
         }
         Ok(RecoveryOutcome {
-            recovery,
+            recovery: ext.recovery,
             repaired,
-            matches_oracle,
+            matches_oracle: ext.matches_oracle,
         })
-    }
-
-    /// Algorithm 3 on reports already translated into partition blocks,
-    /// counted in the metrics; also says whether the decoded top state
-    /// matches the oracle.
-    fn decode(&mut self, blocks: &[MachineReport]) -> Result<(Recovery, bool)> {
-        let recovery = match self.engine.recover(blocks) {
-            Ok(r) => r,
-            Err(e) => {
-                self.metrics.failed_recoveries += 1;
-                return Err(e.into());
-            }
-        };
-        self.metrics.recoveries += 1;
-        let matches_oracle = recovery.top_state == self.oracle.current().index();
-        Ok((recovery, matches_oracle))
     }
 
     /// The full machine set (originals then backups) — what an
@@ -445,13 +431,21 @@ impl FusedSystem {
                 }
             });
         }
-        let (recovery, matches_oracle) = self.decode(&translated)?;
+        let recovery = match self.engine.recover(&translated) {
+            Ok(r) => r,
+            Err(e) => {
+                self.metrics.failed_recoveries += 1;
+                return Err(e.into());
+            }
+        };
         let states = recovery
             .machine_states
             .iter()
             .enumerate()
             .map(|(i, &b)| self.state_of_block[i][b])
             .collect();
+        self.metrics.recoveries += 1;
+        let matches_oracle = recovery.top_state == self.oracle.current().index();
         Ok(ExternalRecovery {
             states,
             recovery,
