@@ -7,9 +7,9 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fsm_dfsm::ReachableProduct;
-use fsm_distsys::{SensorBackupMode, SensorNetwork};
+use fsm_distsys::{FusedSystem, SensorNetwork};
 use fsm_fusion_bench::counter_family;
-use fsm_fusion_core::{generate_fusion, projection_partitions};
+use fsm_fusion_core::{generate_fusion, projection_partitions, FaultModel};
 
 fn bench_generation_vs_top_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("generation_scaling_top_size");
@@ -77,20 +77,23 @@ fn bench_sensor_network(c: &mut Criterion) {
     for sensors in [100usize, 1000] {
         group.bench_function(format!("observe_and_recover_{sensors}_sensors"), |b| {
             b.iter(|| {
-                let mut net = SensorNetwork::new(sensors, SensorBackupMode::Analytic).unwrap();
+                let mut net = SensorNetwork::new(sensors).unwrap();
                 net.observe_randomly(10 * sensors, 1).unwrap();
                 net.crash_sensor(sensors / 2).unwrap();
                 net.recover().unwrap()
             })
         });
     }
-    // Exact mode (full pipeline) for a small network, for comparison.
+    // The full pipeline (cross product + Algorithm 2 + Algorithm 3) for a
+    // small network, for comparison.
     group.bench_function("exact_mode_4_sensors", |b| {
         b.iter(|| {
-            let mut net = SensorNetwork::new(4, SensorBackupMode::Exact).unwrap();
-            net.observe_randomly(40, 1).unwrap();
-            net.crash_sensor(2).unwrap();
-            net.recover().unwrap()
+            let net = SensorNetwork::new(4).unwrap();
+            let machines = SensorNetwork::sensor_machines(4);
+            let mut sys = FusedSystem::new(&machines, 1, FaultModel::Crash).unwrap();
+            sys.apply_workload(&net.random_workload(40, 1));
+            sys.crash(2).unwrap();
+            sys.recover().unwrap()
         })
     });
     group.finish();

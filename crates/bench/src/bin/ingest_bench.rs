@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use fsm_dfsm::Event;
 use fsm_distsys::{
     IngestConfig, IngestMetrics, IngestPipeline, OsClock, OsEnvironment, ParallelServerGroup,
-    SensorBackupMode, SensorNetwork, ServerGroup,
+    SensorNetwork, ServerGroup,
 };
 use fsm_fusion_bench::{extract_json_section, percentile, upsert_json_section};
 use fsm_fusion_core::MachineReport;
@@ -349,8 +349,7 @@ fn main() -> ExitCode {
     let events = events.max(1_000);
     let clients = clients.max(1);
 
-    let net = SensorNetwork::new(SENSORS, SensorBackupMode::Analytic)
-        .expect("the analytic sensor scenario always builds");
+    let net = SensorNetwork::new(SENSORS).expect("SENSORS is non-zero");
     let cal_ns = calibration_ns();
     let config = IngestConfig::new().batch_max(batch_max);
 

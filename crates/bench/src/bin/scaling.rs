@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use fsm_distsys::{SensorBackupMode, SensorNetwork};
+use fsm_distsys::SensorNetwork;
 use fsm_fusion_bench::counter_family;
 use fsm_fusion_core::{
     projection_partitions, replication_state_space, FusionConfig, FusionSession, MachineReport,
@@ -20,13 +20,12 @@ use fsm_fusion_core::{
 };
 
 fn main() {
-    // One session drives every sweep; within a
-    // sweep, successive machine sets reset the cache (different tops) but
-    // share scratch buffers.
+    // One session drives both generation sweeps; successive machine sets
+    // reset the cache (different tops) but share scratch buffers.
     let mut session = FusionConfig::new().build();
     generation_scaling(&mut session);
     recovery_scaling(&mut session);
-    sensor_network_scaling(&mut session);
+    sensor_network_scaling();
 }
 
 fn generation_scaling(session: &mut FusionSession) {
@@ -92,15 +91,14 @@ fn recovery_scaling(session: &mut FusionSession) {
     println!();
 }
 
-fn sensor_network_scaling(session: &mut FusionSession) {
+fn sensor_network_scaling() {
     println!("== Sensor network: fused backup vs replication (1 crash fault) ==");
     println!(
         "{:>10} {:>18} {:>24} {:>14}",
         "sensors", "fusion states", "replication states", "recover ok"
     );
     for n in [10usize, 50, 100, 500, 1000] {
-        let mut net =
-            SensorNetwork::new_with_session(n, SensorBackupMode::Analytic, session).unwrap();
+        let mut net = SensorNetwork::new(n).unwrap();
         net.observe_randomly(10 * n, n as u64).unwrap();
         let truth = net.sensor_state(n / 2).unwrap();
         net.crash_sensor(n / 2).unwrap();

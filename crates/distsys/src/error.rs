@@ -22,14 +22,16 @@ pub enum DistsysError {
         /// Indices of the servers that never reported.
         servers: Vec<usize>,
     },
-    /// A fault plan with a placeholder corruption (resolved only against an
-    /// in-process `FusedSystem`) was executed against a remote server group.
-    UnresolvedCorruption {
-        /// The server whose corruption had no explicit target state.
-        server: usize,
+    /// A fault plan names a server or state the group does not have, kills
+    /// a server that is down, restarts one that is up, or is out of
+    /// `after_event` order (`FaultPlan::validate`).
+    MalformedPlan {
+        /// Index of the first offending fault in the plan.
+        fault: usize,
+        /// What is wrong with it.
+        reason: String,
     },
-    /// A kill (or crash/corrupt) fault targeted a server whose process is
-    /// already down, or a resync's server went down before answering.
+    /// A resync's server was down, or went down, before answering.
     ServerDown { server: usize },
     /// A restart targeted a server whose process is still up.
     ServerUp { server: usize },
@@ -84,11 +86,9 @@ impl fmt::Display for DistsysError {
                 f,
                 "servers {servers:?} never reported (thread dead or unresponsive)"
             ),
-            DistsysError::UnresolvedCorruption { server } => write!(
-                f,
-                "corruption of server {server} has no explicit target state; \
-                 use an explicit corruption plan for server groups"
-            ),
+            DistsysError::MalformedPlan { fault, reason } => {
+                write!(f, "malformed plan: fault {fault}: {reason}")
+            }
             DistsysError::ServerDown { server } => {
                 write!(f, "server {server} is already down")
             }
@@ -176,6 +176,11 @@ mod tests {
         assert!(DistsysError::NotDurable { server: 0 }
             .to_string()
             .contains("durable"));
+        let e = DistsysError::MalformedPlan {
+            fault: 2,
+            reason: "server 1 is up".into(),
+        };
+        assert_eq!(e.to_string(), "malformed plan: fault 2: server 1 is up");
         let e = DistsysError::Storage {
             message: "disk on fire".into(),
         };

@@ -1,17 +1,15 @@
-//! Randomized fault injection plans.
+//! Fault plans: reproducible schedules of faults.
 //!
-//! A [`FaultPlan`] is a reproducible schedule of faults: "after event `k`,
-//! crash (or corrupt) server `s`".  Plans are generated with a seeded RNG so
-//! failure-injection tests and benchmarks are repeatable, and they respect a
-//! fault budget so the scheduled faults stay within what the system is
-//! provisioned to tolerate (or deliberately exceed it, for negative tests).
+//! A [`FaultPlan`] is plain schedule data: "after event `k`, crash (corrupt,
+//! kill, restart) server `s`".  [`Seeded`](crate::Seeded) draws plans from a
+//! seed so failure-injection runs are repeatable, within a fault budget (or
+//! deliberately past it, for negative tests), and
+//! [`run_scenario`](crate::sim::sweep::run_scenario) plays them against a
+//! simulated server group, checking recovery as it goes.
 
 use fsm_dfsm::StateId;
 
-use crate::env::ServerGroup;
 use crate::error::{DistsysError, Result};
-use crate::system::FusedSystem;
-use crate::workload::Workload;
 
 /// The kind of fault to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,9 +18,8 @@ pub enum FaultKind {
     Crash,
     /// Move the server to the given state (Byzantine corruption).
     Corrupt(StateId),
-    /// Kill the server's *process* (it stops answering entirely, unlike the
-    /// modeled crash fault).  Against an in-process [`FusedSystem`], which
-    /// has no processes, this degrades to a modeled crash.
+    /// Kill the server's *process*: unlike the modeled crash fault, it stops
+    /// answering entirely until a [`FaultKind::Restart`].
     Kill,
     /// Restart the server's killed process from its durable state (WAL +
     /// snapshot).  Only meaningful against durable server groups.
@@ -49,11 +46,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan (no faults).
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
     /// Number of scheduled faults.
     pub fn len(&self) -> usize {
         self.faults.len()
@@ -64,124 +56,85 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Runs a workload against a [`FusedSystem`], injecting the scheduled
-    /// faults at their positions, and returns how many faults were actually
-    /// injected.  Recovery is *not* triggered automatically; callers decide
-    /// when to recover (typically at the end, as in the paper's model where
-    /// the environment pauses during recovery).
-    ///
-    /// An in-process system has no processes or durable state, so
-    /// [`FaultKind::Kill`] degrades to a modeled crash and
-    /// [`FaultKind::Restart`] is skipped (not counted as injected) — plans
-    /// that exercise kill/restart belong on server groups via
-    /// [`FaultPlan::execute_in`].
-    pub fn execute(&self, system: &mut FusedSystem, workload: &Workload) -> usize {
-        let mut injected = 0usize;
-        let mut next_fault = 0usize;
-        // Faults scheduled at position 0 fire before any event.
-        let fire = |system: &mut FusedSystem, upto: usize, next_fault: &mut usize| {
-            let mut count = 0;
-            while *next_fault < self.faults.len() && self.faults[*next_fault].after_event <= upto {
-                let f = self.faults[*next_fault];
-                match f.kind {
-                    FaultKind::Crash | FaultKind::Kill => {
-                        let _ = system.crash(f.server);
-                    }
-                    FaultKind::Corrupt(state) => {
-                        if state.index() == usize::MAX {
-                            let _ = system.corrupt_differently(f.server);
-                        } else {
-                            let _ = system.corrupt(f.server, state);
-                        }
-                    }
-                    FaultKind::Restart => {
-                        *next_fault += 1;
-                        continue;
-                    }
+    /// Checks the plan against a group of `machine_sizes.len()` servers
+    /// (server `i` runs a machine of `machine_sizes[i]` states): every
+    /// server and corrupt state in range, faults in `after_event` order, no
+    /// [`FaultKind::Kill`] of a server the plan already took down and no
+    /// [`FaultKind::Restart`] of a server that is up.  The first offending
+    /// fault fails with [`DistsysError::MalformedPlan`].
+    pub fn validate(&self, machine_sizes: &[usize]) -> Result<()> {
+        let mut down = vec![false; machine_sizes.len()];
+        let mut last = 0;
+        for (i, f) in self.faults.iter().enumerate() {
+            let (at, s) = (f.after_event, f.server);
+            let reason = match (machine_sizes.get(s), f.kind) {
+                (None, _) => format!("server {s} out of range ({} servers)", machine_sizes.len()),
+                _ if at < last => format!("out of order: after event {at} follows {last}"),
+                (Some(&size), FaultKind::Corrupt(StateId(state))) if state >= size => {
+                    format!("state {state} out of range for server {s} ({size} states)")
                 }
-                *next_fault += 1;
-                count += 1;
-            }
-            count
-        };
-        injected += fire(system, 0, &mut next_fault);
-        for (i, e) in workload.iter().enumerate() {
-            system.apply_event(e);
-            injected += fire(system, i + 1, &mut next_fault);
-        }
-        injected
-    }
-
-    /// Runs a workload against an externally spawned [`ServerGroup`]
-    /// (threaded or simulated), injecting the scheduled faults at their
-    /// positions, and returns how many faults were injected.
-    ///
-    /// Placeholder corruptions (the "current state + 1" faults of
-    /// [`Seeded::corruption_plan`](crate::Seeded::corruption_plan)) cannot
-    /// be resolved here — the group's servers run remotely, so their
-    /// current state is unknown at injection time.  Use
-    /// [`Seeded::explicit_corruption_plan`](crate::Seeded::explicit_corruption_plan)
-    /// for plans aimed at server groups; a placeholder fault fails with
-    /// [`DistsysError::UnresolvedCorruption`] before anything is sent.
-    ///
-    /// Kill and restart faults are validated against the plan's own
-    /// kill/restart history: a [`FaultKind::Kill`] targeting a server this
-    /// plan already took down fails with [`DistsysError::ServerDown`], and a
-    /// [`FaultKind::Restart`] targeting a server that is *not* down fails
-    /// with [`DistsysError::ServerUp`] — neither is silently skipped, so a
-    /// malformed plan surfaces instead of under-injecting.
-    pub fn execute_in(&self, group: &mut dyn ServerGroup, workload: &Workload) -> Result<usize> {
-        if let Some(f) = self
-            .faults
-            .iter()
-            .find(|f| matches!(f.kind, FaultKind::Corrupt(state) if state.index() == usize::MAX))
-        {
-            return Err(DistsysError::UnresolvedCorruption { server: f.server });
-        }
-        // The events between two fault positions go out as one batch.
-        let events = workload.events();
-        let (mut applied, mut injected) = (0usize, 0usize);
-        let mut down: Vec<usize> = Vec::new();
-        for f in self
-            .faults
-            .iter()
-            .take_while(|f| f.after_event <= events.len())
-        {
-            if f.after_event > applied {
-                group.apply_batch(&events[applied..f.after_event]);
-                applied = f.after_event;
-            }
-            match f.kind {
-                FaultKind::Crash => group.crash(f.server),
-                FaultKind::Corrupt(state) => group.corrupt(f.server, state),
-                FaultKind::Kill => {
-                    if down.contains(&f.server) {
-                        return Err(DistsysError::ServerDown { server: f.server });
-                    }
-                    group.kill_process(f.server);
-                    down.push(f.server);
+                (_, FaultKind::Kill) if down[s] => format!("server {s} is already down"),
+                (_, FaultKind::Restart) if !down[s] => format!("server {s} is up"),
+                (_, kind) => {
+                    // The guards above make every kill or restart a state flip.
+                    down[s] ^= matches!(kind, FaultKind::Kill | FaultKind::Restart);
+                    last = at;
+                    continue;
                 }
-                FaultKind::Restart => {
-                    let Some(pos) = down.iter().position(|&s| s == f.server) else {
-                        return Err(DistsysError::ServerUp { server: f.server });
-                    };
-                    group.restart_process(f.server)?;
-                    down.swap_remove(pos);
-                }
-            }
-            injected += 1;
+            };
+            return Err(DistsysError::MalformedPlan { fault: i, reason });
         }
-        group.apply_batch(&events[applied..]);
-        Ok(injected)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::sweep::{run_scenario, Scenario, ScenarioOutcome};
     use crate::sim::Seeded;
+    use crate::system::FusedSystem;
+    use fsm_dfsm::Dfsm;
     use fsm_fusion_core::FaultModel;
     use fsm_machines::fig1_machines;
+    use FaultKind::*;
+
+    /// A plan of `(after_event, server, kind)` faults.
+    fn plan(faults: &[(usize, usize, FaultKind)]) -> FaultPlan {
+        let faults = faults
+            .iter()
+            .map(|&(after_event, server, kind)| ScheduledFault {
+                after_event,
+                server,
+                kind,
+            });
+        FaultPlan {
+            faults: faults.collect(),
+        }
+    }
+
+    /// Plays `plan` on a quiet network against the Figure 1 machines and
+    /// their fused backups for one fault of `model`, over 50 events.
+    fn play(seed: u64, model: FaultModel, plan: FaultPlan) -> ScenarioOutcome {
+        run_scenario(&Scenario {
+            plan,
+            ..Scenario::new(seed, fig1_machines(), model, 1, 50)
+        })
+    }
+
+    /// The machine sizes of the group `play` spawns for `model`.
+    fn group_sizes(model: FaultModel) -> Vec<usize> {
+        let sys = FusedSystem::new(&fig1_machines(), 1, model).unwrap();
+        sys.all_machines().iter().map(Dfsm::size).collect()
+    }
+
+    /// The index of the first fault `validate` rejects, if any.
+    fn rejected(sizes: &[usize], faults: &[(usize, usize, FaultKind)]) -> Option<usize> {
+        match plan(faults).validate(sizes) {
+            Err(DistsysError::MalformedPlan { fault, .. }) => Some(fault),
+            _ => None,
+        }
+    }
 
     #[test]
     fn random_crash_plan_is_reproducible_and_bounded() {
@@ -198,144 +151,76 @@ mod tests {
 
     #[test]
     fn empty_plan() {
-        let p = FaultPlan::none();
+        let p = FaultPlan::default();
         assert!(p.is_empty());
-        let mut sys = FusedSystem::new(&fig1_machines(), 1, FaultModel::Crash).unwrap();
-        let w = Workload::from_bits("0101");
-        assert_eq!(p.execute(&mut sys, &w), 0);
-        assert_eq!(sys.metrics().events_processed, 4);
+        assert!(p.validate(&[]).is_ok());
+        let outcome = play(1, FaultModel::Crash, p);
+        assert!(outcome.is_ok(), "{:?}", outcome.violations);
+        assert_eq!(outcome.injected, 0);
     }
 
     #[test]
     fn executed_crash_plan_is_recoverable_within_budget() {
+        let servers = group_sizes(FaultModel::Crash).len();
         for seed in 0..10u64 {
-            let mut sys = FusedSystem::new(&fig1_machines(), 1, FaultModel::Crash).unwrap();
-            let w = Seeded(seed).workload_over_machines(&fig1_machines(), 50);
-            let plan = Seeded(seed).crash_plan(sys.num_servers(), 1, w.len());
-            let injected = plan.execute(&mut sys, &w);
-            assert_eq!(injected, 1);
-            let outcome = sys.recover().unwrap();
-            assert!(outcome.matches_oracle, "seed {seed}");
-            assert!(sys.consistent_with_oracle(), "seed {seed}");
+            let plan = Seeded(seed).crash_plan(servers, 1, 50);
+            let outcome = play(seed, FaultModel::Crash, plan);
+            assert!(outcome.is_ok(), "seed {seed}: {:?}", outcome.violations);
+            assert_eq!(outcome.injected, 1);
         }
     }
 
     #[test]
     fn executed_corruption_plan_is_recoverable_within_budget() {
+        let sizes = group_sizes(FaultModel::Byzantine);
         for seed in 0..10u64 {
-            let mut sys = FusedSystem::new(&fig1_machines(), 1, FaultModel::Byzantine).unwrap();
-            let w = Seeded(seed).workload_over_machines(&fig1_machines(), 50);
-            let plan = Seeded(seed).corruption_plan(sys.num_servers(), 1, w.len());
-            plan.execute(&mut sys, &w);
-            let outcome = sys.recover().unwrap();
-            assert!(outcome.matches_oracle, "seed {seed}");
+            let plan = Seeded(seed).explicit_corruption_plan(&sizes, 1, 50);
+            let outcome = play(seed, FaultModel::Byzantine, plan);
+            assert!(outcome.is_ok(), "seed {seed}: {:?}", outcome.violations);
+            assert_eq!(outcome.injected, 1);
         }
     }
 
     #[test]
-    fn execute_in_surfaces_kill_and_restart_plan_errors() {
-        use crate::env::{Environment, GroupConfig};
-
-        let machines = fig1_machines();
-        let env = Seeded(7).sim().build();
-        let config = GroupConfig::new().durable();
-        let w = Workload::from_bits("010101");
-
-        // Regression: a Kill aimed at a server the plan already took down
-        // must fail with the typed error, not silently skip the fault.
-        let mut group = env.spawn_group(&machines, &config);
-        let plan = FaultPlan {
-            faults: vec![
-                ScheduledFault {
-                    after_event: 1,
-                    server: 0,
-                    kind: FaultKind::Kill,
-                },
-                ScheduledFault {
-                    after_event: 3,
-                    server: 0,
-                    kind: FaultKind::Kill,
-                },
-            ],
-        };
-        assert!(matches!(
-            plan.execute_in(&mut *group, &w),
-            Err(DistsysError::ServerDown { server: 0 })
-        ));
-
-        // …and a Restart aimed at a server that is still up fails likewise.
-        let mut group = env.spawn_group(&machines, &config);
-        let plan = FaultPlan {
-            faults: vec![ScheduledFault {
-                after_event: 2,
-                server: 1,
-                kind: FaultKind::Restart,
-            }],
-        };
-        assert!(matches!(
-            plan.execute_in(&mut *group, &w),
-            Err(DistsysError::ServerUp { server: 1 })
-        ));
-
-        // A well-formed kill → restart pair executes and counts both.
-        let mut group = env.spawn_group(&machines, &config);
-        let plan = FaultPlan {
-            faults: vec![
-                ScheduledFault {
-                    after_event: 1,
-                    server: 0,
-                    kind: FaultKind::Kill,
-                },
-                ScheduledFault {
-                    after_event: 2,
-                    server: 0,
-                    kind: FaultKind::Restart,
-                },
-            ],
-        };
-        assert_eq!(plan.execute_in(&mut *group, &w).unwrap(), 2);
-    }
-
-    #[test]
-    fn execute_degrades_kill_to_crash_and_skips_restart_in_process() {
-        let mut sys = FusedSystem::new(&fig1_machines(), 1, FaultModel::Crash).unwrap();
-        let w = Workload::from_bits("0101");
-        let plan = FaultPlan {
-            faults: vec![
-                ScheduledFault {
-                    after_event: 1,
-                    server: 0,
-                    kind: FaultKind::Kill,
-                },
-                ScheduledFault {
-                    after_event: 2,
-                    server: 0,
-                    kind: FaultKind::Restart,
-                },
-            ],
-        };
-        // Kill counts as an injected (modeled) crash; Restart is skipped.
-        assert_eq!(plan.execute(&mut sys, &w), 1);
-        assert_eq!(sys.metrics().crashes_injected, 1);
-        let outcome = sys.recover().unwrap();
-        assert!(outcome.matches_oracle);
-    }
-
-    #[test]
     fn corruption_with_explicit_state() {
-        let mut sys = FusedSystem::new(&fig1_machines(), 1, FaultModel::Byzantine).unwrap();
-        let w = Workload::from_bits("0011");
-        let plan = FaultPlan {
-            faults: vec![ScheduledFault {
-                after_event: 2,
-                server: 0,
-                kind: FaultKind::Corrupt(StateId(0)),
-            }],
-        };
-        plan.execute(&mut sys, &w);
-        // The corrupted server kept executing from state 0 for the last two
-        // events; recovery still reconstructs the truth.
-        let outcome = sys.recover().unwrap();
-        assert!(outcome.matches_oracle);
+        // The corrupted server keeps executing from state 0 for the rest of
+        // the workload; recovery still reconstructs the truth.
+        let outcome = play(
+            3,
+            FaultModel::Byzantine,
+            plan(&[(2, 0, Corrupt(StateId(0)))]),
+        );
+        assert!(outcome.is_ok(), "{:?}", outcome.violations);
+    }
+
+    #[test]
+    fn validate_rejects_kill_and_restart_plan_errors() {
+        let sizes = group_sizes(FaultModel::Crash);
+        // A Kill aimed at a server the plan already took down, and a
+        // Restart aimed at a server that is still up, are malformed.
+        assert_eq!(rejected(&sizes, &[(1, 0, Kill), (3, 0, Kill)]), Some(1));
+        assert_eq!(rejected(&sizes, &[(2, 1, Restart)]), Some(0));
+        // A well-formed kill → restart pair validates and plays both.
+        let pair = [(1, 0, Kill), (2, 0, Restart)];
+        assert_eq!(rejected(&sizes, &pair), None);
+        let outcome = run_scenario(&Scenario {
+            plan: plan(&pair),
+            snapshot_every: Some(4),
+            ..Scenario::new(7, fig1_machines(), FaultModel::Crash, 1, 6)
+        });
+        assert!(outcome.is_ok(), "{:?}", outcome.violations);
+        assert_eq!((outcome.kills, outcome.restarts), (1, 1));
+    }
+
+    #[test]
+    fn malformed_plans_are_violations_not_panics() {
+        let sizes = group_sizes(FaultModel::Byzantine);
+        assert_eq!(rejected(&sizes, &[(1, 0, Corrupt(StateId(3)))]), Some(0));
+        assert_eq!(rejected(&sizes, &[(5, 0, Crash), (4, 1, Crash)]), Some(1));
+        // A server past the group's end is reported before anything runs.
+        let outcome = play(2, FaultModel::Byzantine, plan(&[(1, sizes.len(), Crash)]));
+        assert_eq!(outcome.injected, 0);
+        assert_eq!(outcome.violations.len(), 1, "{:?}", outcome.violations);
+        assert!(outcome.violations[0].starts_with("malformed plan: fault 0"));
     }
 }

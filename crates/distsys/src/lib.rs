@@ -15,7 +15,9 @@
 //!   recovery, end to end, with an oracle for verification.
 //! * [`ReplicatedSystem`] — the replication baseline for side-by-side
 //!   comparison.
-//! * [`FaultPlan`] — reproducible randomized fault injection.
+//! * [`FaultPlan`] — reproducible fault schedules (crash, corrupt, kill,
+//!   restart), seeded by [`Seeded`] and played by
+//!   [`run_scenario`](sim::sweep::run_scenario).
 //! * [`SensorNetwork`] — the paper's motivating sensor-network scenario,
 //!   including the 100-sensor configuration.
 //! * [`ParallelServerGroup`] — servers on OS threads with channel-based
@@ -58,7 +60,7 @@ pub use ingest::{ClientHandle, IngestConfig, IngestMetrics, IngestPipeline, Lane
 pub use parallel::ParallelServerGroup;
 pub use recovery::{DurabilityConfig, DurableServer, RejoinPath, ReplayStats, REPLAY_CUTOVER};
 pub use replicated::{ReplicaGroup, ReplicatedSystem};
-pub use scenario::{replay_oracle, SensorBackupMode, SensorNetwork, ServeReport};
+pub use scenario::{SensorNetwork, ServeReport};
 pub use server::{Server, ServerStatus};
 pub use sim::{NetStats, Seeded, SimConfig, SimEnvironment, SimRng, TraceEvent};
 pub use storage::{shared, DirStore, MemStore, SharedStore, Store};

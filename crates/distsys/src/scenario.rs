@@ -7,39 +7,26 @@
 //! up: "to tolerate 5 crash faults among 1000 machines, replication will
 //! require 5000 extra machines [whereas fusion] may achieve this with just 5".
 //!
-//! [`SensorNetwork`] reproduces the scenario in two modes:
-//!
-//! * **exact** — for small `n`, the backup is produced by Algorithm 2 on the
-//!   reachable cross product (3ⁿ states), exactly as the library does for
-//!   any machine set;
-//! * **analytic** — for large `n` (the paper's 100-sensor network), building
-//!   a 3ⁿ-state product is pointless; the backup is the sum-mod-3 counter
-//!   over all sensor events, which is the machine Algorithm 2 finds in exact
-//!   mode (tests cross-check the two modes on small `n`), and single-sensor
-//!   recovery solves `backup − Σ others (mod 3)` directly.
+//! [`SensorNetwork`] reproduces the scenario at any `n` (the paper's
+//! 100-sensor network included) without building the 3ⁿ-state product: the
+//! backup is the sum-mod-3 counter over all sensor events, and
+//! single-sensor recovery solves `backup − Σ others (mod 3)` directly.  The
+//! sum counter is a `(1, 1)`-fusion of the sensors, but not the one
+//! Algorithm 2 generates: that backup, also 3 states, counts `sensor0` up
+//! and every other sensor down.  Any fusion recovers the same states, which
+//! the tests check against [`FusedSystem`](crate::FusedSystem) on
+//! [`SensorNetwork::sensor_machines`] for small `n`.
 
 use std::time::Duration;
 
-use fsm_dfsm::{Dfsm, DfsmBuilder, Event, Executor, StateId};
-use fsm_fusion_core::{FaultModel, MachineReport};
+use fsm_dfsm::{Dfsm, DfsmBuilder, Event};
+use fsm_fusion_core::MachineReport;
 
 use crate::env::{Environment, GroupConfig};
 use crate::error::{DistsysError, Result};
 use crate::ingest::{IngestConfig, IngestMetrics, IngestPipeline};
 use crate::sim::Seeded;
-use crate::system::FusedSystem;
 use crate::workload::Workload;
-
-/// How the sensor-network backup is obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SensorBackupMode {
-    /// Run the full pipeline (cross product + Algorithm 2).  Practical for
-    /// roughly `n ≤ 8` sensors.
-    Exact,
-    /// Use the analytically known fusion (the sum-mod-3 counter over every
-    /// sensor's event) without building the 3ⁿ-state product.
-    Analytic,
-}
 
 /// A simulated sensor network of `n` mod-3 counters plus one fused backup.
 #[derive(Debug)]
@@ -50,9 +37,6 @@ pub struct SensorNetwork {
     sensors: Vec<Option<usize>>,
     /// The fused backup state: sum of all counts mod 3.
     backup: usize,
-    mode: SensorBackupMode,
-    /// Exact-mode system (kept for cross-checking and recovery).
-    exact: Option<FusedSystem>,
     events_processed: usize,
 }
 
@@ -61,53 +45,19 @@ impl SensorNetwork {
     pub const MODULUS: usize = 3;
 
     /// Creates a sensor network with `n` sensors.
-    pub fn new(n: usize, mode: SensorBackupMode) -> Result<Self> {
-        Self::build(n, mode, None)
-    }
-
-    /// [`SensorNetwork::new`] through a caller-owned
-    /// [`fsm_fusion_core::FusionSession`]: exact-mode backup generation
-    /// runs on the session's engine and cache
-    /// ([`FusedSystem::with_session`]); analytic mode needs no generation,
-    /// so the session goes unused there.
-    pub fn new_with_session(
-        n: usize,
-        mode: SensorBackupMode,
-        session: &mut fsm_fusion_core::FusionSession,
-    ) -> Result<Self> {
-        Self::build(n, mode, Some(session))
-    }
-
-    fn build(
-        n: usize,
-        mode: SensorBackupMode,
-        session: Option<&mut fsm_fusion_core::FusionSession>,
-    ) -> Result<Self> {
+    pub fn new(n: usize) -> Result<Self> {
         if n == 0 {
             return Err(DistsysError::NoMachines);
         }
-        let events: Vec<Event> = (0..n).map(|i| Event::new(format!("sensor{i}"))).collect();
-        let exact = match mode {
-            SensorBackupMode::Exact => {
-                let machines = Self::sensor_machines(n);
-                Some(match session {
-                    Some(s) => FusedSystem::with_session(&machines, 1, FaultModel::Crash, s)?,
-                    None => FusedSystem::new(&machines, 1, FaultModel::Crash)?,
-                })
-            }
-            SensorBackupMode::Analytic => None,
-        };
         Ok(SensorNetwork {
-            events,
+            events: (0..n).map(|i| Event::new(format!("sensor{i}"))).collect(),
             sensors: vec![Some(0); n],
             backup: 0,
-            mode,
-            exact,
             events_processed: 0,
         })
     }
 
-    /// The DFSMs the sensors run (used by exact mode and by tests).
+    /// The DFSMs the sensors run.
     pub fn sensor_machines(n: usize) -> Vec<Dfsm> {
         let alphabet: Vec<String> = (0..n).map(|i| format!("sensor{i}")).collect();
         let alphabet_refs: Vec<&str> = alphabet.iter().map(|s| s.as_str()).collect();
@@ -128,37 +78,26 @@ impl SensorNetwork {
         self.sensors.len()
     }
 
-    /// The backup mode in use.
-    pub fn mode(&self) -> SensorBackupMode {
-        self.mode
-    }
-
     /// Number of observations processed.
     pub fn events_processed(&self) -> usize {
         self.events_processed
     }
 
-    /// The event name for sensor `i` (an observation on that sensor).
-    pub fn event_for(&self, i: usize) -> &Event {
-        &self.events[i]
+    /// `Err(NoSuchServer)` unless sensor `i` exists.
+    fn check_sensor(&self, i: usize) -> Result<()> {
+        let count = self.sensors.len();
+        (i < count)
+            .then_some(())
+            .ok_or(DistsysError::NoSuchServer { server: i, count })
     }
 
     /// Records one observation on sensor `i`.
     pub fn observe(&mut self, i: usize) -> Result<()> {
-        if i >= self.sensors.len() {
-            return Err(DistsysError::NoSuchServer {
-                server: i,
-                count: self.sensors.len(),
-            });
-        }
+        self.check_sensor(i)?;
         if let Some(state) = self.sensors[i].as_mut() {
             *state = (*state + 1) % Self::MODULUS;
         }
         self.backup = (self.backup + 1) % Self::MODULUS;
-        if let Some(sys) = self.exact.as_mut() {
-            let e = self.events[i].clone();
-            sys.apply_event(&e);
-        }
         self.events_processed += 1;
         Ok(())
     }
@@ -174,7 +113,7 @@ impl SensorNetwork {
         Ok(())
     }
 
-    /// A workload of `count` random observations (for exact-mode systems or
+    /// A workload of `count` random observations (for server groups or
     /// external replay).
     ///
     /// Legacy shim over [`Seeded::observations`].
@@ -192,23 +131,10 @@ impl SensorNetwork {
         self.sensors[i]
     }
 
-    /// The backup machine's state.
-    pub fn backup_state(&self) -> usize {
-        self.backup
-    }
-
     /// Crashes sensor `i` (its count is lost).
     pub fn crash_sensor(&mut self, i: usize) -> Result<()> {
-        if i >= self.sensors.len() {
-            return Err(DistsysError::NoSuchServer {
-                server: i,
-                count: self.sensors.len(),
-            });
-        }
+        self.check_sensor(i)?;
         self.sensors[i] = None;
-        if let Some(sys) = self.exact.as_mut() {
-            sys.crash(i)?;
-        }
         Ok(())
     }
 
@@ -228,33 +154,20 @@ impl SensorNetwork {
             ));
         }
         if let Some(&victim) = crashed.first() {
-            let recovered = match self.mode {
-                SensorBackupMode::Analytic => {
-                    // backup = Σ counts (mod 3)  ⇒  missing = backup − Σ others.
-                    let others: usize = self
-                        .sensors
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != victim)
-                        .map(|(_, s)| s.expect("only one sensor crashed"))
-                        .sum();
-                    (self.backup + Self::MODULUS * self.sensors.len() - others) % Self::MODULUS
-                }
-                SensorBackupMode::Exact => {
-                    let sys = self.exact.as_mut().expect("exact mode keeps a system");
-                    let outcome = sys.recover()?;
-                    outcome.recovery.machine_states[victim]
-                }
-            };
+            // backup = Σ counts (mod 3)  ⇒  missing = backup − Σ others.
+            let others: usize = self.sensors.iter().flatten().sum();
+            let recovered =
+                (self.backup + Self::MODULUS * self.sensors.len() - others) % Self::MODULUS;
             self.sensors[victim] = Some(recovered);
         }
         Ok(self.sensors.iter().map(|s| s.expect("restored")).collect())
     }
 
-    /// The analytically known fused backup as a real DFSM: a mod-3 counter
-    /// over *every* sensor event — the machine Algorithm 2 finds in exact
-    /// mode (the cross-mode tests pin this) — so analytic-mode networks can
-    /// drive a real server group without building the 3ⁿ-state product.
+    /// The network's fused backup as a real DFSM: a mod-3 counter over
+    /// *every* sensor event, so a network can drive a real server group
+    /// without building the 3ⁿ-state product.  It is a `(1, 1)`-fusion of
+    /// [`SensorNetwork::sensor_machines`] (the tests check it on the
+    /// product for small `n`), though not the backup Algorithm 2 generates.
     pub fn analytic_backup_machine(n: usize) -> Dfsm {
         let mut b = DfsmBuilder::new("FusedSum");
         for s in 0..Self::MODULUS {
@@ -274,18 +187,12 @@ impl SensorNetwork {
     }
 
     /// The server roster a serving run spawns: every sensor machine plus
-    /// the fused backup (Algorithm 2's in exact mode,
-    /// [`SensorNetwork::analytic_backup_machine`] otherwise).
+    /// the fused backup ([`SensorNetwork::analytic_backup_machine`]).
     pub fn serving_machines(&self) -> Vec<Dfsm> {
-        match &self.exact {
-            Some(sys) => sys.all_machines(),
-            None => {
-                let n = self.num_sensors();
-                let mut machines = Self::sensor_machines(n);
-                machines.push(Self::analytic_backup_machine(n));
-                machines
-            }
-        }
+        let n = self.num_sensors();
+        let mut machines = Self::sensor_machines(n);
+        machines.push(Self::analytic_backup_machine(n));
+        machines
     }
 
     /// Serves `workload` from `clients` simulated clients through a fused
@@ -355,11 +262,8 @@ impl SensorNetwork {
     /// Verifies the internal consistency invariant: the backup equals the
     /// sum of the (alive) sensor counts mod 3 whenever no sensor is crashed.
     pub fn invariant_holds(&self) -> bool {
-        if self.sensors.iter().any(|s| s.is_none()) {
-            return true;
-        }
-        let total: usize = self.sensors.iter().map(|s| s.unwrap()).sum();
-        total % Self::MODULUS == self.backup
+        let total: usize = self.sensors.iter().flatten().sum();
+        self.sensors.contains(&None) || total % Self::MODULUS == self.backup
     }
 }
 
@@ -391,24 +295,16 @@ pub struct ServeReport {
     pub flush_latency_ns: Vec<u64>,
 }
 
-/// A reference oracle for scenario tests: replays a workload on a single
-/// machine and reports its final state (used to double-check scenario
-/// arithmetic against real DFSM execution).
-pub fn replay_oracle(machine: &Dfsm, workload: &Workload) -> StateId {
-    let mut ex = Executor::new(machine.clone());
-    ex.apply_all(workload.iter());
-    ex.current()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::system::FusedSystem;
+    use fsm_dfsm::{Executor, ReachableProduct};
+    use fsm_fusion_core::{is_fusion, projection_partitions, FaultModel};
 
     #[test]
     fn analytic_sensor_network_recovers_a_crashed_sensor() {
-        let mut net = SensorNetwork::new(100, SensorBackupMode::Analytic).unwrap();
+        let mut net = SensorNetwork::new(100).unwrap();
         net.observe_randomly(10_000, 42).unwrap();
         assert!(net.invariant_holds());
         let truth = net.sensor_state(37).unwrap();
@@ -423,73 +319,56 @@ mod tests {
         assert!(replication > 1u128 << 100);
     }
 
+    /// The sum counter is a fusion of the sensors, and recovering through
+    /// it agrees with recovering through Algorithm 2's own backup.
     #[test]
-    fn exact_and_analytic_modes_agree_on_small_networks() {
-        for seed in 0..5u64 {
-            let n = 4;
-            let mut exact = SensorNetwork::new(n, SensorBackupMode::Exact).unwrap();
-            let mut analytic = SensorNetwork::new(n, SensorBackupMode::Analytic).unwrap();
-            // Same observation sequence on both.
-            let mut rng = StdRng::seed_from_u64(seed);
-            for _ in 0..200 {
-                let i = rng.gen_range(0..n);
-                exact.observe(i).unwrap();
-                analytic.observe(i).unwrap();
-            }
-            let victim = (seed as usize) % n;
-            let truth = exact.sensor_state(victim).unwrap();
-            exact.crash_sensor(victim).unwrap();
-            analytic.crash_sensor(victim).unwrap();
-            assert_eq!(exact.recover().unwrap()[victim], truth, "seed {seed}");
-            assert_eq!(analytic.recover().unwrap()[victim], truth, "seed {seed}");
+    fn analytic_backup_is_a_fusion_and_recovers_like_algorithm_2() {
+        for n in 2..=5usize {
+            let sensors = SensorNetwork::sensor_machines(n);
+            let mut all = sensors.clone();
+            all.push(SensorNetwork::analytic_backup_machine(n));
+            let product = ReachableProduct::new(&all).unwrap();
+            assert_eq!(product.size(), 3usize.pow(n as u32), "n = {n}");
+            let parts = projection_partitions(&product);
+            assert!(
+                is_fusion(product.size(), &parts[..n], &parts[n..], 1),
+                "n = {n}"
+            );
+
+            let mut sys = FusedSystem::new(&sensors, 1, FaultModel::Crash).unwrap();
+            assert_eq!(sys.fusion().machine_sizes(), vec![3], "n = {n}");
+            let mut net = SensorNetwork::new(n).unwrap();
+            // The same seeded observations on both.
+            sys.apply_workload(&net.random_workload(200, n as u64));
+            net.observe_randomly(200, n as u64).unwrap();
+            let victim = n / 2;
+            net.crash_sensor(victim).unwrap();
+            sys.crash(victim).unwrap();
+            assert!(sys.recover().unwrap().matches_oracle, "n = {n}");
+            let exact = sys.server(victim).current_state().index();
+            assert_eq!(net.recover().unwrap()[victim], exact, "n = {n}");
         }
     }
 
     #[test]
     fn exact_mode_generates_a_three_state_backup() {
-        // Algorithm 2 finds the 3-state fused backup the paper promises for
-        // the sensor network, no matter how many sensors there are.
+        // Algorithm 2 finds a 3-state fused backup for the sensor network,
+        // no matter how many sensors there are — but not the sum counter:
+        // it counts `sensor0` up and every other sensor down.
         for n in [2usize, 3, 4] {
-            let net = SensorNetwork::new(n, SensorBackupMode::Exact).unwrap();
-            let sys = net.exact.as_ref().unwrap();
-            assert_eq!(sys.num_backups(), 1, "n = {n}");
+            let sys =
+                FusedSystem::new(&SensorNetwork::sensor_machines(n), 1, FaultModel::Crash).unwrap();
             assert_eq!(sys.fusion().machine_sizes(), vec![3], "n = {n}");
+            let backup = &sys.fusion().machines[0];
+            let after = |i: usize| backup.run([&Event::new(format!("sensor{i}"))]);
+            assert_ne!(after(0), after(1), "n = {n}");
+            assert!((2..n).all(|i| after(i) == after(1)), "n = {n}");
         }
-    }
-
-    #[test]
-    fn session_built_networks_match_the_legacy_constructor() {
-        use fsm_fusion_core::FusionConfig;
-        // One session serves several exact-mode networks back to back; each
-        // must carry exactly the backup the legacy constructor generates,
-        // and recovery must agree.
-        let mut session = FusionConfig::new().build();
-        for n in [2usize, 3, 4] {
-            let mut legacy = SensorNetwork::new(n, SensorBackupMode::Exact).unwrap();
-            let mut sessioned =
-                SensorNetwork::new_with_session(n, SensorBackupMode::Exact, &mut session).unwrap();
-            assert_eq!(
-                legacy.exact.as_ref().unwrap().fusion().partitions,
-                sessioned.exact.as_ref().unwrap().fusion().partitions,
-                "n = {n}"
-            );
-            for net in [&mut legacy, &mut sessioned] {
-                net.observe_randomly(60, n as u64).unwrap();
-            }
-            let truth = legacy.sensor_state(0).unwrap();
-            legacy.crash_sensor(0).unwrap();
-            sessioned.crash_sensor(0).unwrap();
-            assert_eq!(legacy.recover().unwrap(), sessioned.recover().unwrap());
-            assert_eq!(sessioned.sensor_state(0), Some(truth));
-        }
-        // Analytic mode accepts a session too (and ignores it).
-        let net = SensorNetwork::new_with_session(5, SensorBackupMode::Analytic, &mut session);
-        assert!(net.is_ok());
     }
 
     #[test]
     fn two_crashes_exceed_the_budget() {
-        let mut net = SensorNetwork::new(10, SensorBackupMode::Analytic).unwrap();
+        let mut net = SensorNetwork::new(10).unwrap();
         net.observe_randomly(100, 1).unwrap();
         net.crash_sensor(1).unwrap();
         net.crash_sensor(2).unwrap();
@@ -498,16 +377,14 @@ mod tests {
 
     #[test]
     fn accessors_and_errors() {
-        let mut net = SensorNetwork::new(3, SensorBackupMode::Analytic).unwrap();
+        let mut net = SensorNetwork::new(3).unwrap();
         assert_eq!(net.num_sensors(), 3);
-        assert_eq!(net.mode(), SensorBackupMode::Analytic);
-        assert_eq!(net.event_for(1).name(), "sensor1");
         assert!(net.observe(7).is_err());
         assert!(net.crash_sensor(7).is_err());
-        assert!(SensorNetwork::new(0, SensorBackupMode::Analytic).is_err());
+        assert!(SensorNetwork::new(0).is_err());
         net.observe(0).unwrap();
         assert_eq!(net.events_processed(), 1);
-        assert_eq!(net.backup_state(), 1);
+        assert_eq!(net.backup, 1);
         // No crash: recover is a no-op returning all states.
         assert_eq!(net.recover().unwrap(), vec![1, 0, 0]);
     }
@@ -517,22 +394,19 @@ mod tests {
         let n = 4;
         let m = SensorNetwork::analytic_backup_machine(n);
         assert_eq!(m.size(), SensorNetwork::MODULUS);
-        let net = SensorNetwork::new(n, SensorBackupMode::Analytic).unwrap();
+        let net = SensorNetwork::new(n).unwrap();
         let w = net.random_workload(120, 3);
         // The backup counts *every* observation: final state = |w| mod 3.
-        assert_eq!(replay_oracle(&m, &w).index(), w.len() % 3);
-        // Serving rosters: sensors + the one backup, in both modes.
+        assert_eq!(m.run(w.iter()).index(), w.len() % 3);
+        // Serving roster: sensors + the one backup.
         assert_eq!(net.serving_machines().len(), n + 1);
-        let exact = SensorNetwork::new(3, SensorBackupMode::Exact).unwrap();
-        assert_eq!(exact.serving_machines().len(), 4);
     }
-
     #[test]
     fn serve_runs_the_batched_path_end_to_end_on_both_backends() {
         use crate::env::{Environment, OsEnvironment};
         use crate::sim::SimConfig;
         let n = 3;
-        let net = SensorNetwork::new(n, SensorBackupMode::Analytic).unwrap();
+        let net = SensorNetwork::new(n).unwrap();
         let w = net.random_workload(400, 7);
         let cfg = IngestConfig::new().batch_max(32).queue_cap(64);
         let check = |env: &dyn Environment| {
@@ -579,7 +453,7 @@ mod tests {
     #[test]
     fn serve_replays_bit_identically_under_the_simulator() {
         use crate::sim::SimConfig;
-        let net = SensorNetwork::new(3, SensorBackupMode::Exact).unwrap();
+        let net = SensorNetwork::new(3).unwrap();
         let w = net.random_workload(150, 5);
         let cfg = IngestConfig::new().batch_max(16);
         let run = |seed: u64| {
@@ -596,10 +470,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_oracle_matches_scenario_arithmetic() {
+    fn sensor_machines_match_scenario_arithmetic() {
         let n = 3;
         let machines = SensorNetwork::sensor_machines(n);
-        let mut net = SensorNetwork::new(n, SensorBackupMode::Analytic).unwrap();
+        let mut net = SensorNetwork::new(n).unwrap();
         let w = net.random_workload(50, 9);
         for e in &w {
             let i: usize = e.name().trim_start_matches("sensor").parse().unwrap();
@@ -607,7 +481,7 @@ mod tests {
         }
         for (i, m) in machines.iter().enumerate() {
             assert_eq!(
-                replay_oracle(m, &w).index(),
+                Executor::new(m.clone()).apply_all(w.iter()).index(),
                 net.sensor_state(i).unwrap(),
                 "sensor {i}"
             );

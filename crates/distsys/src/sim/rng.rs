@@ -142,25 +142,9 @@ impl Seeded {
         self.fault_plan(num_servers, count, workload_len, |_, _| FaultKind::Crash)
     }
 
-    /// A plan corrupting `count` distinct servers with the placeholder
-    /// "current state + 1" corruption that only
-    /// [`FaultPlan::execute`] against a
-    /// [`FusedSystem`](crate::FusedSystem) can resolve.
-    pub fn corruption_plan(
-        self,
-        num_servers: usize,
-        count: usize,
-        workload_len: usize,
-    ) -> FaultPlan {
-        self.fault_plan(num_servers, count, workload_len, |_, _| {
-            FaultKind::Corrupt(fsm_dfsm::StateId(usize::MAX))
-        })
-    }
-
-    /// A plan corrupting `count` distinct servers to *explicit* in-range
-    /// states (`machine_sizes[server]` states each), executable against any
-    /// [`ServerGroup`](crate::ServerGroup) via [`FaultPlan::execute_in`] —
-    /// no placeholder resolution needed.
+    /// A plan corrupting `count` distinct servers to explicit in-range
+    /// states (`machine_sizes[server]` states each), so it passes
+    /// [`FaultPlan::validate`] against a group of those machines.
     pub fn explicit_corruption_plan(
         self,
         machine_sizes: &[usize],

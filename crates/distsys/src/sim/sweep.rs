@@ -12,16 +12,18 @@
 //! [`Scenario::recovery_from_seed`] for the crash-recovery sweep (durable
 //! fusion groups whose processes are killed under load and restarted).
 //!
-//! [`run_scenario`] plays any scenario inside a [`SimEnvironment`]: it
-//! pushes the workload in seeded batches, fires every fault due at a
-//! batch's start, catches each restarted process up by log replay or peer
-//! decode (checking the recovery invariants as it goes), and at the end
-//! decodes whatever is still faulty or down with the machinery the paper
-//! prescribes (Algorithm 3 for fusion, a replica vote for replication),
-//! restores the live servers and verifies the whole group against the
-//! oracle — recording every divergence as a violation.  [`sweep`] and
-//! [`sweep_recovery`] aggregate a seed range of either generator into a
-//! [`SweepReport`], which CI runs over ≥200 seeds in release mode.
+//! [`run_scenario`], the one player of a [`FaultPlan`], plays any scenario
+//! inside a [`SimEnvironment`]: it rejects a malformed plan
+//! ([`FaultPlan::validate`]) as a violation, pushes the workload in seeded
+//! batches, fires every fault due at a batch's start, catches each
+//! restarted process up by log replay or peer decode (checking the recovery
+//! invariants as it goes), and at the end decodes whatever is still faulty
+//! or down with the machinery the paper prescribes (Algorithm 3 for fusion,
+//! a replica vote for replication), restores the live servers and verifies
+//! the whole group against the oracle — recording every divergence as a
+//! violation.  [`sweep`] and [`sweep_recovery`] aggregate a seed range of
+//! either generator into a [`SweepReport`], which CI runs over ≥200 seeds
+//! in release mode.
 
 use std::ops::Range;
 use std::time::Duration;
@@ -131,7 +133,8 @@ const RECOVERY_PRESETS: &[(&str, MachineSet, usize, bool)] = {
 };
 
 /// One fully specified simulation scenario, built from a seed by
-/// [`Scenario::from_seed`] or [`Scenario::recovery_from_seed`], or by hand.
+/// [`Scenario::from_seed`] or [`Scenario::recovery_from_seed`], or by hand
+/// from [`Scenario::new`].
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The seed the scenario (and its simulated world) is derived from.
@@ -170,6 +173,35 @@ pub struct Scenario {
 }
 
 impl Scenario {
+    /// A hand-built fusion scenario: `machines` provisioned for `f` faults
+    /// of `fault_model`, a `workload_len`-event workload, no faults, plain
+    /// in-memory servers and a quiet network.  Set the other fields with
+    /// struct-update syntax.
+    pub fn new(
+        seed: u64,
+        machines: Vec<Dfsm>,
+        fault_model: FaultModel,
+        f: usize,
+        workload_len: usize,
+    ) -> Scenario {
+        Scenario {
+            seed,
+            preset: "custom",
+            backend: Backend::Fusion,
+            fault_model,
+            f,
+            machines,
+            workload_len,
+            plan: FaultPlan::default(),
+            snapshot_every: None,
+            torn: 0.0,
+            drop: 0.0,
+            duplicate: 0.0,
+            reorder: 0.0,
+            note: Vec::new(),
+        }
+    }
+
     /// Derives a fault-sweep scenario from one seed.  Fault counts never
     /// exceed the preset's budget `f`; crash budgets are split between
     /// modeled crashes and process kills, Byzantine budgets go entirely to
@@ -191,16 +223,8 @@ impl Scenario {
         let duplicate = rng.gen_range(0..=20u32) as f64 / 100.0;
         let reorder = rng.gen_range(0..=30u32) as f64 / 100.0;
         let mut scenario = Scenario {
-            seed,
             preset,
             backend,
-            fault_model,
-            f,
-            machines: set.machines(),
-            workload_len,
-            plan: FaultPlan::none(),
-            snapshot_every: None,
-            torn: 0.0,
             drop,
             duplicate,
             reorder,
@@ -213,6 +237,7 @@ impl Scenario {
                 kills as u64,
                 corruptions as u64,
             ],
+            ..Scenario::new(seed, set.machines(), fault_model, f, workload_len)
         };
         // Distinct victims at seeded workload positions.  Crash budgets
         // draw a crash plan and turn its first `kills` entries into process
@@ -252,14 +277,7 @@ impl Scenario {
         let duplicate = rng.gen_range(0..=15u32) as f64 / 100.0;
         let reorder = rng.gen_range(0..=20u32) as f64 / 100.0;
         let mut scenario = Scenario {
-            seed,
             preset,
-            backend: Backend::Fusion,
-            fault_model: FaultModel::Crash,
-            f,
-            machines: set.machines(),
-            workload_len,
-            plan: FaultPlan::none(),
             snapshot_every: Some(snapshot_every),
             torn,
             drop,
@@ -272,6 +290,7 @@ impl Scenario {
                 rolling as u64,
                 snapshot_every,
             ],
+            ..Scenario::new(seed, set.machines(), FaultModel::Crash, f, workload_len)
         };
         let Ok((roster, _)) = scenario.servers() else {
             return scenario;
@@ -305,15 +324,6 @@ impl Scenario {
             .faults
             .iter()
             .filter(|f| f.kind == FaultKind::Kill)
-            .count()
-    }
-
-    /// Faults the plan injects (every scheduled fault but restarts).
-    pub fn total_faults(&self) -> usize {
-        self.plan
-            .faults
-            .iter()
-            .filter(|f| f.kind != FaultKind::Restart)
             .count()
     }
 
@@ -526,7 +536,18 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
         virtual_nanos: 0,
         violations: Vec::new(),
     };
-    match scenario.servers() {
+    // A malformed plan is reported before anything is spawned.
+    let built = match scenario.servers() {
+        Ok((roster, decoder)) => {
+            let sizes: Vec<usize> = roster.iter().map(Dfsm::size).collect();
+            match scenario.plan.validate(&sizes) {
+                Ok(()) => Ok((roster, decoder)),
+                Err(e) => Err(e.to_string()),
+            }
+        }
+        Err(e) => Err(format!("construction failed: {e}")),
+    };
+    match built {
         Ok((roster, decoder)) => {
             env.note(NOTE_SCENARIO, &scenario.note);
             let mut config = GroupConfig::new().collect_timeout(Duration::from_secs(2));
@@ -554,9 +575,9 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
             let verdict = [outcome.violations.len() as u64, outcome.injected as u64];
             env.note(NOTE_VERDICT, &verdict);
         }
-        Err(e) => {
+        Err(violation) => {
             env.note(NOTE_VERDICT, &[u64::MAX]);
-            outcome.violations.push(format!("construction failed: {e}"));
+            outcome.violations.push(violation);
         }
     }
     ScenarioOutcome {
@@ -982,21 +1003,11 @@ pub fn compare_backends(first_seed: u64, count: usize) -> (BackendCost, BackendC
         for backend in [Backend::Fusion, Backend::Replication] {
             let replicated = matches!(backend, Backend::Replication) as u64;
             let mut scenario = Scenario {
-                seed,
                 preset: "compare/crash/f1",
                 backend,
-                fault_model: FaultModel::Crash,
-                f: 1,
-                machines: set.machines(),
-                workload_len,
-                plan: FaultPlan::none(),
-                snapshot_every: None,
-                torn: 0.0,
-                drop: 0.0,
-                duplicate: 0.0,
-                reorder: 0.0,
                 // A fault-sweep note: one modeled crash under f = 1.
                 note: vec![replicated, 0, 1, workload_len as u64, 1, 0, 0],
+                ..Scenario::new(seed, set.machines(), FaultModel::Crash, 1, workload_len)
             };
             let servers = scenario.servers().map_or(0, |(roster, _)| roster.len());
             scenario.plan = Seeded(seed)
@@ -1024,7 +1035,7 @@ mod tests {
             assert_eq!(a.preset, b.preset);
             assert_eq!(a.workload_len, b.workload_len);
             assert_eq!(a.plan.faults, b.plan.faults);
-            assert!(a.total_faults() <= a.f, "seed {seed}");
+            assert!(a.plan.len() <= a.f, "seed {seed}");
             assert!((20..=100).contains(&a.workload_len));
             assert!(a.drop <= 0.30 && a.duplicate <= 0.20 && a.reorder <= 0.30);
         }
@@ -1126,13 +1137,7 @@ mod tests {
         };
         for (restart_at, replays, peer_resyncs) in [(15, 1, 0), (45, 0, 1)] {
             let scenario = Scenario {
-                seed: 5,
                 preset: "fig1/fusion/crash/f2/mixed",
-                backend: Backend::Fusion,
-                fault_model: FaultModel::Crash,
-                f: 2,
-                machines: fsm_machines::fig1_machines(),
-                workload_len: 60,
                 plan: FaultPlan {
                     faults: vec![
                         fault(3, 2, FaultKind::Crash),
@@ -1145,7 +1150,7 @@ mod tests {
                 drop: 0.1,
                 duplicate: 0.1,
                 reorder: 0.1,
-                note: Vec::new(),
+                ..Scenario::new(5, fsm_machines::fig1_machines(), FaultModel::Crash, 2, 60)
             };
             let outcome = run_scenario(&scenario);
             assert!(outcome.is_ok(), "violations: {:?}", outcome.violations);

@@ -23,7 +23,6 @@ use fsm_fusion_core::{
     MachineReport, Partition, Recovery, RecoveryEngine,
 };
 
-use crate::env::{Environment, GroupConfig, ServerGroup};
 use crate::error::{DistsysError, Result};
 use crate::server::{Server, ServerStatus};
 use crate::workload::Workload;
@@ -56,7 +55,8 @@ pub struct RecoveryOutcome {
 }
 
 /// The outcome of recovering from *externally collected* reports (servers
-/// running in an [`Environment`] rather than inside the [`FusedSystem`]).
+/// running in an [`Environment`](crate::Environment) rather than inside the
+/// [`FusedSystem`]).
 #[derive(Debug, Clone)]
 pub struct ExternalRecovery {
     /// The correct state of every server, in each machine's own state
@@ -323,20 +323,6 @@ impl FusedSystem {
         Ok(target)
     }
 
-    /// The number of servers currently not healthy.
-    pub fn faulty_count(&self) -> usize {
-        self.servers
-            .iter()
-            .filter(|s| s.status() != ServerStatus::Healthy)
-            .count()
-    }
-
-    /// The true state of `⊤` according to the oracle (verification only —
-    /// a real deployment has no oracle, which is the whole point of fusion).
-    pub fn oracle_top_state(&self) -> StateId {
-        self.oracle.current()
-    }
-
     /// The true state of original machine `i` according to the oracle.
     pub fn oracle_state_of(&self, i: usize) -> StateId {
         if i < self.num_originals {
@@ -386,24 +372,17 @@ impl FusedSystem {
     }
 
     /// The full machine set (originals then backups) — what an
-    /// [`Environment`] spawns to run this system's servers externally.
+    /// [`Environment`](crate::Environment) spawns to run this system's
+    /// servers externally.
     pub fn all_machines(&self) -> Vec<Dfsm> {
         self.servers.iter().map(|s| s.machine().clone()).collect()
     }
 
-    /// Spawns this system's machine set as a server group in `env`.
-    ///
-    /// The group executes independently of the in-process [`Server`]s; keep
-    /// feeding this system the same workload so its oracle stays the ground
-    /// truth for [`FusedSystem::recover_external`].
-    pub fn spawn_group(&self, env: &dyn Environment, config: &GroupConfig) -> Box<dyn ServerGroup> {
-        env.spawn_group(&self.all_machines(), config)
-    }
-
     /// Runs recovery (Algorithm 3) on reports collected from *external*
-    /// servers (e.g. a simulated or threaded [`ServerGroup`]), translating
-    /// each reported machine state into partition blocks and the recovered
-    /// blocks back into machine states.
+    /// servers (e.g. a simulated or threaded
+    /// [`ServerGroup`](crate::ServerGroup)), translating each reported
+    /// machine state into partition blocks and the recovered blocks back
+    /// into machine states.
     ///
     /// Unlike [`FusedSystem::recover`] this does not touch the in-process
     /// servers: the caller restores the external group from
@@ -554,7 +533,7 @@ mod tests {
         sys.apply_workload(&Workload::from_bits("0100110"));
         let true_state = sys.oracle_state_of(0);
         sys.crash(0).unwrap();
-        assert_eq!(sys.faulty_count(), 1);
+        assert_eq!(sys.server(0).status(), ServerStatus::Crashed);
         let outcome = sys.recover().unwrap();
         assert!(outcome.matches_oracle);
         assert!(outcome.repaired.contains(&0));
@@ -624,7 +603,7 @@ mod tests {
             reference.apply_event(e);
         }
         assert_eq!(batched.metrics(), reference.metrics());
-        assert_eq!(batched.oracle_top_state(), reference.oracle_top_state());
+        assert!(reference.consistent_with_oracle());
         for i in 0..batched.num_servers() {
             assert_eq!(
                 batched.server(i).current_state(),

@@ -9,17 +9,10 @@ fn main() {
     const SENSORS: usize = 100;
     const OBSERVATIONS: usize = 50_000;
 
-    // One fusion session serves every generation in this example (the
-    // analytic-mode network needs none; the exact-mode cross-check below
-    // reuses the same session).
-    let mut session = FusionConfig::new().build();
-
-    // Analytic mode: the fused backup is the sum-mod-3 counter over every
-    // sensor's events (the machine Algorithm 2 finds for small networks —
-    // see the exact-mode cross-check below).
-    let mut network =
-        SensorNetwork::new_with_session(SENSORS, SensorBackupMode::Analytic, &mut session)
-            .expect("non-empty network");
+    // The fused backup is the sum-mod-3 counter over every sensor's events:
+    // a 3-state fusion known in closed form, so no 3^100-state product is
+    // built.
+    let mut network = SensorNetwork::new(SENSORS).expect("non-empty network");
     network
         .observe_randomly(OBSERVATIONS, 2024)
         .expect("observations only touch existing sensors");
@@ -46,18 +39,30 @@ fn main() {
     );
     assert_eq!(recovered[victim], truth);
 
-    // Cross-check on a small network that the generic Algorithm 2 pipeline
-    // produces exactly this 3-state backup.
+    // Cross-check on a small network against the generic pipeline: Algorithm
+    // 2 generates a different 3-state backup (it counts sensor0 up and the
+    // other sensors down), and Algorithm 3 recovers the same count through it.
     let small = SensorNetwork::sensor_machines(4);
-    let (product, fusion) = session
-        .generate_fusion_for_machines(&small, 1)
-        .expect("generation succeeds");
+    let mut system = FusedSystem::new(&small, 1, FaultModel::Crash).expect("generation succeeds");
+    let mut analytic = SensorNetwork::new(4).expect("non-empty network");
+    system.apply_workload(&analytic.random_workload(400, 7));
+    analytic
+        .observe_randomly(400, 7)
+        .expect("observations only touch existing sensors");
+    system.crash(1).expect("sensor exists");
+    analytic.crash_sensor(1).expect("sensor exists");
+    system.recover().expect("one crash is within the budget");
+    let sum = analytic.recover().expect("one crash is within the budget");
     println!(
-        "\nCross-check with 4 sensors: |top| = {} states, generated backup sizes = {:?}",
-        product.size(),
-        fusion.machine_sizes()
+        "\nCross-check with 4 sensors: |top| = {} states, generated backup sizes = {:?}, \
+         sensor 1 recovers to {} through Algorithm 2's backup and {} through the sum counter",
+        system.product().size(),
+        system.fusion().machine_sizes(),
+        system.server(1).current_state().index(),
+        sum[1]
     );
-    assert_eq!(fusion.machine_sizes(), vec![3]);
+    assert_eq!(system.fusion().machine_sizes(), vec![3]);
+    assert_eq!(system.server(1).current_state().index(), sum[1]);
 
     println!("\nSensor network example finished successfully.");
 }

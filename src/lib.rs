@@ -71,8 +71,8 @@ pub mod prelude {
         shared, ClientHandle, DirStore, DurabilityConfig, DurableServer, Environment, FaultKind,
         FaultPlan, FusedSystem, GroupConfig, IngestConfig, IngestMetrics, IngestPipeline,
         LaneStatus, MemStore, OsEnvironment, RejoinPath, ReplayStats, ReplicatedSystem, Seeded,
-        SensorBackupMode, SensorNetwork, ServeReport, ServerGroup, SharedStore, SimConfig,
-        SimEnvironment, Store, TraceEvent, Workload, REPLAY_CUTOVER,
+        SensorNetwork, ServeReport, ServerGroup, SharedStore, SimConfig, SimEnvironment, Store,
+        TraceEvent, Workload, REPLAY_CUTOVER,
     };
     pub use fsm_fusion_core::{
         generate_fusion, generate_fusion_for_machines, CacheStats, FaultGraph, FaultModel,

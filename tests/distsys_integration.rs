@@ -5,9 +5,8 @@
 
 use std::time::Duration;
 
-use fsm_fusion::distsys::{
-    replay_oracle, DistsysError, ParallelServerGroup, SensorBackupMode, SensorNetwork, ServerStatus,
-};
+use fsm_fusion::distsys::sim::sweep::run_scenario;
+use fsm_fusion::distsys::{DistsysError, ParallelServerGroup, SensorNetwork, ServerStatus};
 use fsm_fusion::fusion::projection_partitions;
 use fsm_fusion::machines::{mesi, table1_rows, tcp, zero_counter_mod3};
 use fsm_fusion::prelude::*;
@@ -18,16 +17,16 @@ fn randomized_fault_plans_stay_recoverable_within_budget() {
     // Over many seeds: random workload + random crash schedule within the
     // budget is always recoverable, and recovery matches the oracle.
     let machines = vec![mesi(), zero_counter_mod3()];
+    let servers = FusedSystem::new(&machines, 2, FaultModel::Crash)
+        .unwrap()
+        .num_servers();
     for seed in 0..20u64 {
-        let mut system = FusedSystem::new(&machines, 2, FaultModel::Crash).unwrap();
-        let workload = Seeded(seed).workload_over_machines(&machines, 100);
-        let plan = Seeded(seed).crash_plan(system.num_servers(), 2, workload.len());
-        let injected = plan.execute(&mut system, &workload);
-        assert_eq!(injected, 2);
-        let outcome = system.recover().unwrap();
-        assert!(outcome.matches_oracle, "seed {seed}");
-        assert!(system.consistent_with_oracle(), "seed {seed}");
-        assert_eq!(system.metrics().crashes_injected, 2);
+        let outcome = run_scenario(&Scenario {
+            plan: Seeded(seed).crash_plan(servers, 2, 100),
+            ..Scenario::new(seed, machines.clone(), FaultModel::Crash, 2, 100)
+        });
+        assert!(outcome.is_ok(), "seed {seed}: {:?}", outcome.violations);
+        assert_eq!(outcome.injected, 2);
     }
 }
 
@@ -148,7 +147,7 @@ fn parallel_recovery_with_engine_matches_oracle() {
 
 #[test]
 fn sensor_network_scales_and_recovers() {
-    let mut net = SensorNetwork::new(50, SensorBackupMode::Analytic).unwrap();
+    let mut net = SensorNetwork::new(50).unwrap();
     net.observe_randomly(5_000, 77).unwrap();
     assert!(net.invariant_holds());
     let truth: Vec<usize> = (0..50).map(|i| net.sensor_state(i).unwrap()).collect();
@@ -231,8 +230,10 @@ fn oracle_reports(
         .iter()
         .enumerate()
         .map(|(i, m)| {
-            (kill.map(|(victim, _)| victim) != Some(i))
-                .then(|| MachineReport::State(replay_oracle(m, workload).index()))
+            (kill.map(|(victim, _)| victim) != Some(i)).then(|| {
+                let state = Executor::new(m.clone()).apply_all(workload.iter());
+                MachineReport::State(state.index())
+            })
         })
         .collect()
 }
@@ -252,7 +253,7 @@ proptest! {
         batch_max in 1usize..64,
         kill_pick in 0usize..9,
     ) {
-        let net = SensorNetwork::new(3, SensorBackupMode::Analytic).unwrap();
+        let net = SensorNetwork::new(3).unwrap();
         let machines = net.serving_machines();
         let workload = net.random_workload(90, seed);
         // 0 = fault-free; otherwise kill server (pick-1)%4 at event pick*9.
@@ -304,7 +305,7 @@ proptest! {
 /// catches up.
 #[test]
 fn full_queue_on_a_dead_server_is_typed_backpressure_not_a_silent_drop() {
-    let net = SensorNetwork::new(3, SensorBackupMode::Analytic).unwrap();
+    let net = SensorNetwork::new(3).unwrap();
     let machines = net.serving_machines();
     let env = OsEnvironment::seeded(5);
     let mut group = env.spawn_group(&machines, &GroupConfig::new());

@@ -128,7 +128,7 @@ fn prelude_exposes_ingest_surface() {
     assert_eq!(pipeline.clients(), 2);
     assert_eq!(pipeline.lane_status(0), LaneStatus::Healthy);
 
-    let net = SensorNetwork::new(3, SensorBackupMode::Analytic).unwrap();
+    let net = SensorNetwork::new(3).unwrap();
     let env = Seeded(11).sim().build();
     let workload = net.random_workload(60, 11);
     let report = net.serve(&env, 2, &workload, &config).unwrap();
