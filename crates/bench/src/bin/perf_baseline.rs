@@ -5,8 +5,8 @@
 //! Times the partition operations, the fault-graph build, the kept
 //! fault-graph queries, the Algorithm-2 search at several `⊤` state counts
 //! and the reachable-product construction (packed, reference) with small
-//! fixed iteration counts, and emits `BENCH_fusion.json` (see README.md for
-//! the format).  The packed product build is measured next to the
+//! fixed iteration counts, and emits the JSON of `BENCH_fusion.json` (see
+//! README.md for the format) to the `--out` file.  The packed product build is measured next to the
 //! tuple-keyed `ReachableProduct::new_reference` (`product_build_scan_n729`),
 //! the session's `f` sweep with its cached initial fault graph
 //! (`alg2_sweep_cached_*`) next to the cold free-function sweep
@@ -37,8 +37,9 @@
 //!
 //! Flags:
 //!
-//! * `--out <file>` — where to write the JSON (default `BENCH_fusion.json`
-//!   in the current directory).
+//! * `--out <file>` — write the JSON there.  Without it the run writes
+//!   nothing, so `--check BENCH_fusion.json` leaves the baseline it read
+//!   as it was.
 //! * `--check <file>` — compare against a previously committed baseline and
 //!   exit non-zero if any shared op regressed more than 2× *after
 //!   normalizing by the calibration op*, which cancels out absolute machine
@@ -852,13 +853,13 @@ fn check_raw(
 }
 
 fn main() -> ExitCode {
-    let mut out_path = String::from("BENCH_fusion.json");
+    let mut out_path: Option<String> = None;
     let mut check_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => match args.next() {
-                Some(p) => out_path = p,
+                Some(p) => out_path = Some(p),
                 None => {
                     eprintln!("--out needs a path");
                     return ExitCode::from(2);
@@ -922,20 +923,24 @@ fn main() -> ExitCode {
         }
     }
 
-    // `ingest_bench` owns the `ingest` section; regenerating the rest of
-    // the baseline must not silently drop its committed numbers.
-    let mut json = render_json(&ops, &comparison);
-    if let Some(ingest) = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|old| extract_json_section(&old, "ingest"))
-    {
-        json = upsert_json_section(&json, "ingest", &ingest);
+    if let Some(out_path) = out_path {
+        // `ingest_bench` owns the `ingest` section; regenerating the rest
+        // of the baseline must not silently drop its committed numbers.
+        let mut json = render_json(&ops, &comparison);
+        if let Some(ingest) = std::fs::read_to_string(&out_path)
+            .ok()
+            .and_then(|old| extract_json_section(&old, "ingest"))
+        {
+            json = upsert_json_section(&json, "ingest", &ingest);
+        }
+        if let Err(e) = std::fs::write(&out_path, &json) {
+            eprintln!("cannot write {out_path}: {e}");
+            return ExitCode::from(2);
+        }
+        println!("wrote {out_path}");
+    } else {
+        println!("no --out given: nothing written");
     }
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::from(2);
-    }
-    println!("wrote {out_path}");
     if failed {
         ExitCode::FAILURE
     } else {

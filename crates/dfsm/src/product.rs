@@ -601,12 +601,7 @@ impl ReachableProduct {
         let states: Vec<StateInfo> = tuple_flat
             .chunks(arity)
             .map(|tuple| {
-                let names: Vec<&str> = tuple
-                    .iter()
-                    .zip(machines.iter())
-                    .map(|(&s, m)| m.state_name(s))
-                    .collect();
-                StateInfo::named(format!("{{{}}}", names.join(",")))
+                StateInfo::braced(tuple.iter().zip(machines).map(|(&s, m)| m.state_name(s)))
             })
             .collect();
         Self::finish_with_states(

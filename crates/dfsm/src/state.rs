@@ -52,6 +52,23 @@ impl StateInfo {
         }
     }
 
+    /// Creates state metadata named `{a,b,…}` after the states `parts` it
+    /// stands for — a product tuple, a block of a quotient — written into
+    /// one string sized up front.
+    pub fn braced<'a>(parts: impl Iterator<Item = &'a str> + Clone) -> Self {
+        let (count, len) = parts.clone().fold((0, 0), |(c, l), p| (c + 1, l + p.len()));
+        let mut name = String::with_capacity(len + count.max(1) + 1);
+        name.push('{');
+        for (i, part) in parts.enumerate() {
+            if i > 0 {
+                name.push(',');
+            }
+            name.push_str(part);
+        }
+        name.push('}');
+        StateInfo::named(name)
+    }
+
     /// Creates state metadata with an output label.
     pub fn with_output(name: impl Into<String>, output: impl Into<String>) -> Self {
         StateInfo {

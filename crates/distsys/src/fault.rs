@@ -57,12 +57,15 @@ impl FaultPlan {
     }
 
     /// Checks the plan against a group of `machine_sizes.len()` servers
-    /// (server `i` runs a machine of `machine_sizes[i]` states): every
-    /// server and corrupt state in range, faults in `after_event` order, no
-    /// [`FaultKind::Kill`] of a server the plan already took down and no
-    /// [`FaultKind::Restart`] of a server that is up.  The first offending
-    /// fault fails with [`DistsysError::MalformedPlan`].
-    pub fn validate(&self, machine_sizes: &[usize]) -> Result<()> {
+    /// (server `i` runs a machine of `machine_sizes[i]` states) fed a
+    /// workload of `workload_len` events: every server and corrupt state
+    /// in range, faults in `after_event` order and none after an event past
+    /// the workload's end (`after_event == workload_len`, after the last
+    /// event, is allowed), no [`FaultKind::Kill`] of a server the plan
+    /// already took down and no [`FaultKind::Restart`] of a server that is
+    /// up.  The first offending fault fails with
+    /// [`DistsysError::MalformedPlan`].
+    pub fn validate(&self, machine_sizes: &[usize], workload_len: usize) -> Result<()> {
         let mut down = vec![false; machine_sizes.len()];
         let mut last = 0;
         for (i, f) in self.faults.iter().enumerate() {
@@ -70,6 +73,9 @@ impl FaultPlan {
             let reason = match (machine_sizes.get(s), f.kind) {
                 (None, _) => format!("server {s} out of range ({} servers)", machine_sizes.len()),
                 _ if at < last => format!("out of order: after event {at} follows {last}"),
+                _ if at > workload_len => {
+                    format!("after event {at}, past the workload's {workload_len} events")
+                }
                 (Some(&size), FaultKind::Corrupt(StateId(state))) if state >= size => {
                     format!("state {state} out of range for server {s} ({size} states)")
                 }
@@ -128,9 +134,10 @@ mod tests {
         sys.all_machines().iter().map(Dfsm::size).collect()
     }
 
-    /// The index of the first fault `validate` rejects, if any.
+    /// The index of the first fault `validate` rejects, if any, for
+    /// `play`'s 50 events.
     fn rejected(sizes: &[usize], faults: &[(usize, usize, FaultKind)]) -> Option<usize> {
-        match plan(faults).validate(sizes) {
+        match plan(faults).validate(sizes, 50) {
             Err(DistsysError::MalformedPlan { fault, .. }) => Some(fault),
             _ => None,
         }
@@ -153,7 +160,7 @@ mod tests {
     fn empty_plan() {
         let p = FaultPlan::default();
         assert!(p.is_empty());
-        assert!(p.validate(&[]).is_ok());
+        assert!(p.validate(&[], 0).is_ok());
         let outcome = play(1, FaultModel::Crash, p);
         assert!(outcome.is_ok(), "{:?}", outcome.violations);
         assert_eq!(outcome.injected, 0);
@@ -222,5 +229,26 @@ mod tests {
         assert_eq!(outcome.injected, 0);
         assert_eq!(outcome.violations.len(), 1, "{:?}", outcome.violations);
         assert!(outcome.violations[0].starts_with("malformed plan: fault 0"));
+    }
+
+    #[test]
+    fn a_fault_past_the_workload_end_is_a_malformed_plan() {
+        let sizes = group_sizes(FaultModel::Crash);
+        // `play` runs 50 events: a fault after the last one still fires,
+        // one after event 51 never could.
+        assert_eq!(rejected(&sizes, &[(50, 0, Crash)]), None);
+        assert_eq!(rejected(&sizes, &[(3, 1, Crash), (51, 0, Crash)]), Some(1));
+        let outcome = play(4, FaultModel::Crash, plan(&[(60, 0, Crash)]));
+        assert_eq!(outcome.injected, 0);
+        assert_eq!(outcome.violations.len(), 1, "{:?}", outcome.violations);
+        assert!(
+            outcome.violations[0].starts_with("malformed plan: fault 0"),
+            "{:?}",
+            outcome.violations
+        );
+        // After the last event is legal, and the crash is played.
+        let outcome = play(4, FaultModel::Crash, plan(&[(50, 0, Crash)]));
+        assert!(outcome.is_ok(), "{:?}", outcome.violations);
+        assert_eq!(outcome.injected, 1);
     }
 }

@@ -540,7 +540,7 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
     let built = match scenario.servers() {
         Ok((roster, decoder)) => {
             let sizes: Vec<usize> = roster.iter().map(Dfsm::size).collect();
-            match scenario.plan.validate(&sizes) {
+            match scenario.plan.validate(&sizes, workload.events().len()) {
                 Ok(()) => Ok((roster, decoder)),
                 Err(e) => Err(e.to_string()),
             }

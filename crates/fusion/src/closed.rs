@@ -18,7 +18,8 @@
 //! * [`QuotientLevel`] — the merges of one closed partition closed on its
 //!   quotient machine: lattice walks' lower covers and Algorithm 2's
 //!   candidate test, which abandons a merge as soon as it joins a
-//!   forbidden block pair,
+//!   forbidden block pair or a pair whose merge failed before, and
+//!   Algorithm 2's descent, which derives each level from the last,
 //! * [`quotient_machine`] — materialize the DFSM corresponding to a closed
 //!   partition of `⊤`.
 
@@ -45,10 +46,13 @@ pub(crate) fn check_partition_size(machine: &Dfsm, partition: &Partition) -> Res
 /// and class→successor map per call — six `⊤`-sized allocations per
 /// candidate merge.  [`ClosureKernel::close_merged_into`] and
 /// [`ClosureKernel::quotient_level`] thread one `CloseScratch` through
-/// every candidate instead: after the first call at a given machine size
-/// (or block count) the buffers are warm and closures run without touching
-/// the allocator (pinned by the counting-allocator test
-/// `tests/alloc_free.rs`).
+/// every candidate instead.  A [`QuotientLevel`] keeps its quotient table,
+/// block union-find, forbidden and failed block pairs and base-to-level map
+/// here, and [`QuotientLevel::descend`] rebuilds them in place, so a whole
+/// descent reuses one set of buffers sized by the first level.  After the
+/// first call at a given machine size (or block count) the buffers are
+/// warm, and closures, merges and descend steps run without touching the
+/// allocator (pinned by the counting-allocator test `tests/alloc_free.rs`).
 ///
 /// **Ownership / lifecycle.**  The scratch is plain data with no ties to a
 /// particular kernel: each search loop (or each [`crate::FusionSession`])
@@ -63,64 +67,122 @@ pub struct CloseScratch {
     quotient: QuotientScratch,
 }
 
-/// The buffers behind a [`QuotientLevel`]: everything sized by the block
-/// count `k` of the level's partition, none by the state count.
+/// The buffers behind a [`QuotientLevel`]: everything but the base map is
+/// sized by the block count `k` of the level, none by the state count.
 #[derive(Debug, Clone, Default)]
 struct QuotientScratch {
-    /// `table[e · k + b]` = the block event `e` maps block `b` into.
+    /// `table[b · |Σ| + e]` = the block event `e` maps block `b` into.
     table: Vec<u32>,
-    /// Union-find over the `k` blocks, reset per candidate.
+    /// Union-find over the `k` blocks; a merge undoes only the unions of
+    /// the one before it.
     uf: UnionFind,
     /// Pending block pairs the congruence still has to join.
     work: Vec<(u32, u32)>,
-    /// Block pairs joined by a forbidden edge, as a set …
-    forbidden: PairSet,
-    /// … and as a deduplicated list for the exact verdict.
-    forbidden_pairs: Vec<(u32, u32)>,
-    /// Canonical label per union-find root, for lifting.
-    label_of_root: Vec<usize>,
+    /// Block pairs whose merge is known to fail: every forbidden pair and,
+    /// while the set is a bitmap, every merge that failed.
+    doomed: PairSet,
+    /// The deduplicated forbidden block pairs, for the exact verdict.
+    forbidden: Vec<(u32, u32)>,
+    /// The failed merges `doomed` holds, carried down by a descend step;
+    /// at most [`MEMO_PAIRS`].
+    failed: Vec<(u32, u32)>,
+    /// `of_base[b]` = the level block holding block `b` of the base
+    /// partition the level was built from.
+    of_base: Vec<u32>,
+    /// Label of each union-find root, then the level block each block
+    /// moves to, while a merge is lifted or descended into.
+    root_label: Vec<u32>,
+    relabel: Vec<u32>,
 }
 
-/// Most words a level's pair bitmap may take: 8 MiB, a level of up to
-/// ≈ 11,600 blocks.
-const PAIR_BITMAP_WORDS: usize = 1 << 20;
+/// Least bitmap words a level's pair set may take — 1 MiB, a level of up
+/// to ≈ 4,100 blocks — even when a table would be smaller: the bitmap also
+/// remembers failed merges, which the table cannot take.
+const MEMO_WORDS: usize = 1 << 17;
 
-/// A set of unordered block pairs `(b1, b2)`, `b1 < b2 < k`, reused across
-/// descent levels.  Up to [`PAIR_BITMAP_WORDS`] it is a flat
-/// upper-triangular bitmap: marking the pairs joined by a weakest edge
-/// costs two array reads and a bit-set per edge, and a lookup one load.
-/// A larger level — the first level of a descent over a bigger `⊤`, where
-/// `k = |⊤|` and the bitmap would take 218 MB at `|⊤| = 59049` — uses an
-/// open-addressing table of packed `(min, max)` keys sized by the
-/// forbidden edges instead.
+/// Most failed merges a level carries down to the next: 1 MiB of pairs.
+const MEMO_PAIRS: usize = 1 << 17;
+
+/// A set of unordered block pairs `(b1, b2)`, `b1 < b2 < k`, rebuilt for
+/// every level, in whichever of two layouts is smaller.
+///
+/// * A flat upper-triangular **bitmap**: a lookup is one load, and pairs
+///   can be added at any time, which is where a level remembers its failed
+///   merges.
+/// * A sorted adjacency **table**: `partners[start[a]..start[a + 1]]`
+///   holds every `b > a` of a pair `(a, b)`, so a lookup is a binary
+///   search of one short row.  It is built in one counting-sort pass and
+///   cannot grow.  It takes over when the bitmap would outgrow both the
+///   table and [`MEMO_WORDS`] — the first level of a descent over a big
+///   `⊤`, where `k = |⊤|`: at `|⊤| = 6561` the table takes 236 KB against
+///   a 2.7 MB bitmap, at `|⊤| = 59049` 2.6 MB against 218 MB.
 #[derive(Debug, Clone, Default)]
 struct PairSet {
-    /// The bitmap; empty while `slots` is in use.
-    words: Vec<u64>,
     k: usize,
-    /// The table; empty while `words` is in use.
-    slots: Vec<u64>,
-    shift: u32,
+    /// Whether the table is in use.
+    is_table: bool,
+    /// The bitmap; empty while the table is in use.
+    words: Vec<u64>,
+    /// The table's row starts (`k + 1` of them) and rows.
+    start: Vec<u32>,
+    partners: Vec<u32>,
 }
 
-/// An unused table slot: no pair of `u32` blocks packs to it.
-const NO_PAIR: u64 = u64::MAX;
-
 impl PairSet {
-    /// Clears the set and sizes it for `k` blocks and up to `pairs` pairs.
-    fn reset(&mut self, k: usize, pairs: usize) {
+    /// Makes the set hold exactly the pairs of `pairs`, all `(a, b)` with
+    /// `a ≠ b < k`, and rewrites `pairs` as their deduplicated list.
+    fn fill(&mut self, k: usize, pairs: &mut Vec<(u32, u32)>) {
         self.k = k;
         self.words.clear();
-        self.slots.clear();
+        self.start.clear();
+        self.partners.clear();
         let words = (k * k.saturating_sub(1) / 2).div_ceil(64);
-        if words <= PAIR_BITMAP_WORDS {
+        self.is_table = words > MEMO_WORDS.max((k + 1 + pairs.len()).div_ceil(2));
+        if !self.is_table {
             self.words.resize(words, 0);
-        } else {
-            // At least two slots, so the shift stays below 64.
-            let slots = (2 * pairs).next_power_of_two().max(2);
-            self.shift = 64 - slots.trailing_zeros();
-            self.slots.resize(slots, NO_PAIR);
+            pairs.retain(|&(a, b)| self.remember(a as usize, b as usize));
+            return;
         }
+        // Counting sort by the smaller block: count row `r` into
+        // `start[r + 2]`, so that after the prefix sums placing each pair
+        // at `start[r + 1]` and bumping it leaves `start[r]` at row `r`.
+        self.start.resize(k + 2, 0);
+        for &(a, b) in pairs.iter() {
+            self.start[a.min(b) as usize + 2] += 1;
+        }
+        for r in 2..k + 2 {
+            self.start[r] += self.start[r - 1];
+        }
+        self.partners.resize(pairs.len(), 0);
+        for &(a, b) in pairs.iter() {
+            let at = &mut self.start[a.min(b) as usize + 1];
+            self.partners[*at as usize] = a.max(b);
+            *at += 1;
+        }
+        self.start.pop();
+        // Sort each row and drop repeats, compacting the rows in place.
+        pairs.clear();
+        let mut kept = 0;
+        for r in 0..k {
+            let (lo, hi) = (self.start[r] as usize, self.start[r + 1] as usize);
+            self.start[r] = kept as u32;
+            let row = &mut self.partners[lo..hi];
+            // Rows of a row-major input, such as the fault graph's
+            // weakest edges, arrive sorted.
+            if row.windows(2).any(|w| w[0] > w[1]) {
+                row.sort_unstable();
+            }
+            for i in lo..hi {
+                let b = self.partners[i];
+                if i == lo || b != self.partners[i - 1] {
+                    self.partners[kept] = b;
+                    kept += 1;
+                    pairs.push((r as u32, b));
+                }
+            }
+        }
+        self.start[k] = kept as u32;
+        self.partners.truncate(kept);
     }
 
     /// Word and mask of the pair `{a, b}`, `a ≠ b`, in the bitmap.
@@ -131,39 +193,26 @@ impl PairSet {
         (idx / 64, 1u64 << (idx % 64))
     }
 
-    /// The table slot where the probe for `{a, b}` ends: the pair's own,
-    /// or the empty one it would take.
-    fn probe(&self, a: usize, b: usize) -> (usize, u64) {
-        let key = ((a.min(b) as u64) << 32) | a.max(b) as u64;
-        let mask = self.slots.len() - 1;
-        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
-        while self.slots[slot] != key && self.slots[slot] != NO_PAIR {
-            slot = (slot + 1) & mask;
+    /// Adds `{a, b}`, `a ≠ b`, if the set is a bitmap; returns whether it
+    /// was added (the table holds only what it was filled with).
+    fn remember(&mut self, a: usize, b: usize) -> bool {
+        if self.is_table {
+            return false;
         }
-        (slot, key)
-    }
-
-    /// Adds `{a, b}`; returns whether it was absent before.
-    fn insert(&mut self, a: usize, b: usize) -> bool {
-        if self.slots.is_empty() {
-            let (w, mask) = self.bit(a, b);
-            let fresh = self.words[w] & mask == 0;
-            self.words[w] |= mask;
-            fresh
-        } else {
-            let (slot, key) = self.probe(a, b);
-            let fresh = self.slots[slot] == NO_PAIR;
-            self.slots[slot] = key;
-            fresh
-        }
+        let (w, mask) = self.bit(a, b);
+        let fresh = self.words[w] & mask == 0;
+        self.words[w] |= mask;
+        fresh
     }
 
     fn contains(&self, a: usize, b: usize) -> bool {
-        if self.slots.is_empty() {
+        if self.is_table {
+            let (lo, hi) = (a.min(b), a.max(b) as u32);
+            let row = self.start[lo] as usize..self.start[lo + 1] as usize;
+            self.partners[row].binary_search(&hi).is_ok()
+        } else {
             let (w, mask) = self.bit(a, b);
             self.words[w] & mask != 0
-        } else {
-            self.slots[self.probe(a, b).0] != NO_PAIR
         }
     }
 }
@@ -171,7 +220,8 @@ impl PairSet {
 /// How [`QuotientLevel::merge`] scored one candidate merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuotientMerge {
-    /// The closure joined a forbidden pair and was abandoned unfinished.
+    /// The closure joined a pair whose merge is known to fail and was
+    /// abandoned unfinished.
     Aborted,
     /// The closure completed and joins at least one forbidden pair.
     Fails,
@@ -187,37 +237,60 @@ impl QuotientMerge {
     }
 
     /// Whether the closure ran to its fixpoint, so
-    /// [`QuotientLevel::lift_into`] may materialize it.
+    /// [`QuotientLevel::lift_into`] may materialize it and
+    /// [`QuotientLevel::descend`] move to it.
     pub fn completed(self) -> bool {
         self != QuotientMerge::Aborted
     }
 }
 
-/// One closed partition `current` of `⊤`, prepared for scoring the closed
-/// merges of its block pairs against a set of forbidden edges — the test on
-/// line 6 of Algorithm 2.
+/// One closed partition of `⊤`, prepared for scoring the closed merges of
+/// its block pairs against a set of forbidden edges — the test on line 6
+/// of Algorithm 2 — and for descending to the merges it keeps.
 ///
-/// Because `current` is closed, the closed partitions coarser than it are
-/// exactly the congruences of the `k`-state quotient machine `⊤/current`,
+/// Because the level's partition is closed, the closed partitions coarser
+/// than it are exactly the congruences of its `k`-state quotient machine,
 /// and the closure of "merge blocks `b1`, `b2`" is the congruence the pair
 /// generates there.  [`QuotientLevel::merge`] therefore runs a worklist
-/// union-find over `k` blocks instead of a fixpoint over all `n` states,
-/// and stops at the first union that joins a forbidden block pair.  Only a
-/// merge that is kept is lifted back to an `n`-state [`Partition`]
-/// ([`QuotientLevel::lift_into`]).
+/// union-find over `k` blocks instead of a fixpoint over all `n` states.
+///
+/// * **Early abort.**  A merge stops at the first pair it would join
+///   whose own merge is known to fail: a forbidden block pair, or — the
+///   level's memo — a pair whose merge failed earlier.  The memo is sound
+///   because a pair's congruence contains the congruence of every pair it
+///   generates, so a merge that joins a failed pair joins what that pair
+///   joined.  It lives in the level's pair bitmap, which a level of up to
+///   ≈ 4,100 blocks always has (1 MiB); a bigger level whose forbidden
+///   pairs fit in a smaller table keeps them there and remembers nothing.
+/// * **Descent.**  [`QuotientLevel::descend`] turns the level into the
+///   quotient of its last completed merge, derived from the current
+///   quotient in `O(k·|Σ| + |forbidden| + |memo|)` plus one pass over the
+///   base map, and carries the memo down: a merge that failed above fails
+///   below as well.
+/// * **Lifting.**  The level keeps the map from the blocks of the base
+///   partition it was built from to its own blocks, numbered by first
+///   appearance, so [`QuotientLevel::lift_into`] (its last merge) and
+///   [`QuotientLevel::lift_level_into`] (the level itself) write a
+///   canonical `n`-state [`Partition`] in one pass.
 ///
 /// Built by [`ClosureKernel::quotient_level`]; borrows its buffers from a
 /// [`CloseScratch`], so after warm-up at a block count neither building a
-/// level nor scoring its merges allocates (`tests/alloc_free.rs`).
+/// level, nor scoring its merges, nor descending allocates
+/// (`tests/alloc_free.rs`).
 #[derive(Debug)]
 pub struct QuotientLevel<'a> {
-    current: &'a Partition,
+    base: &'a Partition,
     k: usize,
-    /// Some forbidden edge lies inside one block of `current`, so every
+    /// Number of events, the row length of the quotient table.
+    events: usize,
+    /// Some forbidden edge lies inside one block of the level, so every
     /// merge (which only coarsens) fails.
     joined: bool,
-    /// Whether the union-find holds a completed closure.
+    /// Whether the union-find holds a completed merge, whose classes
+    /// `relabel` numbers.
     completed: bool,
+    /// Number of classes of the last completed merge.
+    classes: usize,
     buf: &'a mut QuotientScratch,
 }
 
@@ -231,78 +304,186 @@ impl QuotientLevel<'_> {
     /// it against the forbidden edges.
     ///
     /// Every union is checked before it is made: if the pair being joined,
-    /// or the two classes' roots, form a forbidden block pair, the closure
-    /// is certain to join that pair and the call returns
-    /// [`QuotientMerge::Aborted`] at once.  A closure that runs to its
-    /// fixpoint gets the exact verdict from one pass over the deduplicated
-    /// forbidden pairs.  Equal `b1`/`b2` score `current` itself.
+    /// or the two classes' roots, is a forbidden block pair or a merge that
+    /// failed before, the closure is certain to join a forbidden pair and
+    /// the call returns [`QuotientMerge::Aborted`] at once.  A closure
+    /// that runs to its fixpoint gets the exact verdict from one pass over
+    /// the deduplicated forbidden pairs.  A merge that fails is
+    /// remembered while the level's pair set is a bitmap.  Equal `b1`/`b2`
+    /// score the level itself.
     pub fn merge(&mut self, b1: usize, b2: usize) -> QuotientMerge {
         self.completed = false;
         if self.joined {
             return QuotientMerge::Aborted;
         }
         let buf = &mut *self.buf;
-        let k = self.k;
-        buf.uf.reset(k);
-        buf.work.clear();
-        buf.work.push((b1 as u32, b2 as u32));
-        while let Some((x, y)) = buf.work.pop() {
-            let (x, y) = (x as usize, y as usize);
-            let (rx, ry) = (buf.uf.find(x), buf.uf.find(y));
-            if rx == ry {
-                continue;
+        buf.uf.undo();
+        let doomed = b1 != b2 && buf.doomed.contains(b1, b2);
+        let outcome = if !doomed && buf.close_pair(b1, b2, self.events) {
+            self.completed = true;
+            self.classes = buf.number_classes(self.k);
+            let relabel = &buf.relabel;
+            let joins = |&(a, b): &(u32, u32)| relabel[a as usize] == relabel[b as usize];
+            if !buf.forbidden.iter().any(joins) {
+                return QuotientMerge::Covers;
             }
-            if buf.forbidden.contains(x, y) || buf.forbidden.contains(rx, ry) {
-                return QuotientMerge::Aborted;
-            }
-            buf.uf.union(rx, ry);
-            for row in buf.table.chunks_exact(k) {
-                let (sx, sy) = (row[x], row[y]);
-                if sx != sy {
-                    buf.work.push((sx, sy));
-                }
-            }
-        }
-        self.completed = true;
-        let uf = &mut buf.uf;
-        if buf
-            .forbidden_pairs
-            .iter()
-            .any(|&(a, b)| uf.find(a as usize) == uf.find(b as usize))
-        {
             QuotientMerge::Fails
         } else {
-            QuotientMerge::Covers
+            QuotientMerge::Aborted
+        };
+        if b1 != b2 && buf.doomed.remember(b1, b2) && buf.failed.len() < MEMO_PAIRS {
+            buf.failed.push((b1 as u32, b2 as u32));
         }
+        outcome
     }
 
-    /// Writes the last merged closure, lifted to the states of `⊤`, into
-    /// `out` (reusing its buffer).  The result equals
-    /// [`ClosureKernel::close_merged`] of the same blocks.
+    /// Writes the last merged closure, lifted to the elements of the base
+    /// partition, into `out` (reusing its buffer).  The result equals
+    /// [`ClosureKernel::close_merged`] of the same blocks of the base.
     ///
     /// # Panics
     ///
     /// If the last [`QuotientLevel::merge`] did not complete.
-    pub fn lift_into(&mut self, out: &mut Partition) {
+    pub fn lift_into(&self, out: &mut Partition) {
         assert!(self.completed, "lift_into needs a completed merge");
-        let buf = &mut *self.buf;
-        let (uf, label_of_root) = (&mut buf.uf, &mut buf.label_of_root);
-        label_of_root.clear();
-        label_of_root.resize(self.k, usize::MAX);
-        let current = self.current;
+        let (relabel, of_base) = (&self.buf.relabel, &self.buf.of_base);
+        let lifted = self.base.assignment().iter();
         out.refresh_canonical_with(|assignment| {
             assignment.clear();
-            let mut next = 0usize;
-            for &b in current.assignment() {
-                let r = uf.find(b);
-                if label_of_root[r] == usize::MAX {
-                    label_of_root[r] = next;
-                    next += 1;
-                }
-                assignment.push(label_of_root[r]);
-            }
-            next
+            assignment.extend(lifted.map(|&b| relabel[of_base[b] as usize] as usize));
+            self.classes
         });
+    }
+
+    /// Writes the level's own partition, lifted to the elements of the
+    /// base partition, into `out` (reusing its buffer): after descend
+    /// steps, the partition the last kept merge closed to.
+    pub fn lift_level_into(&self, out: &mut Partition) {
+        let of_base = &self.buf.of_base;
+        let lifted = self.base.assignment().iter();
+        out.refresh_canonical_with(|assignment| {
+            assignment.clear();
+            assignment.extend(lifted.map(|&b| of_base[b] as usize));
+            self.k
+        });
+    }
+
+    /// Moves the level to the quotient of its last completed merge, as if
+    /// [`ClosureKernel::quotient_level`] had been called on the lifted
+    /// merge: the same block count and numbering, the same verdict for
+    /// every pair.
+    ///
+    /// The new level is derived from this one, not from `⊤`: merged blocks
+    /// take the number of their first member (canonical numbering, since
+    /// the level's own is), the quotient table keeps one row per new
+    /// block, and the forbidden and failed pairs are renamed and
+    /// deduplicated — `O(k·|Σ| + |forbidden| + |memo|)`, plus one pass
+    /// over the map from base blocks to level blocks.  Nothing is
+    /// allocated once the scratch is warm.
+    ///
+    /// # Panics
+    ///
+    /// If the last [`QuotientLevel::merge`] did not complete.
+    pub fn descend(&mut self) {
+        assert!(self.completed, "descend needs a completed merge");
+        let buf = &mut *self.buf;
+        let (k, k2, s) = (self.k, self.classes, self.events);
+        let relabel = &buf.relabel;
+        // New blocks are numbered in order of their first old block, so
+        // row `nb` is written from an old row at or after it: in place.
+        let mut next = 0;
+        for b in 0..k {
+            if relabel[b] as usize == next {
+                for e in 0..s {
+                    buf.table[next * s + e] = relabel[buf.table[b * s + e] as usize];
+                }
+                next += 1;
+            }
+        }
+        buf.table.truncate(k2 * s);
+        for x in &mut buf.of_base {
+            *x = relabel[*x as usize];
+        }
+        let rename = |&(a, b): &(u32, u32)| (relabel[a as usize], relabel[b as usize]);
+        let mut joined = false;
+        for pair in &mut buf.forbidden {
+            *pair = rename(pair);
+            joined |= pair.0 == pair.1;
+        }
+        if joined {
+            buf.forbidden.retain(|&(a, b)| a != b);
+        }
+        buf.doomed.fill(k2, &mut buf.forbidden);
+        // After a covering merge no failed pair is joined: each generates a
+        // forbidden pair, which the merge separates.
+        let doomed = &mut buf.doomed;
+        buf.failed.retain_mut(|pair| {
+            *pair = rename(pair);
+            pair.0 != pair.1 && doomed.remember(pair.0 as usize, pair.1 as usize)
+        });
+        buf.uf.reset(k2);
+        self.k = k2;
+        self.joined = joined;
+        self.completed = false;
+    }
+}
+
+impl QuotientScratch {
+    /// Runs the worklist closure of the merge of `b1` and `b2`; returns
+    /// `false` as soon as it is about to join a pair in `doomed`.
+    fn close_pair(&mut self, b1: usize, b2: usize, s: usize) -> bool {
+        let (uf, work, table, doomed) = (&mut self.uf, &mut self.work, &self.table, &self.doomed);
+        // Without a forbidden pair no merge fails, so nothing is checked.
+        // A bitmap lookup is one load, so a pair is checked as soon as it
+        // is queued, before the unions that would follow it; a table
+        // lookup is a search, so only pairs about to be joined are.
+        let check = !self.forbidden.is_empty();
+        let (on_queue, on_join) = (check && !doomed.is_table, check && doomed.is_table);
+        work.clear();
+        work.push((b1 as u32, b2 as u32));
+        while let Some((x, y)) = work.pop() {
+            let (x, y) = (x as usize, y as usize);
+            let (rx, ry) = (uf.find(x), uf.find(y));
+            if rx == ry {
+                continue;
+            }
+            if (on_join && doomed.contains(x, y))
+                || (check && (rx, ry) != (x, y) && doomed.contains(rx, ry))
+            {
+                return false;
+            }
+            uf.union(rx, ry);
+            for (&sx, &sy) in table[x * s..(x + 1) * s]
+                .iter()
+                .zip(&table[y * s..(y + 1) * s])
+            {
+                if sx != sy {
+                    if on_queue && doomed.contains(sx as usize, sy as usize) {
+                        return false;
+                    }
+                    work.push((sx, sy));
+                }
+            }
+        }
+        true
+    }
+
+    /// Numbers the union-find's classes over the `k` blocks by first
+    /// appearance into `relabel` (block → class) and returns their count.
+    fn number_classes(&mut self, k: usize) -> usize {
+        self.root_label.clear();
+        self.root_label.resize(k, u32::MAX);
+        self.relabel.clear();
+        let mut next = 0u32;
+        for b in 0..k {
+            let r = self.uf.find(b);
+            if self.root_label[r] == u32::MAX {
+                self.root_label[r] = next;
+                next += 1;
+            }
+            self.relabel.push(self.root_label[r]);
+        }
+        next as usize
     }
 }
 
@@ -499,15 +680,28 @@ impl ClosureKernel {
     /// Builds the quotient transition table in one `O(n·|Σ|)` pass that
     /// also checks `current` is closed, and the deduplicated block pairs of
     /// the `forbidden` edges (pairs of states of `⊤`) in `O(|forbidden|)`.
-    /// Returns [`FusionError::PartitionSizeMismatch`] for a partition of
-    /// the wrong size and [`FusionError::NotClosed`] for one that is not
-    /// closed.  The kernel keeps no alphabet, so that error names the
-    /// event by its index, `e{index}`; [`check_closed`] gives its name.
+    /// `current` is the level's base partition: lifts write partitions of
+    /// its elements.  Returns [`FusionError::PartitionSizeMismatch`] for a
+    /// partition of the wrong size and [`FusionError::NotClosed`] for one
+    /// that is not closed.  The kernel keeps no alphabet, so that error
+    /// names the event by its index, `e{index}`; [`check_closed`] gives its
+    /// name.
     pub fn quotient_level<'a>(
         &self,
         scratch: &'a mut CloseScratch,
         current: &'a Partition,
         forbidden: &[(usize, usize)],
+    ) -> Result<QuotientLevel<'a>> {
+        self.level_over(scratch, current, forbidden.iter().copied())
+    }
+
+    /// [`ClosureKernel::quotient_level`] over any list of forbidden edges,
+    /// so the descent can read the fault graph's `u32` pairs in place.
+    pub(crate) fn level_over<'a>(
+        &self,
+        scratch: &'a mut CloseScratch,
+        current: &'a Partition,
+        forbidden: impl Iterator<Item = (usize, usize)>,
     ) -> Result<QuotientLevel<'a>> {
         if current.len() != self.n {
             return Err(FusionError::PartitionSizeMismatch {
@@ -523,53 +717,58 @@ impl ClosureKernel {
                 event: format!("e{e}"),
             });
         }
-        buf.forbidden.reset(k, forbidden.len());
-        buf.forbidden_pairs.clear();
+        buf.forbidden.clear();
         let mut joined = false;
-        for &(i, j) in forbidden {
+        for (i, j) in forbidden {
             let (a, b) = (current.block_of(i), current.block_of(j));
             if a == b {
                 joined = true;
-            } else if buf.forbidden.insert(a, b) {
-                buf.forbidden_pairs.push((a as u32, b as u32));
+            } else {
+                buf.forbidden.push((a as u32, b as u32));
             }
         }
+        buf.doomed.fill(k, &mut buf.forbidden);
+        buf.failed.clear();
+        buf.of_base.clear();
+        buf.of_base.extend(0..k as u32);
+        buf.uf.reset(k);
         // A closure makes at most k - 1 unions and pushes |Σ| pairs per
-        // union: reserving that once keeps every merge allocation-free.
+        // union: reserving that once keeps every merge of this level and
+        // of the levels below it allocation-free.
         buf.work.clear();
         buf.work.reserve(1 + self.k * k);
         Ok(QuotientLevel {
-            current,
+            base: current,
             k,
+            events: self.k,
             joined,
             completed: false,
+            classes: k,
             buf,
         })
     }
 
-    /// Fills `table[e · k + b]` with the block event `e` maps block `b` of
-    /// the `n`-state `partition` into, for its `k` blocks.  Fails with the
-    /// first `(block, event)` whose image spans two blocks — `partition`
-    /// is then not closed.
+    /// Fills `table[b · |Σ| + e]` with the block event `e` maps block `b`
+    /// of the `n`-state `partition` into, for its `k` blocks.  Fails with
+    /// the first `(block, event)` whose image spans two blocks —
+    /// `partition` is then not closed.
     fn fill_quotient_table(
         &self,
         partition: &Partition,
         table: &mut Vec<u32>,
     ) -> std::result::Result<(), (usize, usize)> {
-        let k = partition.num_blocks();
+        let (k, s) = (partition.num_blocks(), self.k);
         table.clear();
-        table.resize(self.k * k, u32::MAX);
-        for e in 0..self.k {
+        table.resize(s * k, u32::MAX);
+        for e in 0..s {
             let succ = &self.succ[e * self.n..(e + 1) * self.n];
-            let row = &mut table[e * k..(e + 1) * k];
             for (x, &sx) in succ.iter().enumerate() {
-                let (b, sb) = (
-                    partition.block_of(x),
-                    partition.block_of(sx as usize) as u32,
-                );
-                if row[b] == u32::MAX {
-                    row[b] = sb;
-                } else if row[b] != sb {
+                let b = partition.block_of(x);
+                let sb = partition.block_of(sx as usize) as u32;
+                let cell = &mut table[b * s + e];
+                if *cell == u32::MAX {
+                    *cell = sb;
+                } else if *cell != sb {
                     return Err((b, e));
                 }
             }
@@ -649,13 +848,9 @@ pub fn quotient_machine(top: &Dfsm, partition: &Partition, name: &str) -> Result
     let blocks = partition.block_groups();
     let states: Vec<StateInfo> = blocks
         .iter()
-        .map(|b| {
-            let names: Vec<&str> = b.iter().map(|&x| top.state_name(StateId(x))).collect();
-            StateInfo::named(if names.len() == 1 {
-                names[0].to_string()
-            } else {
-                format!("{{{}}}", names.join(","))
-            })
+        .map(|b| match b {
+            [x] => StateInfo::named(top.state_name(StateId(*x))),
+            _ => StateInfo::braced(b.iter().map(|&x| top.state_name(StateId(x)))),
         })
         .collect();
     let k = top.alphabet().len();
@@ -833,6 +1028,9 @@ mod tests {
         let m = quotient_machine(&t, &a, "A").unwrap();
         assert_eq!(m.size(), 3);
         assert_eq!(m.alphabet().len(), 2);
+        // A block is named after its states, a single state plainly.
+        assert_eq!(m.state_name(StateId(0)), "{t0,t3}");
+        assert_eq!(m.state_name(StateId(1)), "t1");
         // Simulation check: running any word on top and mapping through the
         // partition equals running the word on the quotient.
         let words: Vec<Vec<fsm_dfsm::Event>> = vec![
@@ -873,39 +1071,50 @@ mod tests {
     fn pair_set_answers_alike_as_bitmap_and_as_table() {
         // 50 blocks take the bitmap; 20,000 blocks (3.1M bitmap words)
         // the table.  Both must answer like a plain set, in either order
-        // of a pair, and reuse across resets.
+        // of a pair, leave the pairs deduplicated, and reuse across fills.
         for k in [50usize, 20_000] {
             let mut set = PairSet::default();
-            set.reset(k, 0);
+            set.fill(k, &mut Vec::new());
             assert!(!set.contains(1, 0), "k={k}");
             for round in 0..2u64 {
                 let mut seed = round;
                 let mut step = || {
                     seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                    (seed >> 33) as usize % k
+                    (seed >> 33) as u32 % k as u32
                 };
-                let pairs: Vec<(usize, usize)> = (0..300)
+                let mut pairs: Vec<(u32, u32)> = (0..300)
                     .map(|_| (step(), step()))
                     .filter(|(a, b)| a != b)
                     .collect();
-                set.reset(k, pairs.len());
-                assert_eq!(set.slots.is_empty(), k == 50, "k={k}");
-                let mut reference = std::collections::HashSet::new();
-                for &(a, b) in &pairs {
-                    assert_eq!(set.insert(a, b), reference.insert((a.min(b), a.max(b))));
-                }
+                let reference: std::collections::HashSet<(u32, u32)> =
+                    pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+                let given = pairs.clone();
+                set.fill(k, &mut pairs);
+                assert_eq!(set.is_table, k != 50, "k={k}");
+                let mut kept: Vec<(u32, u32)> =
+                    pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+                kept.sort_unstable();
+                kept.dedup();
+                assert_eq!(kept.len(), pairs.len(), "k={k}: pairs left repeated");
+                assert_eq!(
+                    kept.into_iter().collect::<std::collections::HashSet<_>>(),
+                    reference
+                );
                 for a in 0..50 {
                     for b in (0..50).filter(|&b| b != a) {
                         let (x, y) = (a * k / 50, b * k / 50);
-                        assert_eq!(
-                            set.contains(x, y),
-                            reference.contains(&(x.min(y), x.max(y)))
-                        );
+                        let pair = (x.min(y) as u32, x.max(y) as u32);
+                        assert_eq!(set.contains(x, y), reference.contains(&pair));
                     }
                 }
-                for &(a, b) in &pairs {
-                    assert!(set.contains(b, a));
+                for &(a, b) in &given {
+                    assert!(set.contains(b as usize, a as usize));
                 }
+                // Only the bitmap takes pairs after the fill.
+                let (a, b) = (k - 2, k - 1);
+                let absent = !set.contains(a, b);
+                assert_eq!(set.remember(a, b), absent && !set.is_table);
+                assert_eq!(set.contains(a, b), !absent || !set.is_table);
             }
         }
     }

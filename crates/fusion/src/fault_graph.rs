@@ -472,6 +472,12 @@ impl FaultGraph {
         edges.map(|&(i, j)| (i as usize, j as usize)).collect()
     }
 
+    /// The weakest edges as the graph keeps them, `(i, j)` with `i < j` in
+    /// row-major order: what [`FaultGraph::weakest_edges`] copies out.
+    pub(crate) fn weakest_pairs(&self) -> &[(u32, u32)] {
+        &self.weakest
+    }
+
     /// All edges with exactly the given weight, by a per-pair sweep.
     pub fn edges_with_weight(&self, w: u32) -> Vec<(usize, usize)> {
         let at_w = self.pairs().filter(|&(i, j)| self.pair_weight(i, j) == w);

@@ -19,16 +19,29 @@
 //! ## One engine
 //!
 //! There is a single implementation of the descent: a sequential loop
-//! that, at each level, builds the quotient machine `⊤/current` of the
-//! closed partition it stands on and scores every candidate merge there
-//! ([`crate::closed::QuotientLevel`]).  Because `current` is closed, the
-//! closure of "merge blocks `b1`, `b2`" is the congruence that pair
-//! generates on the `k`-state quotient, so a candidate costs a worklist
-//! union-find over `k` blocks instead of a fixpoint over all `n` states.
-//! The closure stops at its first union across a weakest edge — almost
-//! every candidate examined fails, most of them in the last level of each
-//! descent — and only the candidate the descent keeps is lifted back to
-//! an `n`-state [`Partition`].
+//! that, for each backup, builds one quotient level of `⊤` and descends on
+//! it ([`crate::closed::QuotientLevel`]).  Every level is the quotient
+//! machine `⊤/current` of the closed partition the descent stands on, and
+//! because `current` is closed, the closure of "merge blocks `b1`, `b2`"
+//! is the congruence that pair generates on the `k`-state quotient: a
+//! candidate costs a worklist union-find over `k` blocks instead of a
+//! fixpoint over all `n` states.
+//!
+//! * The closure stops at its first union across a weakest edge or across
+//!   a pair whose own merge already failed on this level or a level above
+//!   it.  Almost every candidate examined fails, most of them in the last
+//!   level of each descent, where every merge fails and most stop at a
+//!   pair that failed before.
+//! * A kept merge becomes the next level in place
+//!   ([`crate::closed::QuotientLevel::descend`]): its quotient table,
+//!   forbidden pairs and failed merges are derived from the current
+//!   level's in `O(k·|Σ| + |forbidden|)`, not rebuilt from the `n` states
+//!   of `⊤` and every weakest edge.
+//! * Only the last level is lifted to an `n`-state [`Partition`].
+//!
+//! The level reads the fault graph's weakest edges where the graph keeps
+//! them, and the descent touches no other `n`-sized buffer but the map
+//! from states to level blocks.
 //!
 //! ## Sessions
 //!
@@ -133,13 +146,14 @@ impl FusionGeneration {
 /// `tests/scan_properties.rs` pins it, statistics included, to an
 /// element-scan version kept in test-only code.
 ///
-/// The descent inner loop is **allocation-free**: one [`CloseScratch`]
-/// holds the quotient table, the block union-find and the forbidden
-/// block pairs of every level, and one reusable `Partition` receives each
-/// kept candidate (`tests/alloc_free.rs` pins the scoring sweep with a
-/// counting allocator).  A merge of two blocks joined by a weakest edge
-/// fails before any work; [`GenerationStats`] still counts it as examined,
-/// so the counters equal those of the plain loop over every pair.
+/// The descent is **allocation-free** once its scratch is warm: one
+/// [`CloseScratch`] holds the quotient table, the block union-find, the
+/// forbidden block pairs and the failed merges, and each descend step
+/// rebuilds them in place (`tests/alloc_free.rs` pins the scoring sweep
+/// and a whole descent with a counting allocator).  A merge of two blocks
+/// joined by a weakest edge, or whose merge failed before, fails before
+/// any work; [`GenerationStats`] still counts it as examined, so the
+/// counters equal those of the plain loop over every pair.
 ///
 /// Repeated callers should hold a session instead (see the
 /// [module docs](self)).
@@ -209,9 +223,9 @@ pub(crate) fn seq_engine(
         ..Default::default()
     };
     let mut partitions: Vec<Partition> = Vec::new();
-    // Search-lifetime buffers: every kept candidate of every descent of
-    // every outer iteration is lifted into this one partition.
-    let mut candidate = Partition::singletons(n);
+    // Every descent starts at ⊤: its singleton partition is the base of
+    // each level, so a lift writes a partition of ⊤'s states.
+    let top_blocks = Partition::singletons(n);
 
     // Loop invariant: `dmin` is dmin(originals ∪ partitions), and `graph`
     // is the fault graph of that set whenever the loop body reads it.  Each
@@ -220,7 +234,7 @@ pub(crate) fn seq_engine(
     // terminates after f + 1 - dmin(originals) iterations (Theorem 4 /
     // Theorem 5; the count is 0 if the originals are already tolerant).
     while !tolerates(dmin) {
-        let weakest = graph.weakest_edges();
+        let weakest = graph.weakest_pairs();
         debug_assert!(!weakest.is_empty());
         // Start at ⊤ (the singleton partition), which covers every edge, and
         // descend the closed partition lattice.
@@ -239,25 +253,26 @@ pub(crate) fn seq_engine(
         // pairwise merge), so both loops stop at the same condition.  The
         // descent may take larger steps but ends at a machine with the same
         // guarantee: none of its lower covers can replace it.
-        let mut current = Partition::singletons(n);
+        //
+        // Every candidate of a level is a merge of two of its blocks, so it
+        // is scored on the k-state quotient and abandoned at its first
+        // union across a weakest edge or a merge that already failed.  A
+        // pair that fails before any work still counts as examined, so the
+        // statistics match the plain loop over every pair.  A kept merge
+        // becomes the next level in place; only the last is lifted to the
+        // states of ⊤.
+        let edges = weakest.iter().map(|&(i, j)| (i as usize, j as usize));
+        let mut level = kernel.level_over(scratch, &top_blocks, edges)?;
         'descend: loop {
             stats.descent_steps += 1;
-            // Every candidate of this level is a merge of two blocks of
-            // the closed `current`, so it is scored on the k-state quotient
-            // and abandoned at its first union across a weakest edge.  A
-            // pair joined by a weakest edge itself fails before any work;
-            // the examined-candidate counter still counts it, so the
-            // statistics match the plain loop over every pair.
-            let mut level = kernel.quotient_level(scratch, &current, &weakest)?;
             let k = level.num_blocks();
             let mut idx = 0usize;
             for b1 in 0..k {
                 for b2 in (b1 + 1)..k {
                     idx += 1;
                     if level.merge(b1, b2).covers() {
-                        level.lift_into(&mut candidate);
                         stats.candidates_examined += idx;
-                        std::mem::swap(&mut current, &mut candidate);
+                        level.descend();
                         continue 'descend;
                     }
                 }
@@ -265,6 +280,8 @@ pub(crate) fn seq_engine(
             stats.candidates_examined += idx;
             break;
         }
+        let mut current = Partition::singletons(0);
+        level.lift_level_into(&mut current);
         dmin += 1;
         if !tolerates(dmin) {
             // The next iteration reads the weakest edges of the grown

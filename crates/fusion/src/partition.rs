@@ -283,10 +283,13 @@ impl Partition {
     /// block of `other` is contained in a block of `self`, i.e. `other`
     /// refines `self` (`self` is coarser or equal).
     ///
-    /// One sentinel-table pass over the elements.  `le` returning `true`
-    /// with equal block counts means equal partitions, so comparisons
-    /// between distinct partitions can skip every pair whose block counts
-    /// are not strictly increasing.
+    /// One sentinel-table pass over the elements.  The table is a
+    /// per-thread buffer reused by every call, so comparison loops
+    /// (lower covers' maximality filter, [`Partition::lt`],
+    /// [`Partition::incomparable`], Hasse diagrams) do not allocate per
+    /// pair.  `le` returning `true` with equal block counts means equal
+    /// partitions, so comparisons between distinct partitions can skip
+    /// every pair whose block counts are not strictly increasing.
     ///
     /// `Partition` also derives [`PartialOrd`] (a lexicographic order, for
     /// sorted sets), whose `le` method is *not* this one: in a closure
@@ -296,15 +299,22 @@ impl Partition {
         // other refines self ⟺ whenever other puts x,y together, so does
         // self.  Check via: for each block label of other, all members map
         // to a single block of self.
-        let mut rep: Vec<usize> = vec![usize::MAX; other.num_blocks];
-        for (&sb, &ob) in self.block_of.iter().zip(&other.block_of) {
-            if rep[ob] == usize::MAX {
-                rep[ob] = sb;
-            } else if rep[ob] != sb {
-                return false;
-            }
+        thread_local! {
+            static REP: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
         }
-        true
+        REP.with(|rep| {
+            let rep = &mut *rep.borrow_mut();
+            rep.clear();
+            rep.resize(other.num_blocks, usize::MAX);
+            for (&sb, &ob) in self.block_of.iter().zip(&other.block_of) {
+                if rep[ob] == usize::MAX {
+                    rep[ob] = sb;
+                } else if rep[ob] != sb {
+                    return false;
+                }
+            }
+            true
+        })
     }
 
     /// Strict version of [`Partition::le`].
@@ -487,19 +497,25 @@ fn join_assignments(
 /// A small union-find used by partition closure operations.
 ///
 /// `find` uses iterative path halving, so deep merge chains cannot overflow
-/// the stack and the hot closure loops stay allocation-free.
+/// the stack and the hot closure loops stay allocation-free.  Every union
+/// logs the entries it writes, so [`UnionFind::undo`] restores the
+/// singletons in time proportional to the unions made since, not to the
+/// element count: the quotient scorer undoes each candidate merge this way.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
+    /// Every entry a union changed since the last reset or undo.  Path
+    /// halving only rewrites entries that are no longer roots, which a
+    /// union logged when it made them so.
+    touched: Vec<usize>,
 }
 
 impl UnionFind {
     pub(crate) fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-            rank: vec![0; n],
-        }
+        let mut uf = UnionFind::default();
+        uf.reset(n);
+        uf
     }
 
     /// Re-initializes for `n` elements, reusing the existing buffers.  After
@@ -511,6 +527,16 @@ impl UnionFind {
         self.parent.extend(0..n);
         self.rank.clear();
         self.rank.resize(n, 0);
+        self.touched.clear();
+    }
+
+    /// Undoes every union since the last reset or undo.
+    pub(crate) fn undo(&mut self) {
+        for &t in &self.touched {
+            self.parent[t] = t;
+            self.rank[t] = 0;
+        }
+        self.touched.clear();
     }
 
     pub(crate) fn find(&mut self, mut x: usize) -> usize {
@@ -527,14 +553,17 @@ impl UnionFind {
         if rx == ry {
             return false;
         }
-        match self.rank[rx].cmp(&self.rank[ry]) {
-            std::cmp::Ordering::Less => self.parent[rx] = ry,
-            std::cmp::Ordering::Greater => self.parent[ry] = rx,
+        let (low, high) = match self.rank[rx].cmp(&self.rank[ry]) {
+            std::cmp::Ordering::Less => (rx, ry),
+            std::cmp::Ordering::Greater => (ry, rx),
             std::cmp::Ordering::Equal => {
-                self.parent[ry] = rx;
                 self.rank[rx] += 1;
+                self.touched.push(rx);
+                (ry, rx)
             }
-        }
+        };
+        self.parent[low] = high;
+        self.touched.push(low);
         true
     }
 

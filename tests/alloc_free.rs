@@ -4,7 +4,9 @@
 //! quotient machine: `ClosureKernel::quotient_level` builds the quotient
 //! table and forbidden block pairs in a `CloseScratch`, and every
 //! `QuotientLevel::merge` / `lift_into` reuses those buffers and one output
-//! `Partition`.  The lower-cover walks close merges through
+//! `Partition`; `QuotientLevel::descend` rebuilds the level in place from
+//! the kept merge, and the merges that fail are remembered in the same
+//! buffers.  The lower-cover walks close merges through
 //! `ClosureKernel::close_merged_into`, which threads the same scratch
 //! (union-find, seed table, class→successor map, relabel buffers).  After
 //! one warm-up pass at a given machine size (or block count) neither path
@@ -243,4 +245,64 @@ fn quotient_merge_sweep_is_allocation_free_after_warm_up() {
             current.num_blocks()
         );
     }
+}
+
+#[test]
+fn descent_and_memo_sweep_are_allocation_free_after_warm_up() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (product, originals) = workload();
+    let top = product.top();
+    let n = top.size();
+    let kernel = ClosureKernel::new(top);
+    let weakest = FaultGraph::from_partitions(n, &originals).weakest_edges();
+    let top_blocks = Partition::singletons(n);
+    let mut scratch = CloseScratch::new();
+    let mut out = Partition::singletons(0);
+    // Algorithm 2's descent from ⊤: every level sweeps its pairs until one
+    // covers, descends to it, and the last level — where every merge
+    // fails and is remembered — is lifted once.  Level sizes go into a
+    // caller-owned vector, so the measured run allocates nothing itself.
+    let descent = |scratch: &mut CloseScratch, out: &mut Partition, sizes: &mut Vec<usize>| {
+        let mut level = kernel
+            .quotient_level(scratch, &top_blocks, &weakest)
+            .unwrap();
+        let mut verdicts = [0usize; 3];
+        'descend: loop {
+            let k = level.num_blocks();
+            sizes.push(k);
+            for b1 in 0..k {
+                for b2 in (b1 + 1)..k {
+                    let outcome = level.merge(b1, b2);
+                    verdicts[outcome as usize] += 1;
+                    if outcome.covers() {
+                        level.descend();
+                        continue 'descend;
+                    }
+                }
+            }
+            break;
+        }
+        level.lift_level_into(out);
+        verdicts
+    };
+    let mut warm_sizes = Vec::new();
+    let warm = descent(&mut scratch, &mut out, &mut warm_sizes);
+    let kept = out.clone();
+    assert!(
+        warm_sizes.len() > 1,
+        "{warm_sizes:?}: the descent never descended"
+    );
+    assert!(warm[QuotientMerge::Aborted as usize] > 0, "{warm:?}");
+
+    let mut sizes = Vec::with_capacity(warm_sizes.len());
+    let before = allocations();
+    let steady = descent(&mut scratch, &mut out, &mut sizes);
+    let after = allocations();
+    assert_eq!((warm, &warm_sizes), (steady, &sizes));
+    assert_eq!(out, kept);
+    assert_eq!(
+        after - before,
+        0,
+        "the descent allocated in its steady state over levels {sizes:?}"
+    );
 }
