@@ -17,7 +17,9 @@
 //! never gate.
 //! The crash-recovery pipeline is covered by `wal_append_frame`,
 //! `durable_apply_batch256` (group commit), `recover_replay_n512` and
-//! `recover_decode_f1`, and the `sim_sweep`
+//! `recover_decode_f1`, the threaded runner by `group_marker_round_n5` (a
+//! 64-event batch and a report-marker round through a five-server group,
+//! on the wall clock), and the `sim_sweep`
 //! section records a fusion-vs-replication cost comparison over identical
 //! seeds (`backend_comparison`).  The scaling workloads past the old
 //! `10⁴` wall are `alg2_search_n6561`, `alg2_search_n59049`,
@@ -51,11 +53,14 @@
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use fsm_dfsm::{Event, ReachableProduct};
 use fsm_distsys::sim::sweep::{compare_backends, run_scenario, BackendCost, Scenario};
-use fsm_distsys::{shared, wal, DurabilityConfig, DurableServer, FusedSystem, MemStore};
+use fsm_distsys::{
+    shared, wal, DurabilityConfig, DurableServer, FusedSystem, MemStore, ParallelServerGroup,
+    SensorNetwork, ServerGroup,
+};
 use fsm_fusion_bench::{
     counter_family, extract_json_section, peak_rss_kb, reset_peak_rss, upsert_json_section,
     SIM_SWEEP_SEEDS,
@@ -554,6 +559,33 @@ fn measure_all() -> Vec<Measurement> {
             black_box(ext.states[0].index())
         });
         push("recover_decode_f1", iters, ns);
+    }
+
+    // The threaded runner: a plain group of the serving benchmark's shape
+    // (four sensors and their analytic backup), one 64-event batch and one
+    // report-marker round per iteration, waited for on the wall clock —
+    // the channel hops and wake-ups every served batch pays.
+    {
+        let mut machines = SensorNetwork::sensor_machines(4);
+        machines.push(SensorNetwork::analytic_backup_machine(4));
+        let network = SensorNetwork::new(4).expect("four sensors");
+        let batch = network.random_workload(64, 7).events().to_vec();
+        let mut group = ParallelServerGroup::spawn(&machines);
+        let iters = 2_000;
+        let ns = bench(iters, || {
+            group.apply_batch(&batch);
+            let generation = group.request_reports();
+            let mut answered = 0;
+            while answered < machines.len() {
+                let (_, g, _) = group
+                    .recv_report_timeout(Duration::from_secs(10))
+                    .expect("every server answers the marker");
+                answered += usize::from(g == generation);
+            }
+            answered
+        });
+        push("group_marker_round_n5", iters, ns);
+        group.shutdown();
     }
 
     // Algorithm 2 on the Table 1 row "MESI, TCP, A, B" (f = 1): its one

@@ -187,11 +187,11 @@ pub trait ServerGroup {
     /// Restores server `i` to `state` (after recovery).
     fn restore(&mut self, i: usize, state: StateId);
 
-    /// Kills server `i`'s *process* (thread or simulated process), distinct
-    /// from the modeled crash fault: a killed process stops answering
-    /// entirely, so its report goes missing instead of reading `Crashed`.
-    /// The kill is a command like any other — pending events are applied
-    /// first.
+    /// Kills server `i`'s *process* (its place on a worker thread, or a
+    /// simulated process), distinct from the modeled crash fault: a killed
+    /// process stops answering entirely, so its report goes missing
+    /// instead of reading `Crashed`.  The kill is a command like any other
+    /// — pending events are applied first.
     fn kill_process(&mut self, i: usize);
 
     /// Restarts server `i`'s killed process from its durable state: loads
@@ -242,9 +242,10 @@ pub trait ServerGroup {
 
     /// Tears the group down and returns the final `Server` values of every
     /// server whose process can still produce one.  Processes that died
-    /// without a final value — panicked threads, killed simulated processes
-    /// — are omitted; a Stop-killed OS thread exits its command loop
-    /// gracefully and still returns its value.
+    /// without a final value — servers that panicked on a worker thread,
+    /// killed simulated processes — are omitted; a server killed on a
+    /// worker thread leaves its shard gracefully and still returns its
+    /// value.
     fn shutdown(self: Box<Self>) -> Vec<Server>;
 }
 

@@ -16,8 +16,9 @@ pub enum DistsysError {
         state: usize,
         size: usize,
     },
-    /// Report collection gave up on servers whose threads died (or stayed
-    /// unresponsive past the collection deadline) without reporting.
+    /// Report collection gave up on servers that went down (killed,
+    /// stopped by a storage failure, or panicked) or stayed unresponsive
+    /// past the collection deadline without reporting.
     MissingReports {
         /// Indices of the servers that never reported.
         servers: Vec<usize>,
@@ -84,7 +85,7 @@ impl fmt::Display for DistsysError {
             ),
             DistsysError::MissingReports { servers } => write!(
                 f,
-                "servers {servers:?} never reported (thread dead or unresponsive)"
+                "servers {servers:?} never reported (down or unresponsive)"
             ),
             DistsysError::MalformedPlan { fault, reason } => {
                 write!(f, "malformed plan: fault {fault}: {reason}")

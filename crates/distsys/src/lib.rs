@@ -20,8 +20,9 @@
 //!   [`run_scenario`](sim::sweep::run_scenario).
 //! * [`SensorNetwork`] — the paper's motivating sensor-network scenario,
 //!   including the 100-sensor configuration.
-//! * [`ParallelServerGroup`] — servers on OS threads with channel-based
-//!   event-batch broadcast and report collection.
+//! * [`ParallelServerGroup`] — servers sharded over a few OS worker
+//!   threads (one per core but one), with channel-based event-batch
+//!   broadcast and report collection, one message per worker each way.
 //! * [`Environment`] / [`ServerGroup`] — the execution-environment
 //!   abstraction (time, randomness, spawning) with two implementations:
 //!   [`OsEnvironment`] (threads, wall clock) and

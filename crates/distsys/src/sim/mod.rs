@@ -1,9 +1,9 @@
 //! Deterministic simulation of the distributed system, in the style of
 //! FoundationDB's simulation testing: a virtual clock, a seeded generator,
-//! and an in-memory message network with drop/delay/reorder/duplicate knobs
-//! and scripted crash points — all advanced by a single-threaded cooperative
-//! scheduler, so any workload × fault-schedule run replays **byte-identical**
-//! from one `u64` seed.
+//! and an in-memory message network with drop/delay/reorder/duplicate
+//! knobs — all advanced by a single-threaded cooperative scheduler, so any
+//! workload × fault-schedule run replays **byte-identical** from one `u64`
+//! seed.
 //!
 //! ```
 //! use fsm_distsys::{Environment, GroupConfig, Seeded};
@@ -26,8 +26,8 @@
 //!
 //! * [`SimRng`] / [`Seeded`] — the seeded generator and the crate-wide
 //!   seeded-construction convention.
-//! * [`SimConfig`] — builder for a simulated world (delays, chaos
-//!   probabilities, scripted crash points).
+//! * [`SimConfig`] — builder for a simulated world (delays and chaos
+//!   probabilities).
 //! * [`SimEnvironment`] / [`SimServerGroup`] — the
 //!   [`Environment`]/[`ServerGroup`] implementations
 //!   backed by the virtual world.
@@ -64,7 +64,10 @@ use net::{Chaos, Payload, SimWorld};
 /// Builder for a deterministic simulated world.
 ///
 /// All knobs default to a quiet network: one-way delays of 0.5–5 virtual
-/// milliseconds and no drops, duplicates, reorder jitter or crash points.
+/// milliseconds and no drops, duplicates or reorder jitter.  Process kills
+/// are [`FaultPlan`](crate::FaultPlan) entries, played by
+/// [`run_scenario`](sweep::run_scenario) or by calling
+/// [`ServerGroup::kill_process`].
 /// Probabilities are clamped to `[0, 0.9]` — a lossy network must still
 /// eventually deliver, or report collection could never converge.
 #[derive(Debug, Clone)]
@@ -76,7 +79,6 @@ pub struct SimConfig {
     duplicate: f64,
     reorder: f64,
     torn: f64,
-    crash_points: Vec<(Duration, usize)>,
 }
 
 impl SimConfig {
@@ -90,7 +92,6 @@ impl SimConfig {
             duplicate: 0.0,
             reorder: 0.0,
             torn: 0.0,
-            crash_points: Vec::new(),
         }
     }
 
@@ -134,14 +135,6 @@ impl SimConfig {
         self
     }
 
-    /// Schedules a scripted process kill: server `server` of the first
-    /// spawned group dies at virtual time `at` (a power failure — pending
-    /// commands are lost with it).
-    pub fn crash_point(mut self, at: Duration, server: usize) -> Self {
-        self.crash_points.push((at, server));
-        self
-    }
-
     /// Builds the simulated environment.
     pub fn build(self) -> SimEnvironment {
         let chaos = Chaos {
@@ -152,13 +145,8 @@ impl SimConfig {
             reorder: self.reorder,
             torn: self.torn,
         };
-        let crash_points = self
-            .crash_points
-            .iter()
-            .map(|(at, s)| (at.as_nanos() as u64, *s))
-            .collect();
         SimEnvironment {
-            world: Rc::new(RefCell::new(SimWorld::new(self.seed, chaos, crash_points))),
+            world: Rc::new(RefCell::new(SimWorld::new(self.seed, chaos))),
             seed: self.seed,
         }
     }
@@ -346,9 +334,12 @@ impl ServerGroup for SimServerGroup {
 mod tests {
     use super::*;
     use crate::env::DEFAULT_COLLECT_TIMEOUT;
+    use crate::fault::{FaultKind, ScheduledFault};
     use crate::recovery::DurabilityConfig;
     use fsm_dfsm::Executor;
+    use fsm_fusion_core::FaultModel;
     use fsm_machines::fig1_machines;
+    use sweep::{run_scenario, Scenario};
 
     fn bits(s: &str) -> Vec<Event> {
         s.chars().map(|c| Event::new(c.to_string())).collect()
@@ -462,15 +453,31 @@ mod tests {
 
     #[test]
     fn scripted_crash_point_kills_at_virtual_time() {
-        let env = SimConfig::new(8)
-            .crash_point(Duration::from_millis(1), 0)
-            .build();
-        let mut group = env.spawn_group(&fig1_machines(), &GroupConfig::new());
-        // The kill fires at t=1ms regardless of the command FIFO.
-        group.apply_batch(&bits("0101"));
-        let partial = group.try_collect_reports();
-        assert_eq!(partial[0], None);
-        assert!(partial[1].is_some());
+        // A scripted kill is a plan entry: it fires once the run reaches
+        // its workload position, and the killed server is decoded from its
+        // peers at the end.
+        let mut scenario = Scenario::new(8, fig1_machines(), FaultModel::Crash, 1, 12);
+        scenario.plan.faults.push(ScheduledFault {
+            after_event: 4,
+            server: 0,
+            kind: FaultKind::Kill,
+        });
+        let outcome = run_scenario(&scenario);
+        assert!(outcome.is_ok(), "{:?}", outcome.violations);
+        assert_eq!((outcome.injected, outcome.kills), (1, 1));
+        assert!(outcome.virtual_nanos > 0);
+        // A kill aimed past the group is a malformed plan, not skipped.
+        scenario.plan.faults[0].server = 9;
+        let outcome = run_scenario(&scenario);
+        assert_eq!(outcome.kills, 0);
+        assert!(
+            outcome
+                .violations
+                .iter()
+                .any(|v| v.contains("malformed plan")),
+            "{:?}",
+            outcome.violations
+        );
     }
 
     #[test]

@@ -200,9 +200,6 @@ pub(crate) struct SimWorld {
     pub(crate) user_rng: SimRng,
     queue: BinaryHeap<Reverse<Msg>>,
     groups: Vec<SimGroup>,
-    /// Scripted kill times (virtual ns, server index), consumed by the
-    /// first group spawned.
-    pending_crash_points: Vec<(u64, usize)>,
     /// The world's durable store: a deterministic in-memory map shared by
     /// all durable groups.  Held as a separate `Arc` so process code can
     /// write through it without re-borrowing the world.
@@ -212,7 +209,7 @@ pub(crate) struct SimWorld {
 }
 
 impl SimWorld {
-    pub(crate) fn new(seed: u64, chaos: Chaos, crash_points: Vec<(u64, usize)>) -> Self {
+    pub(crate) fn new(seed: u64, chaos: Chaos) -> Self {
         SimWorld {
             now: 0,
             next_seq: 0,
@@ -221,7 +218,6 @@ impl SimWorld {
             user_rng: SimRng::new(seed ^ 0x0B5E_55ED_0000_0002),
             queue: BinaryHeap::new(),
             groups: Vec::new(),
-            pending_crash_points: crash_points,
             store: shared(MemStore::new()),
             trace: Trace::new(),
             stats: NetStats::default(),
@@ -236,9 +232,7 @@ impl SimWorld {
         self.groups[group].processes.len()
     }
 
-    /// Spawns a group of simulated processes; scripted crash points (if this
-    /// is the first group) are scheduled as absolute-time kill messages that
-    /// bypass the command FIFO — a power failure, not a graceful stop.
+    /// Spawns a group of simulated processes.
     pub(crate) fn spawn_group(
         &mut self,
         machines: &[Dfsm],
@@ -281,29 +275,6 @@ impl SimWorld {
             group: id,
             servers: machines.len(),
         });
-        if id == 0 {
-            for (at, server) in std::mem::take(&mut self.pending_crash_points) {
-                if server >= machines.len() {
-                    continue;
-                }
-                let seq = self.bump_seq();
-                self.trace.record(TraceEvent::Send {
-                    seq,
-                    at: self.now,
-                    group: id,
-                    server,
-                    kind: Payload::Kill.kind(),
-                    deliver_at: at,
-                });
-                self.stats.sent += 1;
-                self.queue.push(Reverse(Msg {
-                    deliver_at: at.max(self.now),
-                    seq,
-                    dest: Dest::Server { group: id, server },
-                    payload: Payload::Kill,
-                }));
-            }
-        }
         id
     }
 

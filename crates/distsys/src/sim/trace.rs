@@ -78,8 +78,7 @@ pub enum TraceEvent {
         /// while crashed.
         state: u64,
     },
-    /// A server's process died (scripted crash point or
-    /// `kill_process`).
+    /// A server's process died (`kill_process`).
     Kill {
         /// Group index.
         group: usize,

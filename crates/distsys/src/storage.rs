@@ -43,7 +43,7 @@ pub trait Store: Send {
 }
 
 /// The shared handle durable servers hold: thread-safe (the threaded runner
-/// moves it into server threads) and cheap to clone.
+/// moves it into worker threads) and cheap to clone.
 pub type SharedStore = Arc<Mutex<dyn Store>>;
 
 /// Wraps a concrete store into a [`SharedStore`] handle.

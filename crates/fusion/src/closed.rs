@@ -337,6 +337,18 @@ impl QuotientLevel<'_> {
         outcome
     }
 
+    /// The last merged closure on the quotient: the class of each of the
+    /// level's blocks, numbered by first appearance.  Two completed merges
+    /// of one level lift to the same partition exactly when these agree.
+    ///
+    /// # Panics
+    ///
+    /// If the last [`QuotientLevel::merge`] did not complete.
+    pub(crate) fn merged_labels(&self) -> &[u32] {
+        assert!(self.completed, "merged_labels needs a completed merge");
+        &self.buf.relabel
+    }
+
     /// Writes the last merged closure, lifted to the elements of the base
     /// partition, into `out` (reusing its buffer).  The result equals
     /// [`ClosureKernel::close_merged`] of the same blocks of the base.

@@ -146,6 +146,44 @@ impl FaultGraph {
     /// If a partition is not over `n` states, or if there are more than
     /// [`DENSE_MACHINE_LIMIT`] partitions.
     pub fn from_partitions(n: usize, partitions: &[Partition]) -> Self {
+        let mut g = Self::unsearched(n, partitions);
+        g.search_from(0);
+        g
+    }
+
+    /// Whether `dmin > f` for the machines `partitions` over `n` states —
+    /// Theorem 1's test — without building the graph: levels `0..=f` are
+    /// searched the way [`FaultGraph::from_partitions`] would search them,
+    /// by subsets or by the row sweep, and the search stops at the first
+    /// pair lighter than `f + 1`.  No weakest edge is kept.
+    ///
+    /// # Panics
+    ///
+    /// As [`FaultGraph::from_partitions`].
+    pub(crate) fn dmin_exceeds(n: usize, partitions: &[Partition], f: usize) -> bool {
+        let g = Self::unsearched(n, partitions);
+        if n < 2 {
+            return true;
+        }
+        if g.neighbour_bound() <= f {
+            return false;
+        }
+        match subset_plan(n, &g.mult, 0, f) {
+            Some(subsets) => {
+                let mut signatures = Signatures::new(n, &g.parts);
+                (0..=f).all(|d| {
+                    signatures
+                        .collisions(&g.parts, &subsets, d, true)
+                        .is_empty()
+                })
+            }
+            None => g.rows(|_, row| row.iter().all(|&w| usize::from(w) > f)),
+        }
+    }
+
+    /// The machines' distinct partitions with their multiplicities, before
+    /// any level is searched.
+    fn unsearched(n: usize, partitions: &[Partition]) -> Self {
         for p in partitions {
             assert_eq!(p.len(), n, "partition over wrong number of states");
         }
@@ -154,7 +192,6 @@ impl FaultGraph {
         for p in partitions {
             g.insert(p, 1);
         }
-        g.search_from(0);
         g
     }
 
@@ -330,24 +367,14 @@ impl FaultGraph {
             return 0;
         }
         let floor = floor as usize;
-        let upper = (1..n).map(|i| self.pair_weight(i - 1, i)).min();
-        let upper = upper.expect("two states make an edge") as usize;
-        let k = self.parts.len().max(1);
-        let sweep_cells = edges_in(n).saturating_mul(k);
-        // A count table larger than the sweep's `k · n` block ids loses.
-        if (k + 1).saturating_mul(upper + 1) > k * n {
+        let upper = self.neighbour_bound();
+        let Some(subsets) = subset_plan(n, &self.mult, floor, upper) else {
             self.sweep();
             return 1;
-        }
-        let subsets = Subsets::new(&self.mult, upper);
-        let count = (floor..=upper).fold(0u64, |t, d| t.saturating_add(subsets.ways(0, d)));
-        if count.saturating_mul((n * PROBE_CELLS) as u64) > sweep_cells as u64 {
-            self.sweep();
-            return 1;
-        }
+        };
         let mut signatures = Signatures::new(n, &self.parts);
         for d in floor..=upper {
-            let pairs = signatures.collisions(&self.parts, &subsets, d);
+            let pairs = signatures.collisions(&self.parts, &subsets, d, false);
             if !pairs.is_empty() {
                 self.dmin = u32::try_from(d).expect("a weight never exceeds the machine count");
                 self.weakest = row_major(&pairs, n);
@@ -357,14 +384,47 @@ impl FaultGraph {
         unreachable!("no pair weighs less than {floor}, yet one weighs {upper}")
     }
 
-    /// The row sweep: one reused `u16` row of weights per state.  Block ids
-    /// are below `n`, so up to 2¹⁶ states they compare as `u16`.
+    /// The weight of the lightest edge between consecutive states, an
+    /// upper bound on `dmin` (`n ≥ 2`).
+    fn neighbour_bound(&self) -> usize {
+        let upper = (1..self.n).map(|i| self.pair_weight(i - 1, i)).min();
+        upper.expect("two states make an edge") as usize
+    }
+
+    /// The row sweep: sets `dmin` and the weakest edges from every row.
     fn sweep(&mut self) {
-        if let Some(cols) = self.columns::<u16>() {
-            return self.sweep_columns(&cols);
+        let (mut best, mut weakest) = (u32::MAX, std::mem::take(&mut self.weakest));
+        self.rows(|i, row| {
+            let low = u32::from(*row.iter().min().expect("rows before the last have cells"));
+            if low < best {
+                best = low;
+                weakest.clear();
+            }
+            if low == best {
+                let at_best = row
+                    .iter()
+                    .zip(i + 1..)
+                    .filter(|&(&w, _)| u32::from(w) == best);
+                weakest.extend(at_best.map(|(_, j)| (i as u32, j as u32)));
+            }
+            true
+        });
+        self.dmin = best;
+        self.weakest = weakest;
+    }
+
+    /// Calls `visit(i, row)` with the weights of pairs `(i, i+1..n)`, one
+    /// reused `u16` row per state but the last, until it returns false;
+    /// returns whether every row was visited.  Block ids are below `n`, so
+    /// up to 2¹⁶ states they compare as `u16`.
+    fn rows(&self, visit: impl FnMut(usize, &[u16]) -> bool) -> bool {
+        match self.columns::<u16>() {
+            Some(cols) => self.rows_over(&cols, visit),
+            None => {
+                let cols = self.columns::<u32>().expect("block ids are below n < 2³²");
+                self.rows_over(&cols, visit)
+            }
         }
-        let cols = self.columns::<u32>().expect("block ids are below n < 2³²");
-        self.sweep_columns(&cols);
     }
 
     /// One column of block ids per partition; `None` if one does not fit.
@@ -376,7 +436,11 @@ impl FaultGraph {
         Some(cols)
     }
 
-    fn sweep_columns<T: Copy + PartialEq>(&mut self, cols: &[T]) {
+    fn rows_over<T: Copy + PartialEq>(
+        &self,
+        cols: &[T],
+        mut visit: impl FnMut(usize, &[u16]) -> bool,
+    ) -> bool {
         let n = self.n;
         let limit = "a graph holds at most DENSE_MACHINE_LIMIT machines";
         let mult: Vec<_> = self
@@ -385,7 +449,6 @@ impl FaultGraph {
             .map(|&m| u16::try_from(m).expect(limit))
             .collect();
         let mut buf = vec![0u16; n];
-        let mut best = u32::MAX;
         for i in 0..n - 1 {
             let row = &mut buf[..n - i - 1];
             row.fill(0);
@@ -411,21 +474,11 @@ impl FaultGraph {
                     *w += mu * u16::from(b != own);
                 }
             }
-            let low = u32::from(*row.iter().min().expect("rows before the last have cells"));
-            if low < best {
-                best = low;
-                self.weakest.clear();
-            }
-            if low == best {
-                let at_best = row
-                    .iter()
-                    .zip(i + 1..)
-                    .filter(|&(&w, _)| u32::from(w) == best);
-                self.weakest
-                    .extend(at_best.map(|(_, j)| (i as u32, j as u32)));
+            if !visit(i, row) {
+                return false;
             }
         }
-        self.dmin = best;
+        true
     }
 
     /// The weight of pair `(i, j)`, `i ≠ j`, from the kept partitions.
@@ -570,6 +623,20 @@ fn row_major(pairs: &[(u32, u32)], n: usize) -> Vec<(u32, u32)> {
     out
 }
 
+/// The subsets to search levels `floor..=top` by, or `None` when counting
+/// or probing them would cost more than the row sweep costs cells.
+fn subset_plan(n: usize, mult: &[u32], floor: usize, top: usize) -> Option<Subsets<'_>> {
+    let k = mult.len().max(1);
+    // A count table larger than the sweep's `k · n` block ids loses.
+    if (k + 1).saturating_mul(top + 1) > k * n {
+        return None;
+    }
+    let subsets = Subsets::new(mult, top);
+    let count = (floor..=top).fold(0u64, |t, d| t.saturating_add(subsets.ways(0, d)));
+    let sweep_cells = edges_in(n).saturating_mul(k);
+    (count.saturating_mul((n * PROBE_CELLS) as u64) <= sweep_cells as u64).then_some(subsets)
+}
+
 /// The sets `S` of distinct partitions (by index) by their weight `μ(S)`,
 /// up to a bound: counted, and enumerated per weight without trying dead
 /// ends.
@@ -606,8 +673,8 @@ impl<'a> Subsets<'a> {
     }
 
     /// Calls `visit` on every subset of weight `d ≤ upper`, as ascending
-    /// indices.
-    fn for_each(&self, d: usize, mut visit: impl FnMut(&[usize])) {
+    /// indices, until it returns false.
+    fn for_each(&self, d: usize, mut visit: impl FnMut(&[usize]) -> bool) {
         if self.ways(0, d) == 0 {
             return;
         }
@@ -629,7 +696,9 @@ impl<'a> Subsets<'a> {
                 c = next + 1;
                 continue;
             }
-            visit(&chosen);
+            if !visit(&chosen) {
+                return;
+            }
             // Backtrack: drop the latest partition and go on without it.
             loop {
                 let Some(last) = chosen.pop() else {
@@ -690,12 +759,14 @@ impl Signatures {
     }
 
     /// Every pair of states that agrees on all partitions outside some
-    /// subset of weight `d`, as `(i, j)` with `i < j`, unordered.
+    /// subset of weight `d`, as `(i, j)` with `i < j`, unordered; only the
+    /// first one found when `first` is set.
     fn collisions(
         &mut self,
         parts: &[Partition],
         subsets: &Subsets<'_>,
         d: usize,
+        first: bool,
     ) -> Vec<(u32, u32)> {
         let mask = self.last.len() - 1;
         let shift = 64 - self.last.len().trailing_zeros();
@@ -725,10 +796,14 @@ impl Signatures {
                 self.last[slot] = i as u32;
                 while t != NONE {
                     pairs.push((t, i as u32));
+                    if first {
+                        return false;
+                    }
                     t = self.prev[t as usize];
                 }
             }
             s.iter().for_each(|&c| inside[c] = false);
+            true
         });
         pairs
     }
@@ -1040,6 +1115,40 @@ mod tests {
         }
     }
 
+    #[test]
+    fn dmin_query_matches_the_graph_on_both_search_paths() {
+        // Random partitions: with 24 machines the low levels are searched
+        // by subsets and the high ones (dmin ≈ 14) by the row sweep.
+        let mut seed = 7;
+        for (machines, n, blocks) in [(3, 40, 4), (24, 150, 6)] {
+            let parts: Vec<Partition> = (0..machines)
+                .map(|_| {
+                    let assignment: Vec<usize> = (0..n)
+                        .map(|_| splitmix64(&mut seed) as usize % blocks)
+                        .collect();
+                    Partition::from_assignment(&assignment)
+                })
+                .collect();
+            let g = FaultGraph::from_partitions(n, &parts);
+            let d = g.dmin() as usize;
+            let mut paths = [0; 2];
+            for f in 0..=d + 1 {
+                let by_subsets = f < g.neighbour_bound() && subset_plan(n, &g.mult, 0, f).is_some();
+                paths[usize::from(by_subsets)] += 1;
+                assert_eq!(
+                    FaultGraph::dmin_exceeds(n, &parts, f),
+                    g.tolerates_crash_faults(f),
+                    "{machines} machines, f = {f}"
+                );
+            }
+            if machines == 24 {
+                assert!(paths[0] > 0 && paths[1] > 0, "{paths:?}");
+            }
+        }
+        assert!(FaultGraph::dmin_exceeds(1, &[], 5));
+        assert!(!FaultGraph::dmin_exceeds(3, &[], 0));
+    }
+
     /// Partition `k` of a mixed family over `n` states: modular blocks of
     /// several sizes, plus the two extremes (singletons separate every
     /// pair, one block separates none).
@@ -1082,7 +1191,7 @@ mod tests {
     /// Level `d` of `g` by the subset search alone, row-major.
     fn level_by_subsets(g: &FaultGraph, d: usize) -> Vec<(usize, usize)> {
         let subsets = Subsets::new(&g.mult, d);
-        let pairs = Signatures::new(g.n, &g.parts).collisions(&g.parts, &subsets, d);
+        let pairs = Signatures::new(g.n, &g.parts).collisions(&g.parts, &subsets, d, false);
         row_major(&pairs, g.n)
             .into_iter()
             .map(|(i, j)| (i as usize, j as usize))
@@ -1123,10 +1232,18 @@ mod tests {
             swept.sweep();
             assert_eq!(swept.dmin() as usize, d);
             assert_eq!(swept.weakest_edges(), scan);
-            // The `u32` block columns that graphs past 2¹⁶ states sweep.
-            let mut wide = g.clone();
-            wide.sweep_columns(&g.columns::<u32>().unwrap());
-            assert_eq!(wide.weakest_edges(), scan);
+            // The `u32` block columns that graphs past 2¹⁶ states sweep
+            // give the same rows.
+            let (mut narrow, mut wide) = (Vec::new(), Vec::new());
+            g.rows_over(&g.columns::<u16>().unwrap(), |_, row| {
+                narrow.push(row.to_vec());
+                true
+            });
+            g.rows_over(&g.columns::<u32>().unwrap(), |_, row| {
+                wide.push(row.to_vec());
+                true
+            });
+            assert_eq!(wide, narrow);
             assert_eq!(level_by_subsets(&g, d), scan);
             for lower in 0..d {
                 assert!(level_by_subsets(&g, lower).is_empty(), "level {lower}");
@@ -1140,7 +1257,10 @@ mod tests {
         let subsets = Subsets::new(&mult, 10);
         for d in 0..=10 {
             let mut seen = Vec::new();
-            subsets.for_each(d, |s| seen.push(s.to_vec()));
+            subsets.for_each(d, |s| {
+                seen.push(s.to_vec());
+                true
+            });
             let mut expected: Vec<Vec<usize>> = (0u32..32)
                 .map(|bits| (0..5).filter(|&c| bits >> c & 1 == 1).collect::<Vec<_>>())
                 .filter(|s| s.iter().map(|&c| mult[c] as usize).sum::<usize>() == d)

@@ -55,12 +55,12 @@ pub fn lower_cover_with(kernel: &ClosureKernel, p: &Partition) -> Result<Vec<Par
 }
 
 /// Shared lower-cover body: builds the quotient `⊤/p` once (rejecting a
-/// non-closed `p`), closes every pairwise block merge on it and lifts the
-/// closure back to the states of `⊤`, then filters to the maximal
-/// candidates.  With no forbidden edges every merge completes, and its
-/// lift is exactly [`ClosureKernel::close_merged`] of the same blocks.
-/// Only candidates actually entering the output set are cloned out of the
-/// reused buffer.
+/// non-closed `p`) and closes every pairwise block merge on it.  Equal
+/// closures are told apart on the quotient by their block labeling, and
+/// only the distinct ones are lifted back to the states of `⊤`; the
+/// candidates are then filtered to the maximal ones.  With no forbidden
+/// edges every merge completes, and its lift is exactly
+/// [`ClosureKernel::close_merged`] of the same blocks.
 pub(crate) fn lower_cover_impl(
     kernel: &ClosureKernel,
     p: &Partition,
@@ -68,22 +68,24 @@ pub(crate) fn lower_cover_impl(
 ) -> Result<Vec<Partition>> {
     let mut level = kernel.quotient_level(scratch, p, &[])?;
     let k = level.num_blocks();
-    let mut candidates: BTreeSet<Partition> = BTreeSet::new();
+    let mut seen: BTreeSet<Box<[u32]>> = BTreeSet::new();
+    let mut all: Vec<Partition> = Vec::new();
     let mut closed = Partition::singletons(0);
     for b1 in 0..k {
         for b2 in (b1 + 1)..k {
             level.merge(b1, b2);
-            level.lift_into(&mut closed);
-            if !candidates.contains(&closed) {
-                candidates.insert(closed.clone());
+            if !seen.contains(level.merged_labels()) {
+                seen.insert(level.merged_labels().into());
+                level.lift_into(&mut closed);
+                all.push(closed.clone());
             }
         }
     }
+    all.sort_unstable();
     // Keep only the maximal candidates: q is dropped if some other
     // candidate q' satisfies q < q' (q' is strictly finer, i.e. closer to p).
     // The candidates are distinct, so q' must have more blocks; the other
     // pairs skip the `le` pass.
-    let all: Vec<Partition> = candidates.into_iter().collect();
     let below = |q: &Partition| {
         all.iter()
             .any(|other| other.num_blocks() > q.num_blocks() && Partition::le(q, other))

@@ -14,13 +14,16 @@ use crate::partition::Partition;
 
 /// Definition 5: `fusions` is an `(f, m)`-fusion of `originals` iff
 /// `m = |fusions|` and `dmin(originals ∪ fusions) > f`.
+///
+/// Answered as a `dmin` query: the levels up to `f` are searched until a
+/// pair lighter than `f + 1` turns up, and no weakest-edge list is built.
 pub fn is_fusion(
     top_size: usize,
     originals: &[Partition],
     fusions: &[Partition],
     f: usize,
 ) -> bool {
-    FaultGraph::from_partitions(top_size, &[originals, fusions].concat()).tolerates_crash_faults(f)
+    FaultGraph::dmin_exceeds(top_size, &[originals, fusions].concat(), f)
 }
 
 /// Theorem 4: an `(f, m)`-fusion of `originals` exists iff

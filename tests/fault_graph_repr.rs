@@ -18,7 +18,10 @@ mod scan_oracle;
 
 use std::collections::HashSet;
 
-use fsm_fusion::fusion::{FaultGraph, Partition};
+use fsm_fusion::fusion::{
+    generate_fusion_for_machines, is_fusion, projection_partitions, FaultGraph, Partition,
+};
+use fsm_fusion::machines::{mod_counter, table1_rows};
 use proptest::prelude::*;
 
 /// State counts on both sides of 64 and 128.
@@ -237,6 +240,32 @@ proptest! {
         }
     }
 
+    /// `is_fusion` answers Theorem 1's test as a `dmin` query that stops at
+    /// the first light pair.  It agrees with the built graph for every `f`
+    /// up to one past `dmin`, on families of one to 24 machines: the low
+    /// levels are searched by subsets, and the high levels of the larger
+    /// families by the row sweep.
+    #[test]
+    fn is_fusion_agrees_with_the_built_graph(
+        seed in 0u64..100_000,
+        n in 2usize..160,
+        blocks in 2usize..8,
+        machines in 1usize..25,
+        split in 0usize..25,
+    ) {
+        let parts: Vec<Partition> = (0..machines)
+            .map(|m| random_partition(seed.wrapping_add(m as u64 * 101), n, blocks))
+            .collect();
+        let g = FaultGraph::from_partitions(n, &parts);
+        let (originals, fusions) = parts.split_at(split.min(machines));
+        for f in 0..=g.dmin() as usize + 1 {
+            prop_assert_eq!(
+                is_fusion(n, originals, fusions, f),
+                g.tolerates_crash_faults(f)
+            );
+        }
+    }
+
     /// `remap_states_adding` along a fibered (surjective) and a bijective
     /// mapping, with a random, a replicated and a covering added machine,
     /// equals a cold build of the lifted machines plus the added one.
@@ -360,4 +389,35 @@ fn replicated_counters_through_remaps() {
         grown.weakest_edges(),
         scan_oracle::weakest_edges(n, &with_backup)
     );
+}
+
+/// `is_fusion` on Algorithm 2's own results — every Table 1 row at its
+/// `f`, and the eight mod-3 counters (|⊤| = 6561) at `f = 1` — says yes at
+/// `f` and answers like the built graph one past it.
+#[test]
+fn is_fusion_agrees_with_the_built_graph_on_generated_fusions() {
+    let alphabet: Vec<String> = (0..8).map(|i| format!("e{i}")).collect();
+    let alphabet: Vec<&str> = alphabet.iter().map(String::as_str).collect();
+    let counters = (0..8)
+        .map(|i| mod_counter(&format!("C{i}"), 3, alphabet[i], &alphabet))
+        .collect();
+    let mut jobs: Vec<_> = table1_rows()
+        .into_iter()
+        .map(|r| (r.machines, r.f))
+        .collect();
+    jobs.push((counters, 1));
+    for (machines, f) in jobs {
+        let (product, fusion) = generate_fusion_for_machines(&machines, f).unwrap();
+        let (n, backups) = (product.size(), &fusion.partitions);
+        let originals = projection_partitions(&product);
+        let g = FaultGraph::from_partitions(n, &[originals.as_slice(), backups].concat());
+        assert!(is_fusion(n, &originals, backups, f), "|⊤| = {n}");
+        for t in 0..=f + 1 {
+            assert_eq!(
+                is_fusion(n, &originals, backups, t),
+                g.tolerates_crash_faults(t),
+                "|⊤| = {n}, f = {t}"
+            );
+        }
+    }
 }
